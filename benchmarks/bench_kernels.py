@@ -4,7 +4,9 @@
 Times the master-equation kernel on the case I transfer at several register
 sizes and the pure-state kernel on the joint spin+resonator model, printing
 per-backend wall times and the speedup.  The first numba call includes JIT
-compilation and is reported separately.
+compilation and is reported separately.  A last section times the 13 members
+of the criterion-8 disorder ensemble integrated as one batch against 13
+single-run calls, per member and step.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -14,10 +16,10 @@ import time
 import numpy as np
 
 from lmg_adiabat import _kernels
-from lmg_adiabat.dynamics import calibrated_schedule
+from lmg_adiabat.dynamics import _term_union, calibrated_schedule, dephasing_mask
 from lmg_adiabat.model import FullModelParams, full_interaction_hamiltonian, lmg_sweep_hamiltonian
 from lmg_adiabat.operators import SpinRegister
-from lmg_adiabat.protocols import preset
+from lmg_adiabat.protocols import preset, reference_disorder_profiles
 from lmg_adiabat.states import density_from_state
 
 
@@ -57,6 +59,36 @@ def schrodinger_workload(cutoff=8, t_final=500.0, step=0.02):
     idx = np.unique(np.round(np.linspace(0, n_steps, 101)).astype(np.int64))
     args = (np.ascontiguousarray(ham.terms), ctab, psi0, step, idx)
     return "schrodinger", f"N=2 x cutoff {cutoff} (dim {ham.dim}), {n_steps} steps", args
+
+
+def batch_workload(t_final=1000.0, step=0.25, gamma=1e-4):
+    """Criterion-8 members (baseline + 12 disorder profiles, N=4) as batch and single calls."""
+    cfg = preset("I", 4, detuning_magnitude=0.9, gamma=gamma)
+    reg = SpinRegister(4)
+    sched = cfg.schedule
+    hams = [
+        lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta, sched.omega1, sched.omega2, profile)
+        for profile in [None, *reference_disorder_profiles(cfg.eta)]
+    ]
+    n_steps = int(round(t_final / step))
+    half_times = (step / 2.0) * np.arange(2 * n_steps + 1)
+    tables = [ham.coefficient_table(half_times) for ham in hams]
+    terms, columns = _term_union(hams)
+    ctab = np.zeros((half_times.size, len(hams), terms.shape[0]))
+    for b, (table, cols) in enumerate(zip(tables, columns)):
+        ctab[:, b, cols] = table
+    w = dephasing_mask(cfg.gammas())
+    rho0 = density_from_state(cfg.initial_state())
+    idx = np.unique(np.round(np.linspace(0, n_steps, 101)).astype(np.int64))
+    d = reg.dim
+    no_forms = (np.zeros((0, d), dtype=np.complex128), np.zeros((0, d), dtype=np.complex128),
+                np.zeros((0, d, d), dtype=np.complex128), False)
+    batch = (terms, ctab, w, np.stack([rho0] * len(hams)), step, idx, *no_forms)
+    singles = [
+        (np.ascontiguousarray(ham.terms), table, w, rho0, step, idx, *no_forms)
+        for ham, table in zip(hams, tables)
+    ]
+    return f"{len(hams)} members, dim {d}, {n_steps} steps", batch, singles
 
 
 def time_call(fn, args, repeat):
@@ -101,6 +133,19 @@ def main():
             print(f"{kind + ': ' + label:44s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
         else:
             print(f"{kind + ': ' + label:44s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
+
+    label, batch, singles = batch_workload()
+    member_steps = len(singles) * ((batch[1].shape[0] - 1) // 2)
+    print(f"\nbatched lindblad: {label} (us per member-step)")
+    header = f"{'backend':10s} {'batch':>10s} {'singles':>10s} {'speedup':>9s}"
+    print(header)
+    print("-" * len(header))
+    for kern in [numpy_k, numba_k] if have_numba else [numpy_k]:
+        t_batch = time_call(kern.lindblad_rk4, batch, opts.repeat)
+        t_singles = time_call(lambda: [kern.lindblad_rk4(*args) for args in singles], (),
+                              opts.repeat)
+        print(f"{kern.name:10s} {1e6 * t_batch / member_steps:10.2f} "
+              f"{1e6 * t_singles / member_steps:10.2f} {t_singles / t_batch:8.1f}x")
 
 
 if __name__ == "__main__":

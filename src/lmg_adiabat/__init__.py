@@ -17,6 +17,7 @@ from .dynamics import (
     adiabaticity_profile,
     calibrated_schedule,
     evolve,
+    evolve_batch,
     evolve_state,
     lindblad_rhs,
     literal_schedule,
@@ -59,6 +60,7 @@ from .protocols import (
     preset,
     preset_delta,
     run_scenario,
+    run_scenarios,
     validate_effective_reduction,
 )
 from .states import (

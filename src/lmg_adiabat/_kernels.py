@@ -6,6 +6,13 @@ table (rows on the half-step grid t0, t0+dt/2, t0+dt, ...).  The backend is
 chosen by the ``LMG_ADIABAT_BACKEND`` environment variable: ``auto``
 (default: numba when importable), ``numba`` or ``numpy``.  Both paths are
 always importable so they can be benchmarked against each other.
+
+The Lindblad kernels also take a batch: a (2n+1, B, K) table with a
+(B, d, d) stack of initial states integrates B members that share the terms,
+the dissipator mask and the sampled quantities, and puts a leading B axis on
+every output.  The numpy kernel runs the whole batch in one loop (a single
+run is its batch of one); the numba kernel runs the jitted single-run loop
+member by member.
 """
 from __future__ import annotations
 
@@ -165,51 +172,64 @@ def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                         form_left, form_right, obs, store_rho):
-    d = terms.shape[1]
+    if ctab.ndim == 2:  # single run: the batch of one
+        out = _lindblad_rk4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
+                                  form_left, form_right, obs, store_rho)
+        return tuple(x[0] for x in out)
+
+    kk, d, _ = terms.shape
     n_steps = (ctab.shape[0] - 1) // 2
+    b = ctab.shape[1]
     m = sample_idx.shape[0]
 
-    forms = np.zeros((m, form_left.shape[0]), dtype=np.complex128)
-    expvals = np.zeros((m, obs.shape[0]), dtype=np.float64)
-    purity = np.zeros(m, dtype=np.float64)
-    trace_defect = np.zeros(m, dtype=np.float64)
-    herm_defect = np.zeros(m, dtype=np.float64)
-    rho_samples = np.zeros((m if store_rho else 0, d, d), dtype=np.complex128)
+    forms = np.zeros((b, m, form_left.shape[0]), dtype=np.complex128)
+    expvals = np.zeros((b, m, obs.shape[0]), dtype=np.float64)
+    purity = np.zeros((b, m), dtype=np.float64)
+    trace_defect = np.zeros((b, m), dtype=np.float64)
+    herm_defect = np.zeros((b, m), dtype=np.float64)
+    rho_samples = np.zeros((b, m if store_rho else 0, d, d), dtype=np.complex128)
 
     left_c = form_left.conj()
+    # real view of the terms: a real product with the real coefficients skips
+    # casting the coefficients to complex, which is several times slower
+    real_terms = np.ascontiguousarray(terms, dtype=np.complex128)
+    real_terms = real_terms.reshape(kk, d * d).view(np.float64)
 
     def rhs(h, x):
         return -1j * (h @ x - x @ h) + w * x
 
     rho = rho0.copy()
-    raw_defect = 0.0
+    raw_defect = np.zeros(b)
     ptr = 0
     for step in range(n_steps + 1):
         if ptr < m and sample_idx[ptr] == step:
-            forms[ptr] = np.einsum("fi,ij,fj->f", left_c, rho, form_right)
-            if obs.shape[0]:
-                expvals[ptr] = np.real(np.einsum("bij,ji->b", obs, rho))
-            purity[ptr] = float(np.real(np.vdot(rho, rho)))
-            trace_defect[ptr] = abs(complex(np.trace(rho)) - 1.0)
-            herm_defect[ptr] = raw_defect
+            # member by member, so each member's numbers are those of its own run
+            for i, r in enumerate(rho):
+                forms[i, ptr] = np.einsum("fi,ij,fj->f", left_c, r, form_right)
+                if obs.shape[0]:
+                    expvals[i, ptr] = np.real(np.einsum("bij,ji->b", obs, r))
+                purity[i, ptr] = float(np.real(np.vdot(r, r)))
+                trace_defect[i, ptr] = abs(complex(np.trace(r)) - 1.0)
+            herm_defect[:, ptr] = raw_defect
             if store_rho:
-                rho_samples[ptr] = rho
+                rho_samples[:, ptr] = rho
             ptr += 1
         if step == n_steps:
             break
 
-        h0 = np.tensordot(ctab[2 * step], terms, axes=1)
-        hm = np.tensordot(ctab[2 * step + 1], terms, axes=1)
-        h1 = np.tensordot(ctab[2 * step + 2], terms, axes=1)
+        # one product builds the three stage Hamiltonians of every member
+        stages = ctab[2 * step:2 * step + 3].reshape(3 * b, kk) @ real_terms
+        h0, hm, h1 = stages.view(np.complex128).reshape(3, b, d, d)
 
         k1 = rhs(h0, rho)
         k2 = rhs(hm, rho + (0.5 * dt) * k1)
         k3 = rhs(hm, rho + (0.5 * dt) * k2)
         k4 = rhs(h1, rho + dt * k3)
         raw = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        raw_h = raw.conj().transpose(0, 2, 1)
         if ptr < m and sample_idx[ptr] == step + 1:
-            raw_defect = float(np.linalg.norm(raw - raw.conj().T))
-        rho = 0.5 * (raw + raw.conj().T)
+            raw_defect = np.linalg.norm((raw - raw_h).reshape(b, d * d), axis=1)
+        rho = 0.5 * (raw + raw_h)
 
     return forms, expvals, purity, trace_defect, herm_defect, rho_samples, rho
 
@@ -255,6 +275,27 @@ _numba_kernels: Optional[Kernels] = None
 _numba_lock = threading.Lock()
 
 
+def over_members(single):
+    """Give a single-run Lindblad kernel the batch form by looping over members.
+
+    A ``ctab`` of shape (2n+1, B, K) with ``rho0`` of shape (B, d, d) runs
+    member by member and stacks the outputs on a leading B axis; the
+    single-run form passes straight through.
+    """
+    def kernel(terms, ctab, w, rho0, dt, sample_idx, form_left, form_right, obs, store_rho):
+        if ctab.ndim == 2:
+            return single(terms, ctab, w, rho0, dt, sample_idx,
+                          form_left, form_right, obs, store_rho)
+        outs = [
+            single(terms, np.ascontiguousarray(ctab[:, b]), w, np.ascontiguousarray(rho0[b]),
+                   dt, sample_idx, form_left, form_right, obs, store_rho)
+            for b in range(ctab.shape[1])
+        ]
+        return tuple(np.stack(x) for x in zip(*outs))
+
+    return kernel
+
+
 def _compile_numba_kernels() -> Kernels:
     global _numba_kernels
     with _numba_lock:  # sweep threads may hit the first compile concurrently
@@ -262,7 +303,7 @@ def _compile_numba_kernels() -> Kernels:
             jit = numba.njit(cache=True, nogil=True)
             _numba_kernels = Kernels(
                 "numba",
-                jit(_lindblad_rk4_loops),
+                over_members(jit(_lindblad_rk4_loops)),
                 jit(_schrodinger_rk4_loops),
             )
     return _numba_kernels

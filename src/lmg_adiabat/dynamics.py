@@ -8,13 +8,15 @@ chosen over adaptive schemes for determinism.  The state is re-Hermitized
 ((rho + rho†)/2) after every step; positivity is never repaired, only
 reported.  Since sigma_z^j is diagonal, the whole dissipator reduces to an
 elementwise mask W ∘ rho with W = sum_j gamma_j (s_j s_j^T - 1), which keeps
-the hot loop to two matrix products per stage.
+the hot loop to two matrix products per stage.  Runs that share the time
+grid and the dephasing rates are integrated together as one batch
+(:func:`evolve_batch`); a single run is the batch of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +26,10 @@ from .model import DisorderProfile, LinearHamiltonian, lmg_sweep_hamiltonian
 from .states import check_density_matrix
 
 DEFAULT_STEP = 0.25
+#: Steps per kernel call.  The coefficient table is built one block at a
+#: time, which bounds its memory, and the sampled trace is checked after
+#: every block, which stops a blown-up run early.
+BLOCK_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -218,16 +224,58 @@ def evolve(
 ) -> TrajectoryResult:
     """Integrate the master equation over ``t_span`` and sample observables.
 
-    ``populations`` maps names to state vectors tracked as <psi|rho|psi>;
-    ``bilinears`` maps names to vector pairs tracked as <a|rho|b> (used for
-    phase-optimized populations); ``observables`` maps names to Hermitian
-    matrices tracked as Tr(O rho).  Raises :class:`StepFailureError` when the
-    sampled trace defect ever exceeds ``trace_tol``.
+    The batch of one of :func:`evolve_batch`, which documents the options.
     """
-    rho0 = np.ascontiguousarray(rho0, dtype=np.complex128)
-    check_density_matrix(rho0)
-    dim = rho0.shape[0]
-    gammas = spec.gammas
+    return evolve_batch(
+        [spec], [rho0], t_span, n_samples=n_samples, step=step, populations=populations,
+        bilinears=bilinears, observables=observables, record_gap=record_gap,
+        gap_degeneracy_tol=gap_degeneracy_tol, store_states=store_states,
+        backend=backend, trace_tol=trace_tol,
+    )[0]
+
+
+def evolve_batch(
+    specs: Sequence[LindbladSpec],
+    rho0s: Sequence[np.ndarray],
+    t_span: Tuple[float, float],
+    *,
+    n_samples: int = 401,
+    step: float = DEFAULT_STEP,
+    populations: Optional[Mapping[str, np.ndarray]] = None,
+    bilinears: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
+    observables: Optional[Mapping[str, np.ndarray]] = None,
+    record_gap: bool = True,
+    gap_degeneracy_tol: Optional[float] = None,
+    store_states: Optional[bool] = None,
+    backend: Optional[str] = None,
+    trace_tol: float = 1e-8,
+) -> List[TrajectoryResult]:
+    """Integrate several master equations together, one result per member.
+
+    The members share the time grid, the dephasing rates and the tracked
+    quantities, and are integrated in one RK4 loop over a stack of density
+    matrices.  ``populations`` maps names to state vectors tracked as
+    <psi|rho|psi>; ``bilinears`` maps names to vector pairs tracked as
+    <a|rho|b> (used for phase-optimized populations); ``observables`` maps
+    names to Hermitian matrices tracked as Tr(O rho).  A callable
+    Hamiltonian runs only as a batch of one.  Raises
+    :class:`StepFailureError` when a member's sampled trace defect exceeds
+    ``trace_tol``; the kernel path raises at the end of the block of
+    ``BLOCK_STEPS`` steps in which that happens.
+    """
+    specs = list(specs)
+    if not specs or len(specs) != len(rho0s):
+        raise ValueError(f"need one initial state per member, got {len(specs)} specs "
+                         f"and {len(rho0s)} states")
+    rho0s = [np.ascontiguousarray(r, dtype=np.complex128) for r in rho0s]
+    for rho0 in rho0s:
+        check_density_matrix(rho0)
+    dim = rho0s[0].shape[0]
+    if any(r.shape[0] != dim for r in rho0s):
+        raise DimensionMismatchError("batched members must share the state dimension")
+    gammas = specs[0].gammas
+    if any(spec.gammas != gammas for spec in specs):
+        raise ValueError("batched members must share their dephasing rates")
     w = dephasing_mask(gammas, dim=dim)
 
     t0, h, n_steps, sample_idx = _sample_grid(t_span, step, n_samples)
@@ -257,8 +305,54 @@ def evolve(
 
     if store_states is None:
         store_states = dim <= 64
+    forms_args = (form_left, form_right, obs, bool(store_states))
 
-    hamiltonian = spec.hamiltonian
+    hams = [_linear_hamiltonian(spec.hamiltonian, dim) for spec in specs]
+    if all(ham is not None for ham in hams):
+        out = _integrate_blocks(hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
+                                *forms_args, backend, trace_tol)
+    elif len(specs) == 1:
+        out = _evolve_callable(specs[0].hamiltonian, w, rho0s[0], t0, h, n_steps,
+                               sample_idx, *forms_args)
+        out = tuple(x[None] for x in out)
+        _check_trace(out[3], times, trace_tol, h)
+    else:
+        raise ValueError("a callable hamiltonian runs only as a batch of one")
+    forms, expvals, pur, tdef, hdef, rho_samples, rho_final = out
+
+    results = []
+    for b, spec in enumerate(specs):
+        pop_out = {
+            name: np.clip(forms[b, :, k].real, 0.0, 1.0) for k, name in enumerate(populations)
+        }
+        bil_out = {
+            name: forms[b, :, len(populations) + k] for k, name in enumerate(bilinears)
+        }
+        exp_out = {name: expvals[b, :, k] for k, name in enumerate(observables)}
+        gap = None
+        if record_gap:
+            gap = np.array([
+                spectral_gap(_hamiltonian_matrix(spec.hamiltonian, t), gap_degeneracy_tol)
+                for t in times
+            ])
+        results.append(TrajectoryResult(
+            times=times,
+            populations=pop_out,
+            bilinears=bil_out,
+            expectations=exp_out,
+            purity=pur[b],
+            trace_defect=tdef[b],
+            hermiticity_defect=hdef[b],
+            gap=gap,
+            rho_samples=rho_samples[b] if store_states else None,
+            rho_final=rho_final[b],
+            step=h,
+        ))
+    return results
+
+
+def _linear_hamiltonian(hamiltonian, dim: int) -> Optional[LinearHamiltonian]:
+    """The kernel form of a Hamiltonian provider, or None for a callable."""
     if isinstance(hamiltonian, np.ndarray):
         const = np.ascontiguousarray(hamiltonian, dtype=np.complex128)
         if const.shape != (dim, dim):
@@ -269,68 +363,81 @@ def evolve(
             terms=const[None, :, :],
             coefficients=lambda ts: np.ones((np.size(ts), 1)),
         )
-
-    if isinstance(hamiltonian, LinearHamiltonian):
-        if hamiltonian.dim != dim:
-            raise DimensionMismatchError(
-                f"hamiltonian dim {hamiltonian.dim} does not match density matrix dim {dim}"
-            )
-        half_times = t0 + (h / 2.0) * np.arange(2 * n_steps + 1, dtype=np.float64)
-        ctab = np.ascontiguousarray(hamiltonian.coefficient_table(half_times))
-        kern = _kernels.get_kernels(backend)
-        forms, expvals, pur, tdef, hdef, rho_samples, rho_final = kern.lindblad_rk4(
-            np.ascontiguousarray(hamiltonian.terms),
-            ctab,
-            w,
-            rho0,
-            h,
-            sample_idx,
-            form_left,
-            form_right,
-            obs,
-            bool(store_states),
+    if not isinstance(hamiltonian, LinearHamiltonian):
+        return None
+    if hamiltonian.dim != dim:
+        raise DimensionMismatchError(
+            f"hamiltonian dim {hamiltonian.dim} does not match density matrix dim {dim}"
         )
-    else:
-        forms, expvals, pur, tdef, hdef, rho_samples, rho_final = _evolve_callable(
-            hamiltonian, w, rho0, t0, h, n_steps, sample_idx,
-            form_left, form_right, obs, bool(store_states),
-        )
+    return hamiltonian
 
-    m = sample_idx.size
-    pop_out: Dict[str, np.ndarray] = {}
-    bil_out: Dict[str, np.ndarray] = {}
-    for k, name in enumerate(populations):
-        pop_out[name] = np.clip(forms[:, k].real, 0.0, 1.0)
-    for k, name in enumerate(bilinears):
-        bil_out[name] = forms[:, len(populations) + k]
-    exp_out = {name: expvals[:, k] for k, name in enumerate(observables)}
 
-    gap = None
-    if record_gap:
-        gap = np.empty(m, dtype=np.float64)
-        for i, t in enumerate(times):
-            gap[i] = spectral_gap(_hamiltonian_matrix(spec.hamiltonian, t), gap_degeneracy_tol)
+def _term_union(hams: Sequence[LinearHamiltonian]):
+    """Stack the distinct terms of several Hamiltonians.
 
-    worst = float(np.max(tdef))
-    if not worst <= trace_tol:  # also catches NaN from a blown-up run
-        raise StepFailureError(
-            f"trace defect {worst:.3e} exceeds {trace_tol:.1e}; "
-            f"reduce the step (currently {h:.3g}/nu)"
-        )
+    Returns the (K, d, d) stack and, per member, the stack index of each of
+    its own terms; bitwise-equal matrices share one index.
+    """
+    index: Dict[bytes, int] = {}
+    union = []
+    columns = []
+    for ham in hams:
+        cols = []
+        for term in np.ascontiguousarray(ham.terms, dtype=np.complex128):
+            key = term.tobytes()
+            if key not in index:
+                index[key] = len(union)
+                union.append(term)
+            cols.append(index[key])
+        columns.append(cols)
+    return np.ascontiguousarray(np.stack(union)), columns
 
-    return TrajectoryResult(
-        times=times,
-        populations=pop_out,
-        bilinears=bil_out,
-        expectations=exp_out,
-        purity=pur,
-        trace_defect=tdef,
-        hermiticity_defect=hdef,
-        gap=gap,
-        rho_samples=rho_samples if store_states else None,
-        rho_final=rho_final,
-        step=h,
+
+def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
+                      form_left, form_right, obs, store_rho, backend, trace_tol):
+    """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them."""
+    terms, columns = _term_union(hams)
+    kern = _kernels.get_kernels(backend)
+    b, m, d = len(hams), sample_idx.size, rho.shape[1]
+    samples = (
+        np.empty((b, m, form_left.shape[0]), dtype=np.complex128),  # forms
+        np.empty((b, m, obs.shape[0])),  # expectation values
+        np.empty((b, m)),  # purity
+        np.empty((b, m)),  # trace defect
+        np.empty((b, m)),  # Hermiticity defect
+        np.empty((b, m if store_rho else 0, d, d), dtype=np.complex128),
     )
+    for s0 in range(0, n_steps, BLOCK_STEPS):
+        s1 = min(s0 + BLOCK_STEPS, n_steps)
+        # global half-step index, so every row matches a whole-window table
+        half_times = t0 + (h / 2.0) * np.arange(2 * s0, 2 * s1 + 1, dtype=np.float64)
+        ctab = np.zeros((half_times.size, b, terms.shape[0]))
+        for i, (ham, cols) in enumerate(zip(hams, columns)):
+            table = ham.coefficient_table(half_times)
+            for k, col in enumerate(cols):
+                ctab[:, i, col] += table[:, k]
+        # a block records the samples in (s0, s1]; the first also records step 0
+        lo = np.searchsorted(sample_idx, s0 + 1 if s0 else 0)
+        hi = np.searchsorted(sample_idx, s1, side="right")
+        *block, rho = kern.lindblad_rk4(terms, ctab, w, rho, h, sample_idx[lo:hi] - s0,
+                                        form_left, form_right, obs, store_rho)
+        for full, part in zip(samples, block):
+            full[:, lo:hi] = part
+        _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), trace_tol, h)
+    return (*samples, rho)
+
+
+def _check_trace(tdef: np.ndarray, times: np.ndarray, trace_tol: float, h: float) -> None:
+    """Raise StepFailureError at the first sample whose trace defect is too large."""
+    bad = ~(tdef <= trace_tol)  # also catches NaN from a blown-up run
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        b = int(np.argmax(bad[:, j]))
+        who = f"member {b}: " if tdef.shape[0] > 1 else ""
+        raise StepFailureError(
+            f"{who}trace defect {tdef[b, j]:.3e} at t = {times[j]:.6g} exceeds "
+            f"{trace_tol:.1e}; reduce the step (currently {h:.3g}/nu)"
+        )
 
 
 def _evolve_callable(hamiltonian, w, rho0, t0, h, n_steps, sample_idx,

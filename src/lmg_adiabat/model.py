@@ -26,7 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ResonantDetuningError
-from .operators import FockSpace, SpinRegister, collective_operator, embed_single_spin
+from .operators import (
+    FockSpace,
+    SpinRegister,
+    boson_operator,
+    collective_operator,
+    embed_single_spin,
+)
 
 RESONANCE_TOL = 1e-9
 
@@ -255,9 +261,7 @@ def full_interaction_hamiltonian(p: FullModelParams) -> LinearHamiltonian:
     reg = SpinRegister(p.n_spins)
     fock = FockSpace(p.fock_cutoff)
     jp = collective_operator(reg, "+")
-    a = np.zeros((fock.cutoff, fock.cutoff), dtype=np.complex128)
-    for k in range(1, fock.cutoff):
-        a[k - 1, k] = np.sqrt(k)
+    a = boson_operator(fock, "a")
     adag = a.conj().T
     eye_f = np.eye(fock.cutoff, dtype=np.complex128)
 

@@ -19,7 +19,6 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -135,12 +134,3 @@ def boson_operator(f: FockSpace, which: str) -> np.ndarray:
         return a.conj().T @ a
     raise ValueError(f"unknown boson operator {which!r}, expected a, adag or n")
 
-
-def spin_boson_operator(reg: SpinRegister, f: FockSpace, spin: np.ndarray, bos: np.ndarray) -> np.ndarray:
-    """spin ⊗ boson on the joint space; spin factor is most significant."""
-    if spin.shape != (reg.dim, reg.dim) or bos.shape != (f.cutoff, f.cutoff):
-        raise DimensionMismatchError(
-            f"operand shapes {spin.shape}, {bos.shape} do not match register "
-            f"dim {reg.dim} and cutoff {f.cutoff}"
-        )
-    return np.kron(spin, bos)

@@ -28,6 +28,7 @@ from .dynamics import (
     TrajectoryResult,
     calibrated_schedule,
     evolve,
+    evolve_batch,
     evolve_state,
     literal_schedule,
 )
@@ -305,15 +306,45 @@ def run_scenario(
     Emits a non-fatal :class:`RegimeWarning` when the classified regime at
     t_final does not match the case's intended one-axis form/magnetism.
     """
-    reg = SpinRegister(cfg.n_spins)
-    ham = lmg_sweep_hamiltonian(
-        reg, cfg.eta, cfg.delta, cfg.schedule.omega1, cfg.schedule.omega2, cfg.disorder
-    )
-    psi0 = cfg.initial_state()
-    rho0 = density_from_state(psi0)
-    target = target_state(cfg.case, cfg.n_spins)
-    branch_a, branch_b = target_branches(cfg.case, cfg.n_spins)
+    return run_scenarios([cfg], backend=backend, store_states=store_states,
+                         record_gap=record_gap)[0]
 
+
+#: Fields every scenario of one batch must share (gammas() is checked too).
+_BATCH_SHARED = ("n_spins", "case", "t_final", "step", "n_samples")
+
+
+def run_scenarios(
+    cfgs: Sequence[ScenarioConfig],
+    *,
+    backend: Optional[str] = None,
+    store_states: Optional[bool] = None,
+    record_gap: bool = True,
+) -> List[ScenarioRun]:
+    """Integrate several scenarios as one batch, one run per config in order.
+
+    The configs must share ``n_spins``, ``case``, ``gammas()``, ``t_final``,
+    ``step`` and ``n_samples``; they may differ in coupling, detuning,
+    schedule and disorder.  A config equal to an earlier one is integrated
+    once and shares that run.  Each run warns as :func:`run_scenario` does.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        differ = [name for name in _BATCH_SHARED if getattr(cfg, name) != getattr(first, name)]
+        if cfg.gammas() != first.gammas():
+            differ.append("gammas")
+        if differ:
+            raise ValidationError(
+                f"scenarios of one batch must share {', '.join(differ)}"
+            )
+    unique = list(dict.fromkeys(cfgs))
+
+    reg = SpinRegister(first.n_spins)
+    target = target_state(first.case, first.n_spins)
+    branch_a, branch_b = target_branches(first.case, first.n_spins)
     populations = {"target": target, "branch_plus": branch_a}
     bilinears = {}
     if branch_b is not None:
@@ -321,12 +352,18 @@ def run_scenario(
         bilinears["branch_cross"] = (branch_a, branch_b)
     observables = {"jz": collective_operator(reg, "z")}
 
-    result = evolve(
-        LindbladSpec(ham, cfg.gammas()),
-        rho0,
-        (0.0, cfg.t_final),
-        n_samples=cfg.n_samples,
-        step=cfg.step,
+    specs = [
+        LindbladSpec(
+            lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                  cfg.schedule.omega2, cfg.disorder),
+            cfg.gammas(),
+        )
+        for cfg in unique
+    ]
+    rho0s = [density_from_state(cfg.initial_state()) for cfg in unique]
+    options = dict(
+        n_samples=first.n_samples,
+        step=first.step,
         populations=populations,
         bilinears=bilinears,
         observables=observables,
@@ -334,9 +371,20 @@ def run_scenario(
         store_states=store_states,
         backend=backend,
     )
+    if len(unique) == 1:  # single runs stay on evolve, the layer perfbench traces
+        results = [evolve(specs[0], rho0s[0], (0.0, first.t_final), **options)]
+    else:
+        results = evolve_batch(specs, rho0s, (0.0, first.t_final), **options)
+    runs = {cfg: _scenario_run(cfg, result, branch_b is not None)
+            for cfg, result in zip(unique, results)}
+    for cfg in cfgs:
+        _warn_on_final_regime(cfg)
+    return [runs[cfg] for cfg in cfgs]
 
+
+def _scenario_run(cfg: ScenarioConfig, result: TrajectoryResult, two_branches: bool) -> ScenarioRun:
     pop_target = result.populations["target"]
-    if branch_b is not None:
+    if two_branches:
         pop_opt = np.clip(
             0.5 * (result.populations["branch_plus"] + result.populations["branch_minus"])
             + np.abs(result.bilinears["branch_cross"]),
@@ -346,18 +394,6 @@ def run_scenario(
     else:
         pop_opt = pop_target.copy()
 
-    regime_initial = cfg.regime_at(0.0)
-    regime_final = cfg.regime_at(cfg.t_final)
-    expected = _expected_final_magnetism(cfg.case)
-    if regime_final.form != "one-axis-y" or regime_final.magnetism != expected:
-        warnings.warn(
-            f"scenario case {cfg.case} ended in regime "
-            f"({regime_final.form}, {regime_final.magnetism}), expected "
-            f"(one-axis-y, {expected})",
-            RegimeWarning,
-            stacklevel=2,
-        )
-
     min_gap = float(np.min(result.gap)) if result.gap is not None else float("nan")
     return ScenarioRun(
         config=cfg,
@@ -366,11 +402,24 @@ def run_scenario(
         omega2=np.asarray(cfg.schedule.omega2(result.times), dtype=np.float64),
         pop_target=pop_target,
         pop_target_phase_opt=pop_opt,
-        regime_initial=regime_initial,
-        regime_final=regime_final,
+        regime_initial=cfg.regime_at(0.0),
+        regime_final=cfg.regime_at(cfg.t_final),
         min_gap=min_gap,
         adiabatic_margin=cfg.t_final * min_gap if np.isfinite(min_gap) else float("nan"),
     )
+
+
+def _warn_on_final_regime(cfg: ScenarioConfig) -> None:
+    regime_final = cfg.regime_at(cfg.t_final)
+    expected = _expected_final_magnetism(cfg.case)
+    if regime_final.form != "one-axis-y" or regime_final.magnetism != expected:
+        warnings.warn(
+            f"scenario case {cfg.case} ended in regime "
+            f"({regime_final.form}, {regime_final.magnetism}), expected "
+            f"(one-axis-y, {expected})",
+            RegimeWarning,
+            stacklevel=3,
+        )
 
 
 @dataclass
@@ -430,18 +479,23 @@ def disorder_ensemble(
     parallelism: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> EnsembleReport:
-    """One run per coupling-disorder profile plus the disorder-free baseline."""
-    workers = _resolve_workers(parallelism)
+    """One run per coupling-disorder profile plus the disorder-free baseline.
 
-    def one(item) -> EnsembleMember:
-        label, profile = item
-        run = run_scenario(replace(cfg, disorder=profile), backend=backend,
-                           store_states=False, record_gap=True)
-        return _summarize(label, run)
+    The members run as one batch (:func:`run_scenarios`).  ``parallelism``
+    has no effect: splitting a batch over threads measured slower than
+    running it whole.
+    """
+    jobs = [("baseline", cfg)]
+    jobs += [(p.label or f"profile-{i}", replace(cfg, disorder=p))
+             for i, p in enumerate(profiles, start=1)]
+    return _run_ensemble(jobs, backend)
 
-    jobs = [("baseline", None)]
-    jobs += [(p.label or f"profile-{i}", p) for i, p in enumerate(profiles, start=1)]
-    out = _pmap(one, jobs, workers)
+
+def _run_ensemble(jobs: Sequence[Tuple[str, ScenarioConfig]],
+                  backend: Optional[str]) -> EnsembleReport:
+    labels, cfgs = zip(*jobs)
+    runs = run_scenarios(cfgs, backend=backend, store_states=False, record_gap=True)
+    out = [_summarize(label, run) for label, run in zip(labels, runs)]
     return EnsembleReport(baseline=out[0], members=out[1:])
 
 
@@ -465,7 +519,9 @@ def dispersion_ensemble(
     The baseline is the undispersed configuration; a (0, 0) pair reproduces
     it exactly.  Unequal offsets leave beta1(t_final) = 2(dzeta1 - dzeta2),
     so a member's reported final populations are bounded by the target
-    weight of the ground state of its own dispersed final Hamiltonian.
+    weight of the ground state of its own dispersed final Hamiltonian.  The
+    members run as one batch, as in :func:`disorder_ensemble`, and
+    ``parallelism`` has no effect.
     """
     zeta = cfg.schedule.zeta
     for d1, d2 in deltas:
@@ -473,19 +529,12 @@ def dispersion_ensemble(
             raise ValidationError(
                 f"dispersion offsets ({d1}, {d2}) exceed 0.5 * zeta = {0.5 * zeta}"
             )
-    workers = _resolve_workers(parallelism)
-
-    def one(item) -> EnsembleMember:
-        label, (d1, d2) = item
-        sched = cfg.schedule.with_dispersion(d1, d2)
-        run = run_scenario(replace(cfg, schedule=sched), backend=backend,
-                           store_states=False, record_gap=True)
-        return _summarize(label, run)
-
-    jobs = [("baseline", (0.0, 0.0))]
-    jobs += [(f"dzeta=({d1:+g},{d2:+g})", (d1, d2)) for d1, d2 in deltas]
-    out = _pmap(one, jobs, workers)
-    return EnsembleReport(baseline=out[0], members=out[1:])
+    jobs = [("baseline", cfg)]
+    jobs += [
+        (f"dzeta=({d1:+g},{d2:+g})", replace(cfg, schedule=cfg.schedule.with_dispersion(d1, d2)))
+        for d1, d2 in deltas
+    ]
+    return _run_ensemble(jobs, backend)
 
 
 @dataclass

@@ -1,10 +1,13 @@
 """Parallel execution of scenario grids with deterministic aggregation.
 
 A grid is a base scenario plus named axes of parameter overrides; the
-cartesian product is executed point by point (threads are fine: the hot
-kernels release the GIL) and results are reassembled in grid order, so the
-output is independent of the worker count.  Failed points keep their row
-with an error label instead of being dropped.
+cartesian product is executed point by point on worker threads and results
+are reassembled in grid order, so the output is independent of the worker
+count.  Threads overlap fully only on the numba backend, whose kernels
+release the GIL.  At small dimensions the numpy kernel spends most of its
+time in Python between small array operations, holding the GIL, so extra
+workers gain little there.  Failed points keep their row with an error
+label instead of being dropped.
 """
 from __future__ import annotations
 

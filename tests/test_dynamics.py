@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lmg_adiabat import dynamics
 from lmg_adiabat.dynamics import (
     DriveSchedule,
     LindbladSpec,
@@ -10,6 +11,7 @@ from lmg_adiabat.dynamics import (
     calibrated_schedule,
     dephasing_mask,
     evolve,
+    evolve_batch,
     evolve_state,
     lindblad_rhs,
     literal_schedule,
@@ -198,6 +200,42 @@ def test_evolve_step_failure_on_unstable_step():
             n_samples=40,
             record_gap=False,
         )
+
+
+def test_block_size_does_not_change_the_result(monkeypatch):
+    cfg = preset("I", 2, t_final=60.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(2), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, (1e-3, 2e-3))
+    rho0 = density_from_state(cfg.initial_state())
+    kwargs = dict(n_samples=13, populations={"start": cfg.initial_state()}, record_gap=False)
+    # 246 steps of a step that is not a binary fraction: one block, then six
+    # blocks of 41 steps that end on every other sample
+    whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    for name in ("purity", "trace_defect", "hermiticity_defect", "rho_samples", "rho_final"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+    np.testing.assert_array_equal(blocked.populations["start"], whole.populations["start"])
+
+
+def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
+    # the second member blows up at the oversized step, the first stays stable;
+    # the run must stop after the first block instead of finishing the window
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 20)
+    h = SIGMA_X + 0.7 * SIGMA_Z
+    rho0 = density_from_state(PLUS_X)
+    failure = pytest.raises(StepFailureError, match="member 1: .* at t = 104 ")
+    with np.errstate(all="ignore"), failure:
+        evolve_batch(
+            [LindbladSpec(0.01 * h, (0.0,)), LindbladSpec(h, (0.0,))],
+            [rho0, rho0],
+            (0.0, 4000.0),
+            step=8.0,
+            n_samples=40,
+            record_gap=False,
+        )
+    assert len(lindblad_calls) == 1  # of the 25 blocks in the 500-step window
 
 
 def test_evolve_callable_hamiltonian_matches_linear_path():

@@ -37,6 +37,24 @@ def test_lindblad_backends_agree():
             assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [
+    _kernels._lindblad_rk4_numpy,
+    _kernels.over_members(_kernels._lindblad_rk4_loops),
+], ids=["numpy", "loops"])
+def test_lindblad_batch_form_matches_single_runs(kernel):
+    rng = np.random.default_rng(45)
+    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    ctabs = [ctab, 0.5 * ctab, rng.normal(size=ctab.shape)]
+    rho0s = [rho0, np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)]
+    batch = kernel(terms, np.ascontiguousarray(np.stack(ctabs, axis=1)), w, np.stack(rho0s),
+                   0.01, idx, fl, fr, obs, True)
+    for b in range(3):
+        single = kernel(terms, ctabs[b], w, rho0s[b].copy(), 0.01, idx, fl, fr, obs, True)
+        for got, want in zip(batch, single):
+            assert got.shape[0] == 3
+            assert np.allclose(got[b], want, rtol=0.0, atol=1e-12)
+
+
 def test_schrodinger_backends_agree():
     rng = np.random.default_rng(43)
     terms, ctab, _, _, idx, _, _, _ = _tiny_problem(rng)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lmg_adiabat.protocols import (
     preset,
     preset_delta,
     run_scenario,
+    run_scenarios,
     validate_effective_reduction,
 )
 from lmg_adiabat.states import dicke_state
@@ -152,6 +154,51 @@ def test_dispersion_zero_pair_is_identical():
         warnings.simplefilter("ignore", RegimeWarning)
         rep = dispersion_ensemble(cfg, [(0.0, 0.0)])
     assert rep.members[0].final_population == rep.baseline.final_population
+
+
+def test_dispersion_zero_pair_is_not_integrated(lindblad_calls):
+    cfg = preset("I", 4, detuning_magnitude=0.9, t_final=40.0, n_samples=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        rep = dispersion_ensemble(cfg, REFERENCE_DISPERSION_PAIRS)
+    # six members, the (0, 0) pair repeating the baseline: five are integrated
+    assert len(rep.members) == 5
+    assert [shape[1] for shape in lindblad_calls] == [5]
+    assert rep.members[0].final_population == rep.baseline.final_population
+
+
+def _assert_members_match_standalone(rep, cfgs):
+    for member, cfg in zip([rep.baseline, *rep.members], cfgs):
+        alone = run_scenario(cfg, store_states=False)
+        assert member.final_population == pytest.approx(alone.final_population, abs=1e-12)
+        assert member.final_population_phase_opt == pytest.approx(
+            alone.final_population_phase_opt, abs=1e-12)
+        assert member.min_gap == pytest.approx(alone.min_gap, abs=1e-12)
+        assert member.max_trace_defect == pytest.approx(alone.max_trace_defect, abs=1e-12)
+
+
+def test_batched_ensemble_members_match_standalone_runs():
+    cfg = preset("I", 4, detuning_magnitude=0.9, t_final=300.0, n_samples=16, gamma=1e-4)
+    profiles = reference_disorder_profiles(cfg.eta)[::4]
+    pairs = [(0.015, 0.015), (-0.015, 0.015)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        _assert_members_match_standalone(
+            disorder_ensemble(cfg, profiles),
+            [cfg] + [replace(cfg, disorder=p) for p in profiles],
+        )
+        _assert_members_match_standalone(
+            dispersion_ensemble(cfg, pairs),
+            [cfg] + [replace(cfg, schedule=cfg.schedule.with_dispersion(*p)) for p in pairs],
+        )
+
+
+def test_run_scenarios_rejects_unshared_settings():
+    cfg = preset("I", 4, t_final=40.0, n_samples=5)
+    with pytest.raises(ValidationError, match="n_spins"):
+        run_scenarios([cfg, preset("I", 3, t_final=40.0, n_samples=5)])
+    with pytest.raises(ValidationError, match="gammas"):
+        run_scenarios([cfg, preset("I", 4, t_final=40.0, n_samples=5, gamma=1e-4)])
 
 
 def test_dispersion_offsets_bounded():
