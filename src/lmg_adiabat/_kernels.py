@@ -3,9 +3,9 @@
 Both backends integrate the same fixed-step RK4 scheme against a Hamiltonian
 given as a stack of constant Hermitian terms plus a per-stage coefficient
 table (rows on the half-step grid t0, t0+dt/2, t0+dt, ...).  The backend is
-chosen by the ``LMG_ADIABAT_BACKEND`` environment variable: ``auto``
-(default: numba when importable), ``numba`` or ``numpy``.  Both paths are
-always importable so they can be benchmarked against each other.
+not a setting: it is numba when numba imports and numpy otherwise.  Both
+paths stay importable by name so they can be tested and benchmarked against
+each other.
 
 The Lindblad kernels also take a batch: a (2n+1, B, K) table with a
 (B, d, d) stack of initial states integrates B members that share the terms,
@@ -16,7 +16,6 @@ member by member.
 """
 from __future__ import annotations
 
-import os
 import threading
 from typing import NamedTuple, Optional
 
@@ -29,9 +28,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     numba = None
     NUMBA_AVAILABLE = False
-
-ENV_BACKEND = "LMG_ADIABAT_BACKEND"
-
 
 # ---------------------------------------------------------------------------
 # loop-style sources (numba targets; also runnable as plain python for tests)
@@ -170,6 +166,17 @@ def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
 # vectorized pure-numpy fallback
 # ---------------------------------------------------------------------------
 
+def _real_terms(terms):
+    """(K, 2 d^2) float64 view of the terms, for one real product per step.
+
+    A real product of the real coefficients with this view builds the stage
+    Hamiltonians without casting the coefficients to complex, which is
+    several times slower.
+    """
+    kk, d, _ = terms.shape
+    return np.ascontiguousarray(terms, dtype=np.complex128).reshape(kk, d * d).view(np.float64)
+
+
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                         form_left, form_right, obs, store_rho):
     if ctab.ndim == 2:  # single run: the batch of one
@@ -190,10 +197,7 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     rho_samples = np.zeros((b, m if store_rho else 0, d, d), dtype=np.complex128)
 
     left_c = form_left.conj()
-    # real view of the terms: a real product with the real coefficients skips
-    # casting the coefficients to complex, which is several times slower
-    real_terms = np.ascontiguousarray(terms, dtype=np.complex128)
-    real_terms = real_terms.reshape(kk, d * d).view(np.float64)
+    real_terms = _real_terms(terms)
 
     def rhs(h, x):
         return -1j * (h @ x - x @ h) + w * x
@@ -240,6 +244,7 @@ def _schrodinger_rk4_numpy(terms, ctab, psi0, dt, sample_idx):
     m = sample_idx.shape[0]
 
     psi_samples = np.zeros((m, d), dtype=np.complex128)
+    real_terms = _real_terms(terms)
     psi = psi0.copy()
     ptr = 0
     for step in range(n_steps + 1):
@@ -248,9 +253,8 @@ def _schrodinger_rk4_numpy(terms, ctab, psi0, dt, sample_idx):
             ptr += 1
         if step == n_steps:
             break
-        h0 = np.tensordot(ctab[2 * step], terms, axes=1)
-        hm = np.tensordot(ctab[2 * step + 1], terms, axes=1)
-        h1 = np.tensordot(ctab[2 * step + 2], terms, axes=1)
+        stages = ctab[2 * step:2 * step + 3] @ real_terms
+        h0, hm, h1 = stages.view(np.complex128).reshape(3, d, d)
         k1 = -1j * (h0 @ psi)
         k2 = -1j * (hm @ (psi + (0.5 * dt) * k1))
         k3 = -1j * (hm @ (psi + (0.5 * dt) * k2))
@@ -309,27 +313,22 @@ def _compile_numba_kernels() -> Kernels:
     return _numba_kernels
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Map an explicit choice or the environment flag to a backend name."""
-    if name is None:
-        name = os.environ.get(ENV_BACKEND, "auto").strip().lower() or "auto"
-    name = name.lower()
-    if name == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError(
-                f"{ENV_BACKEND}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {name!r}; use auto, numba or numpy")
+def resolve_backend() -> str:
+    """The backend every integration runs on: numba if importable, else numpy."""
+    return "numba" if NUMBA_AVAILABLE else "numpy"
 
 
 def get_kernels(backend: Optional[str] = None) -> Kernels:
-    """Kernel set for the requested (or environment-selected) backend."""
-    resolved = resolve_backend(backend)
-    if resolved == "numba":
+    """Kernel set of the installed backend, or of one named explicitly.
+
+    Naming ``"numpy"`` or ``"numba"`` is for tests and kernel benchmarks;
+    the integrators always take the installed backend.
+    """
+    name = resolve_backend() if backend is None else backend
+    if name == "numpy":
+        return _NUMPY_KERNELS
+    if name == "numba":
+        if not NUMBA_AVAILABLE:
+            raise RuntimeError("the numba kernels were requested but numba is not importable")
         return _compile_numba_kernels()
-    return _NUMPY_KERNELS
+    raise ValueError(f"unknown backend {name!r}; use numba or numpy")

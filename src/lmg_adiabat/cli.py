@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +81,13 @@ def parse_frequency(value: Union[str, float, int]) -> float:
         raise ParseError(f"cannot parse frequency {value!r}")
 
 
+def parse_gamma(value: Any) -> Union[float, Tuple[float, ...]]:
+    """Dephasing rate(s) in nu units: one frequency, or a list of one per spin."""
+    if isinstance(value, (list, tuple)):
+        return tuple(parse_frequency(g) for g in value)
+    return parse_frequency(value)
+
+
 _SCHEDULE_KINDS = ("calibrated", "literal")
 
 _CONFIG_KEYS = {
@@ -134,44 +141,53 @@ def _disorder_from_value(value: Any, eta: float) -> Optional[DisorderProfile]:
     raise ValidationError(f"cannot build a disorder profile from {value!r}")
 
 
+def _coerce(name: str, value: Any, build: Callable[[Any], Any]) -> Any:
+    """``build(value)``, with a failure reported as a ValidationError naming the field."""
+    try:
+        return build(value)
+    except LmgAdiabatError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(
+            f"{name}: cannot use {value!r} ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
     """Build a validated scenario (or sweep grid) from a plain mapping.
 
     Unset fields fall back to the case preset defaults; ``delta`` may be given
-    signed, or left to the preset sign rule via ``detuning_magnitude``.
+    signed, or left to the preset sign rule via ``detuning_magnitude``.  A
+    value that cannot be converted raises :class:`ValidationError` naming
+    its field.
     """
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
-    case = str(data.get("case", "I")).upper()
+    def field(name: str, default: Any, build: Callable[[Any], Any]) -> Any:
+        return _coerce(name, data.get(name, default), build)
+
+    case = field("case", "I", lambda v: str(v).upper())
     default_n = {"I": 4, "II": 3, "III": 4}.get(case, 4)
-    n_spins = int(data.get("n_spins", default_n))
-    t_final = float(data.get("t_final", 4000.0))
+    t_final = field("t_final", 4000.0, float)
     if "delta" in data:
-        delta = parse_frequency(data["delta"])
+        delta = field("delta", None, parse_frequency)
     else:
-        delta = preset_delta(case, float(data.get("detuning_magnitude", 1.1)))
-
-    gamma = data.get("gamma_dep", 0.0)
-    if isinstance(gamma, (list, tuple)):
-        gamma = tuple(parse_frequency(g) for g in gamma)
-    else:
-        gamma = parse_frequency(gamma)
-
-    lam = float(data.get("lambda_over_nu", 0.1))
+        delta = preset_delta(case, field("detuning_magnitude", 1.1, float))
+    lam = field("lambda_over_nu", 0.1, float)
     cfg = ScenarioConfig(
         case=case,
-        n_spins=n_spins,
+        n_spins=field("n_spins", default_n, int),
         lambda_over_nu=lam,
         delta=delta,
-        schedule=_schedule_from_value(data.get("schedule", "calibrated"), t_final),
-        gamma_dep=gamma,
-        disorder=_disorder_from_value(data.get("disorder"), lam),
+        schedule=field("schedule", "calibrated", lambda v: _schedule_from_value(v, t_final)),
+        gamma_dep=field("gamma_dep", 0.0, parse_gamma),
+        disorder=field("disorder", None, lambda v: _disorder_from_value(v, lam)),
         t_final=t_final,
-        n_samples=int(data.get("n_samples", 401)),
-        nbar=float(data.get("nbar", 20.0)),
-        step=float(data.get("step", 0.25)),
+        n_samples=field("n_samples", 401, int),
+        nbar=field("nbar", 20.0, float),
+        step=field("step", 0.25, float),
     )
 
     if "sweep" not in data:
@@ -183,22 +199,17 @@ def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
     for name, values in spec["axes"].items():
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"sweep axis {name!r} must list its values")
-        converted = []
-        for v in values:
-            if name == "gamma_dep" and not isinstance(v, (list, tuple)):
-                converted.append(parse_frequency(v))
-            elif name == "delta":
-                converted.append(parse_frequency(v))
-            elif name == "disorder":
-                converted.append(_disorder_from_value(v, cfg.eta))
-            else:
-                converted.append(v)
-        axes.append((str(name), tuple(converted)))
+        build = {
+            "gamma_dep": parse_gamma,
+            "delta": parse_frequency,
+            "disorder": lambda v: _disorder_from_value(v, cfg.eta),
+        }.get(name, lambda v: v)
+        axes.append((str(name), tuple(_coerce(f"sweep axis {name}", v, build) for v in values)))
     return SweepGrid(
         base=cfg,
         axes=tuple(axes),
         output_path=spec.get("output_path"),
-        max_points=int(spec.get("max_points", 10_000)),
+        max_points=_coerce("sweep.max_points", spec.get("max_points", 10_000), int),
     )
 
 
@@ -365,14 +376,14 @@ def write_csv(result: Union[ScenarioRun, SweepTable, ReductionReport], path: str
         raise TypeError(f"cannot write {type(result).__name__} as CSV")
 
 
-def build_manifest(command: str, cfg: ScenarioConfig, backend: Optional[str]) -> Dict[str, Any]:
+def build_manifest(command: str, cfg: ScenarioConfig) -> Dict[str, Any]:
     return {
         "tool": "lmg-adiabat",
         "version": __version__,
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "units_note": "frequencies in units of nu (nu = 1); SI conversion at nu/2pi = 10 MHz",
-        "backend": resolve_backend(backend),
+        "backend": resolve_backend(),
         "config": serialize_config(cfg),
     }
 
@@ -405,10 +416,10 @@ def _regime_lines(label: str, cfg: ScenarioConfig, t: float) -> List[str]:
 def _cmd_simulate(cfg, args) -> int:
     if isinstance(cfg, SweepGrid):
         raise ValidationError("simulate expects a scenario config, not a sweep grid")
-    run = run_scenario(cfg, backend=args.backend)
+    run = run_scenario(cfg)
     out = args.out
     write_csv(run, os.path.join(out, "trajectory.csv"))
-    write_manifest(build_manifest("simulate", cfg, args.backend), out)
+    write_manifest(build_manifest("simulate", cfg), out)
     print(f"case {cfg.case}  N={cfg.n_spins}  delta={cfg.delta:+g}  gamma={cfg.gamma_dep}")
     print(
         f"final population: {run.final_population:.6f}  "
@@ -425,11 +436,11 @@ def _cmd_simulate(cfg, args) -> int:
 def _cmd_sweep(cfg, args) -> int:
     if not isinstance(cfg, SweepGrid):
         raise ValidationError("sweep expects a config with a 'sweep' section")
-    table = run_sweep(cfg, parallelism=args.parallel, backend=args.backend)
+    table = run_sweep(cfg, parallelism=args.parallel)
     out = args.out
     path = cfg.output_path or os.path.join(out, "sweep.csv")
     write_csv(table, path)
-    write_manifest(build_manifest("sweep", cfg.base, args.backend), out)
+    write_manifest(build_manifest("sweep", cfg.base), out)
     print(f"{len(table.rows)} points, {table.n_failed} failed; wrote {path}")
     return 1 if table.n_failed else 0
 
@@ -443,7 +454,7 @@ def _cmd_spectrum(cfg, args) -> int:
     lines = ["m,energy_nu"] + [f"{_fmt(m)},{_fmt(e)}" for m, e in rows]
     out = args.out
     _atomic_write(os.path.join(out, "spectrum.csv"), "\n".join(lines) + "\n")
-    write_manifest(build_manifest("spectrum", cfg, args.backend), out)
+    write_manifest(build_manifest("spectrum", cfg), out)
     print(
         f"single-drive spectrum for N={cfg.n_spins}: alpha*beta^2={alpha_beta_sq:+.6g}, "
         f"epsilon={coeffs.epsilon:+.6g}"
@@ -476,7 +487,7 @@ def _cmd_classify(cfg, args) -> int:
     _atomic_write(
         os.path.join(out, "classify.json"), json.dumps(report, indent=2) + "\n"
     )
-    write_manifest(build_manifest("classify", cfg, args.backend), out)
+    write_manifest(build_manifest("classify", cfg), out)
     print(f"wrote {os.path.join(out, 'classify.json')}")
     return 0
 
@@ -484,12 +495,7 @@ def _cmd_classify(cfg, args) -> int:
 def _cmd_validate_reduction(cfg, args) -> int:
     if isinstance(cfg, SweepGrid):
         cfg = cfg.base
-    report = validate_effective_reduction(
-        cfg,
-        fock_cutoff=args.cutoff,
-        t_final=args.window,
-        backend=args.backend,
-    )
+    report = validate_effective_reduction(cfg, fock_cutoff=args.cutoff, t_final=args.window)
     out = args.out
     write_csv(report, os.path.join(out, "reduction.csv"))
     summary = {
@@ -503,7 +509,7 @@ def _cmd_validate_reduction(cfg, args) -> int:
     _atomic_write(
         os.path.join(out, "reduction.json"), json.dumps(summary, indent=2) + "\n"
     )
-    write_manifest(build_manifest("validate-reduction", cfg, args.backend), out)
+    write_manifest(build_manifest("validate-reduction", cfg), out)
     print(
         f"max |<J_z>_full - <J_z>_eff| = {report.max_jz_deviation:.6g} "
         f"(cutoff {report.fock_cutoff}, cutoff change {report.cutoff_change:.3g})"
@@ -551,12 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=_SCHEDULE_KINDS,
             default=None,
             help="drive schedule preset (overrides the config)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=("auto", "numba", "numpy"),
-            default=None,
-            help="integration kernel backend (default: LMG_ADIABAT_BACKEND or auto)",
         )
         if name == "validate-reduction":
             p.add_argument("--cutoff", type=int, default=6, help="Fock cutoff (default 6)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,16 +104,32 @@ def calibrated_schedule(
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian provider plus per-spin dephasing rates (nu units).
+    """Hamiltonian plus per-spin dephasing rates (nu units).
 
-    ``hamiltonian`` may be a :class:`LinearHamiltonian` (fast path), a constant
-    matrix, or a callable t -> matrix (generic fallback).
+    ``hamiltonian`` is a :class:`LinearHamiltonian` or a constant square
+    matrix, which is stored as a one-term LinearHamiltonian; anything else
+    raises :class:`TypeError`.
     """
 
-    hamiltonian: Union[LinearHamiltonian, np.ndarray, Callable[[float], np.ndarray]]
+    hamiltonian: Union[LinearHamiltonian, np.ndarray]
     gammas: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        ham = self.hamiltonian
+        if isinstance(ham, np.ndarray):
+            const = np.ascontiguousarray(ham, dtype=np.complex128)
+            if const.ndim != 2 or const.shape[0] != const.shape[1]:
+                raise DimensionMismatchError(f"hamiltonian shape {const.shape} is not square")
+            ham = LinearHamiltonian(
+                terms=const[None, :, :],
+                coefficients=lambda ts: np.ones((np.size(ts), 1)),
+            )
+        elif not isinstance(ham, LinearHamiltonian):
+            raise TypeError(
+                f"hamiltonian must be a LinearHamiltonian or a constant matrix, "
+                f"got {type(ham).__name__}"
+            )
+        object.__setattr__(self, "hamiltonian", ham)
         gammas = tuple(float(g) for g in self.gammas)
         if any(g < 0 for g in gammas):
             raise ValueError(f"dephasing rates must be >= 0, got {gammas}")
@@ -183,12 +199,8 @@ def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
     return t0, h, n_steps, idx
 
 
-def _hamiltonian_matrix(hamiltonian, t: float) -> np.ndarray:
-    if isinstance(hamiltonian, LinearHamiltonian):
-        return hamiltonian.matrix(t)
-    if callable(hamiltonian):
-        return np.asarray(hamiltonian(t), dtype=np.complex128)
-    return np.asarray(hamiltonian, dtype=np.complex128)
+def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, t: float) -> np.ndarray:
+    return hamiltonian.matrix(t)
 
 
 def spectral_gap(h: np.ndarray, degeneracy_tol: Optional[float] = None) -> float:
@@ -219,7 +231,6 @@ def evolve(
     record_gap: bool = True,
     gap_degeneracy_tol: Optional[float] = None,
     store_states: Optional[bool] = None,
-    backend: Optional[str] = None,
     trace_tol: float = 1e-8,
 ) -> TrajectoryResult:
     """Integrate the master equation over ``t_span`` and sample observables.
@@ -230,7 +241,7 @@ def evolve(
         [spec], [rho0], t_span, n_samples=n_samples, step=step, populations=populations,
         bilinears=bilinears, observables=observables, record_gap=record_gap,
         gap_degeneracy_tol=gap_degeneracy_tol, store_states=store_states,
-        backend=backend, trace_tol=trace_tol,
+        trace_tol=trace_tol,
     )[0]
 
 
@@ -247,7 +258,6 @@ def evolve_batch(
     record_gap: bool = True,
     gap_degeneracy_tol: Optional[float] = None,
     store_states: Optional[bool] = None,
-    backend: Optional[str] = None,
     trace_tol: float = 1e-8,
 ) -> List[TrajectoryResult]:
     """Integrate several master equations together, one result per member.
@@ -257,11 +267,10 @@ def evolve_batch(
     matrices.  ``populations`` maps names to state vectors tracked as
     <psi|rho|psi>; ``bilinears`` maps names to vector pairs tracked as
     <a|rho|b> (used for phase-optimized populations); ``observables`` maps
-    names to Hermitian matrices tracked as Tr(O rho).  A callable
-    Hamiltonian runs only as a batch of one.  Raises
+    names to Hermitian matrices tracked as Tr(O rho).  Raises
     :class:`StepFailureError` when a member's sampled trace defect exceeds
-    ``trace_tol``; the kernel path raises at the end of the block of
-    ``BLOCK_STEPS`` steps in which that happens.
+    ``trace_tol``, at the end of the block of ``BLOCK_STEPS`` steps in which
+    that happens.
     """
     specs = list(specs)
     if not specs or len(specs) != len(rho0s):
@@ -305,20 +314,16 @@ def evolve_batch(
 
     if store_states is None:
         store_states = dim <= 64
-    forms_args = (form_left, form_right, obs, bool(store_states))
-
-    hams = [_linear_hamiltonian(spec.hamiltonian, dim) for spec in specs]
-    if all(ham is not None for ham in hams):
-        out = _integrate_blocks(hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
-                                *forms_args, backend, trace_tol)
-    elif len(specs) == 1:
-        out = _evolve_callable(specs[0].hamiltonian, w, rho0s[0], t0, h, n_steps,
-                               sample_idx, *forms_args)
-        out = tuple(x[None] for x in out)
-        _check_trace(out[3], times, trace_tol, h)
-    else:
-        raise ValueError("a callable hamiltonian runs only as a batch of one")
-    forms, expvals, pur, tdef, hdef, rho_samples, rho_final = out
+    hams = [spec.hamiltonian for spec in specs]
+    for ham in hams:
+        if ham.dim != dim:
+            raise DimensionMismatchError(
+                f"hamiltonian dim {ham.dim} does not match density matrix dim {dim}"
+            )
+    forms, expvals, pur, tdef, hdef, rho_samples, rho_final = _integrate_blocks(
+        hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
+        form_left, form_right, obs, bool(store_states), trace_tol,
+    )
 
     results = []
     for b, spec in enumerate(specs):
@@ -351,27 +356,6 @@ def evolve_batch(
     return results
 
 
-def _linear_hamiltonian(hamiltonian, dim: int) -> Optional[LinearHamiltonian]:
-    """The kernel form of a Hamiltonian provider, or None for a callable."""
-    if isinstance(hamiltonian, np.ndarray):
-        const = np.ascontiguousarray(hamiltonian, dtype=np.complex128)
-        if const.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"hamiltonian shape {const.shape} does not match density matrix dim {dim}"
-            )
-        hamiltonian = LinearHamiltonian(
-            terms=const[None, :, :],
-            coefficients=lambda ts: np.ones((np.size(ts), 1)),
-        )
-    if not isinstance(hamiltonian, LinearHamiltonian):
-        return None
-    if hamiltonian.dim != dim:
-        raise DimensionMismatchError(
-            f"hamiltonian dim {hamiltonian.dim} does not match density matrix dim {dim}"
-        )
-    return hamiltonian
-
-
 def _term_union(hams: Sequence[LinearHamiltonian]):
     """Stack the distinct terms of several Hamiltonians.
 
@@ -394,10 +378,10 @@ def _term_union(hams: Sequence[LinearHamiltonian]):
 
 
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
-                      form_left, form_right, obs, store_rho, backend, trace_tol):
+                      form_left, form_right, obs, store_rho, trace_tol):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them."""
     terms, columns = _term_union(hams)
-    kern = _kernels.get_kernels(backend)
+    kern = _kernels.get_kernels()
     b, m, d = len(hams), sample_idx.size, rho.shape[1]
     samples = (
         np.empty((b, m, form_left.shape[0]), dtype=np.complex128),  # forms
@@ -440,53 +424,6 @@ def _check_trace(tdef: np.ndarray, times: np.ndarray, trace_tol: float, h: float
         )
 
 
-def _evolve_callable(hamiltonian, w, rho0, t0, h, n_steps, sample_idx,
-                     form_left, form_right, obs, store_rho):
-    """Generic-path twin of the kernel loop for arbitrary H(t) callables."""
-    dim = rho0.shape[0]
-    m = sample_idx.size
-    forms = np.zeros((m, form_left.shape[0]), dtype=np.complex128)
-    expvals = np.zeros((m, obs.shape[0]), dtype=np.float64)
-    pur = np.zeros(m)
-    tdef = np.zeros(m)
-    hdef = np.zeros(m)
-    rho_samples = np.zeros((m if store_rho else 0, dim, dim), dtype=np.complex128)
-    left_c = form_left.conj()
-
-    def rhs(hmat, x):
-        return -1j * (hmat @ x - x @ hmat) + w * x
-
-    rho = rho0.copy()
-    raw_defect = 0.0
-    ptr = 0
-    for step_i in range(n_steps + 1):
-        if ptr < m and sample_idx[ptr] == step_i:
-            forms[ptr] = np.einsum("fi,ij,fj->f", left_c, rho, form_right)
-            if obs.shape[0]:
-                expvals[ptr] = np.real(np.einsum("bij,ji->b", obs, rho))
-            pur[ptr] = float(np.real(np.vdot(rho, rho)))
-            tdef[ptr] = abs(complex(np.trace(rho)) - 1.0)
-            hdef[ptr] = raw_defect
-            if store_rho:
-                rho_samples[ptr] = rho
-            ptr += 1
-        if step_i == n_steps:
-            break
-        t = t0 + step_i * h
-        h0 = np.asarray(hamiltonian(t), dtype=np.complex128)
-        hm = np.asarray(hamiltonian(t + 0.5 * h), dtype=np.complex128)
-        h1 = np.asarray(hamiltonian(t + h), dtype=np.complex128)
-        k1 = rhs(h0, rho)
-        k2 = rhs(hm, rho + (0.5 * h) * k1)
-        k3 = rhs(hm, rho + (0.5 * h) * k2)
-        k4 = rhs(h1, rho + h * k3)
-        raw = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if ptr < m and sample_idx[ptr] == step_i + 1:
-            raw_defect = float(np.linalg.norm(raw - raw.conj().T))
-        rho = 0.5 * (raw + raw.conj().T)
-    return forms, expvals, pur, tdef, hdef, rho_samples, rho
-
-
 def evolve_state(
     hamiltonian: LinearHamiltonian,
     psi0: np.ndarray,
@@ -494,7 +431,6 @@ def evolve_state(
     *,
     n_samples: int = 401,
     step: float = DEFAULT_STEP,
-    backend: Optional[str] = None,
 ):
     """Schrödinger evolution of a pure state under a LinearHamiltonian.
 
@@ -510,7 +446,7 @@ def evolve_state(
     times = t0 + h * sample_idx.astype(np.float64)
     half_times = t0 + (h / 2.0) * np.arange(2 * n_steps + 1, dtype=np.float64)
     ctab = np.ascontiguousarray(hamiltonian.coefficient_table(half_times))
-    kern = _kernels.get_kernels(backend)
+    kern = _kernels.get_kernels()
     psi_samples, psi_final = kern.schrodinger_rk4(
         np.ascontiguousarray(hamiltonian.terms), ctab, psi0, h, sample_idx
     )

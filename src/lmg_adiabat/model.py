@@ -143,8 +143,10 @@ class LinearHamiltonian:
     """H(t) = sum_k coefficients(t)[k] * terms[k] with Hermitian terms and real coefficients.
 
     This is the representation the integrator kernels consume: the constant
-    term stack is assembled against a precomputed coefficient table, so the
-    whole hot loop stays inside compiled code.
+    term stack is combined with a coefficient table tabulated once on the
+    half-step grid, so no Python callable runs inside the step loop.  The
+    numba kernels run that loop in compiled code; the numpy kernels build
+    each step's three stage Hamiltonians with one matrix product.
     """
 
     terms: np.ndarray  # (K, d, d) complex128, each Hermitian

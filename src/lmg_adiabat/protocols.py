@@ -297,7 +297,6 @@ def _expected_final_magnetism(case: str) -> str:
 def run_scenario(
     cfg: ScenarioConfig,
     *,
-    backend: Optional[str] = None,
     store_states: Optional[bool] = None,
     record_gap: bool = True,
 ) -> ScenarioRun:
@@ -306,8 +305,7 @@ def run_scenario(
     Emits a non-fatal :class:`RegimeWarning` when the classified regime at
     t_final does not match the case's intended one-axis form/magnetism.
     """
-    return run_scenarios([cfg], backend=backend, store_states=store_states,
-                         record_gap=record_gap)[0]
+    return run_scenarios([cfg], store_states=store_states, record_gap=record_gap)[0]
 
 
 #: Fields every scenario of one batch must share (gammas() is checked too).
@@ -317,7 +315,6 @@ _BATCH_SHARED = ("n_spins", "case", "t_final", "step", "n_samples")
 def run_scenarios(
     cfgs: Sequence[ScenarioConfig],
     *,
-    backend: Optional[str] = None,
     store_states: Optional[bool] = None,
     record_gap: bool = True,
 ) -> List[ScenarioRun]:
@@ -369,7 +366,6 @@ def run_scenarios(
         observables=observables,
         record_gap=record_gap,
         store_states=store_states,
-        backend=backend,
     )
     if len(unique) == 1:  # single runs stay on evolve, the layer perfbench traces
         results = [evolve(specs[0], rho0s[0], (0.0, first.t_final), **options)]
@@ -477,7 +473,6 @@ def disorder_ensemble(
     profiles: Sequence[DisorderProfile],
     *,
     parallelism: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EnsembleReport:
     """One run per coupling-disorder profile plus the disorder-free baseline.
 
@@ -488,13 +483,12 @@ def disorder_ensemble(
     jobs = [("baseline", cfg)]
     jobs += [(p.label or f"profile-{i}", replace(cfg, disorder=p))
              for i, p in enumerate(profiles, start=1)]
-    return _run_ensemble(jobs, backend)
+    return _run_ensemble(jobs)
 
 
-def _run_ensemble(jobs: Sequence[Tuple[str, ScenarioConfig]],
-                  backend: Optional[str]) -> EnsembleReport:
+def _run_ensemble(jobs: Sequence[Tuple[str, ScenarioConfig]]) -> EnsembleReport:
     labels, cfgs = zip(*jobs)
-    runs = run_scenarios(cfgs, backend=backend, store_states=False, record_gap=True)
+    runs = run_scenarios(cfgs, store_states=False, record_gap=True)
     out = [_summarize(label, run) for label, run in zip(labels, runs)]
     return EnsembleReport(baseline=out[0], members=out[1:])
 
@@ -512,7 +506,6 @@ def dispersion_ensemble(
     deltas: Sequence[Tuple[float, float]],
     *,
     parallelism: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EnsembleReport:
     """One run per (dzeta1, dzeta2) drive-dispersion pair, in nu units.
 
@@ -534,7 +527,7 @@ def dispersion_ensemble(
         (f"dzeta=({d1:+g},{d2:+g})", replace(cfg, schedule=cfg.schedule.with_dispersion(d1, d2)))
         for d1, d2 in deltas
     ]
-    return _run_ensemble(jobs, backend)
+    return _run_ensemble(jobs)
 
 
 @dataclass
@@ -567,7 +560,6 @@ def validate_effective_reduction(
     t_final: float = 500.0,
     n_samples: int = 251,
     step: float = 0.02,
-    backend: Optional[str] = None,
 ) -> ReductionReport:
     """Compare constant-drive full spin+resonator dynamics with the effective model.
 
@@ -614,9 +606,8 @@ def validate_effective_reduction(
         vac = np.zeros(cutoff, dtype=np.complex128)
         vac[0] = 1.0
         psi0 = np.kron(psi_spin, vac)
-        times, psis, psi_final = evolve_state(
-            ham, psi0, (0.0, t_final), n_samples=n_samples, step=step, backend=backend
-        )
+        times, psis, psi_final = evolve_state(ham, psi0, (0.0, t_final),
+                                              n_samples=n_samples, step=step)
         jz_joint = np.kron(jz_spin, np.eye(cutoff, dtype=np.complex128))
         jz = _jz_expectation(psis, jz_joint)
         # trace out the resonator for the spin-space target population
@@ -638,9 +629,8 @@ def validate_effective_reduction(
         lambda ts: np.full(np.shape(ts), float(omega1)),
         lambda ts: np.full(np.shape(ts), float(omega2)),
     )
-    _, psis_eff, _ = evolve_state(
-        ham_eff, psi_spin, (0.0, t_final), n_samples=n_samples, step=step, backend=backend
-    )
+    _, psis_eff, _ = evolve_state(ham_eff, psi_spin, (0.0, t_final),
+                                  n_samples=n_samples, step=step)
     jz_eff = _jz_expectation(psis_eff, jz_spin)
     pop_eff = np.array([population(density_from_state(p), target) for p in psis_eff])
 

@@ -151,8 +151,6 @@ class SweepTable:
 def run_sweep(
     grid: SweepGrid,
     parallelism: Optional[int] = None,
-    *,
-    backend: Optional[str] = None,
 ) -> SweepTable:
     """Execute every grid point; the table is identical for any worker count."""
     workers = _resolve_workers(parallelism)
@@ -163,7 +161,7 @@ def run_sweep(
         start = time.perf_counter()
         try:
             cfg = grid.config_at(overrides)
-            run = run_scenario(cfg, backend=backend, store_states=False)
+            run = run_scenario(cfg, store_states=False)
             return SweepRow(
                 index=index,
                 values=overrides,

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import lmg_adiabat
 from lmg_adiabat import cli
 from lmg_adiabat.errors import ParseError, RegimeWarning, ValidationError
 from lmg_adiabat.protocols import preset
@@ -66,10 +67,31 @@ def test_schedule_flag_selects_literal():
 
 
 def test_sweep_section_builds_grid():
-    cfg = cli.parse_config(overrides=['sweep={"axes": {"gamma_dep": [0, "0.1kHz"]}}'])
+    cfg = cli.parse_config(
+        overrides=['sweep={"axes": {"gamma_dep": [0, "0.1kHz", ["1kHz", "1kHz", 0, 0]]}}']
+    )
     assert isinstance(cfg, SweepGrid)
     assert cfg.axes[0][0] == "gamma_dep"
     assert cfg.axes[0][1][1] == pytest.approx(1e-5)
+    # a per-spin list on an axis is converted like the same list in the base config
+    base = cli.parse_config(overrides=['gamma_dep=["1kHz", "1kHz", 0, 0]'])
+    assert cfg.axes[0][1][2] == base.gamma_dep == pytest.approx((1e-4, 1e-4, 0.0, 0.0))
+    assert cfg.config_at({"gamma_dep": cfg.axes[0][1][2]}) == base
+
+
+@pytest.mark.parametrize("override", [
+    'disorder={"eta":0.1}',
+    'n_spins="x"',
+    'disorder=[0.1,"a"]',
+    'schedule={"ramp1":-1}',
+    'disorder=[0.9,0,0,0]',
+], ids=["disorder-no-fractions", "n_spins-text", "disorder-text", "negative-ramp",
+        "disorder-too-large"])
+def test_malformed_config_value_is_invalid_config(override, tmp_path, capsys):
+    code = cli.main(["simulate", "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: " + override.partition("=")[0] + ": ")
 
 
 def _simulate_args(tmp_path, extra=()):
@@ -95,6 +117,7 @@ def test_simulate_end_to_end(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool"] == "lmg-adiabat"
     assert manifest["config"]["case"] == "I"
+    assert manifest["backend"] == lmg_adiabat.resolve_backend()
     assert "final population" in capsys.readouterr().out
     # atomic writes leave no temp files behind
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]

@@ -238,17 +238,15 @@ def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_c
     assert len(lindblad_calls) == 1  # of the 25 blocks in the 500-step window
 
 
-def test_evolve_callable_hamiltonian_matches_linear_path():
+def test_callable_hamiltonian_is_rejected():
     cfg = preset("I", 2, t_final=60.0, n_samples=7)
     reg = SpinRegister(2)
     ham = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta, cfg.schedule.omega1, cfg.schedule.omega2)
-    rho0 = density_from_state(cfg.initial_state())
-    spec = LindbladSpec(ham, (1e-4, 1e-4))
-    res_linear = evolve(spec, rho0, (0.0, 60.0), n_samples=7, record_gap=False)
-    res_callable = evolve(
-        LindbladSpec(ham.matrix, (1e-4, 1e-4)), rho0, (0.0, 60.0), n_samples=7, record_gap=False
-    )
-    assert np.allclose(res_linear.rho_final, res_callable.rho_final, atol=1e-12)
+    assert LindbladSpec(ham, (1e-4, 1e-4)).hamiltonian is ham
+    with pytest.raises(TypeError, match="LinearHamiltonian or a constant matrix"):
+        LindbladSpec(ham.matrix, (1e-4, 1e-4))
+    with pytest.raises(TypeError):
+        LindbladSpec(lambda t: np.zeros((4, 4), dtype=complex), (1e-4, 1e-4))
 
 
 def test_evolve_state_unitary_norm():

@@ -87,12 +87,13 @@ def test_recorded_quantities_match_direct_evaluation():
 
 
 def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv(_kernels.ENV_BACKEND, raising=False)
-    assert _kernels.resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-    assert _kernels.resolve_backend() == "numpy"
-    assert _kernels.get_kernels().name == "numpy"
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "bogus")
+    installed = "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
+    assert _kernels.resolve_backend() == installed
+    # the old selection variable is no longer read
+    other = "numpy" if installed == "numba" else "numba"
+    monkeypatch.setenv("LMG_ADIABAT_BACKEND", other)
+    assert _kernels.resolve_backend() == installed
+    assert _kernels.get_kernels().name == installed
+    assert _kernels.get_kernels("numpy").name == "numpy"
     with pytest.raises(ValueError):
-        _kernels.resolve_backend()
-    assert _kernels.resolve_backend("numpy") == "numpy"
+        _kernels.get_kernels("bogus")
