@@ -2,7 +2,7 @@
 """Benchmark the numba kernels against the pure-numpy fallback.
 
 Times the master-equation kernel on the case I transfer at several register
-sizes and the pure-state kernel on the joint spin+resonator model (Fock
+sizes (and at N=4 without dephasing) and the pure-state kernel on the joint spin+resonator model (Fock
 cutoffs 6, 8 and 12, i.e. dims 24, 32 and 48), printing
 per-backend wall times and the speedup.  The first numba call includes JIT
 compilation and is reported separately.  A last section times the 13 members
@@ -45,7 +45,7 @@ def lindblad_workload(n_spins, t_final=4000.0, step=0.25, gamma=1e-4):
         np.zeros((0, d, d), dtype=np.complex128),
         False,
     )
-    return "lindblad", f"N={n_spins} (dim {d}), {n_steps} steps", args
+    return "lindblad", f"N={n_spins} (dim {d}) gamma {gamma:g}, {n_steps} steps", args
 
 
 def schrodinger_workload(cutoff=8, t_final=500.0, step=0.02):
@@ -109,6 +109,7 @@ def main():
     workloads = [
         lindblad_workload(3),
         lindblad_workload(4),
+        lindblad_workload(4, gamma=0.0),  # no dissipator: the gamma-0 simulate jobs
         lindblad_workload(6),
         schrodinger_workload(6),  # dim 24 and 48: the two runs of validate-reduction --cutoff 6
         schrodinger_workload(8),

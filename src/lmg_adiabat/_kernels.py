@@ -13,6 +13,15 @@ the dissipator mask and the sampled quantities, and puts a leading B axis on
 every output.  The numpy kernel runs the whole batch in one loop (a single
 run is its batch of one); the numba kernel runs the jitted single-run loop
 member by member.
+
+The numpy Lindblad kernel forms each commutator from one product: with
+y = h x, -i[h, x] = -i (y - y†), because x h = (h x)† for Hermitian h and x.
+Every stage, and so every step, is then exactly Hermitian, and the
+initial state is Hermitized once on entry instead of re-Hermitizing after
+every step.  When the terms are real (every LMG term is real symmetric in
+the z basis) the stage Hamiltonians stay real and h x is one real product on
+the float64 view of x.  The loop twin keeps the two-product commutator and
+the per-step re-Hermitization as the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -197,13 +206,31 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     rho_samples = np.zeros((b, m if store_rho else 0, d, d), dtype=np.complex128)
 
     left_c = form_left.conj()
-    real_terms = _real_terms(terms)
+    if np.any(terms.imag):
+        stage_terms, stage_dtype = _real_terms(terms), np.complex128
+
+        def product(h, x):
+            return h @ x
+    else:
+        # real symmetric terms (every LMG term): real stage Hamiltonians, and
+        # one real product per stage on the float64 view of x
+        stage_terms = np.ascontiguousarray(terms.real).reshape(kk, d * d)
+        stage_dtype = np.float64
+
+        def product(h, x):
+            return (h @ x.view(np.float64)).view(np.complex128)
+
+    dissipate = bool(np.any(w))
 
     def rhs(h, x):
-        return -1j * (h @ x - x @ h) + w * x
+        # x h = (h x)^H for Hermitian h and x, so each stage is exactly Hermitian
+        y = product(h, x)
+        k = -1j * (y - y.conj().transpose(0, 2, 1))
+        if dissipate:
+            k += w * x
+        return k
 
-    rho = rho0.copy()
-    raw_defect = np.zeros(b)
+    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     ptr = 0
     for step in range(n_steps + 1):
         if ptr < m and sample_idx[ptr] == step:
@@ -214,7 +241,7 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                     expvals[i, ptr] = np.real(np.einsum("bij,ji->b", obs, r))
                 purity[i, ptr] = float(np.real(np.vdot(r, r)))
                 trace_defect[i, ptr] = abs(complex(np.trace(r)) - 1.0)
-            herm_defect[:, ptr] = raw_defect
+                herm_defect[i, ptr] = np.linalg.norm(r - r.conj().T)
             if store_rho:
                 rho_samples[:, ptr] = rho
             ptr += 1
@@ -222,18 +249,14 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             break
 
         # one product builds the three stage Hamiltonians of every member
-        stages = ctab[2 * step:2 * step + 3].reshape(3 * b, kk) @ real_terms
-        h0, hm, h1 = stages.view(np.complex128).reshape(3, b, d, d)
+        stages = ctab[2 * step:2 * step + 3].reshape(3 * b, kk) @ stage_terms
+        h0, hm, h1 = stages.view(stage_dtype).reshape(3, b, d, d)
 
         k1 = rhs(h0, rho)
         k2 = rhs(hm, rho + (0.5 * dt) * k1)
         k3 = rhs(hm, rho + (0.5 * dt) * k2)
         k4 = rhs(h1, rho + dt * k3)
-        raw = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        raw_h = raw.conj().transpose(0, 2, 1)
-        if ptr < m and sample_idx[ptr] == step + 1:
-            raw_defect = np.linalg.norm((raw - raw_h).reshape(b, d * d), axis=1)
-        rho = 0.5 * (raw + raw_h)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return forms, expvals, purity, trace_defect, herm_defect, rho_samples, rho
 

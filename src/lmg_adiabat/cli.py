@@ -419,7 +419,9 @@ def _cmd_simulate(cfg, args) -> int:
     run = run_scenario(cfg)
     out = args.out
     write_csv(run, os.path.join(out, "trajectory.csv"))
-    write_manifest(build_manifest("simulate", cfg), out)
+    manifest = build_manifest("simulate", cfg)
+    manifest["diagnostics"] = run.trajectory.diagnostics
+    write_manifest(manifest, out)
     print(f"case {cfg.case}  N={cfg.n_spins}  delta={cfg.delta:+g}  gamma={cfg.gamma_dep}")
     print(
         f"final population: {run.final_population:.6f}  "

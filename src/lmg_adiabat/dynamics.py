@@ -4,13 +4,15 @@ The integrator is a fixed-step classical RK4 on the density-matrix ODE
 
     drho/dt = -i [H(t), rho] + sum_j gamma_j (sigma_z^j rho sigma_z^j - rho),
 
-chosen over adaptive schemes for determinism.  The state is re-Hermitized
-((rho + rho†)/2) after every step; positivity is never repaired, only
+chosen over adaptive schemes for determinism.  The commutator is formed as
+-i (y - y†) with y = H rho, so every step is exactly Hermitian and the
+state needs no re-Hermitization; positivity is never repaired, only
 reported.  Since sigma_z^j is diagonal, the whole dissipator reduces to an
 elementwise mask W ∘ rho with W = sum_j gamma_j (s_j s_j^T - 1), which keeps
-the hot loop to two matrix products per stage.  Runs that share the time
-grid and the dephasing rates are integrated together as one batch
-(:func:`evolve_batch`); a single run is the batch of one.
+the hot loop to one matrix product per stage (a real one for the real
+symmetric LMG terms).  Runs that share the time grid and the dephasing rates
+are integrated together as one batch (:func:`evolve_batch`); a single run is
+the batch of one.
 """
 from __future__ import annotations
 
@@ -180,10 +182,24 @@ class TrajectoryResult:
     rho_samples: Optional[np.ndarray]
     rho_final: np.ndarray
     step: float
+    n_steps: int
+    #: How far the largest unclipped tracked population went outside [0, 1]
+    #: (0 when every sample stayed inside); ``populations`` are clipped.
+    population_excursion: float
 
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
+
+    @property
+    def diagnostics(self) -> Dict[str, float]:
+        """How close the run came to its numerical limits."""
+        return {
+            "n_steps": self.n_steps,
+            "max_trace_defect": float(np.max(self.trace_defect)),
+            "max_hermiticity_defect": float(np.max(self.hermiticity_defect)),
+            "population_excursion": self.population_excursion,
+        }
 
 
 def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
@@ -199,23 +215,44 @@ def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
     return t0, h, n_steps, idx
 
 
-def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, t: float) -> np.ndarray:
-    return hamiltonian.matrix(t)
+def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
+    """(T, d, d) stack of H(t) at the given times."""
+    return np.einsum("tk,kij->tij", hamiltonian.coefficient_table(times), hamiltonian.terms)
 
 
-def spectral_gap(h: np.ndarray, degeneracy_tol: Optional[float] = None) -> float:
+def spectral_gap(h: np.ndarray,
+                 degeneracy_tol: Optional[float] = None) -> Union[float, np.ndarray]:
     """Gap from the (possibly quasi-degenerate) ground band to the next level.
 
     With ``degeneracy_tol=None`` the band tolerance is 1e-3 of the spectral
     spread, which absorbs the exponentially split ferromagnetic ground doublet
-    near the one-axis end of a sweep.
+    near the one-axis end of a sweep.  A (..., d, d) stack gives an array of
+    gaps with the band rule applied to each matrix; a single matrix gives a
+    float.
     """
     vals = np.linalg.eigvalsh(h)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-3 * float(vals[-1] - vals[0])
-    band = vals <= vals[0] + degeneracy_tol
-    k = int(np.sum(band))
-    return float(vals[k] - vals[0]) if k < vals.size else 0.0
+    ground = vals[..., 0]
+    tol = 1e-3 * (vals[..., -1] - ground) if degeneracy_tol is None else degeneracy_tol
+    k = np.sum(vals <= (ground + tol)[..., None], axis=-1)
+    above = np.take_along_axis(vals, np.minimum(k, vals.shape[-1] - 1)[..., None], axis=-1)
+    gap = np.where(k < vals.shape[-1], above[..., 0] - ground, 0.0)
+    return float(gap) if gap.ndim == 0 else gap
+
+
+#: Largest stack of Hamiltonians one gap-scan call diagonalizes (bytes): 16
+#: matrices at d = 16.  Larger stacks saved little time and raised the peak
+#: memory of a run.
+GAP_STACK_BYTES = 1 << 16
+
+
+def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
+              degeneracy_tol: Optional[float]) -> np.ndarray:
+    """Spectral gap at each time, diagonalizing H(t) in stacks of bounded size."""
+    per_call = max(1, GAP_STACK_BYTES // (16 * hamiltonian.dim**2))
+    return np.concatenate([
+        spectral_gap(_hamiltonian_matrix(hamiltonian, times[i:i + per_call]), degeneracy_tol)
+        for i in range(0, times.size, per_call)
+    ])
 
 
 def evolve(
@@ -327,19 +364,15 @@ def evolve_batch(
 
     results = []
     for b, spec in enumerate(specs):
+        unclipped = forms[b, :, :len(populations)].real
         pop_out = {
-            name: np.clip(forms[b, :, k].real, 0.0, 1.0) for k, name in enumerate(populations)
+            name: np.clip(unclipped[:, k], 0.0, 1.0) for k, name in enumerate(populations)
         }
         bil_out = {
             name: forms[b, :, len(populations) + k] for k, name in enumerate(bilinears)
         }
         exp_out = {name: expvals[b, :, k] for k, name in enumerate(observables)}
-        gap = None
-        if record_gap:
-            gap = np.array([
-                spectral_gap(_hamiltonian_matrix(spec.hamiltonian, t), gap_degeneracy_tol)
-                for t in times
-            ])
+        gap = _gap_scan(spec.hamiltonian, times, gap_degeneracy_tol) if record_gap else None
         results.append(TrajectoryResult(
             times=times,
             populations=pop_out,
@@ -352,6 +385,9 @@ def evolve_batch(
             rho_samples=rho_samples[b] if store_states else None,
             rho_final=rho_final[b],
             step=h,
+            n_steps=n_steps,
+            population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
+                                              initial=0.0)),
         ))
     return results
 
@@ -484,7 +520,7 @@ def adiabaticity_profile(
     ham = lmg_sweep_hamiltonian(
         SpinRegister(n_spins), eta, delta, schedule.omega1, schedule.omega2, disorder
     )
-    gaps = np.array([spectral_gap(ham.matrix(t), degeneracy_tol) for t in times])
+    gaps = _gap_scan(ham, times, degeneracy_tol)
     min_gap = float(np.min(gaps))
     duration = float(times[-1] - times[0]) if times.size > 1 else 0.0
     return AdiabaticityProfile(

@@ -25,14 +25,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with row-major index fusion.
 
@@ -41,10 +33,6 @@ def kron(a, b) -> np.ndarray:
     package are labelled through this convention.
     """
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(a))
 
 
 def frobenius_distance(a, b) -> float:

@@ -146,7 +146,9 @@ class LinearHamiltonian:
     term stack is combined with a coefficient table tabulated once on the
     half-step grid, so no Python callable runs inside the step loop.  The
     numba kernels run that loop in compiled code; the numpy kernels build
-    each step's three stage Hamiltonians with one matrix product.
+    each step's three stage Hamiltonians with one matrix product, and the
+    master-equation kernel keeps them real when every term is real (as the
+    LMG terms are in the z basis), so each RK4 stage costs one real product.
     """
 
     terms: np.ndarray  # (K, d, d) complex128, each Hermitian

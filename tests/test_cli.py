@@ -118,6 +118,11 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert manifest["tool"] == "lmg-adiabat"
     assert manifest["config"]["case"] == "I"
     assert manifest["backend"] == lmg_adiabat.resolve_backend()
+    diagnostics = manifest["diagnostics"]
+    assert set(diagnostics) == {"n_steps", "max_trace_defect", "max_hermiticity_defect",
+                                "population_excursion"}
+    assert diagnostics["n_steps"] == 480  # t_final 120 at the default step 0.25
+    assert diagnostics["max_trace_defect"] <= 1e-8
     assert "final population" in capsys.readouterr().out
     # atomic writes leave no temp files behind
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]

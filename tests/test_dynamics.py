@@ -179,6 +179,33 @@ def test_evolve_invariants_on_sweep():
     assert res.gap is not None and np.all(res.gap > 0)
 
 
+def test_dephased_lmg_run_is_exactly_hermitian():
+    # each stage is -i (y - y^H) + W o x, so no step can leave the Hermitian matrices
+    cfg = preset("I", 3, t_final=200.0, n_samples=21)
+    ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    res = evolve(LindbladSpec(ham, (1e-3, 2e-3, 1e-3)), density_from_state(cfg.initial_state()),
+                 (0.0, 200.0), n_samples=21, record_gap=False)
+    assert np.all(res.hermiticity_defect == 0.0)
+    np.testing.assert_array_equal(res.rho_samples, res.rho_samples.conj().transpose(0, 2, 1))
+
+
+def test_population_excursion_reports_the_unclipped_value():
+    # <v|rho|v> = 2 for v = sqrt(2) |up>: reported clipped to 1, its excursion is 1
+    spec = LindbladSpec(np.diag([0.3, -0.3]).astype(complex), (0.0,))
+    up = np.array([1.0, 0.0], dtype=complex)
+    res = evolve(spec, density_from_state(up), (0.0, 10.0), n_samples=5,
+                 populations={"up": up, "double": np.sqrt(2.0) * up}, record_gap=False)
+    assert np.all(res.populations["double"] == 1.0)
+    assert res.population_excursion == pytest.approx(1.0, abs=1e-12)
+    assert res.diagnostics == {
+        "n_steps": 40,
+        "max_trace_defect": float(np.max(res.trace_defect)),
+        "max_hermiticity_defect": 0.0,
+        "population_excursion": res.population_excursion,
+    }
+
+
 def test_evolve_rejects_bad_initial_state():
     with pytest.raises(InvalidInitialStateError):
         evolve(
@@ -318,3 +345,8 @@ def test_spectral_gap_band_semantics():
     h = np.diag([0.0, 1e-9, 0.5, 1.0]).astype(complex)
     assert spectral_gap(h, degeneracy_tol=1e-6) == pytest.approx(0.5)
     assert spectral_gap(h, degeneracy_tol=1e-12) == pytest.approx(1e-9)
+    # a stack applies the band rule to each matrix; a fully degenerate band has gap 0
+    stack = np.stack([h, np.diag([0.0, 0.2, 0.2, 0.9]).astype(complex), np.eye(4, dtype=complex)])
+    gaps = spectral_gap(stack)
+    assert gaps.shape == (3,)
+    assert [spectral_gap(m) for m in stack] == list(gaps) == [0.5, 0.2, 0.0]
