@@ -7,7 +7,9 @@ cutoffs 6, 8 and 12, i.e. dims 24, 32 and 48), printing
 per-backend wall times and the speedup.  The first numba call includes JIT
 compilation and is reported separately.  A last section times the 13 members
 of the criterion-8 disorder ensemble integrated as one batch against 13
-single-run calls, per member and step.
+single-run calls, per member and step, and the same batch restricted to the
+spin-flip parity block its initial states can reach (dim 8 instead of 16), as
+`evolve_batch` integrates it.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -17,7 +19,13 @@ import time
 import numpy as np
 
 from lmg_adiabat import _kernels
-from lmg_adiabat.dynamics import _term_union, calibrated_schedule, dephasing_mask
+from lmg_adiabat.dynamics import (
+    _reachable_indices,
+    _restrict,
+    _term_union,
+    calibrated_schedule,
+    dephasing_mask,
+)
 from lmg_adiabat.model import FullModelParams, full_interaction_hamiltonian, lmg_sweep_hamiltonian
 from lmg_adiabat.operators import SpinRegister
 from lmg_adiabat.protocols import preset, reference_disorder_profiles
@@ -92,6 +100,15 @@ def batch_workload(t_final=1000.0, step=0.25, gamma=1e-4):
     return f"{len(hams)} members, dim {d}, {n_steps} steps", batch, singles
 
 
+def parity_block(batch):
+    """The batch's kernel arguments restricted to the block its initial states reach."""
+    terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho = batch
+    keep = _reachable_indices(terms, rho0s)
+    terms, w, rho0s, form_left, form_right, obs = _restrict(
+        keep, terms, w, rho0s, form_left, form_right, obs)
+    return keep.size, (terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho)
+
+
 def time_call(fn, args, repeat):
     best = np.inf
     for _ in range(repeat):
@@ -139,6 +156,7 @@ def main():
             print(f"{kind + ': ' + label:52s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
 
     label, batch, singles = batch_workload()
+    block_dim, block = parity_block(batch)
     member_steps = len(singles) * ((batch[1].shape[0] - 1) // 2)
     print(f"\nbatched lindblad: {label} (us per member-step)")
     header = f"{'backend':10s} {'batch':>10s} {'singles':>10s} {'speedup':>9s}"
@@ -150,6 +168,9 @@ def main():
                               opts.repeat)
         print(f"{kern.name:10s} {1e6 * t_batch / member_steps:10.2f} "
               f"{1e6 * t_singles / member_steps:10.2f} {t_singles / t_batch:8.1f}x")
+        t_block = time_call(kern.lindblad_rk4, block, opts.repeat)
+        print(f"{kern.name:10s} {1e6 * t_block / member_steps:10.2f} "
+              f"{'-':>10s} {t_batch / t_block:8.1f}x  (batch on its parity block, dim {block_dim})")
 
 
 if __name__ == "__main__":

@@ -395,6 +395,16 @@ def write_manifest(manifest: Dict[str, Any], out_dir: str) -> None:
     )
 
 
+def write_sweep_diagnostics(table: SweepTable, path: str) -> None:
+    """Per-point index, status, wall time and run diagnostics, kept out of the CSV."""
+    points = [
+        {"index": row.index, "status": row.status, "wall_time": row.wall_time,
+         "diagnostics": row.diagnostics}
+        for row in table.rows
+    ]
+    _atomic_write(path, json.dumps({"points": points}, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -442,6 +452,7 @@ def _cmd_sweep(cfg, args) -> int:
     out = args.out
     path = cfg.output_path or os.path.join(out, "sweep.csv")
     write_csv(table, path)
+    write_sweep_diagnostics(table, os.path.join(os.path.dirname(path), "sweep_diagnostics.json"))
     write_manifest(build_manifest("sweep", cfg.base), out)
     print(f"{len(table.rows)} points, {table.n_failed} failed; wrote {path}")
     return 1 if table.n_failed else 0

@@ -13,6 +13,16 @@ the hot loop to one matrix product per stage (a real one for the real
 symmetric LMG terms).  Runs that share the time grid and the dephasing rates
 are integrated together as one batch (:func:`evolve_batch`); a single run is
 the batch of one.
+
+A batch is integrated only on the basis states its initial states can reach
+through the nonzero pattern of its terms.  Every LMG term, the coupling
+disorder and the sigma_z dephasing conserve the spin-flip parity
+prod_j sigma_z^j, and every preset starts in a state of definite parity, so
+the kernel runs at dimension 2^(N-1) instead of 2^N.  A batch whose initial
+states mix the parity blocks falls back to the full space.  The sampled and
+final states are embedded back into the full space, where they are exactly
+0 outside the block.  The gap scan always diagonalizes the full H(t): the
+ferromagnetic ground doublet has one member in each block.
 """
 from __future__ import annotations
 
@@ -186,19 +196,26 @@ class TrajectoryResult:
     #: How far the largest unclipped tracked population went outside [0, 1]
     #: (0 when every sample stayed inside); ``populations`` are clipped.
     population_excursion: float
+    #: Size of the block of basis states the run was integrated on; outside
+    #: it every sampled state is exactly 0.
+    integrated_dim: int
+    #: Smallest eigenvalue of the sampled states (None when they are not stored).
+    min_eigenvalue: Optional[float]
 
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
 
     @property
-    def diagnostics(self) -> Dict[str, float]:
-        """How close the run came to its numerical limits."""
+    def diagnostics(self) -> Dict[str, Optional[float]]:
+        """How close the run came to its numerical limits, and the dimension it ran at."""
         return {
             "n_steps": self.n_steps,
+            "integrated_dim": self.integrated_dim,
             "max_trace_defect": float(np.max(self.trace_defect)),
             "max_hermiticity_defect": float(np.max(self.hermiticity_defect)),
             "population_excursion": self.population_excursion,
+            "min_eigenvalue": self.min_eigenvalue,
         }
 
 
@@ -304,7 +321,9 @@ def evolve_batch(
     matrices.  ``populations`` maps names to state vectors tracked as
     <psi|rho|psi>; ``bilinears`` maps names to vector pairs tracked as
     <a|rho|b> (used for phase-optimized populations); ``observables`` maps
-    names to Hermitian matrices tracked as Tr(O rho).  Raises
+    names to Hermitian matrices tracked as Tr(O rho).  ``store_states``
+    (default: d <= 64) keeps the sampled states, and only then is their
+    smallest eigenvalue computed (``min_eigenvalue``).  Raises
     :class:`StepFailureError` when a member's sampled trace defect exceeds
     ``trace_tol``, at the end of the block of ``BLOCK_STEPS`` steps in which
     that happens.
@@ -357,7 +376,7 @@ def evolve_batch(
             raise DimensionMismatchError(
                 f"hamiltonian dim {ham.dim} does not match density matrix dim {dim}"
             )
-    forms, expvals, pur, tdef, hdef, rho_samples, rho_final = _integrate_blocks(
+    forms, expvals, pur, tdef, hdef, rho_samples, rho_final, keep = _integrate_blocks(
         hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
         form_left, form_right, obs, bool(store_states), trace_tol,
     )
@@ -388,6 +407,8 @@ def evolve_batch(
             n_steps=n_steps,
             population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
                                               initial=0.0)),
+            integrated_dim=int(keep.size),
+            min_eigenvalue=_min_eigenvalue(rho_samples[b], keep) if store_states else None,
         ))
     return results
 
@@ -413,19 +434,70 @@ def _term_union(hams: Sequence[LinearHamiltonian]):
     return np.ascontiguousarray(np.stack(union)), columns
 
 
+def _reachable_indices(terms: np.ndarray, rho0s: np.ndarray) -> np.ndarray:
+    """Sorted basis indices that the dynamics can reach from the initial states.
+
+    Starts from the rows and columns where any initial state is nonzero and
+    closes that set under the nonzero pattern of every term.  The dephasing
+    mask acts elementwise and couples nothing.  Every LMG term, the disorder
+    term and sigma_z dephasing conserve the spin-flip parity prod_j sigma_z^j,
+    so from a state of definite parity this is that parity's 2^(N-1) block.
+    """
+    coupled = np.any(terms != 0, axis=0)
+    coupled |= coupled.T
+    occupied = rho0s != 0
+    reach = np.any(occupied, axis=(0, 1)) | np.any(occupied, axis=(0, 2))
+    while True:
+        grown = reach | np.any(coupled[:, reach], axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+def _restrict(keep, terms, w, rho, form_left, form_right, obs):
+    """Kernel inputs on the block ``keep``: P X P for the matrices, P a for the vectors."""
+    inside = (Ellipsis, keep[:, None], keep)
+    return (*(np.ascontiguousarray(x[inside]) for x in (terms, w, rho)),
+            *(np.ascontiguousarray(f[:, keep]) for f in (form_left, form_right)),
+            np.ascontiguousarray(obs[inside]))
+
+
+def _min_eigenvalue(states: np.ndarray, keep: np.ndarray) -> float:
+    """Smallest eigenvalue of an (m, d, d) stack of states, taken inside the block ``keep``.
+
+    Outside the block the states are 0, so their eigenvalues there are
+    exactly 0 and would hide the ones inside.  The stack is diagonalized in
+    pieces of at most GAP_STACK_BYTES.
+    """
+    per_call = max(1, GAP_STACK_BYTES // (16 * keep.size**2))
+    return float(min(np.linalg.eigvalsh(states[i:i + per_call, keep[:, None], keep])[:, 0].min()
+                     for i in range(0, len(states), per_call)))
+
+
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, obs, store_rho, trace_tol):
-    """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them."""
+    """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
+
+    The kernel runs on the block of basis states that the initial states can
+    reach (:func:`_reachable_indices`); the sampled states and the final
+    state come back embedded in the full space.  Also returns that block.
+    """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
     b, m, d = len(hams), sample_idx.size, rho.shape[1]
+    keep = _reachable_indices(terms, rho)
+    inside = (Ellipsis,)
+    if keep.size < d:
+        inside = (Ellipsis, keep[:, None], keep)
+        terms, w, rho, form_left, form_right, obs = _restrict(
+            keep, terms, w, rho, form_left, form_right, obs)
     samples = (
         np.empty((b, m, form_left.shape[0]), dtype=np.complex128),  # forms
         np.empty((b, m, obs.shape[0])),  # expectation values
         np.empty((b, m)),  # purity
         np.empty((b, m)),  # trace defect
         np.empty((b, m)),  # Hermiticity defect
-        np.empty((b, m if store_rho else 0, d, d), dtype=np.complex128),
+        np.zeros((b, m if store_rho else 0, d, d), dtype=np.complex128),
     )
     for s0 in range(0, n_steps, BLOCK_STEPS):
         s1 = min(s0 + BLOCK_STEPS, n_steps)
@@ -441,10 +513,15 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         hi = np.searchsorted(sample_idx, s1, side="right")
         *block, rho = kern.lindblad_rk4(terms, ctab, w, rho, h, sample_idx[lo:hi] - s0,
                                         form_left, form_right, obs, store_rho)
-        for full, part in zip(samples, block):
+        for full, part in zip(samples[:-1], block):
             full[:, lo:hi] = part
+        samples[-1][:, lo:hi][inside] = block[-1]
         _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), trace_tol, h)
-    return (*samples, rho)
+    if keep.size < d:
+        rho_full = np.zeros((b, d, d), dtype=np.complex128)
+        rho_full[inside] = rho
+        rho = rho_full
+    return (*samples, rho, keep)
 
 
 def _check_trace(tdef: np.ndarray, times: np.ndarray, trace_tol: float, h: float) -> None:

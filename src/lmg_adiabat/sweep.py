@@ -136,6 +136,8 @@ class SweepRow:
     status: str  # 'ok' | 'error'
     error: str
     wall_time: float
+    #: the run's TrajectoryResult.diagnostics (empty for a failed point)
+    diagnostics: Dict[str, Any]
 
 
 @dataclass
@@ -172,6 +174,7 @@ def run_sweep(
                 status="ok",
                 error="",
                 wall_time=time.perf_counter() - start,
+                diagnostics=run.trajectory.diagnostics,
             )
         except Exception as exc:  # captured per point, never dropped
             return SweepRow(
@@ -184,6 +187,7 @@ def run_sweep(
                 status="error",
                 error=f"{type(exc).__name__}: {exc}",
                 wall_time=time.perf_counter() - start,
+                diagnostics={},
             )
 
     rows = _pmap(one, points, workers)

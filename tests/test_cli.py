@@ -119,10 +119,13 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert manifest["config"]["case"] == "I"
     assert manifest["backend"] == lmg_adiabat.resolve_backend()
     diagnostics = manifest["diagnostics"]
-    assert set(diagnostics) == {"n_steps", "max_trace_defect", "max_hermiticity_defect",
-                                "population_excursion"}
+    assert set(diagnostics) == {"n_steps", "integrated_dim", "max_trace_defect",
+                                "max_hermiticity_defect", "population_excursion",
+                                "min_eigenvalue"}
     assert diagnostics["n_steps"] == 480  # t_final 120 at the default step 0.25
+    assert diagnostics["integrated_dim"] == 2  # the parity block of N = 2 (dim 4)
     assert diagnostics["max_trace_defect"] <= 1e-8
+    assert abs(diagnostics["min_eigenvalue"]) <= 1e-6  # a pure state stays (nearly) pure
     assert "final population" in capsys.readouterr().out
     # atomic writes leave no temp files behind
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
@@ -175,6 +178,13 @@ def test_sweep_cli_partial_failure(tmp_path):
     assert lines[0] == "delta,pop_final,pop_final_phase_opt,gap_min,trace_defect_max,status,error"
     assert lines[1].startswith("-1.1,") and ",ok," in lines[1]
     assert lines[2].startswith("1.0,") and ",error," in lines[2]
+    sidecar = json.loads((tmp_path / "sweep_diagnostics.json").read_text())
+    ok, failed = sidecar["points"]
+    assert (ok["index"], ok["status"], failed["index"], failed["status"]) == (0, "ok", 1, "error")
+    assert ok["wall_time"] > 0 and failed["wall_time"] >= 0
+    assert ok["diagnostics"]["n_steps"] == 480 and ok["diagnostics"]["integrated_dim"] == 2
+    assert ok["diagnostics"]["min_eigenvalue"] is None  # sweeps store no states
+    assert failed["diagnostics"] == {}
 
 
 def test_sweep_cli_worker_invariance(tmp_path):
@@ -184,7 +194,7 @@ def test_sweep_cli_worker_invariance(tmp_path):
     }
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(config))
-    texts = []
+    texts, sidecars = [], []
     for sub, workers in (("w1", "1"), ("w4", "4")):
         out = tmp_path / sub
         with warnings.catch_warnings():
@@ -192,7 +202,11 @@ def test_sweep_cli_worker_invariance(tmp_path):
             assert cli.main(["sweep", "--config", str(path), "--out", str(out),
                              "--parallel", workers]) == 0
         texts.append((out / "sweep.csv").read_bytes())
+        points = json.loads((out / "sweep_diagnostics.json").read_text())["points"]
+        sidecars.append([{k: v for k, v in p.items() if k != "wall_time"} for p in points])
     assert texts[0] == texts[1]
+    assert sidecars[0] == sidecars[1]
+    assert [p["index"] for p in sidecars[0]] == [0, 1, 2]
 
 
 def test_spectrum_names_polarized_ground(tmp_path, capsys):

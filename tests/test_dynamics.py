@@ -25,7 +25,7 @@ from lmg_adiabat.errors import (
 from lmg_adiabat.model import effective_coefficients, lmg_sweep_hamiltonian
 from lmg_adiabat.operators import SIGMA_X, SIGMA_Z, SpinRegister
 from lmg_adiabat.protocols import preset
-from lmg_adiabat.states import density_from_state
+from lmg_adiabat.states import density_from_state, dicke_state
 
 PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -200,10 +200,78 @@ def test_population_excursion_reports_the_unclipped_value():
     assert res.population_excursion == pytest.approx(1.0, abs=1e-12)
     assert res.diagnostics == {
         "n_steps": 40,
+        "integrated_dim": 1,  # |up> under a diagonal H reaches nothing else
         "max_trace_defect": float(np.max(res.trace_defect)),
         "max_hermiticity_defect": 0.0,
         "population_excursion": res.population_excursion,
+        "min_eigenvalue": 1.0,  # taken inside the block, not over the zeros outside it
     }
+
+
+def _full_space(terms, rho0s):
+    return np.arange(terms.shape[1])
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("disordered", [False, True], ids=["clean", "disorder"])
+@pytest.mark.parametrize("gamma", [0.0, 1e-4], ids=["gamma0", "gamma1kHz"])
+def test_parity_block_matches_full_space(monkeypatch, n, disordered, gamma):
+    from lmg_adiabat.model import DisorderProfile
+    from lmg_adiabat.protocols import run_scenario
+
+    cfg = preset("I", n, gamma=gamma, t_final=200.0, n_samples=11)
+    if disordered:
+        fractions = np.linspace(-0.1, 0.1, n)
+        cfg = dataclasses.replace(cfg, disorder=DisorderProfile(tuple(fractions), cfg.eta))
+    block = run_scenario(cfg, record_gap=False).trajectory
+    monkeypatch.setattr(dynamics, "_reachable_indices", _full_space)
+    full = run_scenario(cfg, record_gap=False).trajectory
+    assert (block.integrated_dim, full.integrated_dim) == (2 ** (n - 1), 2**n)
+    pairs = [(block.populations[k], full.populations[k]) for k in full.populations]
+    pairs += [(block.bilinears[k], full.bilinears[k]) for k in full.bilinears]
+    pairs += [(block.expectations["jz"], full.expectations["jz"])]
+    pairs += [(getattr(block, name), getattr(full, name))
+              for name in ("purity", "trace_defect", "rho_samples", "rho_final")]
+    assert full.bilinears  # case I tracks the branch cross term
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
+    cfg = preset("I", 3, t_final=20.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, (1e-4,) * 3)
+    kwargs = dict(n_samples=5, record_gap=False)
+    mixed = evolve(spec, density_from_state(dicke_state(3, 1.5, "x")), (0.0, 20.0), **kwargs)
+    polarized = evolve(spec, density_from_state(cfg.initial_state()), (0.0, 20.0), **kwargs)
+    assert [shape[1:] for shape in lindblad_terms] == [(8, 8), (4, 4)]
+    assert (mixed.integrated_dim, polarized.integrated_dim) == (8, 4)
+
+
+def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
+    cfg = preset("I", 4, gamma=1e-4, t_final=200.0, n_samples=21)
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    args = (LindbladSpec(ham, cfg.gammas()), density_from_state(cfg.initial_state()),
+            (0.0, 200.0))
+    res = evolve(*args, n_samples=21, record_gap=False)
+    even = np.flatnonzero([bin(i).count("1") % 2 == 0 for i in range(16)])
+    outside = np.ones((16, 16), dtype=bool)
+    outside[even[:, None], even] = False  # the run starts in the even block
+    assert res.integrated_dim == 8
+    assert np.all(res.rho_samples[:, outside] == 0) and np.all(res.rho_final[outside] == 0)
+    np.testing.assert_array_equal(res.rho_samples, res.rho_samples.conj().transpose(0, 2, 1))
+    inside = res.rho_samples[:, even[:, None], even]
+    assert res.min_eigenvalue == np.min(np.linalg.eigvalsh(inside))
+    assert abs(res.min_eigenvalue) < 1e-6  # a nearly pure state: its other eigenvalues ~ 0
+    assert evolve(*args, n_samples=21, record_gap=False, store_states=False).min_eigenvalue is None
+    # a mixed state keeps its smallest weight under a Hamiltonian that commutes with it
+    spec = LindbladSpec(np.diag([0.3, -0.3]).astype(complex), (0.0,))
+    mixed = evolve(spec, np.diag([0.7, 0.3]).astype(complex), (0.0, 10.0), n_samples=5,
+                   record_gap=False)
+    assert mixed.min_eigenvalue == pytest.approx(0.3, abs=1e-12)
 
 
 def test_evolve_rejects_bad_initial_state():

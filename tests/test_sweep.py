@@ -86,6 +86,8 @@ def test_failed_points_recorded_not_dropped():
     assert "Resonant" in table.rows[1].error
     assert np.isnan(table.rows[1].pop_final)
     assert table.n_failed == 1
+    assert table.rows[0].diagnostics["integrated_dim"] == 4  # the parity block of N = 3
+    assert table.rows[1].diagnostics == {}
 
 
 def test_aggregate_global_and_grouped():
