@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the integration kernels: numba against numpy, CF4 against RK4.
 
-Times the master-equation kernel on the case I transfer at several register
+Times the RK4 master-equation kernel on the case I transfer at several register
 sizes (and at N=4 without dephasing) and the pure-state kernel on the joint spin+resonator model (Fock
 cutoffs 6, 8 and 12, i.e. dims 24, 32 and 48), printing
 per-backend wall times and the speedup.  The first numba call includes JIT
-compilation and is reported separately.  A last section times the 13 members
+compilation and is reported separately.  A second section times the CF4
+master-equation kernel, the one the integrators call, at its default step
+1.0 on the N=4 transfer next to the RK4 reference at step 0.25.  A last section times the 13 members
 of the criterion-8 disorder ensemble integrated as one batch against 13
 single-run calls, per member and step, and the same batch restricted to the
 spin-flip parity block its initial states can reach (dim 8 instead of 16), as
@@ -154,6 +156,17 @@ def main():
             print(f"{kind + ': ' + label:52s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
         else:
             print(f"{kind + ': ' + label:52s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
+
+    print("\nmaster-equation step: CF4 at 1.0 against RK4 at 0.25 (numpy)")
+    header = f"{'kernel':10s} {'workload':40s} {'time':>10s} {'us/step':>10s}"
+    print(header)
+    print("-" * len(header))
+    rows = [("cf4", numpy_k.lindblad_cf4, lindblad_workload(4, step=1.0)),
+            ("rk4", numpy_k.lindblad_rk4, lindblad_workload(4))]
+    for name, fn, (_, label, args) in rows:
+        t = time_call(fn, args, opts.repeat)
+        n_steps = (args[1].shape[0] - 1) // 2
+        print(f"{name:10s} {label:40s} {t:9.3f}s {1e6 * t / n_steps:10.1f}")
 
     label, batch, singles = batch_workload()
     block_dim, block = parity_block(batch)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import resolve_backend
-from .dynamics import DriveSchedule, calibrated_schedule, literal_schedule
+from .dynamics import DEFAULT_STEP, DriveSchedule, calibrated_schedule, literal_schedule
 from .errors import (
     ConfigError,
     LmgAdiabatError,
@@ -187,7 +187,7 @@ def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
         t_final=t_final,
         n_samples=field("n_samples", 401, int),
         nbar=field("nbar", 20.0, float),
-        step=field("step", 0.25, float),
+        step=field("step", DEFAULT_STEP, float),
     )
 
     if "sweep" not in data:

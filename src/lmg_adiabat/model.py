@@ -145,10 +145,10 @@ class LinearHamiltonian:
     This is the representation the integrator kernels consume: the constant
     term stack is combined with a coefficient table tabulated once on the
     half-step grid, so no Python callable runs inside the step loop.  The
-    numba kernels run that loop in compiled code; the numpy kernels build
-    each step's three stage Hamiltonians with one matrix product, and the
-    master-equation kernel keeps them real when every term is real (as the
-    LMG terms are in the z basis), so each RK4 stage costs one real product.
+    kernels build the Hamiltonians of many steps with one matrix product,
+    and the master-equation kernel keeps them real when every term is real
+    (as the LMG terms are in the z basis), so its eigendecompositions are
+    real too.
     """
 
     terms: np.ndarray  # (K, d, d) complex128, each Hermitian

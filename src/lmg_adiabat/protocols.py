@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_STEP,
     DriveSchedule,
     LindbladSpec,
     TrajectoryResult,
@@ -122,7 +123,7 @@ class ScenarioConfig:
     t_final: float = 4000.0
     n_samples: int = 401
     nbar: float = 20.0
-    step: float = 0.25
+    step: float = DEFAULT_STEP
 
     def __post_init__(self) -> None:
         case = str(self.case).upper()
@@ -226,7 +227,7 @@ def preset(
     schedule: Union[str, DriveSchedule] = "calibrated",
     t_final: float = 4000.0,
     n_samples: int = 401,
-    step: float = 0.25,
+    step: float = DEFAULT_STEP,
 ) -> ScenarioConfig:
     """Scenario preset with the reference parameter sets."""
     case = str(case).upper()

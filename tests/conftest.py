@@ -4,17 +4,17 @@ from lmg_adiabat import _kernels
 
 
 def _record_lindblad_calls(monkeypatch, record):
-    """Wrap the Lindblad kernel so that ``record(terms, ctab)`` sees every call."""
+    """Wrap the master-equation kernel so that ``record(terms, ctab)`` sees every call."""
     get_kernels = _kernels.get_kernels
 
     def recording(backend=None):
         kern = get_kernels(backend)
 
-        def lindblad_rk4(terms, ctab, *args):
+        def lindblad_cf4(terms, ctab, *args):
             record(terms, ctab)
-            return kern.lindblad_rk4(terms, ctab, *args)
+            return kern.lindblad_cf4(terms, ctab, *args)
 
-        return kern._replace(lindblad_rk4=lindblad_rk4)
+        return kern._replace(lindblad_cf4=lindblad_cf4)
 
     monkeypatch.setattr(_kernels, "get_kernels", recording)
 

@@ -122,7 +122,7 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert set(diagnostics) == {"n_steps", "integrated_dim", "max_trace_defect",
                                 "max_hermiticity_defect", "population_excursion",
                                 "min_eigenvalue"}
-    assert diagnostics["n_steps"] == 480  # t_final 120 at the default step 0.25
+    assert diagnostics["n_steps"] == 120  # t_final 120 at the default step 1.0
     assert diagnostics["integrated_dim"] == 2  # the parity block of N = 2 (dim 4)
     assert diagnostics["max_trace_defect"] <= 1e-8
     assert abs(diagnostics["min_eigenvalue"]) <= 1e-6  # a pure state stays (nearly) pure
@@ -182,7 +182,7 @@ def test_sweep_cli_partial_failure(tmp_path):
     ok, failed = sidecar["points"]
     assert (ok["index"], ok["status"], failed["index"], failed["status"]) == (0, "ok", 1, "error")
     assert ok["wall_time"] > 0 and failed["wall_time"] >= 0
-    assert ok["diagnostics"]["n_steps"] == 480 and ok["diagnostics"]["integrated_dim"] == 2
+    assert ok["diagnostics"]["n_steps"] == 120 and ok["diagnostics"]["integrated_dim"] == 2
     assert ok["diagnostics"]["min_eigenvalue"] is None  # sweeps store no states
     assert failed["diagnostics"] == {}
 

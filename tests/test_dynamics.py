@@ -180,7 +180,8 @@ def test_evolve_invariants_on_sweep():
 
 
 def test_dephased_lmg_run_is_exactly_hermitian():
-    # each stage is -i (y - y^H) + W o x, so no step can leave the Hermitian matrices
+    # each step takes the Hermitian part y + y^H and then scales it by the real
+    # symmetric E / 2, so no step can leave the Hermitian matrices
     cfg = preset("I", 3, t_final=200.0, n_samples=21)
     ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
@@ -199,12 +200,13 @@ def test_population_excursion_reports_the_unclipped_value():
     assert np.all(res.populations["double"] == 1.0)
     assert res.population_excursion == pytest.approx(1.0, abs=1e-12)
     assert res.diagnostics == {
-        "n_steps": 40,
+        "n_steps": 10,
         "integrated_dim": 1,  # |up> under a diagonal H reaches nothing else
         "max_trace_defect": float(np.max(res.trace_defect)),
         "max_hermiticity_defect": 0.0,
         "population_excursion": res.population_excursion,
-        "min_eigenvalue": 1.0,  # taken inside the block, not over the zeros outside it
+        # taken inside the block, not over the zeros outside it
+        "min_eigenvalue": pytest.approx(1.0, abs=1e-12),
     }
 
 
@@ -283,13 +285,29 @@ def test_evolve_rejects_bad_initial_state():
         )
 
 
+#: Two spins, dim 4: np.linalg.eigh raises on a NaN matrix from dim 3 on.
+TWO_SPIN_H = (np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X)
+              + 0.7 * np.kron(SIGMA_Z, SIGMA_Z)).astype(complex)
+TWO_SPIN_PLUS_X = np.kron(PLUS_X, PLUS_X)
+
+
+def _failing_after(t_fail):
+    """TWO_SPIN_H with a coefficient that turns NaN after ``t_fail``."""
+    from lmg_adiabat.model import LinearHamiltonian
+
+    def coefficients(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        return np.where(ts > t_fail, np.nan, 1.0)[:, None]
+
+    return LinearHamiltonian(terms=TWO_SPIN_H[None], coefficients=coefficients)
+
+
 def test_evolve_step_failure_on_unstable_step():
-    # an absurdly large step makes RK4 unstable; the trace check must trip
-    h = SIGMA_X + 0.7 * SIGMA_Z
-    with np.errstate(all="ignore"), pytest.raises(StepFailureError):
+    # a Hamiltonian that stops being finite: the trace check must trip
+    with np.errstate(all="ignore"), pytest.raises(StepFailureError, match="at t = 104 "):
         evolve(
-            LindbladSpec(h, (0.2,)),
-            density_from_state(PLUS_X),
+            LindbladSpec(_failing_after(100.0), (0.2, 0.2)),
+            density_from_state(TWO_SPIN_PLUS_X),
             (0.0, 4000.0),
             step=8.0,
             n_samples=40,
@@ -303,7 +321,8 @@ def test_block_size_does_not_change_the_result(monkeypatch):
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, (1e-3, 2e-3))
     rho0 = density_from_state(cfg.initial_state())
-    kwargs = dict(n_samples=13, populations={"start": cfg.initial_state()}, record_gap=False)
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
+                  record_gap=False)
     # 246 steps of a step that is not a binary fraction: one block, then six
     # blocks of 41 steps that end on every other sample
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
@@ -315,15 +334,14 @@ def test_block_size_does_not_change_the_result(monkeypatch):
 
 
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
-    # the second member blows up at the oversized step, the first stays stable;
-    # the run must stop after the first block instead of finishing the window
+    # the second member's Hamiltonian turns NaN after t = 100, the first stays
+    # finite; the run must stop after the first block instead of finishing the window
     monkeypatch.setattr(dynamics, "BLOCK_STEPS", 20)
-    h = SIGMA_X + 0.7 * SIGMA_Z
-    rho0 = density_from_state(PLUS_X)
+    rho0 = density_from_state(TWO_SPIN_PLUS_X)
     failure = pytest.raises(StepFailureError, match="member 1: .* at t = 104 ")
     with np.errstate(all="ignore"), failure:
         evolve_batch(
-            [LindbladSpec(0.01 * h, (0.0,)), LindbladSpec(h, (0.0,))],
+            [LindbladSpec(0.01 * TWO_SPIN_H, ()), LindbladSpec(_failing_after(100.0), ())],
             [rho0, rho0],
             (0.0, 4000.0),
             step=8.0,
@@ -386,6 +404,28 @@ def test_step_halving_convergence_case_one():
     r2 = run_scenario(dataclasses.replace(cfg, step=0.125), record_gap=False)
     assert abs(r1.final_population - r2.final_population) <= 1e-6
     assert abs(r1.final_population_phase_opt - r2.final_population_phase_opt) <= 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a fast sweep
+def test_fast_sweep_stays_positive():
+    from lmg_adiabat.protocols import run_scenario
+
+    # RK4 at step 0.25 reached -1.8e-5 here; the CF4 step is CPTP
+    res = run_scenario(preset("I", 4, t_final=400.0), record_gap=False)
+    assert res.trajectory.min_eigenvalue >= -1e-12
+
+
+def test_sample_grid_keeps_the_requested_samples():
+    # a short window takes one step per sample interval rather than drop rows
+    t0, h, n_steps, idx = dynamics._sample_grid((0.0, 120.0), 1.0, 401)
+    assert (n_steps, h, idx.size) == (400, 0.3, 401)
+    np.testing.assert_array_equal(idx, np.arange(401))
+    # the preset window: 4000 steps of 1/nu, a sample every 10 steps
+    t0, h, n_steps, idx = dynamics._sample_grid((0.0, 4000.0), dynamics.DEFAULT_STEP, 401)
+    assert (n_steps, h) == (4000, 1.0)
+    np.testing.assert_array_equal(idx, np.arange(0, 4001, 10))
+    # a step that does not divide the window is shortened to fit it
+    assert dynamics._sample_grid((0.0, 10.0), 3.0, 2)[1:3] == (2.5, 4)
 
 
 def test_adiabaticity_profile_constant_schedule():

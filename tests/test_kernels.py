@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lmg_adiabat import _kernels
+from lmg_adiabat.protocols import preset, run_scenario
 
 
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
@@ -45,7 +48,8 @@ def test_lindblad_backends_agree(case):
 @pytest.mark.parametrize("kernel", [
     _kernels._lindblad_rk4_numpy,
     _kernels.over_members(_kernels._lindblad_rk4_loops),
-], ids=["numpy", "loops"])
+    _kernels._lindblad_cf4_numpy,
+], ids=["numpy", "loops", "cf4"])
 def test_lindblad_batch_form_matches_single_runs(kernel):
     rng = np.random.default_rng(45)
     terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
@@ -102,3 +106,76 @@ def test_backend_resolution(monkeypatch):
     assert _kernels.get_kernels("numpy").name == "numpy"
     with pytest.raises(ValueError):
         _kernels.get_kernels("bogus")
+
+
+def _integrate_with_rk4(monkeypatch):
+    """Make the integrators call the RK4 reference kernel in place of CF4."""
+    get_kernels = _kernels.get_kernels
+
+    def rk4_kernels(backend=None):
+        kern = get_kernels(backend)
+        return kern._replace(lindblad_cf4=kern.lindblad_rk4)
+
+    monkeypatch.setattr(_kernels, "get_kernels", rk4_kernels)
+
+
+@pytest.mark.parametrize("case,gamma", [("I", 0.0), ("I", 1e-4), ("III", 0.0)])
+def test_cf4_at_the_default_step_matches_rk4_at_a_small_step(monkeypatch, case, gamma):
+    cfg = preset(case, 4, gamma=gamma)
+    cf4 = run_scenario(cfg, record_gap=False)
+    _integrate_with_rk4(monkeypatch)
+    rk4 = run_scenario(dataclasses.replace(cfg, step=0.125), record_gap=False)
+    assert cf4.trajectory.n_steps == 4000 and rk4.trajectory.n_steps == 32000
+    assert abs(cf4.final_population - rk4.final_population) <= 1e-7
+    for name, want in rk4.trajectory.populations.items():
+        np.testing.assert_allclose(cf4.trajectory.populations[name], want, rtol=0, atol=2e-6)
+
+
+def test_cf4_convergence_order():
+    # errors of the sampled populations at steps 2 and 1 against step 0.25
+    cfg = preset("I", 4)
+    pops = {h: run_scenario(dataclasses.replace(cfg, step=h), record_gap=False)
+            .trajectory.populations for h in (2.0, 1.0, 0.25)}
+
+    def error(h):
+        return max(np.max(np.abs(pops[h][k] - pops[0.25][k])) for k in pops[0.25])
+
+    assert np.log2(error(2.0) / error(1.0)) >= 3.5
+
+
+def test_cf4_keeps_trace_positivity_and_exact_hermiticity_at_a_large_step():
+    # a step far past RK4's stability bound for these terms
+    rng = np.random.default_rng(47)
+    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    _, _, _, tdef, hdef, rhos, rho_final = _kernels._lindblad_cf4_numpy(
+        terms, ctab, w, rho0.copy(), 2.0, idx, fl, fr, obs, True)
+    assert np.max(tdef) <= 1e-12
+    assert np.all(hdef == 0.0)
+    np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
+    assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-12
+    np.testing.assert_array_equal(rho_final, rhos[-1])
+
+
+@pytest.mark.parametrize("dissipate,tol", [(True, 1e-5), (False, 5e-8)],
+                         ids=["dissipator", "no-dissipator"])
+def test_cf4_complex_terms_match_rk4_at_a_small_step(dissipate, tol):
+    # smooth coefficients of complex Hermitian terms, 400 steps over t = 2;
+    # the dephasing half-steps make the split step 2nd order in W
+    rng = np.random.default_rng(46)
+    terms, _, w, rho0, _, fl, fr, obs = _tiny_problem(rng)
+    n_steps, dt = 400, 0.005
+    t = (dt / 2.0) * np.arange(2 * n_steps + 1)
+    ctab = np.stack([np.cos(t), np.sin(0.7 * t)], axis=1)
+    if not dissipate:
+        w = np.zeros_like(w)
+    idx = np.array([0, 200, 400], dtype=np.int64)
+    rk4 = _kernels._lindblad_rk4_numpy(terms, ctab, w, rho0.copy(), dt, idx, fl, fr, obs, True)
+    cf4 = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0.copy(), dt, idx, fl, fr, obs, True)
+    for got, want in zip(cf4, rk4):
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_cf4_is_the_kernel_of_every_backend():
+    assert _kernels.get_kernels("numpy").lindblad_cf4 is _kernels._lindblad_cf4_numpy
+    if _kernels.NUMBA_AVAILABLE:
+        assert _kernels.get_kernels("numba").lindblad_cf4 is _kernels._lindblad_cf4_numpy
