@@ -286,10 +286,12 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     return (*out, rho)
 
 
-#: Largest stack of step propagators the CF4 kernel builds at once (bytes):
-#: 64 steps of one member at d = 8.  The stack and the eigendecompositions
-#: it is built from are the kernel's only memory beyond the state.
-PROPAGATOR_BYTES = 1 << 16
+#: Largest stack of small matrices built or diagonalized at once (bytes): the
+#: CF4 step propagators (64 steps of one member at d = 8), and in
+#: :mod:`lmg_adiabat.dynamics` the gap-scan Hamiltonians and the sampled
+#: states whose eigenvalues are checked.  Larger gap-scan stacks saved
+#: little time and raised the peak memory of a run.
+STACK_BYTES = 1 << 16
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
@@ -339,10 +341,10 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     out = _lindblad_outputs(b, m, form_left.shape[0], obs.shape[0], d, store_rho)
     left_c = form_left.conj()
     stage_terms, stage_dtype = _stage_terms(terms)
-    half_damp = np.exp(0.5 * dt * w) if np.any(w) else None
+    half_damp = np.exp(0.5 * dt * w)
     # 0.5 Hermitizes; 0.5 E also applies the second dephasing half-step
-    scale = 0.5 if half_damp is None else 0.5 * half_damp
-    per_chunk = max(1, PROPAGATOR_BYTES // (16 * b * d * d))
+    scale = 0.5 * half_damp
+    per_chunk = max(1, STACK_BYTES // (16 * b * d * d))
 
     rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     ptr = 0
@@ -356,8 +358,7 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
         if j == 0:
             end = min(step + per_chunk, n_steps)
             u, uh = _cf4_propagators(ctab[2 * step:2 * end + 1], stage_terms, stage_dtype, dt, d)
-        x = rho if half_damp is None else half_damp * rho
-        y = u[j] @ x @ uh[j]
+        y = u[j] @ (half_damp * rho) @ uh[j]
         rho = y + y.conj().transpose(0, 2, 1)
         rho *= scale
 

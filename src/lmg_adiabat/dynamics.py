@@ -16,10 +16,10 @@ exact dephasing around a 4th-order commutator-free Magnus propagator of H(t)
 
 Every factor is a CPTP map, so the trace and positivity hold at any step,
 and the state is Hermitized after each step.  The step is limited by how fast
-H(t) changes, not by its norm: the default of 1/nu (DEFAULT_STEP) keeps
-h * spread(H) below the aliasing limit 2 pi of the exponentials up to
-N = 8.  The classical RK4
-kernel remains as the reference the step is tested against.  Runs that share
+H(t) changes, not by its norm (see DEFAULT_STEP).  Since the step is CPTP,
+the trace check does not flag a step that is too large: such a step returns
+a valid but less accurate state.  The classical RK4 kernel remains as the
+reference the step is tested against.  Runs that share
 the time grid and the dephasing rates are integrated together as one batch
 (:func:`evolve_batch`); a single run is the batch of one.
 
@@ -47,8 +47,10 @@ from .model import DisorderProfile, LinearHamiltonian, lmg_sweep_hamiltonian
 from .states import check_density_matrix
 
 #: Default master-equation step (1/nu).  The spread of H(t) is about
-#: 0.65 N nu, so at N = 8 the step times the spread stays below 2 pi; at 2/nu
-#: it does not, and case III at N = 8 errs by 4e-5 against 1e-9 at 1/nu.
+#: 0.65 N nu, so at N = 10 the step times the spread is 6.5, just above 2 pi.
+#: Measured against a step of 0.25 up to N = 10, the populations of the
+#: preset runs err by at most 2e-9 at 1/nu, where RK4 at 0.25/nu errs by up to 9e-5; at 2/nu the
+#: step errs by up to 1e-4 (case III at N = 8 and 10).
 DEFAULT_STEP = 1.0
 #: Steps per kernel call.  The coefficient table is built one block at a
 #: time, which bounds its memory, and the sampled trace is checked after
@@ -269,16 +271,10 @@ def spectral_gap(h: np.ndarray,
     return float(gap) if gap.ndim == 0 else gap
 
 
-#: Largest stack of Hamiltonians one gap-scan call diagonalizes (bytes): 16
-#: matrices at d = 16.  Larger stacks saved little time and raised the peak
-#: memory of a run.
-GAP_STACK_BYTES = 1 << 16
-
-
 def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
               degeneracy_tol: Optional[float]) -> np.ndarray:
     """Spectral gap at each time, diagonalizing H(t) in stacks of bounded size."""
-    per_call = max(1, GAP_STACK_BYTES // (16 * hamiltonian.dim**2))
+    per_call = max(1, _kernels.STACK_BYTES // (16 * hamiltonian.dim**2))
     return np.concatenate([
         spectral_gap(_hamiltonian_matrix(hamiltonian, times[i:i + per_call]), degeneracy_tol)
         for i in range(0, times.size, per_call)
@@ -482,9 +478,9 @@ def _min_eigenvalue(states: np.ndarray, keep: np.ndarray) -> float:
 
     Outside the block the states are 0, so their eigenvalues there are
     exactly 0 and would hide the ones inside.  The stack is diagonalized in
-    pieces of at most GAP_STACK_BYTES.
+    pieces of at most ``_kernels.STACK_BYTES``.
     """
-    per_call = max(1, GAP_STACK_BYTES // (16 * keep.size**2))
+    per_call = max(1, _kernels.STACK_BYTES // (16 * keep.size**2))
     return float(min(np.linalg.eigvalsh(states[i:i + per_call, keep[:, None], keep])[:, 0].min()
                      for i in range(0, len(states), per_call)))
 
