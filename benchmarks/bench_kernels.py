@@ -130,7 +130,9 @@ def main():
         lindblad_workload(4),
         lindblad_workload(4, gamma=0.0),  # no dissipator: the gamma-0 simulate jobs
         lindblad_workload(6),
-        schrodinger_workload(6),  # dim 24 and 48: the two runs of validate-reduction --cutoff 6
+        # dim 24 and 48 (cutoffs 6 and 12): the full runs of a two-tone
+        # validate-reduction at --cutoff 6; one-tone runs are solved without this kernel
+        schrodinger_workload(6),
         schrodinger_workload(8),
         schrodinger_workload(12),
     ]

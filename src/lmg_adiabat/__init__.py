@@ -21,6 +21,7 @@ from .dynamics import (
     evolve_state,
     lindblad_rhs,
     literal_schedule,
+    rotating_frame_states,
 )
 from .model import (
     DisorderProfile,
@@ -33,6 +34,7 @@ from .model import (
     build_full_interaction_hamiltonian,
     classify_lmg,
     effective_coefficients,
+    full_interaction_frame,
     full_interaction_hamiltonian,
     isotropic_spectrum,
     lmg_sweep_hamiltonian,

@@ -518,6 +518,7 @@ def _cmd_validate_reduction(cfg, args) -> int:
         "cutoff_change": report.cutoff_change,
         "lamb_dicke_indicator": report.lamb_dicke_indicator,
         "norm_drift": report.norm_drift,
+        "solver": report.solver,
     }
     _atomic_write(
         os.path.join(out, "reduction.json"), json.dumps(summary, indent=2) + "\n"

@@ -247,6 +247,12 @@ def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
     return t0, h, n_steps, idx
 
 
+def sample_times(t_span: Tuple[float, float], step: float, n_samples: int) -> np.ndarray:
+    """The times at which a fixed-step run over ``t_span`` is sampled."""
+    t0, h, _, sample_idx = _sample_grid(t_span, step, n_samples)
+    return t0 + h * sample_idx.astype(np.float64)
+
+
 def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
     """(T, d, d) stack of H(t) at the given times."""
     return np.einsum("tk,kij->tij", hamiltonian.coefficient_table(times), hamiltonian.terms)
@@ -576,6 +582,28 @@ def evolve_state(
         np.ascontiguousarray(hamiltonian.terms), ctab, psi0, h, sample_idx
     )
     return times, psi_samples, psi_final
+
+
+def rotating_frame_states(h0: np.ndarray, frame: np.ndarray, psi0: np.ndarray,
+                          times: np.ndarray) -> np.ndarray:
+    """Exact pure states under H(t) = e^{iKt} h0 e^{-iKt}, K = diag(frame).
+
+    In the frame rotating with K the Hamiltonian is the constant G = h0 + K,
+    so psi(t) = e^{iKt} V e^{-i Lambda t} V† psi0 with G = V Lambda V†, from
+    one eigendecomposition and with no time step; a zero frame gives the
+    evolution under a constant h0.  Returns the (T, d) states at ``times``
+    (measured from t = 0).
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    if h0.shape != (frame.size, frame.size) or psi0.shape != (frame.size,):
+        raise DimensionMismatchError(
+            f"hamiltonian {h0.shape}, frame {frame.shape} and state {psi0.shape} do not match"
+        )
+    times = np.asarray(times, dtype=np.float64)
+    lam, v = np.linalg.eigh(h0 + np.diag(frame))
+    coeffs = np.exp(-1.0j * np.multiply.outer(times, lam)) * (v.conj().T @ psi0)
+    return np.exp(1.0j * np.multiply.outer(times, frame)) * (coeffs @ v.T)
 
 
 @dataclass

@@ -261,6 +261,10 @@ def full_interaction_hamiltonian(p: FullModelParams) -> LinearHamiltonian:
     the signed detuning.  Each non-Hermitian product C_k with complex envelope
     z_k(t) is stored as the Hermitian pair C_k + C_k†, i(C_k - C_k†) with real
     coefficients Re z_k, Im z_k.
+
+    With one tone the time dependence is a rotation: H(t) = e^{iKt} H(0)
+    e^{-iKt} with K = s delta J_z ⊗ 1 + 1 ⊗ a†a, s = +1 for an omega1-only
+    drive and -1 for an omega2-only one (see :func:`full_interaction_frame`).
     """
     reg = SpinRegister(p.n_spins)
     fock = FockSpace(p.fock_cutoff)
@@ -289,6 +293,26 @@ def full_interaction_hamiltonian(p: FullModelParams) -> LinearHamiltonian:
         return out
 
     return LinearHamiltonian(terms=terms, coefficients=coefficients)
+
+
+def full_interaction_frame(p: FullModelParams) -> Optional[np.ndarray]:
+    """Diagonal of the frame K in which the one-tone full Hamiltonian is constant.
+
+    K = s delta J_z ⊗ 1 + 1 ⊗ a†a with s = +1 when ``omega2 == 0`` and s = -1
+    when ``omega1 == 0``: J_+ picks up e^{i s delta t} and a† picks up
+    e^{i t} under e^{iKt}, so the interaction-picture H(t) equals
+    e^{iKt} H(0) e^{-iKt}, also in the truncated Fock space.  Two tones
+    rotate J_+ at both +delta and -delta, so no such frame exists and the
+    result is None.
+    """
+    if p.omega2 == 0.0:
+        sign = 1.0
+    elif p.omega1 == 0.0:
+        sign = -1.0
+    else:
+        return None
+    jz = collective_operator(SpinRegister(p.n_spins), "z").diagonal().real
+    return np.add.outer(sign * p.delta * jz, np.arange(p.fock_cutoff, dtype=np.float64)).ravel()
 
 
 def build_full_interaction_hamiltonian(p: FullModelParams, t: float) -> np.ndarray:

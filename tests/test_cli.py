@@ -246,6 +246,7 @@ def test_validate_reduction_cli(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "reduction.json").read_text())
     assert summary["fock_cutoff"] == 3
+    assert summary["solver"] == "rotating-frame"
     lines = (tmp_path / "reduction.csv").read_text().splitlines()
     assert lines[0] == "t_nu,jz_full,jz_effective,pop_full,pop_effective"
 

@@ -15,6 +15,7 @@ from lmg_adiabat.dynamics import (
     evolve_state,
     lindblad_rhs,
     literal_schedule,
+    rotating_frame_states,
     spectral_gap,
 )
 from lmg_adiabat.errors import (
@@ -22,7 +23,14 @@ from lmg_adiabat.errors import (
     InvalidInitialStateError,
     StepFailureError,
 )
-from lmg_adiabat.model import effective_coefficients, lmg_sweep_hamiltonian
+from lmg_adiabat.model import (
+    LinearHamiltonian,
+    build_effective_lmg,
+    effective_coefficients,
+    full_interaction_frame,
+    full_interaction_hamiltonian,
+    lmg_sweep_hamiltonian,
+)
 from lmg_adiabat.operators import SIGMA_X, SIGMA_Z, SpinRegister
 from lmg_adiabat.protocols import preset
 from lmg_adiabat.states import density_from_state, dicke_state
@@ -376,9 +384,30 @@ def test_evolve_state_unitary_norm():
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
+def test_rotating_frame_states_match_rk4(single_tone_params):
+    ham = full_interaction_hamiltonian(single_tone_params)
+    psi0 = np.zeros(ham.dim, dtype=complex)
+    psi0[[0, single_tone_params.fock_cutoff + 1]] = 1.0 / np.sqrt(2.0)
+    times, psis, _ = evolve_state(ham, psi0, (0.0, 40.0), n_samples=21, step=0.01)
+    exact = rotating_frame_states(ham.matrix(0.0), full_interaction_frame(single_tone_params),
+                                  psi0, times)
+    np.testing.assert_allclose(exact, psis, rtol=0, atol=1e-8)
+
+
+def test_rotating_frame_states_with_zero_frame_evolve_a_constant_hamiltonian():
+    reg = SpinRegister(2)
+    h = build_effective_lmg(reg, effective_coefficients(0.1, -1.1, 0.3, 0.1))
+    ham = LinearHamiltonian(terms=h[None], coefficients=lambda ts: np.ones((ts.size, 1)))
+    psi0 = dicke_state(2, 0.0, "x")
+    times, psis, _ = evolve_state(ham, psi0, (0.0, 300.0), n_samples=31, step=0.01)
+    exact = rotating_frame_states(h, np.zeros(reg.dim), psi0, times)
+    np.testing.assert_allclose(exact, psis, rtol=0, atol=1e-8)
+    with pytest.raises(DimensionMismatchError):
+        rotating_frame_states(h, np.zeros(reg.dim + 1), np.append(psi0, 0.0), times)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_symmetric_sector_equivalence(n):
-    from lmg_adiabat.model import LinearHamiltonian
     from lmg_adiabat.states import symmetric_sector_isometry, target_state
 
     cfg = preset("I", n)

@@ -10,6 +10,7 @@ from lmg_adiabat.model import (
     build_full_interaction_hamiltonian,
     classify_lmg,
     effective_coefficients,
+    full_interaction_frame,
     full_interaction_hamiltonian,
     isotropic_spectrum,
     lmg_sweep_hamiltonian,
@@ -238,3 +239,16 @@ def test_classify_outside_table():
     c_small_eps = effective_coefficients(0.4, -1.05, 0.3, 0.0)
     regime = classify_lmg(c_small_eps, 10)
     assert regime.form == "isotropic" and regime.prediction is None
+
+
+@pytest.mark.parametrize("t", [0.3, 7.1, 123.4])
+def test_single_tone_hamiltonian_is_a_rotated_constant(single_tone_params, t):
+    ham = full_interaction_hamiltonian(single_tone_params)
+    k = full_interaction_frame(single_tone_params)
+    rotated = np.exp(1.0j * np.subtract.outer(k, k) * t) * ham.matrix(0.0)
+    np.testing.assert_allclose(ham.matrix(t), rotated, rtol=0, atol=1e-12)
+
+
+def test_two_tones_have_no_rotating_frame():
+    p = FullModelParams(n_spins=2, fock_cutoff=4, eta=0.1, delta=-1.1, omega1=0.15, omega2=0.15)
+    assert full_interaction_frame(p) is None

@@ -12,6 +12,7 @@ from lmg_adiabat.errors import (
 )
 from lmg_adiabat.model import DisorderProfile
 from lmg_adiabat.protocols import (
+    _spin_readout,
     REFERENCE_DISORDER_PROFILES,
     REFERENCE_DISPERSION_PAIRS,
     ScenarioConfig,
@@ -24,7 +25,8 @@ from lmg_adiabat.protocols import (
     run_scenarios,
     validate_effective_reduction,
 )
-from lmg_adiabat.states import dicke_state
+from lmg_adiabat.operators import SpinRegister, collective_operator
+from lmg_adiabat.states import density_from_state, dicke_state, population, target_state
 
 
 def test_config_parity_rules():
@@ -228,6 +230,43 @@ def test_validate_reduction_zero_coupling_bounded():
     # deviation from the dropped fast-rotating drive terms only
     assert 0.0 < rep.max_jz_deviation < 1.0
     assert rep.cutoff_change <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:.*expansion regime")
+def test_single_tone_reduction_runs_no_time_steps(schrodinger_calls):
+    rep = validate_effective_reduction(preset("I", 2), fock_cutoff=6)
+    assert schrodinger_calls == []
+    assert rep.solver == "rotating-frame"
+    assert rep.norm_drift <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:.*expansion regime")
+def test_two_tone_reduction_integrates_only_the_full_runs(schrodinger_calls):
+    cfg = ScenarioConfig(case="I", n_spins=2, lambda_over_nu=0.1, delta=-1.1)
+    rep = validate_effective_reduction(cfg, fock_cutoff=6, omega1=0.15, omega2=0.15,
+                                       t_final=100.0, n_samples=51)
+    assert schrodinger_calls == [24, 48]
+    assert rep.solver == "rk4"
+
+
+def test_spin_readout_matches_the_partial_trace():
+    rng = np.random.default_rng(7)
+    psis = rng.normal(size=(5, 4 * 3)) + 1j * rng.normal(size=(5, 4 * 3))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    target = target_state("I", 2)
+    psis[0] = 1.2 * np.kron(target, [1.0, 0.0, 0.0])  # population 1.44, clamped to 1
+    jz = collective_operator(SpinRegister(2), "z")
+    jz_joint = np.kron(jz, np.eye(3))
+    amps = psis.reshape(5, 4, 3)
+    jz_read, pop_read = _spin_readout(amps, jz.diagonal().real, target)
+    jz_loop = [np.real(psi.conj() @ jz_joint @ psi) for psi in psis]
+    pop_loop = [population(a @ a.conj().T, target) for a in amps]
+    np.testing.assert_allclose(jz_read, jz_loop, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pop_read, pop_loop, rtol=0, atol=1e-12)
+    # a single mode is the pure spin state
+    _, pop_pure = _spin_readout(amps[:, :, :1], jz.diagonal().real, target)
+    pure = [population(density_from_state(a[:, 0]), target) for a in amps]
+    np.testing.assert_allclose(pop_pure, pure, rtol=0, atol=1e-12)
 
 
 def test_validate_reduction_rejects_large_registers():
