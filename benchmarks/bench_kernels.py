@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the integration kernels: numba against numpy, CF4 against RK4.
+"""Benchmark the integration kernels: CF4 against RK4, batch against single runs.
 
-Times the RK4 master-equation kernel on the case I transfer at several register
-sizes (and at N=4 without dephasing) and the pure-state kernel on the joint spin+resonator model (Fock
-cutoffs 6, 8 and 12, i.e. dims 24, 32 and 48), printing
-per-backend wall times and the speedup.  The first numba call includes JIT
-compilation and is reported separately.  A second section times the CF4
-master-equation kernel, the one the integrators call, at its default step
-1.0 on the N=4 transfer next to the RK4 reference at step 0.25.  A last section times the 13 members
-of the criterion-8 disorder ensemble integrated as one batch against 13
-single-run calls, per member and step, and the same batch restricted to the
-spin-flip parity block its initial states can reach (dim 8 instead of 16), as
-`evolve_batch` integrates it.
+Times the RK4 master-equation kernel on the case I transfer at several
+register sizes (and at N=4 without dephasing) and the pure-state kernel on
+the joint spin+resonator model (Fock cutoffs 6, 8 and 12, i.e. dims 24, 32
+and 48).  A second section times the CF4 master-equation kernel, the one
+the integrators call, at its default step 1.0 on the N=4 transfer next to
+the RK4 reference at step 0.25.  A last section times the 13 members of the
+criterion-8 disorder ensemble with the CF4 kernel at step 1.0 integrated as
+one batch against 13 single-run calls, per member and step, and the same
+batch restricted to the spin-flip parity block its initial states can reach
+(dim 8 instead of 16), as `evolve_batch` integrates it.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -42,8 +41,6 @@ def lindblad_workload(n_spins, t_final=4000.0, step=0.25, gamma=1e-4):
     n_steps = int(round(t_final / step))
     half_times = (step / 2.0) * np.arange(2 * n_steps + 1)
     ctab = np.ascontiguousarray(ham.coefficient_table(half_times))
-    from lmg_adiabat.dynamics import dephasing_mask
-
     w = dephasing_mask((gamma,) * n_spins)
     rho0 = density_from_state(cfg.initial_state())
     idx = np.unique(np.round(np.linspace(0, n_steps, 101)).astype(np.int64))
@@ -72,7 +69,7 @@ def schrodinger_workload(cutoff=8, t_final=500.0, step=0.02):
     return "schrodinger", f"N=2 x cutoff {cutoff} (dim {ham.dim}), {n_steps} steps", args
 
 
-def batch_workload(t_final=1000.0, step=0.25, gamma=1e-4):
+def batch_workload(t_final=1000.0, step=1.0, gamma=1e-4):
     """Criterion-8 members (baseline + 12 disorder profiles, N=4) as batch and single calls."""
     cfg = preset("I", 4, detuning_magnitude=0.9, gamma=gamma)
     reg = SpinRegister(4)
@@ -137,34 +134,20 @@ def main():
         schrodinger_workload(12),
     ]
 
-    numpy_k = _kernels.get_kernels("numpy")
-    have_numba = _kernels.NUMBA_AVAILABLE
-    if have_numba:
-        t0 = time.perf_counter()
-        numba_k = _kernels.get_kernels("numba")
-        kind, _, args = workloads[0]
-        getattr(numba_k, f"{kind}_rk4")(*args)
-        print(f"numba warmup (compile + first run): {time.perf_counter() - t0:.2f} s\n")
-    else:
-        print("numba not importable: timing the numpy path only\n")
-
-    header = f"{'workload':52s} {'numpy':>10s} {'numba':>10s} {'speedup':>9s}"
+    kern = _kernels.get_kernels()
+    header = f"{'workload':52s} {'time':>10s}"
     print(header)
     print("-" * len(header))
     for kind, label, args in workloads:
-        t_np = time_call(getattr(numpy_k, f"{kind}_rk4"), args, opts.repeat)
-        if have_numba:
-            t_nb = time_call(getattr(numba_k, f"{kind}_rk4"), args, opts.repeat)
-            print(f"{kind + ': ' + label:52s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
-        else:
-            print(f"{kind + ': ' + label:52s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
+        t = time_call(getattr(kern, f"{kind}_rk4"), args, opts.repeat)
+        print(f"{kind + ': ' + label:52s} {t:9.3f}s")
 
-    print("\nmaster-equation step: CF4 at 1.0 against RK4 at 0.25 (numpy)")
+    print("\nmaster-equation step: CF4 at 1.0 against RK4 at 0.25")
     header = f"{'kernel':10s} {'workload':40s} {'time':>10s} {'us/step':>10s}"
     print(header)
     print("-" * len(header))
-    rows = [("cf4", numpy_k.lindblad_cf4, lindblad_workload(4, step=1.0)),
-            ("rk4", numpy_k.lindblad_rk4, lindblad_workload(4))]
+    rows = [("cf4", kern.lindblad_cf4, lindblad_workload(4, step=1.0)),
+            ("rk4", kern.lindblad_rk4, lindblad_workload(4))]
     for name, fn, (_, label, args) in rows:
         t = time_call(fn, args, opts.repeat)
         n_steps = (args[1].shape[0] - 1) // 2
@@ -173,19 +156,18 @@ def main():
     label, batch, singles = batch_workload()
     block_dim, block = parity_block(batch)
     member_steps = len(singles) * ((batch[1].shape[0] - 1) // 2)
-    print(f"\nbatched lindblad: {label} (us per member-step)")
-    header = f"{'backend':10s} {'batch':>10s} {'singles':>10s} {'speedup':>9s}"
+    print(f"\nbatched CF4 lindblad: {label} (us per member-step)")
+    header = f"{'batch':>10s} {'singles':>10s} {'speedup':>9s}"
     print(header)
     print("-" * len(header))
-    for kern in [numpy_k, numba_k] if have_numba else [numpy_k]:
-        t_batch = time_call(kern.lindblad_rk4, batch, opts.repeat)
-        t_singles = time_call(lambda: [kern.lindblad_rk4(*args) for args in singles], (),
-                              opts.repeat)
-        print(f"{kern.name:10s} {1e6 * t_batch / member_steps:10.2f} "
-              f"{1e6 * t_singles / member_steps:10.2f} {t_singles / t_batch:8.1f}x")
-        t_block = time_call(kern.lindblad_rk4, block, opts.repeat)
-        print(f"{kern.name:10s} {1e6 * t_block / member_steps:10.2f} "
-              f"{'-':>10s} {t_batch / t_block:8.1f}x  (batch on its parity block, dim {block_dim})")
+    t_batch = time_call(kern.lindblad_cf4, batch, opts.repeat)
+    t_singles = time_call(lambda: [kern.lindblad_cf4(*args) for args in singles], (),
+                          opts.repeat)
+    print(f"{1e6 * t_batch / member_steps:10.2f} {1e6 * t_singles / member_steps:10.2f} "
+          f"{t_singles / t_batch:8.1f}x")
+    t_block = time_call(kern.lindblad_cf4, block, opts.repeat)
+    print(f"{1e6 * t_block / member_steps:10.2f} {'-':>10s} {t_batch / t_block:8.1f}x"
+          f"  (batch on its parity block, dim {block_dim})")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Simulates N two-level spins under a driven collective (LMG-type) interaction
 with per-spin dephasing: Hamiltonian builders, a deterministic fixed-step
-master-equation integrator (numba-accelerated with a numpy fallback),
+master-equation integrator (one set of numpy kernels),
 turn-key transfer scenarios, robustness ensembles and parameter sweeps.
 All frequencies are in units of the resonator frequency nu, all times in 1/nu.
 """

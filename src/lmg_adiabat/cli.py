@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -141,6 +142,14 @@ def _disorder_from_value(value: Any, eta: float) -> Optional[DisorderProfile]:
     raise ValidationError(f"cannot build a disorder profile from {value!r}")
 
 
+def _finite(value: Any) -> float:
+    """``float(value)``, refusing nan and the infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _coerce(name: str, value: Any, build: Callable[[Any], Any]) -> Any:
     """``build(value)``, with a failure reported as a ValidationError naming the field."""
     try:
@@ -170,7 +179,8 @@ def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
 
     case = field("case", "I", lambda v: str(v).upper())
     default_n = {"I": 4, "II": 3, "III": 4}.get(case, 4)
-    t_final = field("t_final", 4000.0, float)
+    # checked here: the calibrated schedule is built from it before ScenarioConfig checks it
+    t_final = field("t_final", 4000.0, _finite)
     if "delta" in data:
         delta = field("delta", None, parse_frequency)
     else:

@@ -65,7 +65,8 @@ class DriveSchedule:
     Omega_k(t) = (zeta + dzeta_k) * (1 + tanh((t - t0_k) / ramp_k)); the
     dzeta offsets model drive dispersion, the t0 offsets shift the ramp
     centers.  Defaults give the reference envelopes (base amplitude
-    0.3 nu, ramps 2000 and 1500 in 1/nu, centered at t = 0).
+    0.3 nu, ramps 2000 and 1500 in 1/nu, centered at t = 0).  An infinite
+    ramp holds its envelope at zeta + dzeta_k.
     """
 
     zeta: float = 0.3
@@ -77,6 +78,10 @@ class DriveSchedule:
     dzeta2: float = 0.0
 
     def __post_init__(self) -> None:
+        bad = {name: value for name, value in vars(self).items()
+               if not (math.isfinite(value) or name.startswith("ramp") and value == math.inf)}
+        if bad:
+            raise ValueError(f"schedule fields must be finite (a ramp may be +inf), got {bad}")
         if self.ramp1 <= 0 or self.ramp2 <= 0:
             raise ValueError("ramp time scales must be positive")
 

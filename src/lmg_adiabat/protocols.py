@@ -18,6 +18,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -141,14 +142,18 @@ class ScenarioConfig:
                 raise ParityMismatchError(f"case III needs even N, got {self.n_spins}")
         if not 1 <= self.n_spins <= 10:
             problems.append(f"n_spins must be in 1..10, got {self.n_spins}")
-        if self.lambda_over_nu < 0:
-            problems.append(f"lambda_over_nu must be >= 0, got {self.lambda_over_nu}")
-        if self.t_final <= 0:
-            problems.append(f"t_final must be > 0, got {self.t_final}")
+        # the chained comparisons are False for nan as well as out of range
+        for name in ("lambda_over_nu", "nbar"):
+            if not 0 <= getattr(self, name) < inf:
+                problems.append(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not -inf < self.delta < inf:
+            problems.append(f"delta must be finite, got {self.delta}")
+        if not 0 < self.t_final < inf:
+            problems.append(f"t_final must be finite and > 0, got {self.t_final}")
         if self.n_samples < 2:
             problems.append(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.step <= 0:
-            problems.append(f"step must be > 0, got {self.step}")
+        if not 0 < self.step < inf:
+            problems.append(f"step must be finite and > 0, got {self.step}")
         if isinstance(self.gamma_dep, (tuple, list)):
             gam = tuple(float(g) for g in self.gamma_dep)
             object.__setattr__(self, "gamma_dep", gam)
@@ -156,10 +161,10 @@ class ScenarioConfig:
                 problems.append(
                     f"gamma_dep has {len(gam)} entries for {self.n_spins} spins"
                 )
-            if any(g < 0 for g in gam):
-                problems.append("gamma_dep entries must be >= 0")
-        elif self.gamma_dep < 0:
-            problems.append(f"gamma_dep must be >= 0, got {self.gamma_dep}")
+            if not all(0 <= g < inf for g in gam):
+                problems.append(f"gamma_dep entries must be finite and >= 0, got {gam}")
+        elif not 0 <= self.gamma_dep < inf:
+            problems.append(f"gamma_dep must be finite and >= 0, got {self.gamma_dep}")
         if self.disorder is not None and self.disorder.n_spins != self.n_spins:
             problems.append(
                 f"disorder profile has {self.disorder.n_spins} entries for {self.n_spins} spins"

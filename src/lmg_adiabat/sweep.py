@@ -3,11 +3,11 @@
 A grid is a base scenario plus named axes of parameter overrides; the
 cartesian product is executed point by point on worker threads and results
 are reassembled in grid order, so the output is independent of the worker
-count.  Threads overlap fully only on the numba backend, whose kernels
-release the GIL.  At small dimensions the numpy kernel spends most of its
-time in Python between small array operations, holding the GIL, so extra
-workers gain little there.  Failed points keep their row with an error
-label instead of being dropped.
+count.  Extra workers gain little at the register sizes of the presets:
+the numpy kernels spend most of a step in Python between small array
+operations, holding the GIL, and numpy releases it only inside those
+operations.  Failed points keep their row with an error label instead of
+being dropped.
 """
 from __future__ import annotations
 

@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-import lmg_adiabat
 from lmg_adiabat import cli
 from lmg_adiabat.errors import ParseError, RegimeWarning, ValidationError
 from lmg_adiabat.protocols import preset
@@ -85,13 +84,41 @@ def test_sweep_section_builds_grid():
     'disorder=[0.1,"a"]',
     'schedule={"ramp1":-1}',
     'disorder=[0.9,0,0,0]',
+    't_final=nan',
+    't_final=inf',
+    'schedule={"zeta":NaN}',
+    'schedule={"ramp1":NaN}',
+    'schedule={"t0_2":Infinity}',
 ], ids=["disorder-no-fractions", "n_spins-text", "disorder-text", "negative-ramp",
-        "disorder-too-large"])
+        "disorder-too-large", "t_final-nan", "t_final-inf", "zeta-nan", "ramp-nan", "t0-inf"])
 def test_malformed_config_value_is_invalid_config(override, tmp_path, capsys):
     code = cli.main(["simulate", "--set", override, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config: " + override.partition("=")[0] + ": ")
+
+
+@pytest.mark.parametrize("override", [
+    "step=nan",
+    "step=inf",
+    "gamma_dep=nan",
+    'gamma_dep=[0,"1kHz",NaN,0]',
+    "lambda_over_nu=nan",
+    "delta=nan",
+    "delta=-inf",
+    "nbar=nan",
+    "nbar=-1",
+])
+def test_config_number_out_of_range_is_invalid_config(override, tmp_path, capsys):
+    # nan, the infinities and a negative nbar, checked by ScenarioConfig itself,
+    # whose message names the field first
+    code = cli.main(["simulate", "--set", "n_spins=4", "--set", "t_final=10",
+                     "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: " + override.partition("=")[0] + " ")
+    assert "must be finite" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def _simulate_args(tmp_path, extra=()):
@@ -117,7 +144,7 @@ def test_simulate_end_to_end(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool"] == "lmg-adiabat"
     assert manifest["config"]["case"] == "I"
-    assert manifest["backend"] == lmg_adiabat.resolve_backend()
+    assert manifest["backend"] == "numpy"
     diagnostics = manifest["diagnostics"]
     assert set(diagnostics) == {"n_steps", "integrated_dim", "max_trace_defect",
                                 "max_hermiticity_defect", "population_excursion",

@@ -1,10 +1,147 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lmg_adiabat import _kernels
 from lmg_adiabat.protocols import preset, run_scenario
+
+
+# ---------------------------------------------------------------------------
+# plain-Python oracle: RK4 written out loop by loop, with the two-product
+# commutator and a re-Hermitization after every step, for the numpy kernels
+# to be checked against
+# ---------------------------------------------------------------------------
+
+def _lindblad_rk4_loops(terms, ctab, w, rho0, dt, sample_idx,
+                        form_left, form_right, obs, store_rho):
+    kk, d, _ = terms.shape
+    n_steps = (ctab.shape[0] - 1) // 2
+    m = sample_idx.shape[0]
+    nf = form_left.shape[0]
+    nb = obs.shape[0]
+
+    forms = np.zeros((m, nf), dtype=np.complex128)
+    expvals = np.zeros((m, nb), dtype=np.float64)
+    purity = np.zeros(m, dtype=np.float64)
+    trace_defect = np.zeros(m, dtype=np.float64)
+    herm_defect = np.zeros(m, dtype=np.float64)
+    n_keep = m if store_rho else 0
+    rho_samples = np.zeros((n_keep, d, d), dtype=np.complex128)
+
+    rho = rho0.copy()
+    h = np.zeros((d, d), dtype=np.complex128)
+    raw_defect = 0.0
+    ptr = 0
+    for step in range(n_steps + 1):
+        if ptr < m and sample_idx[ptr] == step:
+            for f in range(nf):
+                acc = 0.0 + 0.0j
+                for i in range(d):
+                    row = 0.0 + 0.0j
+                    for j in range(d):
+                        row += rho[i, j] * form_right[f, j]
+                    acc += np.conj(form_left[f, i]) * row
+                forms[ptr, f] = acc
+            for b in range(nb):
+                tr = 0.0 + 0.0j
+                for i in range(d):
+                    for j in range(d):
+                        tr += obs[b, i, j] * rho[j, i]
+                expvals[ptr, b] = tr.real
+            pur = 0.0
+            tr = 0.0 + 0.0j
+            for i in range(d):
+                tr += rho[i, i]
+                for j in range(d):
+                    v = rho[i, j]
+                    pur += v.real * v.real + v.imag * v.imag
+            purity[ptr] = pur
+            trace_defect[ptr] = abs(tr - 1.0)
+            herm_defect[ptr] = raw_defect
+            if store_rho:
+                rho_samples[ptr] = rho
+            ptr += 1
+        if step == n_steps:
+            break
+
+        c0 = ctab[2 * step]
+        cm = ctab[2 * step + 1]
+        c1 = ctab[2 * step + 2]
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += c0[k] * terms[k]
+        k1 = -1j * (h @ rho - rho @ h) + w * rho
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += cm[k] * terms[k]
+        x = rho + (0.5 * dt) * k1
+        k2 = -1j * (h @ x - x @ h) + w * x
+        x = rho + (0.5 * dt) * k2
+        k3 = -1j * (h @ x - x @ h) + w * x
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += c1[k] * terms[k]
+        x = rho + dt * k3
+        k4 = -1j * (h @ x - x @ h) + w * x
+
+        raw = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if ptr < m and sample_idx[ptr] == step + 1:
+            s = 0.0
+            for i in range(d):
+                for j in range(d):
+                    dv = raw[i, j] - np.conj(raw[j, i])
+                    s += dv.real * dv.real + dv.imag * dv.imag
+            raw_defect = np.sqrt(s)
+        rho = 0.5 * (raw + raw.conj().T)
+
+    return forms, expvals, purity, trace_defect, herm_defect, rho_samples, rho
+
+
+def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
+    kk, d, _ = terms.shape
+    n_steps = (ctab.shape[0] - 1) // 2
+    m = sample_idx.shape[0]
+
+    psi_samples = np.zeros((m, d), dtype=np.complex128)
+    psi = psi0.copy()
+    h = np.zeros((d, d), dtype=np.complex128)
+    ptr = 0
+    for step in range(n_steps + 1):
+        if ptr < m and sample_idx[ptr] == step:
+            psi_samples[ptr] = psi
+            ptr += 1
+        if step == n_steps:
+            break
+
+        c0 = ctab[2 * step]
+        cm = ctab[2 * step + 1]
+        c1 = ctab[2 * step + 2]
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += c0[k] * terms[k]
+        k1 = -1j * (h @ psi)
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += cm[k] * terms[k]
+        k2 = -1j * (h @ (psi + (0.5 * dt) * k1))
+        k3 = -1j * (h @ (psi + (0.5 * dt) * k2))
+
+        h[:, :] = 0.0
+        for k in range(kk):
+            h += c1[k] * terms[k]
+        k4 = -1j * (h @ (psi + dt * k3))
+
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return psi_samples, psi
 
 
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
@@ -34,22 +171,16 @@ def test_lindblad_backends_agree(case):
         terms = np.ascontiguousarray(terms.real, dtype=np.complex128)
     if case == "no-dissipator":
         w = np.zeros_like(w)
-    out_loops = _kernels._lindblad_rk4_loops(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
+    out_loops = _lindblad_rk4_loops(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
     out_numpy = _kernels._lindblad_rk4_numpy(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
     for a, b in zip(out_loops, out_numpy):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
-    if _kernels.NUMBA_AVAILABLE:
-        k = _kernels.get_kernels("numba")
-        out_numba = k.lindblad_rk4(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
-        for a, b in zip(out_numba, out_numpy):
-            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kernel", [
     _kernels._lindblad_rk4_numpy,
-    _kernels.over_members(_kernels._lindblad_rk4_loops),
     _kernels._lindblad_cf4_numpy,
-], ids=["numpy", "loops", "cf4"])
+], ids=["numpy", "cf4"])
 def test_lindblad_batch_form_matches_single_runs(kernel):
     rng = np.random.default_rng(45)
     terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
@@ -69,15 +200,10 @@ def test_schrodinger_backends_agree():
     terms, ctab, _, _, idx, _, _, _ = _tiny_problem(rng)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
-    s_loops = _kernels._schrodinger_rk4_loops(terms, ctab, psi0.copy(), 0.01, idx)
+    s_loops = _schrodinger_rk4_loops(terms, ctab, psi0.copy(), 0.01, idx)
     s_numpy = _kernels._schrodinger_rk4_numpy(terms, ctab, psi0.copy(), 0.01, idx)
     for a, b in zip(s_loops, s_numpy):
         assert np.allclose(a, b, atol=1e-12)
-    if _kernels.NUMBA_AVAILABLE:
-        k = _kernels.get_kernels("numba")
-        s_numba = k.schrodinger_rk4(terms, ctab, psi0.copy(), 0.01, idx)
-        for a, b in zip(s_numba, s_numpy):
-            assert np.allclose(a, b, atol=1e-12)
 
 
 def test_recorded_quantities_match_direct_evaluation():
@@ -96,16 +222,15 @@ def test_recorded_quantities_match_direct_evaluation():
 
 
 def test_backend_resolution(monkeypatch):
-    installed = "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
-    assert _kernels.resolve_backend() == installed
-    # the old selection variable is no longer read
-    other = "numpy" if installed == "numba" else "numba"
-    monkeypatch.setenv("LMG_ADIABAT_BACKEND", other)
-    assert _kernels.resolve_backend() == installed
-    assert _kernels.get_kernels().name == installed
-    assert _kernels.get_kernels("numpy").name == "numpy"
-    with pytest.raises(ValueError):
-        _kernels.get_kernels("bogus")
+    assert _kernels.resolve_backend() == "numpy"
+    # the old selection variable is not read
+    monkeypatch.setenv("LMG_ADIABAT_BACKEND", "numba")
+    assert _kernels.resolve_backend() == "numpy"
+    assert _kernels.get_kernels().name == "numpy"
+    assert _kernels.get_kernels("numpy") is _kernels.get_kernels()
+    for name in ("numba", "bogus"):
+        with pytest.raises(ValueError):
+            _kernels.get_kernels(name)
 
 
 def _integrate_with_rk4(monkeypatch):
@@ -176,6 +301,22 @@ def test_cf4_complex_terms_match_rk4_at_a_small_step(dissipate, tol):
 
 
 def test_cf4_is_the_kernel_of_every_backend():
-    assert _kernels.get_kernels("numpy").lindblad_cf4 is _kernels._lindblad_cf4_numpy
-    if _kernels.NUMBA_AVAILABLE:
-        assert _kernels.get_kernels("numba").lindblad_cf4 is _kernels._lindblad_cf4_numpy
+    assert _kernels.get_kernels().lindblad_cf4 is _kernels._lindblad_cf4_numpy
+
+
+def test_bench_script_workloads_run_on_the_kernel_set():
+    # perfbench/run.py::kernel_section loads the script by path and calls these three
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    kern = _kernels.get_kernels()
+    lindblad = bench.lindblad_workload(3, t_final=20.0)
+    schrodinger = bench.schrodinger_workload(6, t_final=2.0)
+    for (kind, _, args), n_steps in [(lindblad, 80), (schrodinger, 100)]:
+        assert (args[1].shape[0] - 1) // 2 == n_steps
+        assert 0.0 < bench.time_call(getattr(kern, f"{kind}_rk4"), args, repeat=1) < np.inf
+    rho_final = kern.lindblad_rk4(*lindblad[2])[-1]
+    psi_final = kern.schrodinger_rk4(*schrodinger[2])[-1]
+    assert abs(np.trace(rho_final) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi_final) - 1.0) < 1e-9

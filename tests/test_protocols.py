@@ -43,6 +43,11 @@ def test_config_validation_lists_all_problems():
     assert "t_final" in msg and "n_samples" in msg and "step" in msg
 
 
+def test_config_rejects_non_finite_values():
+    with pytest.raises(ValidationError, match="step must be finite"):
+        ScenarioConfig(step=float("nan"))
+
+
 def test_config_gamma_list_length():
     with pytest.raises(ValidationError):
         ScenarioConfig(case="I", n_spins=4, gamma_dep=(1e-4, 1e-4))

@@ -90,6 +90,17 @@ def test_failed_points_recorded_not_dropped():
     assert table.rows[1].diagnostics == {}
 
 
+def test_non_finite_axis_value_gives_an_error_row():
+    grid = small_grid(gamma_dep=(0.0, float("nan")), **{"schedule.zeta": (0.3, float("inf"))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        table = run_sweep(grid)
+    assert [r.status for r in table.rows] == ["ok", "error", "error", "error"]
+    assert "gamma_dep must be finite" in table.rows[2].error
+    assert "schedule fields must be finite" in table.rows[1].error
+    assert table.n_failed == 3
+
+
 def test_aggregate_global_and_grouped():
     grid = small_grid(gamma_dep=(0.0, 1e-4), delta=(-1.1, -1.3))
     with warnings.catch_warnings():
