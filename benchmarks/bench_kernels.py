@@ -6,11 +6,14 @@ register sizes (and at N=4 without dephasing) and the pure-state kernel on
 the joint spin+resonator model (Fock cutoffs 6, 8 and 12, i.e. dims 24, 32
 and 48).  A second section times the CF4 master-equation kernel, the one
 the integrators call, at its default step 1.0 on the N=4 transfer next to
-the RK4 reference at step 0.25.  A last section times the 13 members of the
+the RK4 reference at step 0.25.  A third section times the 13 members of the
 criterion-8 disorder ensemble with the CF4 kernel at step 1.0 integrated as
 one batch against 13 single-run calls, per member and step, and the same
 batch restricted to the spin-flip parity block its initial states can reach
-(dim 8 instead of 16), as `evolve_batch` integrates it.
+(dim 8 instead of 16), as `evolve_batch` integrates it.  The last section
+times the CF4 step propagators of that batch on its parity block, built in
+the kernel's stacks of `_kernels.STACK_BYTES`, per exponential, next to one
+batched `np.linalg.eigh` of the same Simpson moments.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -108,6 +111,26 @@ def parity_block(batch):
     return keep.size, (terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho)
 
 
+def propagator_workload(block):
+    """The parity-block batch's Simpson moments and its propagator builds, stack by stack."""
+    terms, ctab, _, _, step, *_ = block
+    d = terms.shape[1]
+    n_steps, b = (ctab.shape[0] - 1) // 2, ctab.shape[1]
+    stage_terms, stage_dtype = _kernels._stage_terms(terms)
+    per_stack = max(1, _kernels.STACK_BYTES // (16 * b * d * d))
+    stacks = [ctab[2 * lo:2 * min(lo + per_stack, n_steps) + 1]
+              for lo in range(0, n_steps, per_stack)]
+
+    def build():
+        for rows in stacks:
+            _kernels._cf4_propagators(rows, stage_terms, stage_dtype, step, d)
+
+    c0, cm, c1 = ctab[:-1:2], ctab[1::2], ctab[2::2]
+    moments = np.concatenate([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
+    hams = (moments @ stage_terms).view(stage_dtype).reshape(-1, d, d)
+    return build, hams
+
+
 def time_call(fn, args, repeat):
     best = np.inf
     for _ in range(repeat):
@@ -168,6 +191,15 @@ def main():
     t_block = time_call(kern.lindblad_cf4, block, opts.repeat)
     print(f"{1e6 * t_block / member_steps:10.2f} {'-':>10s} {t_batch / t_block:8.1f}x"
           f"  (batch on its parity block, dim {block_dim})")
+
+    build, hams = propagator_workload(block)
+    print(f"\nCF4 step exponentials: {label} on dim {block_dim}, step {block[4]:g}")
+    header = f"{'build':>10s} {'eigh':>10s}  (us per exponential)"
+    print(header)
+    print("-" * len(header))
+    t_build = time_call(build, (), opts.repeat)
+    t_eigh = time_call(np.linalg.eigh, (hams,), opts.repeat)
+    print(f"{1e6 * t_build / len(hams):10.3f} {1e6 * t_eigh / len(hams):10.3f}")
 
 
 if __name__ == "__main__":

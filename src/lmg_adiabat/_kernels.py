@@ -8,10 +8,13 @@ The master equation is integrated by ``lindblad_cf4``
 (:func:`_lindblad_cf4_numpy`): a 4th-order commutator-free Magnus step
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
-half-steps exp(W dt / 2).  Its propagators come from batched
-eigendecompositions of many steps at once, so a step costs a few small
-products; the step is CPTP, so it cannot blow up, and its size is set by how
-fast H(t) changes rather than by its norm.
+half-steps exp(W dt / 2).  Its propagators are built for many steps at once
+by :func:`_exp_hermitian`, a truncated Taylor series (Paterson & Stockmeyer,
+SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
+only, in real arithmetic for real terms; a step then costs a few small
+products.  The step is CPTP, so it cannot blow up, and its size is set by
+how fast H(t) changes rather than by its norm.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -28,6 +31,7 @@ Hamiltonians stay real.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,14 +78,19 @@ def _lindblad_outputs(b, m, n_forms, n_obs, d, store_rho):
 def _record(out, ptr, rho, left_c, form_right, obs, store_rho):
     """Write sample ``ptr`` of every member into the arrays of :func:`_lindblad_outputs`."""
     forms, expvals, purity, trace_defect, herm_defect, rho_samples = out
-    # member by member, so each member's numbers are those of its own run
-    for i, r in enumerate(rho):
-        forms[i, ptr] = np.einsum("fi,ij,fj->f", left_c, r, form_right)
-        if obs.shape[0]:
-            expvals[i, ptr] = np.real(np.einsum("bij,ji->b", obs, r))
-        purity[i, ptr] = float(np.real(np.vdot(r, r)))
-        trace_defect[i, ptr] = abs(complex(np.trace(r)) - 1.0)
-        herm_defect[i, ptr] = np.linalg.norm(r - r.conj().T)
+    b, d, _ = rho.shape
+    # stacks of per-member products, so each member's numbers are those of its own run
+    right = (rho @ form_right.T).swapaxes(1, 2)  # rho r_f, as rows (b, F, d)
+    forms[:, ptr] = (left_c[:, None, :] @ right[..., None])[..., 0, 0]
+    if obs.shape[0]:
+        # tr(O rho) = vec(O^T) . vec(rho)
+        obs_t = obs.swapaxes(1, 2).reshape(obs.shape[0], d * d)
+        expvals[:, ptr] = (rho.reshape(b, 1, d * d) @ obs_t.T)[:, 0].real
+    flat = rho.reshape(b, 1, d * d).view(np.float64)
+    purity[:, ptr] = (flat @ flat.swapaxes(1, 2))[:, 0, 0]
+    trace_defect[:, ptr] = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    skew = (rho - rho.conj().swapaxes(1, 2)).reshape(b, 1, d * d).view(np.float64)
+    herm_defect[:, ptr] = np.sqrt((skew @ skew.swapaxes(1, 2))[:, 0, 0])
     if store_rho:
         rho_samples[:, ptr] = rho
 
@@ -141,11 +150,112 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 
 
 #: Largest stack of small matrices built or diagonalized at once (bytes): the
-#: CF4 step propagators (64 steps of one member at d = 8), and in
+#: CF4 step propagators (64 steps of one member at d = 8; their exponentials
+#: hold up to about twenty temporaries of that size), and in
 #: :mod:`lmg_adiabat.dynamics` the gap-scan Hamiltonians and the sampled
 #: states whose eigenvalues are checked.  Larger gap-scan stacks saved
 #: little time and raised the peak memory of a run.
 STACK_BYTES = 1 << 16
+
+#: Paterson-Stockmeyer layout of the exponential series in Y = X^2: blocks of
+#: _WIDTH powers each, _BLOCKS of them, so the series stops at X^23.
+_WIDTH, _BLOCKS = 3, 4
+#: Largest h r summed without squaring: up to there the four blocks keep the
+#: dropped tail below 2^-53, and a further block costs two real products where
+#: a squaring costs a complex one, several times dearer.
+_THETA_MAX = 2.0
+
+
+def _series_tables():
+    """Block thresholds and block coefficients of exp(-i X) = cos X - i X sin(X) / X.
+
+    Truncated after k + 1 blocks the series keeps X^0 .. X^m, m = 2 _WIDTH (k+1) - 1,
+    and its first dropped term is below 2^-54 when ||X|| <= thresholds[k].  Row
+    (q, 0) of the coefficients holds the cos terms of block q and row (q, 1) the
+    sin X / X terms, as coefficients of Y^(q _WIDTH) .. Y^(q _WIDTH + _WIDTH - 1).
+    """
+    degrees = 2 * _WIDTH * np.arange(1, _BLOCKS + 1) - 1
+    thresholds = np.array([(math.factorial(m + 1) * 2.0 ** -54) ** (1.0 / (m + 1))
+                           for m in degrees])
+    coefficients = [[(-1) ** k / math.factorial(2 * k + odd)
+                     for k in range(q * _WIDTH, (q + 1) * _WIDTH)]
+                    for q in range(_BLOCKS) for odd in (0, 1)]
+    return thresholds, np.array(coefficients)
+
+
+_BLOCK_THETA, _SERIES = _series_tables()
+
+
+def _exp_hermitian(s, h):
+    """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack, up to a phase each.
+
+    Each S is shifted by the centre c of its Gershgorin interval [c - r, c + r]
+    and scaled by h / 2^k, where k is the fewest squarings that bring
+    h r / 2^k to at most _THETA_MAX.  The series of exp(-i X) for the scaled
+    X = (S - c) h / 2^k is summed by Paterson-Stockmeyer as cos X - i X sin(X)/X,
+    two polynomials in Y = X^2, so real S stay in real arithmetic, and the
+    result is squared k times.  The shift multiplies U by the scalar phase
+    exp(-i h c), which cancels in U rho U^H, so it is dropped.
+
+    Each matrix takes its own number of blocks and squarings from its own
+    bound: the blocks past its own degree are zeroed, so its bits do not
+    depend on the rest of the stack.  A matrix that is not finite, or whose
+    bound is not, gets a NaN propagator.
+    """
+    n, d, _ = s.shape
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():
+        s = np.where(finite[:, None, None], s, 0.0)  # set to NaN at the end
+    diag = np.diagonal(s, axis1=1, axis2=2).real.T
+    radius = np.einsum("nij->in", np.abs(s)) - np.abs(diag)
+    lo = (diag - radius).min(axis=0)
+    hi = (diag + radius).max(axis=0)
+    theta = h * (0.5 * (hi - lo))
+    good = finite & np.isfinite(theta)
+    if not good.all():
+        # an overflowed bound: neither it nor a NaN may reach the squaring count
+        theta[~good] = 0.0
+        s = np.where(good[:, None, None], s, 0.0)
+        lo[~good] = hi[~good] = 0.0
+    mantissa, exponent = np.frexp(theta / _THETA_MAX)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    top = np.searchsorted(_BLOCK_THETA, np.ldexp(theta, -squarings))
+    scale = np.ldexp(h, -squarings)
+
+    x = s * scale[:, None, None]
+    x.reshape(n, d * d)[:, ::d + 1] -= (scale * (0.5 * (hi + lo)))[:, None]
+    powers = np.empty((_WIDTH, n, d, d), dtype=s.dtype)  # I, Y, Y^2
+    powers[0] = np.eye(d)
+    np.matmul(x, x, out=powers[1])
+    for j in range(2, _WIDTH):
+        np.matmul(powers[1], powers[j - 1], out=powers[j])
+    y_width = powers[1] @ powers[_WIDTH - 1]
+    # every block's cos and sin parts from one real product (complex Y: its float64 view)
+    blocks = (_SERIES @ powers.reshape(_WIDTH, -1).view(np.float64)).view(s.dtype)
+    blocks = blocks.reshape(_BLOCKS, 2, n, d, d)
+
+    last = int(top.max(initial=0))
+    parts = blocks[last].copy()  # cos and sin(X)/X, by Horner's rule in Y^_WIDTH
+    for q in range(last, -1, -1):
+        if q < last:
+            parts = y_width @ parts
+            parts += blocks[q]
+        below = top < q
+        if below.any():
+            parts[:, below] = 0.0  # the matrix's series starts at a lower block
+    sin_part = x @ parts[1]  # X sin(X) / X
+    if s.dtype == np.float64:
+        u = np.empty((n, d, d), dtype=np.complex128)
+        u.real = parts[0]
+        np.negative(sin_part, out=u.imag)
+    else:
+        u = parts[0] - 1j * sin_part
+    for k in range(int(squarings.max(initial=0))):
+        more = np.nonzero(squarings > k)[0]
+        u[more] = u[more] @ u[more]
+    if not good.all():
+        u[~good] = np.nan
+    return u
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
@@ -153,24 +263,17 @@ def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
 
     Each step's Simpson moments S_a = (3 H_0 + 4 H_1/2 - H_1) / 12 and
     S_b = (-H_0 + 4 H_1/2 + 3 H_1) / 12 give U = exp(-i dt S_b) exp(-i dt S_a),
-    each exponential from one eigendecomposition.  A step whose Hamiltonian
-    is not finite gets a NaN propagator, which the trace check reports.
+    each exponential from :func:`_exp_hermitian`, up to a phase that cancels
+    in U rho U^H.  A step whose Hamiltonian is not finite gets a NaN
+    propagator, which the trace check reports.
     """
     c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]
     n, b, kk = c0.shape
     moments = np.stack([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
     # a stack of fixed-shape products: each step's bits do not depend on n
-    s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype).reshape(n, 2, b, d, d)
-    finite = np.isfinite(s).all(axis=(-2, -1))
-    all_finite = finite.all()
-    if not all_finite:
-        s[~finite] = 0.0  # np.linalg.eigh raises on NaN
-    vals, vecs = np.linalg.eigh(s)
-    ua, ub = ((vecs * np.exp(-1j * dt * vals)[..., None, :])
-              @ vecs.conj().swapaxes(-1, -2)).transpose(1, 0, 2, 3, 4)
+    s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
+    ua, ub = _exp_hermitian(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, d, d).swapaxes(0, 1)
     u = ub @ ua  # S_a acts first
-    if not all_finite:
-        u[~finite.all(axis=1)] = np.nan
     return u, np.ascontiguousarray(u.conj().swapaxes(-1, -2))
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResonantDetuningError
+from .errors import DimensionMismatchError, ResonantDetuningError, ValidationError
 from .operators import (
     FockSpace,
     SpinRegister,
@@ -147,8 +147,8 @@ class LinearHamiltonian:
     half-step grid, so no Python callable runs inside the step loop.  The
     kernels build the Hamiltonians of many steps with one matrix product,
     and the master-equation kernel keeps them real when every term is real
-    (as the LMG terms are in the z basis), so its eigendecompositions are
-    real too.
+    (as the LMG terms are in the z basis), so the series of its step
+    exponentials is summed in real arithmetic too.
     """
 
     terms: np.ndarray  # (K, d, d) complex128, each Hermitian
@@ -241,11 +241,11 @@ class FullModelParams:
 
     def __post_init__(self) -> None:
         if self.eta > 0 and self.fock_cutoff < 3:
-            raise ValueError(
+            raise ValidationError(
                 f"fock_cutoff must be >= 3 when eta > 0, got {self.fock_cutoff}"
             )
         if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+            raise ValidationError(f"nbar must be >= 0, got {self.nbar}")
 
     @property
     def lamb_dicke_indicator(self) -> float:

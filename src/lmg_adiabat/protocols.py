@@ -18,7 +18,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import inf
+from math import inf, isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -600,6 +600,10 @@ def validate_effective_reduction(
     if cfg.n_spins > 2:
         raise ValidationError(
             f"reduction validation supports N <= 2 (joint space), got N = {cfg.n_spins}"
+        )
+    if not (isfinite(t_final) and t_final > 0):
+        raise ValidationError(
+            f"the comparison window t_final must be finite and > 0, got {t_final}"
         )
     if omega1 is None:
         omega1 = cfg.schedule.zeta

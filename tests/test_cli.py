@@ -121,6 +121,28 @@ def test_config_number_out_of_range_is_invalid_config(override, tmp_path, capsys
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--cutoff", "2", "fock_cutoff"),
+    ("--cutoff", "0", "fock_cutoff"),
+    ("--cutoff", "-1", "fock_cutoff"),
+    ("--window", "0", "t_final"),
+    ("--window", "-5", "t_final"),
+    ("--window", "nan", "t_final"),
+    ("--window", "inf", "t_final"),
+])
+def test_reduction_flag_out_of_range_is_invalid_config(flag, value, field, tmp_path, capsys):
+    # the flags of validate-reduction are checked like the config fields: exit 2, no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["validate-reduction", "--set", "case=I", "--set", "n_spins=2",
+                         flag, value, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ")
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "reduction.csv").exists()
+
+
 def _simulate_args(tmp_path, extra=()):
     return [
         "simulate",

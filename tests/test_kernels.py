@@ -144,6 +144,15 @@ def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
     return psi_samples, psi
 
 
+def _eigh_exponentials(s, h):
+    """exp(-i h S) of a stack of Hermitian S from its eigendecomposition.
+
+    The oracle of the product-only exponential ``_kernels._exp_hermitian``.
+    """
+    vals, vecs = np.linalg.eigh(s)
+    return (vecs * np.exp(-1j * h * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
     terms = rng.normal(size=(n_terms, dim, dim)) + 1j * rng.normal(size=(n_terms, dim, dim))
     terms = 0.5 * (terms + terms.conj().transpose(0, 2, 1))
@@ -192,7 +201,92 @@ def test_lindblad_batch_form_matches_single_runs(kernel):
         single = kernel(terms, ctabs[b], w, rho0s[b].copy(), 0.01, idx, fl, fr, obs, True)
         for got, want in zip(batch, single):
             assert got.shape[0] == 3
-            assert np.allclose(got[b], want, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(got[b], want)
+
+
+def _gershgorin_half_width(s):
+    centres = np.diagonal(s, axis1=1, axis2=2).real
+    radii = np.abs(s).sum(axis=2) - np.abs(centres)
+    return 0.5 * ((centres + radii).max(axis=1) - (centres - radii).min(axis=1))
+
+
+def _hermitian_stack(rng, n, d, complex_entries, widths):
+    """n random Hermitian d x d matrices whose Gershgorin half-widths are ``widths``."""
+    s = rng.normal(size=(n, d, d))
+    if complex_entries:
+        s = s + 1j * rng.normal(size=(n, d, d))
+    s = s + s.conj().swapaxes(1, 2)
+    return s * (widths / _gershgorin_half_width(s))[:, None, None]
+
+
+def _conjugated(u, x):
+    return u @ x @ u.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_exponential_matches_the_eigh_oracle(complex_entries):
+    # h r from 0 to 100: series alone up to 2, squarings beyond; the dropped
+    # scalar phase cancels in U X U^H
+    rng = np.random.default_rng(50)
+    widths = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 47)])
+    s = _hermitian_stack(rng, widths.size, 6, complex_entries, widths)
+    s += rng.normal(size=(widths.size, 1, 1)) * np.eye(6)  # shifted spectra
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    x = (x + x.conj().T) / np.linalg.norm(x + x.conj().T, 2)
+    u = _kernels._exp_hermitian(s, 1.0)
+    assert u.dtype == np.complex128
+    assert np.abs(_conjugated(u, x) - _conjugated(_eigh_exponentials(s, 1.0), x)).max() <= 1e-12
+    assert widths.max() > _kernels._THETA_MAX  # both branches ran
+    short = widths <= 1.0
+    defect = np.abs(u[short] @ u[short].conj().swapaxes(1, 2) - np.eye(6)).max()
+    assert defect <= 1e-14
+
+
+def test_exponential_of_a_non_finite_matrix_is_nan():
+    rng = np.random.default_rng(51)
+    s = _hermitian_stack(rng, 6, 4, False, np.full(6, 0.5))
+    s[1, 0, 2] = s[1, 2, 0] = np.nan
+    s[3, 1, 1] = np.inf
+    s[4, 0, 3] = -np.inf
+    u = _kernels._exp_hermitian(s, 1.0)
+    bad = np.array([False, True, False, True, True, False])
+    assert np.isnan(u[bad]).all()
+    assert np.isfinite(u[~bad]).all()
+    np.testing.assert_array_equal(u[~bad], _kernels._exp_hermitian(s[~bad], 1.0))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries):
+    # every matrix picks its own degree and squarings, so a stack's first k
+    # matrices, or any slice of it, come out with the same bits on their own
+    rng = np.random.default_rng(52)
+    widths = np.geomspace(1e-3, 20.0, 30)
+    s = _hermitian_stack(rng, widths.size, 5, complex_entries, rng.permutation(widths))
+    full = _kernels._exp_hermitian(s, 0.7)
+    for k in range(1, widths.size + 1):
+        np.testing.assert_array_equal(_kernels._exp_hermitian(s[:k], 0.7), full[:k])
+    for lo in range(0, widths.size, 7):
+        np.testing.assert_array_equal(_kernels._exp_hermitian(s[lo:lo + 4], 0.7), full[lo:lo + 4])
+
+
+@pytest.mark.parametrize("complex_terms", [False, True], ids=["real", "complex"])
+def test_cf4_propagators_match_the_eigh_oracle(complex_terms):
+    rng = np.random.default_rng(53)
+    terms, _, _, _, _, _, _, _ = _tiny_problem(rng)
+    if not complex_terms:
+        terms = np.ascontiguousarray(terms.real, dtype=np.complex128)
+    rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))  # 5 steps of 3 members
+    stage_terms, stage_dtype = _kernels._stage_terms(terms)
+    assert stage_dtype is (np.complex128 if complex_terms else np.float64)
+    u, uh = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, 0.8, 4)
+    h = np.einsum("nbk,kij->nbij", rows, terms)
+    s_a = (3.0 * h[:-1:2] + 4.0 * h[1::2] - h[2::2]) / 12.0
+    s_b = (-h[:-1:2] + 4.0 * h[1::2] + 3.0 * h[2::2]) / 12.0
+    want = _eigh_exponentials(s_b, 0.8) @ _eigh_exponentials(s_a, 0.8)
+    x = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex) + 0.3
+    got = u @ x @ uh
+    np.testing.assert_allclose(got, want @ x @ want.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(uh, u.conj().swapaxes(-1, -2))
 
 
 def test_schrodinger_backends_agree():
@@ -219,6 +313,27 @@ def test_recorded_quantities_match_direct_evaluation():
         assert pur[k] == pytest.approx(np.real(np.trace(rho @ rho)), abs=1e-12)
         assert tdef[k] == pytest.approx(abs(np.trace(rho) - 1.0), abs=1e-13)
     assert np.allclose(rho_final, rhos[-1])
+
+
+def test_recording_matches_the_member_by_member_expressions():
+    # the batched sampling against the per-member expressions it replaced, on
+    # states that are not Hermitian so that every quantity is nonzero
+    rng = np.random.default_rng(48)
+    _, _, _, _, _, fl, fr, obs = _tiny_problem(rng)
+    rho = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    out = _kernels._lindblad_outputs(3, 2, fl.shape[0], obs.shape[0], 4, True)
+    _kernels._record(out, 1, rho, fl.conj(), fr, obs, True)
+    forms, exps, pur, tdef, hdef, rhos = out
+    for i, r in enumerate(rho):
+        np.testing.assert_allclose(forms[i, 1], np.einsum("fi,ij,fj->f", fl.conj(), r, fr),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(exps[i, 1], np.real(np.einsum("bij,ji->b", obs, r)),
+                                   rtol=0, atol=1e-13)
+        assert pur[i, 1] == pytest.approx(np.real(np.vdot(r, r)), rel=1e-14)
+        assert tdef[i, 1] == pytest.approx(abs(np.trace(r) - 1.0), rel=1e-14)
+        assert hdef[i, 1] == pytest.approx(np.linalg.norm(r - r.conj().T), rel=1e-14)
+    np.testing.assert_array_equal(rhos[:, 1], rho)
+    assert not np.any(pur[:, 0]) and not np.any(rhos[:, 0])
 
 
 def test_backend_resolution(monkeypatch):
@@ -316,6 +431,11 @@ def test_bench_script_workloads_run_on_the_kernel_set():
     for (kind, _, args), n_steps in [(lindblad, 80), (schrodinger, 100)]:
         assert (args[1].shape[0] - 1) // 2 == n_steps
         assert 0.0 < bench.time_call(getattr(kern, f"{kind}_rk4"), args, repeat=1) < np.inf
+    _, batch, _ = bench.batch_workload(t_final=20.0)
+    _, block = bench.parity_block(batch)
+    build, hams = bench.propagator_workload(block)
+    build()
+    assert hams.shape == (2 * 20 * 13, 8, 8)
     rho_final = kern.lindblad_rk4(*lindblad[2])[-1]
     psi_final = kern.schrodinger_rk4(*schrodinger[2])[-1]
     assert abs(np.trace(rho_final) - 1.0) < 1e-12

@@ -177,11 +177,10 @@ def test_dispersion_zero_pair_is_not_integrated(lindblad_calls):
 def _assert_members_match_standalone(rep, cfgs):
     for member, cfg in zip([rep.baseline, *rep.members], cfgs):
         alone = run_scenario(cfg, store_states=False)
-        assert member.final_population == pytest.approx(alone.final_population, abs=1e-12)
-        assert member.final_population_phase_opt == pytest.approx(
-            alone.final_population_phase_opt, abs=1e-12)
-        assert member.min_gap == pytest.approx(alone.min_gap, abs=1e-12)
-        assert member.max_trace_defect == pytest.approx(alone.max_trace_defect, abs=1e-12)
+        assert member.final_population == alone.final_population
+        assert member.final_population_phase_opt == alone.final_population_phase_opt
+        assert member.min_gap == alone.min_gap
+        assert member.max_trace_defect == alone.max_trace_defect
 
 
 def test_batched_ensemble_members_match_standalone_runs():
