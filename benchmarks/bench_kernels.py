@@ -10,7 +10,10 @@ the RK4 reference at step 0.25.  A third section times the 13 members of the
 criterion-8 disorder ensemble with the CF4 kernel at step 1.0 integrated as
 one batch against 13 single-run calls, per member and step, and the same
 batch restricted to the spin-flip parity block its initial states can reach
-(dim 8 instead of 16), as `evolve_batch` integrates it.  The last section
+(dim 8 instead of 16), as `evolve_batch` integrates it.  A fourth section
+times that parity-block batch at gamma 0, where the kernel fuses the steps
+of each sample interval into one propagator, and at gamma 1e-4, where it
+conjugates rho step by step, per member and step.  The last section
 times the CF4 step propagators of that batch on its parity block, built in
 the kernel's stacks of `_kernels.STACK_BYTES`, per exponential, next to one
 batched `np.linalg.eigh` of the same Simpson moments.
@@ -191,6 +194,15 @@ def main():
     t_block = time_call(kern.lindblad_cf4, block, opts.repeat)
     print(f"{1e6 * t_block / member_steps:10.2f} {'-':>10s} {t_batch / t_block:8.1f}x"
           f"  (batch on its parity block, dim {block_dim})")
+
+    print(f"\nCF4 parity-block batch with and without dephasing: {label}")
+    header = f"{'gamma':>8s} {'segment':>12s} {'us/member-step':>15s}"
+    print(header)
+    print("-" * len(header))
+    for gamma, segment in [(0.0, "interval"), (1e-4, "step")]:
+        _, gamma_block = parity_block(batch_workload(gamma=gamma)[1])
+        t = time_call(kern.lindblad_cf4, gamma_block, opts.repeat)
+        print(f"{gamma:8g} {segment:>12s} {1e6 * t / member_steps:15.2f}")
 
     build, hams = propagator_workload(block)
     print(f"\nCF4 step exponentials: {label} on dim {block_dim}, step {block[4]:g}")

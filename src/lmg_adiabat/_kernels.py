@@ -12,9 +12,13 @@ half-steps exp(W dt / 2).  Its propagators are built for many steps at once
 by :func:`_exp_hermitian`, a truncated Taylor series (Paterson & Stockmeyer,
 SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
-only, in real arithmetic for real terms; a step then costs a few small
-products.  The step is CPTP, so it cannot blow up, and its size is set by
-how fast H(t) changes rather than by its norm.
+only, in real arithmetic for real terms.  With dephasing, rho is conjugated
+by each step's propagator, at two small products a step.  Without it the
+steps between two samples compose exactly, so their propagators are first
+multiplied into one on a pairwise tree (:func:`_segment_propagators`, one
+product a step) and rho is conjugated once per sample interval; this moves
+the results by rounding only, about 1e-14.  The step is CPTP, so it cannot
+blow up, and its size is set by how fast H(t) changes rather than by its norm.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -31,6 +35,8 @@ Hamiltonians stay real.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -75,24 +81,24 @@ def _lindblad_outputs(b, m, n_forms, n_obs, d, store_rho):
     )
 
 
-def _record(out, ptr, rho, left_c, form_right, obs, store_rho):
-    """Write sample ``ptr`` of every member into the arrays of :func:`_lindblad_outputs`."""
+def _record(out, rows, rho, left_c, form_right, obs, store_rho):
+    """Write the (b, s, d, d) sampled states ``rho`` into ``rows`` of :func:`_lindblad_outputs`."""
     forms, expvals, purity, trace_defect, herm_defect, rho_samples = out
-    b, d, _ = rho.shape
-    # stacks of per-member products, so each member's numbers are those of its own run
-    right = (rho @ form_right.T).swapaxes(1, 2)  # rho r_f, as rows (b, F, d)
-    forms[:, ptr] = (left_c[:, None, :] @ right[..., None])[..., 0, 0]
+    b, s, d, _ = rho.shape
+    # stacks of per-state products, so each member's numbers are those of its own run
+    right = (rho @ form_right.T).swapaxes(-1, -2)  # rho r_f, as rows (b, s, F, d)
+    forms[:, rows] = (left_c[:, None, :] @ right[..., None])[..., 0, 0]
     if obs.shape[0]:
         # tr(O rho) = vec(O^T) . vec(rho)
         obs_t = obs.swapaxes(1, 2).reshape(obs.shape[0], d * d)
-        expvals[:, ptr] = (rho.reshape(b, 1, d * d) @ obs_t.T)[:, 0].real
-    flat = rho.reshape(b, 1, d * d).view(np.float64)
-    purity[:, ptr] = (flat @ flat.swapaxes(1, 2))[:, 0, 0]
-    trace_defect[:, ptr] = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    skew = (rho - rho.conj().swapaxes(1, 2)).reshape(b, 1, d * d).view(np.float64)
-    herm_defect[:, ptr] = np.sqrt((skew @ skew.swapaxes(1, 2))[:, 0, 0])
+        expvals[:, rows] = (rho.reshape(b, s, 1, d * d) @ obs_t.T)[..., 0, :].real
+    flat = rho.reshape(b, s, 1, d * d).view(np.float64)
+    purity[:, rows] = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    trace_defect[:, rows] = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    skew = (rho - rho.conj().swapaxes(-1, -2)).reshape(b, s, 1, d * d).view(np.float64)
+    herm_defect[:, rows] = np.sqrt((skew @ skew.swapaxes(-1, -2))[..., 0, 0])
     if store_rho:
-        rho_samples[:, ptr] = rho
+        rho_samples[:, rows] = rho
 
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
@@ -131,7 +137,7 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     ptr = 0
     for step in range(n_steps + 1):
         if ptr < m and sample_idx[ptr] == step:
-            _record(out, ptr, rho, left_c, form_right, obs, store_rho)
+            _record(out, slice(ptr, ptr + 1), rho[:, None], left_c, form_right, obs, store_rho)
             ptr += 1
         if step == n_steps:
             break
@@ -151,7 +157,9 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 
 #: Largest stack of small matrices built or diagonalized at once (bytes): the
 #: CF4 step propagators (64 steps of one member at d = 8; their exponentials
-#: hold up to about twenty temporaries of that size), and in
+#: hold up to about twenty temporaries of that size), the fused propagators of
+#: one member's segment of a run without dephasing (so such a segment is at
+#: most 64 steps at d = 8, and one step from d = 64 up), and in
 #: :mod:`lmg_adiabat.dynamics` the gap-scan Hamiltonians and the sampled
 #: states whose eigenvalues are checked.  Larger gap-scan stacks saved
 #: little time and raised the peak memory of a run.
@@ -259,7 +267,7 @@ def _exp_hermitian(s, h):
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
-    """Step propagators U and U^H from half-step coefficient rows (2n+1, B, K).
+    """(n, B, d, d) stack of step propagators U from half-step coefficient rows (2n+1, B, K).
 
     Each step's Simpson moments S_a = (3 H_0 + 4 H_1/2 - H_1) / 12 and
     S_b = (-H_0 + 4 H_1/2 + 3 H_1) / 12 give U = exp(-i dt S_b) exp(-i dt S_a),
@@ -273,18 +281,67 @@ def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
     # a stack of fixed-shape products: each step's bits do not depend on n
     s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
     ua, ub = _exp_hermitian(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, d, d).swapaxes(0, 1)
-    u = ub @ ua  # S_a acts first
-    return u, np.ascontiguousarray(u.conj().swapaxes(-1, -2))
+    return ub @ ua  # S_a acts first
+
+
+def _segment_ends(n_steps, sample_idx, longest):
+    """Ends of the fused segments of a run without dephasing.
+
+    A segment runs from one sample step (or step 0) to the next one (or
+    ``n_steps``) and is cut every ``longest`` steps from its start, so the
+    segments depend on the sample grid and ``longest`` only.
+    """
+    ends, start = [], 0
+    for cut in np.union1d(sample_idx, [n_steps]).tolist():
+        if cut > start:
+            ends += range(start + longest, cut, longest)
+            ends.append(cut)
+            start = cut
+    return ends
+
+
+def _segment_propagators(u, lengths):
+    """Products U_(L-1) ... U_0 of consecutive runs of an (n, B, d, d) propagator stack.
+
+    The runs have ``lengths`` steps and are multiplied on a pairwise tree, in
+    place on ``u``, one small product per factor.  At each level a run's
+    nodes sit at ``stride * i``: node 2i + 1 times node 2i (the later factor
+    on the left) replaces node 2i, and an odd run's last node is carried up
+    where it is.  Each run's product ends at its start, in an order set by
+    the run's length alone, so a member's bits depend only on its own
+    factors.  Consecutive runs of one length take each level in one product
+    of strided views.
+    """
+    products, start = [], 0
+    for length, group in itertools.groupby(lengths):
+        runs = len(list(group))
+        tree = u[start:start + runs * length].reshape(runs, length, *u.shape[1:])
+        stride = 1
+        while stride < length:
+            pair = 2 * stride
+            stop = pair * (-(-length // stride) // 2)  # after the last pair
+            tree[:, :stop:pair] = tree[:, stride:stop:pair] @ tree[:, :stop:pair]
+            stride = pair
+        products.append(tree[:, 0])
+        start += runs * length
+    return products[0] if len(products) == 1 else np.concatenate(products)
 
 
 def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                         form_left, form_right, obs, store_rho):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
-    Same arguments and outputs as :func:`_lindblad_rk4_numpy`.  Each step is
-    rho <- E o (U (E o rho) U^H) with E = exp(W dt / 2) and U from
-    :func:`_cf4_propagators`, then Hermitized; every factor is a CPTP map,
-    so the step keeps the trace and positivity at any step size.
+    Same arguments and outputs as :func:`_lindblad_rk4_numpy`.  One loop
+    advances rho over segments: rho <- E o (V (E o rho) V^H), then Hermitized,
+    with E = exp(W dt / 2) and V the product of the segment's step
+    propagators from :func:`_cf4_propagators`; every factor is a CPTP map,
+    so the step keeps the trace and positivity at any step size.  With
+    dephasing a segment is one step.  Without it (W = 0) the steps between
+    two samples compose exactly, so a segment is a sample interval
+    (:func:`_segment_ends`), multiplied out by :func:`_segment_propagators`.
+    The propagators are built in stacks of ``STACK_BYTES``; the segments that
+    end in a stack are applied, and their samples recorded, together, and a
+    segment's unfinished steps wait for the next stack.
     """
     if ctab.ndim == 2:  # single run: the batch of one
         out = _lindblad_cf4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
@@ -302,22 +359,46 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     # 0.5 Hermitizes; 0.5 E also applies the second dephasing half-step
     scale = 0.5 * half_damp
     per_chunk = max(1, STACK_BYTES // (16 * b * d * d))
+    if np.any(w):
+        ends = list(range(1, n_steps + 1))
+    else:
+        ends = _segment_ends(n_steps, sample_idx, max(1, STACK_BYTES // (16 * d * d)))
+    sampled = np.zeros(n_steps + 1, dtype=bool)
+    sampled[sample_idx] = True
 
     rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     ptr = 0
-    for step in range(n_steps + 1):
-        if ptr < m and sample_idx[ptr] == step:
-            _record(out, ptr, rho, left_c, form_right, obs, store_rho)
-            ptr += 1
-        if step == n_steps:
-            break
-        j = step % per_chunk
-        if j == 0:
-            end = min(step + per_chunk, n_steps)
-            u, uh = _cf4_propagators(ctab[2 * step:2 * end + 1], stage_terms, stage_dtype, dt, d)
-        y = u[j] @ (half_damp * rho) @ uh[j]
-        rho = y + y.conj().transpose(0, 2, 1)
-        rho *= scale
+    if sampled[0]:
+        _record(out, slice(0, 1), rho[:, None], left_c, form_right, obs, store_rho)
+        ptr = 1
+    pending = []  # propagator stacks of the steps of an unfinished segment
+    first = 0
+    for lo in range(0, n_steps, per_chunk):
+        hi = min(lo + per_chunk, n_steps)
+        u = _cf4_propagators(ctab[2 * lo:2 * hi + 1], stage_terms, stage_dtype, dt, d)
+        last = bisect.bisect_right(ends, hi, first)
+        if last == first:  # no segment ends in this stack
+            pending.append(u)
+            continue
+        if pending:
+            u = np.concatenate(pending + [u])
+        start = hi - u.shape[0]
+        done = ends[first:last]  # the segments that end in this stack
+        v = _segment_propagators(u[:done[-1] - start], np.diff([start] + done).tolist())
+        vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
+        states = []
+        for j, end in enumerate(done):
+            y = v[j] @ (half_damp * rho) @ vh[j]
+            rho = y + y.conj().transpose(0, 2, 1)
+            rho *= scale
+            if sampled[end]:
+                states.append(rho)
+        if states:
+            rows = slice(ptr, ptr + len(states))
+            _record(out, rows, np.stack(states, axis=1), left_c, form_right, obs, store_rho)
+            ptr += len(states)
+        pending = [u[done[-1] - start:]] if hi > done[-1] else []
+        first = last
 
     return (*out, rho)
 

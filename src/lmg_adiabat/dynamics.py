@@ -14,14 +14,20 @@ exact dephasing around a 4th-order commutator-free Magnus propagator of H(t)
 
     rho <- E ∘ (U (E ∘ rho) U†),    E = exp(W h / 2).
 
-Every factor is a CPTP map, so the trace and positivity hold at any step,
-and the state is Hermitized after each step.  The step is limited by how fast
-H(t) changes, not by its norm (see DEFAULT_STEP).  Since the step is CPTP,
-the trace check does not flag a step that is too large: such a step returns
-a valid but less accurate state.  The classical RK4 kernel remains as the
-reference the step is tested against.  Runs that share
-the time grid and the dephasing rates are integrated together as one batch
-(:func:`evolve_batch`); a single run is the batch of one.
+Every factor is a CPTP map, so the trace and positivity hold at any step.
+Without dephasing E = 1, and the kernel multiplies the propagators of the
+steps between two samples into one before it conjugates rho; the state is
+Hermitized after each such sample interval, or after each step when there
+is dephasing.  Fusing the steps moves a run's results by rounding only,
+about 1e-14, since the same factors are multiplied in another order.
+
+The step is limited by how fast H(t) changes, not by its norm (see
+DEFAULT_STEP).  Since the step is CPTP, the trace check does not flag a step
+that is too large: such a step returns a valid but less accurate state.  The
+classical RK4 kernel remains as the reference the step is tested against.
+Runs that share the time grid and the dephasing rates are integrated
+together as one batch (:func:`evolve_batch`); a single run is the batch of
+one.
 
 A batch is integrated only on the basis states its initial states can reach
 through the nonzero pattern of its terms.  Every LMG term, the coupling
@@ -56,6 +62,9 @@ DEFAULT_STEP = 1.0
 #: time, which bounds its memory, and the sampled trace is checked after
 #: every block, which stops a blown-up run early.
 BLOCK_STEPS = 500
+#: Most steps a run may take: up to 2^53 the step count and the sample steps
+#: are exact integers both in float64 and in int64.
+MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -244,9 +253,13 @@ def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
         raise ValueError(f"t_span must be increasing, got {t_span}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    steps = (t1 - t0) / step
+    if not steps <= MAX_STEPS:  # also catches a NaN or infinite count
+        raise ValueError(f"t_span over step is {steps:.6g} steps, not an exact int64 "
+                         f"step count (at most 2**53)")
     n_samples = max(2, int(n_samples))
     # at least one step per sample interval, so a short window keeps its rows
-    n_steps = max(n_samples - 1, math.ceil((t1 - t0) / step - 1e-12))
+    n_steps = max(n_samples - 1, math.ceil(steps - 1e-12))
     h = (t1 - t0) / n_steps
     idx = np.unique(np.round(np.linspace(0, n_steps, n_samples)).astype(np.int64))
     return t0, h, n_steps, idx

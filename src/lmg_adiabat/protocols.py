@@ -25,6 +25,7 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_STEP,
+    MAX_STEPS,
     DriveSchedule,
     LindbladSpec,
     TrajectoryResult,
@@ -154,6 +155,10 @@ class ScenarioConfig:
             problems.append(f"n_samples must be >= 2, got {self.n_samples}")
         if not 0 < self.step < inf:
             problems.append(f"step must be finite and > 0, got {self.step}")
+        elif 0 < self.t_final < inf and not self.t_final / self.step <= MAX_STEPS:
+            problems.append(f"step {self.step} gives t_final / step = "
+                            f"{self.t_final / self.step:.6g}, not an exact int64 step count "
+                            f"(at most 2**53)")
         if isinstance(self.gamma_dep, (tuple, list)):
             gam = tuple(float(g) for g in self.gamma_dep)
             object.__setattr__(self, "gamma_dep", gam)
@@ -604,6 +609,11 @@ def validate_effective_reduction(
     if not (isfinite(t_final) and t_final > 0):
         raise ValidationError(
             f"the comparison window t_final must be finite and > 0, got {t_final}"
+        )
+    if not t_final / step <= MAX_STEPS:
+        raise ValidationError(
+            f"the comparison window t_final = {t_final} is {t_final / step:.6g} steps of "
+            f"{step}, not an exact int64 step count (at most 2**53)"
         )
     if omega1 is None:
         omega1 = cfg.schedule.zeta

@@ -121,6 +121,19 @@ def test_config_number_out_of_range_is_invalid_config(override, tmp_path, capsys
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-290", "1e-16"])
+def test_step_count_beyond_int64_is_invalid_config(step, tmp_path, capsys):
+    # t_final / step must be an exact int64 step count; a larger one used to
+    # overflow np.linspace in the sample grid and exit 1 with a traceback
+    code = cli.main(["simulate", "--set", "case=I", "--set", "n_spins=2",
+                     "--set", f"step={step}", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: step ")
+    assert "int64 step count" in err and "Traceback" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--cutoff", "2", "fock_cutoff"),
     ("--cutoff", "0", "fock_cutoff"),
@@ -129,6 +142,7 @@ def test_config_number_out_of_range_is_invalid_config(override, tmp_path, capsys
     ("--window", "-5", "t_final"),
     ("--window", "nan", "t_final"),
     ("--window", "inf", "t_final"),
+    ("--window", "1e300", "t_final"),
 ])
 def test_reduction_flag_out_of_range_is_invalid_config(flag, value, field, tmp_path, capsys):
     # the flags of validate-reduction are checked like the config fields: exit 2, no traceback

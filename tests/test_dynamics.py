@@ -344,6 +344,28 @@ def test_block_size_does_not_change_the_result(monkeypatch):
     np.testing.assert_array_equal(blocked.populations["start"], whole.populations["start"])
 
 
+def test_block_size_changes_an_undamped_result_only_by_rounding(monkeypatch):
+    # the twin of the test above without dephasing: the steps of a sample
+    # interval are fused into one product, and a block end cuts that product
+    cfg = preset("I", 2, t_final=60.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(2), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, (0.0, 0.0))
+    rho0 = density_from_state(cfg.initial_state())
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
+                  record_gap=False)
+    whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
+        np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(blocked.populations["start"], whole.populations["start"],
+                               rtol=0, atol=1e-12)
+    assert np.all(blocked.hermiticity_defect == 0.0) and np.all(whole.hermiticity_defect == 0.0)
+    assert abs(blocked.populations["start"][-1] - 1.0) > 1e-3  # the state has moved
+
+
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
     # the second member's Hamiltonian turns NaN after t = 100, the first stays
     # finite; the run must stop after the first block instead of finishing the window
@@ -360,6 +382,28 @@ def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_c
             record_gap=False,
         )
     assert len(lindblad_calls) == 1  # of the 25 blocks in the 500-step window
+
+
+@pytest.mark.parametrize("gammas", [(), (1e-3, 1e-3)], ids=["undamped", "dephased"])
+def test_step_failure_inside_a_fused_interval_stops_at_the_same_block(
+        monkeypatch, lindblad_calls, gammas):
+    # the twin of the test above with the NaN in the middle of a sample
+    # interval: steps 13 to 26 are one fused product without dephasing, and
+    # the coefficient turns NaN at t = 148, inside step 18; both runs stop at
+    # the sample at step 26 in the first of 13 blocks of 40 steps
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 40)
+    rho0 = density_from_state(TWO_SPIN_PLUS_X)
+    failure = pytest.raises(StepFailureError, match="member 1: .* at t = 208 ")
+    with np.errstate(all="ignore"), failure:
+        evolve_batch(
+            [LindbladSpec(0.01 * TWO_SPIN_H, gammas), LindbladSpec(_failing_after(147.0), gammas)],
+            [rho0, rho0],
+            (0.0, 4000.0),
+            step=8.0,
+            n_samples=40,
+            record_gap=False,
+        )
+    assert len(lindblad_calls) == 1
 
 
 def test_callable_hamiltonian_is_rejected():
@@ -458,6 +502,18 @@ def test_sample_grid_keeps_the_requested_samples():
     np.testing.assert_array_equal(idx, np.arange(0, 4001, 10))
     # a step that does not divide the window is shortened to fit it
     assert dynamics._sample_grid((0.0, 10.0), 3.0, 2)[1:3] == (2.5, 4)
+
+
+@pytest.mark.parametrize("t_span,step", [
+    ((0.0, 4000.0), 1e-300),
+    ((0.0, 1.0), 2.0**-54),
+    ((0.0, np.inf), 1.0),
+], ids=["overflow", "past-2**53", "infinite-window"])
+def test_sample_grid_rejects_a_step_count_beyond_int64(t_span, step):
+    with pytest.raises(ValueError, match="not an exact int64 step count"):
+        dynamics._sample_grid(t_span, step, 5)
+    with pytest.raises(ValueError, match="not an exact int64 step count"):
+        dynamics.sample_times(t_span, step, 5)
 
 
 def test_adiabaticity_profile_constant_schedule():

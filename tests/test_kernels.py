@@ -153,6 +153,38 @@ def _eigh_exponentials(s, h):
     return (vecs * np.exp(-1j * h * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
+                        form_left, form_right, obs, store_rho):
+    """The CF4 step applied one step at a time, with each sample taken on its own.
+
+    The oracle of the fused kernel ``_kernels._lindblad_cf4_numpy``: every
+    step builds its own propagator with ``_kernels._cf4_propagators`` and
+    conjugates rho with it between the two dephasing half-steps.
+    """
+    n_steps = (ctab.shape[0] - 1) // 2
+    stage_terms, stage_dtype = _kernels._stage_terms(terms)
+    half_damp = np.exp(0.5 * dt * w)
+    rho = 0.5 * (rho0 + rho0.conj().T)
+    states = []
+    for step in range(n_steps + 1):
+        if step in sample_idx:
+            states.append(rho)
+        if step == n_steps:
+            break
+        rows = ctab[2 * step:2 * step + 3, None, :]
+        u = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, dt, terms.shape[1])[0, 0]
+        y = u @ (half_damp * rho) @ u.conj().T
+        rho = half_damp * (0.5 * (y + y.conj().T))
+    states = np.array(states)
+    forms = np.einsum("fi,mij,fj->mf", form_left.conj(), states, form_right)
+    expvals = np.einsum("bij,mji->mb", obs, states).real
+    purity = np.einsum("mij,mij->m", states.conj(), states).real
+    trace_defect = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm_defect = np.linalg.norm(states - states.conj().swapaxes(1, 2), axis=(1, 2))
+    return (forms, expvals, purity, trace_defect, herm_defect,
+            states if store_rho else states[:0], rho)
+
+
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
     terms = rng.normal(size=(n_terms, dim, dim)) + 1j * rng.normal(size=(n_terms, dim, dim))
     terms = 0.5 * (terms + terms.conj().transpose(0, 2, 1))
@@ -186,13 +218,19 @@ def test_lindblad_backends_agree(case):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel", [
-    _kernels._lindblad_rk4_numpy,
-    _kernels._lindblad_cf4_numpy,
-], ids=["numpy", "cf4"])
-def test_lindblad_batch_form_matches_single_runs(kernel):
+@pytest.mark.parametrize("kernel,dissipate", [
+    (_kernels._lindblad_rk4_numpy, True),
+    (_kernels._lindblad_cf4_numpy, True),
+    (_kernels._lindblad_cf4_numpy, False),
+], ids=["numpy", "cf4", "cf4-no-dissipator"])
+def test_lindblad_batch_form_matches_single_runs(monkeypatch, kernel, dissipate):
     rng = np.random.default_rng(45)
     terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    if not dissipate:
+        # fused sample intervals: chunks of 5 steps for the batch of three and
+        # of 15 for a single run, so the two cut the window differently
+        w = np.zeros_like(w)
+        monkeypatch.setattr(_kernels, "STACK_BYTES", 16 * 3 * 4 * 4 * 5)
     ctabs = [ctab, 0.5 * ctab, rng.normal(size=ctab.shape)]
     rho0s = [rho0, np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)]
     batch = kernel(terms, np.ascontiguousarray(np.stack(ctabs, axis=1)), w, np.stack(rho0s),
@@ -278,15 +316,71 @@ def test_cf4_propagators_match_the_eigh_oracle(complex_terms):
     rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))  # 5 steps of 3 members
     stage_terms, stage_dtype = _kernels._stage_terms(terms)
     assert stage_dtype is (np.complex128 if complex_terms else np.float64)
-    u, uh = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, 0.8, 4)
+    u = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, 0.8, 4)
     h = np.einsum("nbk,kij->nbij", rows, terms)
     s_a = (3.0 * h[:-1:2] + 4.0 * h[1::2] - h[2::2]) / 12.0
     s_b = (-h[:-1:2] + 4.0 * h[1::2] + 3.0 * h[2::2]) / 12.0
     want = _eigh_exponentials(s_b, 0.8) @ _eigh_exponentials(s_a, 0.8)
     x = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex) + 0.3
-    got = u @ x @ uh
+    got = u @ x @ u.conj().swapaxes(-1, -2)
     np.testing.assert_allclose(got, want @ x @ want.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(uh, u.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("dissipate", [False, True], ids=["no-dissipator", "dissipator"])
+@pytest.mark.parametrize("stack_bytes", [None, 16 * 4 * 4 * 5], ids=["whole-intervals", "cut"])
+@pytest.mark.parametrize("first_sample", [0, 5], ids=["from-step-0", "from-step-5"])
+def test_cf4_kernel_matches_the_step_by_step_oracle(monkeypatch, dissipate, stack_bytes,
+                                                    first_sample):
+    # sample intervals of 7, 16 and 17 steps (or 18, 16 and 17 from step 5);
+    # without dephasing each is one fused product, and with a stack of five
+    # steps the intervals are cut every five steps and chunks end mid-interval
+    rng = np.random.default_rng(49)
+    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    idx[0] = first_sample
+    if not dissipate:
+        w = np.zeros_like(w)
+    if stack_bytes is not None:
+        monkeypatch.setattr(_kernels, "STACK_BYTES", stack_bytes)
+    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 0.3, idx, fl, fr, obs, True)
+    got = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 0.3, idx, fl, fr, obs, True)
+    for name, a, b in zip(["forms", "expvals", "purity", "trace_defect", "herm_defect",
+                           "rho_samples", "rho_final"], got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+    assert np.all(got[4] == 0.0)  # Hermitized after every segment
+
+
+def test_segments_end_at_the_samples_and_at_most_every_longest_steps():
+    # the cuts depend on the sample grid and the cap only, never on the batch
+    idx = np.array([0, 7, 23, 40])
+    assert _kernels._segment_ends(40, idx, 64) == [7, 23, 40]
+    assert _kernels._segment_ends(40, idx, 5) == [5, 7, 12, 17, 22, 23, 28, 33, 38, 40]
+    assert _kernels._segment_ends(40, idx[1:3], 16) == [7, 23, 39, 40]
+    assert _kernels._segment_ends(3, idx[:1], 1) == [1, 2, 3]
+
+
+def test_segment_products_depend_only_on_their_own_factors():
+    # runs of 1..12 factors, alone and next to runs of the same length: each
+    # run's product, taken on a tree whose order is set by its length, has
+    # the same bits wherever the run sits in the stack, and equals the
+    # sequential product U_(L-1) ... U_0 to rounding
+    rng = np.random.default_rng(54)
+    lengths = [int(n) for n in rng.permutation(np.arange(1, 13))] + [3, 3, 3, 10, 10, 1, 1]
+    s = _hermitian_stack(rng, sum(lengths) * 2, 3, True, np.full(sum(lengths) * 2, 1.5))
+    u = _kernels._exp_hermitian(s, 1.0).reshape(sum(lengths), 2, 3, 3)  # two members
+    products = _kernels._segment_propagators(u.copy(), lengths)
+    assert products.shape == (len(lengths), 2, 3, 3)
+    start = 0
+    for k, length in enumerate(lengths):
+        run = u[start:start + length]
+        alone = _kernels._segment_propagators(run.copy(), [length])[0]
+        np.testing.assert_array_equal(products[k], alone)
+        np.testing.assert_array_equal(
+            products[k, 1], _kernels._segment_propagators(run[:, 1:].copy(), [length])[0, 0])
+        sequential = np.broadcast_to(np.eye(3), (2, 3, 3))
+        for factor in run:
+            sequential = factor @ sequential
+        np.testing.assert_allclose(products[k], sequential, rtol=0, atol=1e-14 * length)
+        start += length
 
 
 def test_schrodinger_backends_agree():
@@ -322,7 +416,7 @@ def test_recording_matches_the_member_by_member_expressions():
     _, _, _, _, _, fl, fr, obs = _tiny_problem(rng)
     rho = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     out = _kernels._lindblad_outputs(3, 2, fl.shape[0], obs.shape[0], 4, True)
-    _kernels._record(out, 1, rho, fl.conj(), fr, obs, True)
+    _kernels._record(out, slice(1, 2), rho[:, None], fl.conj(), fr, obs, True)
     forms, exps, pur, tdef, hdef, rhos = out
     for i, r in enumerate(rho):
         np.testing.assert_allclose(forms[i, 1], np.einsum("fi,ij,fj->f", fl.conj(), r, fr),
@@ -433,6 +527,10 @@ def test_bench_script_workloads_run_on_the_kernel_set():
         assert 0.0 < bench.time_call(getattr(kern, f"{kind}_rk4"), args, repeat=1) < np.inf
     _, batch, _ = bench.batch_workload(t_final=20.0)
     _, block = bench.parity_block(batch)
+    _, undamped = bench.parity_block(bench.batch_workload(gamma=0.0, t_final=20.0)[1])
+    assert np.any(block[2]) and not np.any(undamped[2])
+    np.testing.assert_allclose(kern.lindblad_cf4(*undamped)[-1].sum(axis=0).trace(), 13.0,
+                               rtol=0, atol=1e-12)
     build, hams = bench.propagator_workload(block)
     build()
     assert hams.shape == (2 * 20 * 13, 8, 8)
