@@ -8,15 +8,18 @@ and 48).  A second section times the CF4 master-equation kernel, the one
 the integrators call, at its default step 1.0 on the N=4 transfer next to
 the RK4 reference at step 0.25.  A third section times the 13 members of the
 criterion-8 disorder ensemble with the CF4 kernel at step 1.0 integrated as
-one batch against 13 single-run calls, per member and step, and the same
-batch restricted to the spin-flip parity block its initial states can reach
-(dim 8 instead of 16), as `evolve_batch` integrates it.  A fourth section
-times that parity-block batch at gamma 0, where the kernel fuses the steps
-of each sample interval into one propagator, and at gamma 1e-4, where it
-conjugates rho step by step, per member and step.  The last section
-times the CF4 step propagators of that batch on its parity block, built in
-the kernel's stacks of `_kernels.STACK_BYTES`, per exponential, next to one
-batched `np.linalg.eigh` of the same Simpson moments.
+one batch against 13 single-run calls, per member and step, the same batch
+restricted to the spin-flip parity block its initial states can reach (dim 8
+instead of 16), as `evolve_batch` integrates a dephased batch, and, at
+gamma 0, on the invariant subspace of its initial state (dim 3) against
+that parity block, as `evolve_batch` integrates it without dephasing.  A
+fourth section times that parity-block batch at gamma 0, where the kernel
+fuses the steps of each sample interval into one propagator, and at
+gamma 1e-4, where it conjugates rho step by step, per member and step.  The
+last section times the CF4 step propagators of that batch on its parity
+block, built in the kernel's stacks of `_kernels.STACK_BYTES`, per
+exponential, next to one batched `np.linalg.eigh` of the same Simpson
+moments.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -27,8 +30,10 @@ import numpy as np
 
 from lmg_adiabat import _kernels
 from lmg_adiabat.dynamics import (
+    _Block,
+    _invariant_subspace,
     _reachable_indices,
-    _restrict,
+    _Subspace,
     _term_union,
     calibrated_schedule,
     dephasing_mask,
@@ -107,11 +112,22 @@ def batch_workload(t_final=1000.0, step=1.0, gamma=1e-4):
 
 def parity_block(batch):
     """The batch's kernel arguments restricted to the block its initial states reach."""
+    terms, _, _, rho0s, *_ = batch
+    return restricted(batch, _Block(_reachable_indices(terms, rho0s), rho0s.shape[1]))
+
+
+def invariant_subspace(batch):
+    """The gamma-0 batch's kernel arguments on the invariant subspace of its initial states."""
+    terms, _, _, rho0s, *_ = batch
+    limit = _reachable_indices(terms, rho0s).size
+    return restricted(batch, _Subspace(_invariant_subspace(terms, rho0s, limit)))
+
+
+def restricted(batch, basis):
     terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho = batch
-    keep = _reachable_indices(terms, rho0s)
-    terms, w, rho0s, form_left, form_right, obs = _restrict(
-        keep, terms, w, rho0s, form_left, form_right, obs)
-    return keep.size, (terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho)
+    terms, w, rho0s, form_left, form_right, obs = basis.restrict(
+        terms, w, rho0s, form_left, form_right, obs)
+    return basis.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho)
 
 
 def propagator_workload(block):
@@ -194,6 +210,19 @@ def main():
     t_block = time_call(kern.lindblad_cf4, block, opts.repeat)
     print(f"{1e6 * t_block / member_steps:10.2f} {'-':>10s} {t_batch / t_block:8.1f}x"
           f"  (batch on its parity block, dim {block_dim})")
+
+    unitary = batch_workload(gamma=0.0)[1]
+    _, unitary_block = parity_block(unitary)
+    sub_dim, sub = invariant_subspace(unitary)
+    print(f"\nCF4 gamma-0 batch: {label} (us per member-step)")
+    header = f"{'subspace':>10s} {'block':>10s} {'speedup':>9s}"
+    print(header)
+    print("-" * len(header))
+    t_sub = time_call(kern.lindblad_cf4, sub, opts.repeat)
+    t_unitary_block = time_call(kern.lindblad_cf4, unitary_block, opts.repeat)
+    print(f"{1e6 * t_sub / member_steps:10.2f} {1e6 * t_unitary_block / member_steps:10.2f} "
+          f"{t_unitary_block / t_sub:8.1f}x  (invariant subspace, dim {sub_dim}, "
+          f"against the parity block, dim {block_dim})")
 
     print(f"\nCF4 parity-block batch with and without dephasing: {label}")
     header = f"{'gamma':>8s} {'segment':>12s} {'us/member-step':>15s}"

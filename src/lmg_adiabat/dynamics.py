@@ -29,15 +29,26 @@ Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
 one.
 
-A batch is integrated only on the basis states its initial states can reach
-through the nonzero pattern of its terms.  Every LMG term, the coupling
-disorder and the sigma_z dephasing conserve the spin-flip parity
-prod_j sigma_z^j, and every preset starts in a state of definite parity, so
-the kernel runs at dimension 2^(N-1) instead of 2^N.  A batch whose initial
-states mix the parity blocks falls back to the full space.  The sampled and
-final states are embedded back into the full space, where they are exactly
-0 outside the block.  The gap scan always diagonalizes the full H(t): the
-ferromagnetic ground doublet has one member in each block.
+A batch without dephasing is integrated on the smallest subspace that holds
+every member's initial state and that every term of the batch maps into
+itself (:func:`_invariant_subspace`).  The LMG terms move a Dicke state only
+along its collective spin, and the disorder term is 0 on the m = 0 Dicke
+state and a scalar on m = +-N/2, so case I at N = 4 runs at dimension 3
+instead of 16, with or without disorder.  A batch runs on the closure of
+the union of its members, so a member can differ from its standalone run by
+rounding.  The dephasing mask acts elementwise and needs a coordinate basis,
+so a dephased batch is integrated only on the basis states its initial
+states can reach through the nonzero pattern of its terms.  Every LMG term,
+the coupling disorder and the sigma_z dephasing conserve the spin-flip
+parity prod_j sigma_z^j, and every preset starts in a state of definite
+parity, so that block has dimension 2^(N-1); a batch whose initial states
+mix the parity blocks falls back to the full space.  The sampled and final
+states are embedded back into the full space, where they are 0 outside the
+integrated basis (exactly for a block of basis states, up to rounding for a
+subspace).  The gap scan diagonalizes H(t) on each connected component of
+the nonzero pattern of its terms, the two parity blocks of an LMG
+Hamiltonian, and merges their spectra: the ferromagnetic ground doublet has
+one member in each block.
 """
 from __future__ import annotations
 
@@ -65,6 +76,16 @@ BLOCK_STEPS = 500
 #: Most steps a run may take: up to 2^53 the step count and the sample steps
 #: are exact integers both in float64 and in int64.
 MAX_STEPS = 2**53
+#: A new direction of the invariant-subspace closure must stick out of the
+#: subspace by more than this (the terms are scaled to unit norm, the basis
+#: vectors have it, and the initial states have unit trace); rounding leaves
+#: about 1e-15.
+_RANK_TOL = 1e-12
+#: The closure is used only if every unit-norm term maps it into itself to
+#: within the first bound (Frobenius norm) and it holds every initial state
+#: to within the second.
+_INVARIANCE_TOL = 1e-12
+_STATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -224,9 +245,13 @@ class TrajectoryResult:
     #: How far the largest unclipped tracked population went outside [0, 1]
     #: (0 when every sample stayed inside); ``populations`` are clipped.
     population_excursion: float
-    #: Size of the block of basis states the run was integrated on; outside
-    #: it every sampled state is exactly 0.
+    #: Dimension of the basis the run was integrated on; every sampled state
+    #: is 0 outside it (exactly for a block of basis states, up to rounding
+    #: for a subspace).
     integrated_dim: int
+    #: That basis: "basis states" (a block of the z basis) or "subspace" (an
+    #: invariant subspace of a run without dephasing).
+    integrated_basis: str
     #: Smallest eigenvalue of the sampled states (None when they are not stored).
     min_eigenvalue: Optional[float]
 
@@ -240,6 +265,7 @@ class TrajectoryResult:
         return {
             "n_steps": self.n_steps,
             "integrated_dim": self.integrated_dim,
+            "integrated_basis": self.integrated_basis,
             "max_trace_defect": float(np.max(self.trace_defect)),
             "max_hermiticity_defect": float(np.max(self.hermiticity_defect)),
             "population_excursion": self.population_excursion,
@@ -271,12 +297,17 @@ def sample_times(t_span: Tuple[float, float], step: float, n_samples: int) -> np
     return t0 + h * sample_idx.astype(np.float64)
 
 
-def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
-    """(T, d, d) stack of H(t) at the given times."""
-    return np.einsum("tk,kij->tij", hamiltonian.coefficient_table(times), hamiltonian.terms)
+def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray,
+                        terms: np.ndarray) -> np.ndarray:
+    """(T, ...) stack of sum_k c_k(t) terms[k] at the given times.
+
+    ``terms`` (K, ...) holds the Hamiltonian's terms or parts of them.
+    """
+    table = hamiltonian.coefficient_table(times)
+    return (table @ terms.reshape(len(terms), -1)).reshape(len(table), *terms.shape[1:])
 
 
-def spectral_gap(h: np.ndarray,
+def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]],
                  degeneracy_tol: Optional[float] = None) -> Union[float, np.ndarray]:
     """Gap from the (possibly quasi-degenerate) ground band to the next level.
 
@@ -284,9 +315,16 @@ def spectral_gap(h: np.ndarray,
     spread, which absorbs the exponentially split ferromagnetic ground doublet
     near the one-axis end of a sweep.  A (..., d, d) stack gives an array of
     gaps with the band rule applied to each matrix; a single matrix gives a
-    float.
+    float.  ``h`` may also be a list of (..., n, s, s) stacks holding the
+    diagonal blocks of one block-diagonal matrix, n blocks of size s in each;
+    their eigenvalues are merged into its spectrum.
     """
-    vals = np.linalg.eigvalsh(h)
+    if isinstance(h, (list, tuple)):
+        vals = np.concatenate([np.linalg.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
+                              axis=-1)
+        vals.sort(axis=-1)
+    else:
+        vals = np.linalg.eigvalsh(h)
     ground = vals[..., 0]
     tol = 1e-3 * (vals[..., -1] - ground) if degeneracy_tol is None else degeneracy_tol
     k = np.sum(vals <= (ground + tol)[..., None], axis=-1)
@@ -295,14 +333,51 @@ def spectral_gap(h: np.ndarray,
     return float(gap) if gap.ndim == 0 else gap
 
 
+def _component_labels(terms: np.ndarray) -> np.ndarray:
+    """Label of each basis index: the smallest index of its connected component.
+
+    Two indices are connected when some term has a nonzero entry between
+    them.  Every LMG term, the disorder term and sigma_z dephasing conserve
+    the spin-flip parity prod_j sigma_z^j, so an LMG Hamiltonian has two
+    components, the parity blocks of dimension 2^(N-1).
+    """
+    coupled = np.any(terms != 0, axis=0)
+    coupled |= coupled.T
+    labels = np.arange(coupled.shape[0])
+    while True:
+        lowest = np.minimum(labels, np.where(coupled, labels, labels.size).min(axis=1))
+        if np.array_equal(lowest, labels):
+            return labels
+        labels = lowest
+
+
 def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
               degeneracy_tol: Optional[float]) -> np.ndarray:
-    """Spectral gap at each time, diagonalizing H(t) in stacks of bounded size."""
-    per_call = max(1, _kernels.STACK_BYTES // (16 * hamiltonian.dim**2))
-    return np.concatenate([
-        spectral_gap(_hamiltonian_matrix(hamiltonian, times[i:i + per_call]), degeneracy_tol)
-        for i in range(0, times.size, per_call)
-    ])
+    """Spectral gap at each time, from the eigenvalues of H(t)'s diagonal blocks.
+
+    The blocks are the connected components of the nonzero pattern of the
+    terms (:func:`_component_labels`), stacked by size.  They are built in
+    float64 when the terms are real and diagonalized in stacks of bounded size.
+    """
+    labels = _component_labels(hamiltonian.terms)
+    components = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    terms = hamiltonian.terms
+    if not np.any(terms.imag):
+        terms = terms.real
+    groups = []  # the (K, n, s, s) terms of the n components of size s
+    for size in sorted({c.size for c in components}):
+        idx = np.stack([c for c in components if c.size == size])
+        groups.append(terms[:, idx[:, :, None], idx[:, None, :]])
+    flat = np.concatenate([g.reshape(len(g), -1) for g in groups], axis=1)
+    splits = np.cumsum([g[0].size for g in groups])[:-1]
+    per_call = max(1, _kernels.STACK_BYTES // (flat.itemsize * flat.shape[1]))
+    gaps = []
+    for i in range(0, times.size, per_call):
+        h = _hamiltonian_matrix(hamiltonian, times[i:i + per_call], flat)
+        blocks = [part.reshape(len(h), *g.shape[1:])
+                  for part, g in zip(np.split(h, splits, axis=1), groups)]
+        gaps.append(spectral_gap(blocks, degeneracy_tol))
+    return np.concatenate(gaps)
 
 
 def evolve(
@@ -358,7 +433,10 @@ def evolve_batch(
     phase-optimized populations); ``observables`` maps names to Hermitian
     matrices tracked as Tr(O rho).  ``store_states``
     (default: d <= 64) keeps the sampled states, and only then is their
-    smallest eigenvalue computed (``min_eigenvalue``).  Raises
+    smallest eigenvalue computed (``min_eigenvalue``).  Without dephasing
+    the batch is integrated on the invariant subspace of all its initial
+    states together, so a member can differ from its standalone run by
+    rounding (see the module docstring).  Raises
     :class:`StepFailureError` when a member's sampled trace defect exceeds
     ``trace_tol``, at the end of the block of ``BLOCK_STEPS`` steps in which
     that happens.
@@ -411,10 +489,12 @@ def evolve_batch(
             raise DimensionMismatchError(
                 f"hamiltonian dim {ham.dim} does not match density matrix dim {dim}"
             )
-    forms, expvals, pur, tdef, hdef, rho_samples, rho_final, keep = _integrate_blocks(
+    forms, expvals, pur, tdef, hdef, states, rho_final, basis = _integrate_blocks(
         hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
         form_left, form_right, obs, bool(store_states), trace_tol,
     )
+    rho_samples = basis.embed(states) if store_states else None
+    rho_final = basis.embed(rho_final)
 
     results = []
     for b, spec in enumerate(specs):
@@ -442,8 +522,9 @@ def evolve_batch(
             n_steps=n_steps,
             population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
                                               initial=0.0)),
-            integrated_dim=int(keep.size),
-            min_eigenvalue=_min_eigenvalue(rho_samples[b], keep) if store_states else None,
+            integrated_dim=basis.dim,
+            integrated_basis=basis.kind,
+            min_eigenvalue=_min_eigenvalue(states[b]) if store_states else None,
         ))
     return results
 
@@ -472,40 +553,180 @@ def _term_union(hams: Sequence[LinearHamiltonian]):
 def _reachable_indices(terms: np.ndarray, rho0s: np.ndarray) -> np.ndarray:
     """Sorted basis indices that the dynamics can reach from the initial states.
 
-    Starts from the rows and columns where any initial state is nonzero and
-    closes that set under the nonzero pattern of every term.  The dephasing
-    mask acts elementwise and couples nothing.  Every LMG term, the disorder
-    term and sigma_z dephasing conserve the spin-flip parity prod_j sigma_z^j,
-    so from a state of definite parity this is that parity's 2^(N-1) block.
+    These are the connected components (:func:`_component_labels`) of the
+    rows and columns where any initial state is nonzero.  The dephasing mask
+    acts elementwise and couples nothing, so from a state of definite parity
+    this is that parity's 2^(N-1) block.
     """
-    coupled = np.any(terms != 0, axis=0)
-    coupled |= coupled.T
+    labels = _component_labels(terms)
     occupied = rho0s != 0
-    reach = np.any(occupied, axis=(0, 1)) | np.any(occupied, axis=(0, 2))
-    while True:
-        grown = reach | np.any(coupled[:, reach], axis=1)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+    start = np.any(occupied, axis=(0, 1)) | np.any(occupied, axis=(0, 2))
+    return np.flatnonzero(np.isin(labels, labels[start]))
 
 
-def _restrict(keep, terms, w, rho, form_left, form_right, obs):
-    """Kernel inputs on the block ``keep``: P X P for the matrices, P a for the vectors."""
-    inside = (Ellipsis, keep[:, None], keep)
-    return (*(np.ascontiguousarray(x[inside]) for x in (terms, w, rho)),
-            *(np.ascontiguousarray(f[:, keep]) for f in (form_left, form_right)),
-            np.ascontiguousarray(obs[inside]))
+def _extend_basis(q: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Orthonormal columns ``q`` extended by the span of ``candidates`` outside them.
 
-
-def _min_eigenvalue(states: np.ndarray, keep: np.ndarray) -> float:
-    """Smallest eigenvalue of an (m, d, d) stack of states, taken inside the block ``keep``.
-
-    Outside the block the states are 0, so their eigenvalues there are
-    exactly 0 and would hide the ones inside.  The stack is diagonalized in
-    pieces of at most ``_kernels.STACK_BYTES``.
+    The candidates are projected off ``q`` twice (classical Gram-Schmidt
+    with reorthogonalization).  Then the candidate with the largest remainder
+    is normalized and appended, and the others are projected off it twice,
+    until no remainder exceeds ``_RANK_TOL``: a rank-revealing pivoted
+    Gram-Schmidt, whose order is fixed by the inputs alone.
     """
-    per_call = max(1, _kernels.STACK_BYTES // (16 * keep.size**2))
-    return float(min(np.linalg.eigvalsh(states[i:i + per_call, keep[:, None], keep])[:, 0].min()
+    for _ in range(2):
+        candidates = candidates - q @ (q.conj().T @ candidates)
+    new = []
+    while candidates.shape[1]:
+        norms = np.linalg.norm(candidates, axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] <= _RANK_TOL:
+            break
+        v = candidates[:, j] / norms[j]
+        new.append(v)
+        candidates = np.delete(candidates, j, axis=1)
+        for _ in range(2):
+            candidates = candidates - np.outer(v, v.conj() @ candidates)
+    return np.column_stack([q, *new]) if new else q
+
+
+def _invariant_subspace(terms: np.ndarray, rho0s: np.ndarray,
+                        limit: int) -> Optional[np.ndarray]:
+    """Orthonormal basis Q (d, k) of the initial states' invariant subspace, or None.
+
+    That is the smallest subspace that holds every initial state and that
+    every term maps into itself.  The closure starts from the columns of the
+    initial states and appends the images of each new basis vector under
+    every term (:func:`_extend_basis`) until nothing new comes.  Each term is
+    scaled to unit norm first, so that a small term (a disorder fraction of
+    1e-8, say) is not mistaken for rounding.  Q is real when the terms and
+    the states are.  Returns None when the closure reaches ``limit``
+    dimensions, or when a unit-norm term maps Q out of itself by more than
+    ``_INVARIANCE_TOL`` or Q Q^H loses more than ``_STATE_TOL`` of an
+    initial state.
+    """
+    d = rho0s.shape[1]
+    real = not (np.any(terms.imag) or np.any(rho0s.imag))
+    # the infinity norm of a term bounds its 2-norm
+    norms = np.array([np.abs(term).sum(axis=1).max() for term in terms])
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+
+    def images(v):
+        """(d, K n) images of the n columns v under the K unit-norm terms."""
+        out = (terms @ v) * scale[:, None, None]
+        return (out.real if real else out).transpose(1, 0, 2).reshape(d, -1)
+
+    columns = rho0s.transpose(1, 0, 2)[:, np.any(rho0s != 0, axis=1)]
+    q = _extend_basis(np.zeros((d, 0)), columns.real if real else columns)
+    done = 0
+    while done < q.shape[1] < limit:
+        new, done = q[:, done:], q.shape[1]
+        q = _extend_basis(q, images(new))
+    if q.shape[1] >= limit:
+        return None
+    image = images(q)
+    leak = (image - q @ (q.conj().T @ image)).reshape(d, len(terms), -1)
+    projector = q @ q.conj().T
+    if (np.linalg.norm(leak, axis=(0, 2)).max(initial=0.0) > _INVARIANCE_TOL
+            or max(np.linalg.norm(r - projector @ r @ projector) for r in rho0s) > _STATE_TOL):
+        return None
+    return q
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+
+
+class _Block:
+    """The basis states ``keep`` of a ``full_dim``-dim space, as an integration basis."""
+
+    kind = "basis states"
+
+    def __init__(self, keep: np.ndarray, full_dim: int):
+        self.keep, self.full_dim, self.dim = keep, full_dim, keep.size
+
+    def restrict(self, terms, w, rho, form_left, form_right, obs):
+        """Kernel inputs on the block: P X P for the matrices, P a for the vectors."""
+        if self.dim == self.full_dim:
+            return terms, w, rho, form_left, form_right, obs
+        inside = (Ellipsis, self.keep[:, None], self.keep)
+        return (*(np.ascontiguousarray(x[inside]) for x in (terms, w, rho)),
+                *(np.ascontiguousarray(f[:, self.keep]) for f in (form_left, form_right)),
+                np.ascontiguousarray(obs[inside]))
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """(..., k, k) states on the block as (..., d, d) states, 0 outside it."""
+        if self.dim == self.full_dim:
+            return x
+        out = np.zeros((*x.shape[:-2], self.full_dim, self.full_dim), dtype=np.complex128)
+        out[..., self.keep[:, None], self.keep] = x
+        return out
+
+
+class _Subspace:
+    """The span of the orthonormal columns of ``q``, as the basis of a run without dephasing."""
+
+    kind = "subspace"
+
+    def __init__(self, q: np.ndarray):
+        self.q, self.dim = q, q.shape[1]
+
+    def restrict(self, terms, w, rho, form_left, form_right, obs):
+        """Kernel inputs on the subspace: Q^H X Q for the matrices, Q^H a for the vectors.
+
+        The mask ``w`` is zero.  The matrices are Hermitized, so the terms
+        stay exactly Hermitian, and real when Q and the terms are.
+        """
+        q, qh = self.q, self.q.conj().T
+        if q.dtype == np.float64:  # then the terms and the states are real
+            terms, rho = terms.real, rho.real
+
+        def sandwich(x):
+            return np.ascontiguousarray(_hermitian_part(qh @ x @ q), dtype=np.complex128)
+
+        return (sandwich(terms), np.zeros((self.dim, self.dim)), sandwich(rho),
+                *(np.ascontiguousarray(f @ q.conj()) for f in (form_left, form_right)),
+                sandwich(obs))
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """(..., k, k) states on the subspace as the Hermitian (..., d, d) states Q X Q^H.
+
+        Built in stacks of at most ``_kernels.STACK_BYTES``, so that the
+        Hermitian part needs no temporaries of the size of the output.
+        """
+        q, qh = self.q, self.q.conj().T
+        d, k = q.shape
+        states = x.reshape(-1, k, k)
+        out = np.empty((len(states), d, d), dtype=np.complex128)
+        per_call = max(1, _kernels.STACK_BYTES // (16 * d * d))
+        for i in range(0, len(states), per_call):
+            out[i:i + per_call] = _hermitian_part(q @ states[i:i + per_call] @ qh)
+        return out.reshape(*x.shape[:-2], d, d)
+
+
+def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray):
+    """The basis a batch is integrated on (a :class:`_Subspace` or a :class:`_Block`).
+
+    That is the invariant subspace of the initial states when the batch has
+    no dephasing and the subspace is smaller than the block of basis states
+    the initial states reach, else that block.
+    """
+    keep = _reachable_indices(terms, rho0s)
+    if not np.any(w):
+        q = _invariant_subspace(terms, rho0s, keep.size)
+        if q is not None:
+            return _Subspace(q)
+    return _Block(keep, rho0s.shape[1])
+
+
+def _min_eigenvalue(states: np.ndarray) -> float:
+    """Smallest eigenvalue of an (m, k, k) stack of states on the integrated basis.
+
+    Outside that basis the embedded states are 0, so their eigenvalues
+    there are 0 and would hide the ones inside.  The stack is diagonalized
+    in pieces of at most ``_kernels.STACK_BYTES``.
+    """
+    per_call = max(1, _kernels.STACK_BYTES // (16 * states.shape[-1]**2))
+    return float(min(np.linalg.eigvalsh(states[i:i + per_call])[:, 0].min()
                      for i in range(0, len(states), per_call)))
 
 
@@ -513,26 +734,23 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, obs, store_rho, trace_tol):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
 
-    The kernel runs on the block of basis states that the initial states can
-    reach (:func:`_reachable_indices`); the sampled states and the final
-    state come back embedded in the full space.  Also returns that block.
+    The kernel runs on the basis that :func:`_integration_basis` picks; the
+    sampled states and the final state come back on that basis, followed by
+    the basis itself.
     """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
-    b, m, d = len(hams), sample_idx.size, rho.shape[1]
-    keep = _reachable_indices(terms, rho)
-    inside = (Ellipsis,)
-    if keep.size < d:
-        inside = (Ellipsis, keep[:, None], keep)
-        terms, w, rho, form_left, form_right, obs = _restrict(
-            keep, terms, w, rho, form_left, form_right, obs)
+    basis = _integration_basis(terms, w, rho)
+    terms, w, rho, form_left, form_right, obs = basis.restrict(
+        terms, w, rho, form_left, form_right, obs)
+    b, m, k = len(hams), sample_idx.size, basis.dim
     samples = (
         np.empty((b, m, form_left.shape[0]), dtype=np.complex128),  # forms
         np.empty((b, m, obs.shape[0])),  # expectation values
         np.empty((b, m)),  # purity
         np.empty((b, m)),  # trace defect
         np.empty((b, m)),  # Hermiticity defect
-        np.zeros((b, m if store_rho else 0, d, d), dtype=np.complex128),
+        np.zeros((b, m if store_rho else 0, k, k), dtype=np.complex128),
     )
     for s0 in range(0, n_steps, BLOCK_STEPS):
         s1 = min(s0 + BLOCK_STEPS, n_steps)
@@ -541,22 +759,17 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         ctab = np.zeros((half_times.size, b, terms.shape[0]))
         for i, (ham, cols) in enumerate(zip(hams, columns)):
             table = ham.coefficient_table(half_times)
-            for k, col in enumerate(cols):
-                ctab[:, i, col] += table[:, k]
+            for j, col in enumerate(cols):
+                ctab[:, i, col] += table[:, j]
         # a block records the samples in (s0, s1]; the first also records step 0
         lo = np.searchsorted(sample_idx, s0 + 1 if s0 else 0)
         hi = np.searchsorted(sample_idx, s1, side="right")
         *block, rho = kern.lindblad_cf4(terms, ctab, w, rho, h, sample_idx[lo:hi] - s0,
                                         form_left, form_right, obs, store_rho)
-        for full, part in zip(samples[:-1], block):
+        for full, part in zip(samples, block):
             full[:, lo:hi] = part
-        samples[-1][:, lo:hi][inside] = block[-1]
         _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), trace_tol, h)
-    if keep.size < d:
-        rho_full = np.zeros((b, d, d), dtype=np.complex128)
-        rho_full[inside] = rho
-        rho = rho_full
-    return (*samples, rho, keep)
+    return (*samples, rho, basis)
 
 
 def _check_trace(tdef: np.ndarray, times: np.ndarray, trace_tol: float, h: float) -> None:

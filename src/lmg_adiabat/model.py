@@ -19,9 +19,10 @@ antiferromagnetic (AFI) one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -125,17 +126,42 @@ class DisorderProfile:
         return np.asarray(self.fractions) * self.eta**2 / 4.0
 
 
+@functools.lru_cache(maxsize=2)
+def _collective_products(n_spins: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_z, J_x^2 and J_y^2 of an n-spin register, built once and read-only.
+
+    Every sweep Hamiltonian of a register (one per ensemble member) shares
+    them.  Two registers are kept: at N = 10 the three matrices take 48 MB.
+    """
+    reg = SpinRegister(n_spins)
+    jz, jx, jy = (collective_operator(reg, which) for which in "zxy")
+    products = (jz, jx @ jx, jy @ jy)
+    for product in products:
+        product.flags.writeable = False
+    return products
+
+
+@functools.lru_cache(maxsize=2)
+def _ising_diagonals(n_spins: int) -> np.ndarray:
+    """(N, 2^N) read-only diagonals of sigma_z^j J_z, j = 1..N."""
+    reg = SpinRegister(n_spins)
+    jz = collective_operator(reg, "z").diagonal().real
+    diagonals = np.stack([embed_single_spin(reg, j, "z").diagonal().real * jz
+                          for j in range(1, n_spins + 1)])
+    diagonals.flags.writeable = False
+    return diagonals
+
+
 def build_disorder_term(reg: SpinRegister, profile: DisorderProfile) -> np.ndarray:
     """Disorder Hamiltonian -sum_j M_j sigma_z^j J_z (diagonal in the z basis)."""
     if profile.n_spins != reg.n_spins:
         raise DimensionMismatchError(
             f"profile has {profile.n_spins} entries for a register of {reg.n_spins} spins"
         )
-    jz = collective_operator(reg, "z")
-    out = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
-    for j, m_j in enumerate(profile.ising_coefficients(), start=1):
-        out -= m_j * (embed_single_spin(reg, j, "z") @ jz)
-    return out
+    diagonal = np.zeros(reg.dim)
+    for m_j, ising in zip(profile.ising_coefficients(), _ising_diagonals(reg.n_spins)):
+        diagonal -= m_j * ising
+    return np.diag(diagonal).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -178,14 +204,8 @@ class LinearHamiltonian:
 
 def build_effective_lmg(reg: SpinRegister, c: EffectiveCoefficients) -> np.ndarray:
     """Collective-spin Hamiltonian for one set of effective coefficients."""
-    jz = collective_operator(reg, "z")
-    jx = collective_operator(reg, "x")
-    jy = collective_operator(reg, "y")
-    return (
-        c.jz_coefficient * jz
-        + (c.alpha * c.beta1**2) * (jx @ jx)
-        + (c.alpha * c.beta2**2) * (jy @ jy)
-    )
+    jz, jx2, jy2 = _collective_products(reg.n_spins)
+    return c.jz_coefficient * jz + (c.alpha * c.beta1**2) * jx2 + (c.alpha * c.beta2**2) * jy2
 
 
 def lmg_sweep_hamiltonian(
@@ -203,10 +223,7 @@ def lmg_sweep_hamiltonian(
     """
     base = effective_coefficients(eta, delta, 0.0, 0.0)
     alpha = base.alpha
-    jz = collective_operator(reg, "z")
-    jx = collective_operator(reg, "x")
-    jy = collective_operator(reg, "y")
-    term_list = [jz, jx @ jx, jy @ jy]
+    term_list = list(_collective_products(reg.n_spins))
     has_disorder = disorder is not None
     if has_disorder:
         term_list.append(build_disorder_term(reg, disorder))

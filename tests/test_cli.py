@@ -182,11 +182,12 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert manifest["config"]["case"] == "I"
     assert manifest["backend"] == "numpy"
     diagnostics = manifest["diagnostics"]
-    assert set(diagnostics) == {"n_steps", "integrated_dim", "max_trace_defect",
-                                "max_hermiticity_defect", "population_excursion",
-                                "min_eigenvalue"}
+    assert set(diagnostics) == {"n_steps", "integrated_dim", "integrated_basis",
+                                "max_trace_defect", "max_hermiticity_defect",
+                                "population_excursion", "min_eigenvalue"}
     assert diagnostics["n_steps"] == 120  # t_final 120 at the default step 1.0
-    assert diagnostics["integrated_dim"] == 2  # the parity block of N = 2 (dim 4)
+    # the parity block of N = 2 (dim 4): the invariant subspace is no smaller
+    assert (diagnostics["integrated_dim"], diagnostics["integrated_basis"]) == (2, "basis states")
     assert diagnostics["max_trace_defect"] <= 1e-8
     assert abs(diagnostics["min_eigenvalue"]) <= 1e-6  # a pure state stays (nearly) pure
     assert "final population" in capsys.readouterr().out

@@ -214,6 +214,7 @@ def test_population_excursion_reports_the_unclipped_value():
     assert res.diagnostics == {
         "n_steps": 10,
         "integrated_dim": 1,  # |up> under a diagonal H reaches nothing else
+        "integrated_basis": "basis states",
         "max_trace_defect": float(np.max(res.trace_defect)),
         "max_hermiticity_defect": 0.0,
         "population_excursion": res.population_excursion,
@@ -225,8 +226,37 @@ def _full_space(terms, rho0s):
     return np.arange(terms.shape[1])
 
 
+def _force_full_space(monkeypatch):
+    """Integrate on the whole space: no reachable block, no invariant subspace."""
+    monkeypatch.setattr(dynamics, "_reachable_indices", _full_space)
+    monkeypatch.setattr(dynamics, "_invariant_subspace", lambda terms, rho0s, limit: None)
+
+
+def _assert_runs_agree(got, want):
+    pairs = [(got.populations[k], want.populations[k]) for k in want.populations]
+    pairs += [(got.bilinears[k], want.bilinears[k]) for k in want.bilinears]
+    pairs += [(got.expectations[k], want.expectations[k]) for k in want.expectations]
+    pairs += [(getattr(got, name), getattr(want, name))
+              for name in ("purity", "trace_defect", "rho_samples", "rho_final")]
+    for a, b in pairs:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+#: (integrated_dim, integrated_basis) of the case I runs below at gamma 0.  The
+#: clean runs stay in the span of the Dicke states m = -N/2, -N/2 + 2, ...;
+#: non-uniform disorder keeps that span only at N = 4 (it is 0 on m = 0 and a
+#: scalar on m = +-2), and elsewhere the closure is no smaller than the block.
+GAMMA0_BASIS = {
+    (2, False): (2, "basis states"), (2, True): (2, "basis states"),
+    (3, False): (2, "subspace"), (3, True): (4, "basis states"),
+    (4, False): (3, "subspace"), (4, True): (3, "subspace"),
+    (5, False): (3, "subspace"), (5, True): (16, "basis states"),
+    (6, False): (4, "subspace"), (6, True): (32, "basis states"),
+}
+
+
 @pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("disordered", [False, True], ids=["clean", "disorder"])
 @pytest.mark.parametrize("gamma", [0.0, 1e-4], ids=["gamma0", "gamma1kHz"])
 def test_parity_block_matches_full_space(monkeypatch, n, disordered, gamma):
@@ -237,18 +267,119 @@ def test_parity_block_matches_full_space(monkeypatch, n, disordered, gamma):
     if disordered:
         fractions = np.linspace(-0.1, 0.1, n)
         cfg = dataclasses.replace(cfg, disorder=DisorderProfile(tuple(fractions), cfg.eta))
-    block = run_scenario(cfg, record_gap=False).trajectory
-    monkeypatch.setattr(dynamics, "_reachable_indices", _full_space)
+    reduced = run_scenario(cfg, record_gap=False).trajectory
+    _force_full_space(monkeypatch)
     full = run_scenario(cfg, record_gap=False).trajectory
-    assert (block.integrated_dim, full.integrated_dim) == (2 ** (n - 1), 2**n)
-    pairs = [(block.populations[k], full.populations[k]) for k in full.populations]
-    pairs += [(block.bilinears[k], full.bilinears[k]) for k in full.bilinears]
-    pairs += [(block.expectations["jz"], full.expectations["jz"])]
-    pairs += [(getattr(block, name), getattr(full, name))
-              for name in ("purity", "trace_defect", "rho_samples", "rho_final")]
+    expected = GAMMA0_BASIS[n, disordered] if gamma == 0 else (2 ** (n - 1), "basis states")
+    assert (reduced.integrated_dim, reduced.integrated_basis) == expected
+    assert (full.integrated_dim, full.integrated_basis) == (2**n, "basis states")
     assert full.bilinears  # case I tracks the branch cross term
-    for got, want in pairs:
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    _assert_runs_agree(reduced, full)
+
+
+def _criterion_8_configs(**kwargs):
+    from lmg_adiabat.protocols import reference_disorder_profiles
+
+    cfg = preset("I", 4, detuning_magnitude=0.9, **kwargs)
+    return [cfg] + [dataclasses.replace(cfg, disorder=p)
+                    for p in reference_disorder_profiles(cfg.eta)]
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_criterion_8_batch_runs_on_its_subspace(monkeypatch):
+    from lmg_adiabat.protocols import run_scenarios
+
+    cfgs = _criterion_8_configs(t_final=400.0, n_samples=21)
+    reduced = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    _force_full_space(monkeypatch)
+    full = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    assert len(reduced) == 13
+    for got, want in zip(reduced, full):
+        assert (got.integrated_dim, got.integrated_basis) == (3, "subspace")
+        _assert_runs_agree(got, want)
+
+
+def test_invariant_subspace_is_real_orthonormal_and_reproducible():
+    cfgs = _criterion_8_configs()
+    reg = SpinRegister(4)
+    hams = [lmg_sweep_hamiltonian(reg, c.eta, c.delta, c.schedule.omega1, c.schedule.omega2,
+                                  c.disorder) for c in cfgs]
+    terms, _ = dynamics._term_union(hams)
+    rho0s = np.stack([density_from_state(c.initial_state()) for c in cfgs])
+    # the 13 equal initial states span one direction
+    columns = np.concatenate(list(rho0s.real), axis=1)
+    assert dynamics._extend_basis(np.zeros((16, 0)), columns).shape == (16, 1)
+    q = dynamics._invariant_subspace(terms, rho0s, limit=8)
+    assert q.dtype == np.float64 and q.shape == (16, 3)
+    np.testing.assert_allclose(q.T @ q, np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(dynamics._invariant_subspace(terms, rho0s, limit=8), q)
+    # a closure that reaches the limit is not used
+    assert dynamics._invariant_subspace(terms, rho0s, limit=3) is None
+
+
+def _tiny_coupling_spec(epsilon):
+    """Two spins under J_x^2 + J_x, the J_x term of norm ``epsilon``, without dephasing.
+
+    From |up up> J_x^2 alone reaches |down down>; the J_x term adds the
+    symmetric m = 0 state, so the closure has dimension 3 against the 4
+    basis states that the nonzero pattern connects.
+    """
+    jx = 0.5 * (np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X))
+    ham = LinearHamiltonian(terms=np.stack([jx @ jx, epsilon * jx / np.abs(jx).max()]),
+                            coefficients=lambda ts: np.ones((np.size(ts), 2)))
+    return LindbladSpec(ham, (0.0, 0.0))
+
+
+def test_tiny_term_is_kept_in_the_subspace(monkeypatch):
+    # the J_x term moves rho by about 1e-9 over the window: cutting it as
+    # rounding would show far above the 1e-12 tolerance
+    spec = _tiny_coupling_spec(1e-11)
+    up = np.zeros(4, dtype=complex)
+    up[0] = 1.0
+    args = (spec, density_from_state(up), (0.0, 100.0))
+    kwargs = dict(n_samples=11, observables={"jz": np.diag([1.0, 0.0, 0.0, -1.0])},
+                  record_gap=False)
+    got = evolve(*args, **kwargs)
+    assert (got.integrated_dim, got.integrated_basis) == (3, "subspace")
+    without = evolve(_tiny_coupling_spec(0.0), *args[1:], **kwargs)
+    assert np.max(np.abs(got.rho_final - without.rho_final)) > 1e-10
+    _force_full_space(monkeypatch)
+    _assert_runs_agree(got, evolve(*args, **kwargs))
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_closure_that_misses_a_direction_falls_back_to_the_block(monkeypatch):
+    from lmg_adiabat.protocols import run_scenario
+
+    cfg = preset("I", 4, t_final=200.0, n_samples=11)
+    # a rank tolerance this coarse drops the m = 0 direction: the check that
+    # every term maps the basis into itself fails, and the parity block is used
+    monkeypatch.setattr(dynamics, "_RANK_TOL", 0.9)
+    got = run_scenario(cfg, record_gap=False).trajectory
+    assert (got.integrated_dim, got.integrated_basis) == (8, "basis states")
+    _force_full_space(monkeypatch)
+    _assert_runs_agree(got, run_scenario(cfg, record_gap=False).trajectory)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("disordered", [False, True], ids=["clean", "disorder"])
+def test_block_gap_scan_matches_the_full_spectrum(n, disordered):
+    from lmg_adiabat.model import DisorderProfile
+
+    cfg = preset("I", n)  # ferromagnetic: a near-degenerate ground doublet at the end
+    disorder = (DisorderProfile(tuple(np.linspace(-0.2, 0.3, n)), cfg.eta)
+                if disordered else None)
+    ham = lmg_sweep_hamiltonian(SpinRegister(n), cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                cfg.schedule.omega2, disorder)
+    times = np.linspace(0.0, cfg.t_final, 9)
+    full = np.einsum("tk,kij->tij", ham.coefficient_table(times), ham.terms)
+    for tol in (None, 1e-6):
+        np.testing.assert_allclose(dynamics._gap_scan(ham, times, tol), spectral_gap(full, tol),
+                                   rtol=0, atol=1e-12)
+    if n >= 2 and not disordered:
+        # the band rule sees the doublet: its splitting is below the band and the gap above it
+        vals = np.linalg.eigvalsh(full[-1])
+        assert vals[1] - vals[0] < 1e-3 * (vals[-1] - vals[0]) < vals[2] - vals[0]
 
 
 def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):

@@ -531,6 +531,10 @@ def test_bench_script_workloads_run_on_the_kernel_set():
     assert np.any(block[2]) and not np.any(undamped[2])
     np.testing.assert_allclose(kern.lindblad_cf4(*undamped)[-1].sum(axis=0).trace(), 13.0,
                                rtol=0, atol=1e-12)
+    sub_dim, sub = bench.invariant_subspace(bench.batch_workload(gamma=0.0, t_final=20.0)[1])
+    assert sub_dim == 3 and sub[0].shape[1:] == (3, 3)
+    np.testing.assert_allclose(kern.lindblad_cf4(*sub)[-1].sum(axis=0).trace(), 13.0,
+                               rtol=0, atol=1e-12)
     build, hams = bench.propagator_workload(block)
     build()
     assert hams.shape == (2 * 20 * 13, 8, 8)

@@ -145,6 +145,32 @@ def test_disorder_term_two_spins_brute_force():
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0  # diagonal in z basis
 
 
+def test_cached_operator_products_are_shared_and_read_only():
+    from lmg_adiabat import model
+    from lmg_adiabat.operators import embed_single_spin
+
+    reg = SpinRegister(3)
+    jz, jx2, jy2 = model._collective_products(3)
+    assert model._collective_products(3)[0] is jz
+    jx, jy = collective_operator(reg, "x"), collective_operator(reg, "y")
+    np.testing.assert_array_equal(jz, collective_operator(reg, "z"))
+    np.testing.assert_array_equal(jx2, jx @ jx)
+    np.testing.assert_array_equal(jy2, jy @ jy)
+    ising = model._ising_diagonals(3)
+    for m in (jz, jx2, jy2, ising):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    # each sweep Hamiltonian gets its own writable copy of the terms
+    ham = lmg_sweep_hamiltonian(reg, 0.1, -1.1, np.ones_like, np.zeros_like)
+    assert ham.terms.flags.writeable and not np.shares_memory(ham.terms, jz)
+    # the disorder term from the cached diagonals is the one built from the operators
+    profile = DisorderProfile(fractions=(0.1, -0.05, 0.2), eta=0.1)
+    expected = np.zeros((8, 8), dtype=complex)
+    for j, m_j in enumerate(profile.ising_coefficients(), start=1):
+        expected -= m_j * (embed_single_spin(reg, j, "z") @ jz)
+    np.testing.assert_array_equal(build_disorder_term(reg, profile), expected)
+
+
 def test_disorder_profile_validation():
     with pytest.raises(ValueError):
         DisorderProfile(fractions=(0.6,), eta=0.1)

@@ -86,7 +86,9 @@ def test_failed_points_recorded_not_dropped():
     assert "Resonant" in table.rows[1].error
     assert np.isnan(table.rows[1].pop_final)
     assert table.n_failed == 1
-    assert table.rows[0].diagnostics["integrated_dim"] == 4  # the parity block of N = 3
+    # gamma 0 from |m = -3/2>: the span of the Dicke states m = -3/2 and 1/2
+    assert table.rows[0].diagnostics["integrated_dim"] == 2
+    assert table.rows[0].diagnostics["integrated_basis"] == "subspace"
     assert table.rows[1].diagnostics == {}
 
 
