@@ -30,10 +30,9 @@ import numpy as np
 
 from lmg_adiabat import _kernels
 from lmg_adiabat.dynamics import (
-    _Block,
+    _Basis,
     _invariant_subspace,
     _reachable_indices,
-    _Subspace,
     _term_union,
     calibrated_schedule,
     dephasing_mask,
@@ -113,14 +112,15 @@ def batch_workload(t_final=1000.0, step=1.0, gamma=1e-4):
 def parity_block(batch):
     """The batch's kernel arguments restricted to the block its initial states reach."""
     terms, _, _, rho0s, *_ = batch
-    return restricted(batch, _Block(_reachable_indices(terms, rho0s), rho0s.shape[1]))
+    keep = _reachable_indices(terms, rho0s)
+    return restricted(batch, _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states"))
 
 
 def invariant_subspace(batch):
     """The gamma-0 batch's kernel arguments on the invariant subspace of its initial states."""
     terms, _, _, rho0s, *_ = batch
     limit = _reachable_indices(terms, rho0s).size
-    return restricted(batch, _Subspace(_invariant_subspace(terms, rho0s, limit)))
+    return restricted(batch, _Basis(_invariant_subspace(terms, rho0s, limit), "subspace"))
 
 
 def restricted(batch, basis):

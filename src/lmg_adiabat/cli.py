@@ -575,13 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config field (repeatable; dotted keys allowed)",
         )
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--parallel", type=int, default=None, help="worker count for sweeps")
         p.add_argument(
             "--schedule",
             choices=_SCHEDULE_KINDS,
             default=None,
             help="drive schedule preset (overrides the config)",
         )
+        if name == "sweep":
+            p.add_argument("--parallel", type=int, default=None,
+                           help="worker threads (default 1, at most the CPU count)")
         if name == "validate-reduction":
             p.add_argument("--cutoff", type=int, default=6, help="Fock cutoff (default 6)")
             p.add_argument(

@@ -29,6 +29,10 @@ Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
 one.
 
+Every batch is integrated on one basis, the span of the orthonormal columns
+of a d x k matrix Q (:class:`_Basis`): the kernel gets Q^H X Q for the
+terms, the initial states, the dephasing mask and the observables, and the
+sampled and final states are embedded back into the full space as Q X Q^H.
 A batch without dephasing is integrated on the smallest subspace that holds
 every member's initial state and that every term of the batch maps into
 itself (:func:`_invariant_subspace`).  The LMG terms move a Dicke state only
@@ -37,18 +41,20 @@ state and a scalar on m = +-N/2, so case I at N = 4 runs at dimension 3
 instead of 16, with or without disorder.  A batch runs on the closure of
 the union of its members, so a member can differ from its standalone run by
 rounding.  The dephasing mask acts elementwise and needs a coordinate basis,
-so a dephased batch is integrated only on the basis states its initial
-states can reach through the nonzero pattern of its terms.  Every LMG term,
-the coupling disorder and the sigma_z dephasing conserve the spin-flip
-parity prod_j sigma_z^j, and every preset starts in a state of definite
-parity, so that block has dimension 2^(N-1); a batch whose initial states
-mix the parity blocks falls back to the full space.  The sampled and final
-states are embedded back into the full space, where they are 0 outside the
-integrated basis (exactly for a block of basis states, up to rounding for a
-subspace).  The gap scan diagonalizes H(t) on each connected component of
-the nonzero pattern of its terms, the two parity blocks of an LMG
-Hamiltonian, and merges their spectra: the ferromagnetic ground doublet has
-one member in each block.
+so a dephased batch, or one whose closure is no smaller, is integrated on
+the basis states its initial states can reach through the nonzero pattern
+of its terms: Q selects those columns of the identity, and Q^H X Q picks the
+entries of that block exactly.  Every LMG term, the coupling disorder and
+the sigma_z dephasing conserve the spin-flip parity prod_j sigma_z^j, and
+every preset starts in a state of definite parity, so that block has
+dimension 2^(N-1); a batch whose initial states mix the parity blocks
+selects the full space.  The embedded states are 0 outside the integrated
+basis (exactly for a selection, up to rounding for a subspace).
+
+The gap scan diagonalizes H(t) on each connected component of the nonzero
+pattern of its terms, the two parity blocks of an LMG Hamiltonian, and
+merges their spectra: the ferromagnetic ground doublet has one member in
+each block.
 """
 from __future__ import annotations
 
@@ -76,6 +82,9 @@ BLOCK_STEPS = 500
 #: Most steps a run may take: up to 2^53 the step count and the sample steps
 #: are exact integers both in float64 and in int64.
 MAX_STEPS = 2**53
+#: A run stops with StepFailureError once a sampled trace defect exceeds this;
+#: the CF4 step keeps the trace to rounding, so only a blown-up run does.
+TRACE_TOL = 1e-8
 #: A new direction of the invariant-subspace closure must stick out of the
 #: subspace by more than this (the terms are scaled to unit norm, the basis
 #: vectors have it, and the initial states have unit trace); rounding leaves
@@ -246,11 +255,11 @@ class TrajectoryResult:
     #: (0 when every sample stayed inside); ``populations`` are clipped.
     population_excursion: float
     #: Dimension of the basis the run was integrated on; every sampled state
-    #: is 0 outside it (exactly for a block of basis states, up to rounding
-    #: for a subspace).
+    #: is 0 outside it (exactly for basis states, up to rounding for a
+    #: subspace).
     integrated_dim: int
-    #: That basis: "basis states" (a block of the z basis) or "subspace" (an
-    #: invariant subspace of a run without dephasing).
+    #: That basis: "basis states" (a selection of the z basis) or "subspace"
+    #: (an invariant subspace of a run without dephasing).
     integrated_basis: str
     #: Smallest eigenvalue of the sampled states (None when they are not stored).
     min_eigenvalue: Optional[float]
@@ -351,8 +360,7 @@ def _component_labels(terms: np.ndarray) -> np.ndarray:
         labels = lowest
 
 
-def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
-              degeneracy_tol: Optional[float]) -> np.ndarray:
+def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
     """Spectral gap at each time, from the eigenvalues of H(t)'s diagonal blocks.
 
     The blocks are the connected components of the nonzero pattern of the
@@ -376,35 +384,17 @@ def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
         h = _hamiltonian_matrix(hamiltonian, times[i:i + per_call], flat)
         blocks = [part.reshape(len(h), *g.shape[1:])
                   for part, g in zip(np.split(h, splits, axis=1), groups)]
-        gaps.append(spectral_gap(blocks, degeneracy_tol))
+        gaps.append(spectral_gap(blocks))
     return np.concatenate(gaps)
 
 
-def evolve(
-    spec: LindbladSpec,
-    rho0: np.ndarray,
-    t_span: Tuple[float, float],
-    *,
-    n_samples: int = 401,
-    step: float = DEFAULT_STEP,
-    populations: Optional[Mapping[str, np.ndarray]] = None,
-    bilinears: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
-    observables: Optional[Mapping[str, np.ndarray]] = None,
-    record_gap: bool = True,
-    gap_degeneracy_tol: Optional[float] = None,
-    store_states: Optional[bool] = None,
-    trace_tol: float = 1e-8,
-) -> TrajectoryResult:
+def evolve(spec: LindbladSpec, rho0: np.ndarray, t_span: Tuple[float, float],
+           **options) -> TrajectoryResult:
     """Integrate the master equation over ``t_span`` and sample observables.
 
     The batch of one of :func:`evolve_batch`, which documents the options.
     """
-    return evolve_batch(
-        [spec], [rho0], t_span, n_samples=n_samples, step=step, populations=populations,
-        bilinears=bilinears, observables=observables, record_gap=record_gap,
-        gap_degeneracy_tol=gap_degeneracy_tol, store_states=store_states,
-        trace_tol=trace_tol,
-    )[0]
+    return evolve_batch([spec], [rho0], t_span, **options)[0]
 
 
 def evolve_batch(
@@ -418,9 +408,7 @@ def evolve_batch(
     bilinears: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
     observables: Optional[Mapping[str, np.ndarray]] = None,
     record_gap: bool = True,
-    gap_degeneracy_tol: Optional[float] = None,
     store_states: Optional[bool] = None,
-    trace_tol: float = 1e-8,
 ) -> List[TrajectoryResult]:
     """Integrate several master equations together, one result per member.
 
@@ -433,13 +421,13 @@ def evolve_batch(
     phase-optimized populations); ``observables`` maps names to Hermitian
     matrices tracked as Tr(O rho).  ``store_states``
     (default: d <= 64) keeps the sampled states, and only then is their
-    smallest eigenvalue computed (``min_eigenvalue``).  Without dephasing
-    the batch is integrated on the invariant subspace of all its initial
+    smallest eigenvalue computed (``min_eigenvalue``).  The batch is
+    integrated on one basis for all its members (see the module docstring):
+    without dephasing that is the invariant subspace of all its initial
     states together, so a member can differ from its standalone run by
-    rounding (see the module docstring).  Raises
-    :class:`StepFailureError` when a member's sampled trace defect exceeds
-    ``trace_tol``, at the end of the block of ``BLOCK_STEPS`` steps in which
-    that happens.
+    rounding.  Raises :class:`StepFailureError` when a member's sampled
+    trace defect exceeds ``TRACE_TOL``, at the end of the block of
+    ``BLOCK_STEPS`` steps in which that happens.
     """
     specs = list(specs)
     if not specs or len(specs) != len(rho0s):
@@ -491,7 +479,7 @@ def evolve_batch(
             )
     forms, expvals, pur, tdef, hdef, states, rho_final, basis = _integrate_blocks(
         hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
-        form_left, form_right, obs, bool(store_states), trace_tol,
+        form_left, form_right, obs, bool(store_states),
     )
     rho_samples = basis.embed(states) if store_states else None
     rho_final = basis.embed(rho_final)
@@ -506,7 +494,7 @@ def evolve_batch(
             name: forms[b, :, len(populations) + k] for k, name in enumerate(bilinears)
         }
         exp_out = {name: expvals[b, :, k] for k, name in enumerate(observables)}
-        gap = _gap_scan(spec.hamiltonian, times, gap_degeneracy_tol) if record_gap else None
+        gap = _gap_scan(spec.hamiltonian, times) if record_gap else None
         results.append(TrajectoryResult(
             times=times,
             populations=pop_out,
@@ -636,59 +624,37 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
-class _Block:
-    """The basis states ``keep`` of a ``full_dim``-dim space, as an integration basis."""
+class _Basis:
+    """The span of the orthonormal columns of ``q`` (d, k), as the basis a batch is integrated on.
 
-    kind = "basis states"
+    ``kind`` is "basis states" when ``q`` selects columns of the identity,
+    else "subspace".
+    """
 
-    def __init__(self, keep: np.ndarray, full_dim: int):
-        self.keep, self.full_dim, self.dim = keep, full_dim, keep.size
-
-    def restrict(self, terms, w, rho, form_left, form_right, obs):
-        """Kernel inputs on the block: P X P for the matrices, P a for the vectors."""
-        if self.dim == self.full_dim:
-            return terms, w, rho, form_left, form_right, obs
-        inside = (Ellipsis, self.keep[:, None], self.keep)
-        return (*(np.ascontiguousarray(x[inside]) for x in (terms, w, rho)),
-                *(np.ascontiguousarray(f[:, self.keep]) for f in (form_left, form_right)),
-                np.ascontiguousarray(obs[inside]))
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """(..., k, k) states on the block as (..., d, d) states, 0 outside it."""
-        if self.dim == self.full_dim:
-            return x
-        out = np.zeros((*x.shape[:-2], self.full_dim, self.full_dim), dtype=np.complex128)
-        out[..., self.keep[:, None], self.keep] = x
-        return out
-
-
-class _Subspace:
-    """The span of the orthonormal columns of ``q``, as the basis of a run without dephasing."""
-
-    kind = "subspace"
-
-    def __init__(self, q: np.ndarray):
-        self.q, self.dim = q, q.shape[1]
+    def __init__(self, q: np.ndarray, kind: str):
+        self.q, self.kind, self.dim = q, kind, q.shape[1]
 
     def restrict(self, terms, w, rho, form_left, form_right, obs):
-        """Kernel inputs on the subspace: Q^H X Q for the matrices, Q^H a for the vectors.
+        """Kernel inputs on the basis: Q^H X Q for the matrices, Q^H a for the vectors.
 
-        The mask ``w`` is zero.  The matrices are Hermitized, so the terms
-        stay exactly Hermitian, and real when Q and the terms are.
+        The matrices are Hermitized, so the terms stay exactly Hermitian, and
+        real when Q, the terms and the states are.  For a selection Q the
+        products pick entries: every entry is one entry times 1 plus zeros.
         """
         q, qh = self.q, self.q.conj().T
-        if q.dtype == np.float64:  # then the terms and the states are real
+        if q.dtype == np.float64 and not (np.any(terms.imag) or np.any(rho.imag)):
             terms, rho = terms.real, rho.real
 
         def sandwich(x):
-            return np.ascontiguousarray(_hermitian_part(qh @ x @ q), dtype=np.complex128)
+            return _hermitian_part(qh @ x @ q)
 
-        return (sandwich(terms), np.zeros((self.dim, self.dim)), sandwich(rho),
-                *(np.ascontiguousarray(f @ q.conj()) for f in (form_left, form_right)),
-                sandwich(obs))
+        terms, rho, obs = (np.ascontiguousarray(sandwich(x), dtype=np.complex128)
+                           for x in (terms, rho, obs))
+        return (terms, np.ascontiguousarray(sandwich(w).real), rho,
+                *(np.ascontiguousarray(f @ q.conj()) for f in (form_left, form_right)), obs)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """(..., k, k) states on the subspace as the Hermitian (..., d, d) states Q X Q^H.
+        """(..., k, k) states on the basis as the Hermitian (..., d, d) states Q X Q^H.
 
         Built in stacks of at most ``_kernels.STACK_BYTES``, so that the
         Hermitian part needs no temporaries of the size of the output.
@@ -703,8 +669,8 @@ class _Subspace:
         return out.reshape(*x.shape[:-2], d, d)
 
 
-def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray):
-    """The basis a batch is integrated on (a :class:`_Subspace` or a :class:`_Block`).
+def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray) -> _Basis:
+    """The basis a batch is integrated on.
 
     That is the invariant subspace of the initial states when the batch has
     no dephasing and the subspace is smaller than the block of basis states
@@ -714,8 +680,8 @@ def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray):
     if not np.any(w):
         q = _invariant_subspace(terms, rho0s, keep.size)
         if q is not None:
-            return _Subspace(q)
-    return _Block(keep, rho0s.shape[1])
+            return _Basis(q, "subspace")
+    return _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states")
 
 
 def _min_eigenvalue(states: np.ndarray) -> float:
@@ -731,7 +697,7 @@ def _min_eigenvalue(states: np.ndarray) -> float:
 
 
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
-                      form_left, form_right, obs, store_rho, trace_tol):
+                      form_left, form_right, obs, store_rho):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
 
     The kernel runs on the basis that :func:`_integration_basis` picks; the
@@ -743,15 +709,9 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
     basis = _integration_basis(terms, w, rho)
     terms, w, rho, form_left, form_right, obs = basis.restrict(
         terms, w, rho, form_left, form_right, obs)
-    b, m, k = len(hams), sample_idx.size, basis.dim
-    samples = (
-        np.empty((b, m, form_left.shape[0]), dtype=np.complex128),  # forms
-        np.empty((b, m, obs.shape[0])),  # expectation values
-        np.empty((b, m)),  # purity
-        np.empty((b, m)),  # trace defect
-        np.empty((b, m)),  # Hermiticity defect
-        np.zeros((b, m if store_rho else 0, k, k), dtype=np.complex128),
-    )
+    b = len(hams)
+    samples = _kernels._lindblad_outputs(b, sample_idx.size, form_left.shape[0], obs.shape[0],
+                                         basis.dim, store_rho)
     for s0 in range(0, n_steps, BLOCK_STEPS):
         s1 = min(s0 + BLOCK_STEPS, n_steps)
         # global half-step index, so every row matches a whole-window table
@@ -768,20 +728,20 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                                         form_left, form_right, obs, store_rho)
         for full, part in zip(samples, block):
             full[:, lo:hi] = part
-        _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), trace_tol, h)
+        _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
     return (*samples, rho, basis)
 
 
-def _check_trace(tdef: np.ndarray, times: np.ndarray, trace_tol: float, h: float) -> None:
-    """Raise StepFailureError at the first sample whose trace defect is too large."""
-    bad = ~(tdef <= trace_tol)  # also catches NaN from a blown-up run
+def _check_trace(tdef: np.ndarray, times: np.ndarray, h: float) -> None:
+    """Raise StepFailureError at the first sample whose trace defect exceeds TRACE_TOL."""
+    bad = ~(tdef <= TRACE_TOL)  # also catches NaN from a blown-up run
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
         b = int(np.argmax(bad[:, j]))
         who = f"member {b}: " if tdef.shape[0] > 1 else ""
         raise StepFailureError(
             f"{who}trace defect {tdef[b, j]:.3e} at t = {times[j]:.6g} exceeds "
-            f"{trace_tol:.1e}; check that H(t) stays finite (step {h:.3g}/nu)"
+            f"{TRACE_TOL:.1e}; check that H(t) stays finite (step {h:.3g}/nu)"
         )
 
 
@@ -859,7 +819,6 @@ def adiabaticity_profile(
     n_spins: int,
     times: np.ndarray,
     disorder: Optional[DisorderProfile] = None,
-    degeneracy_tol: Optional[float] = None,
 ) -> AdiabaticityProfile:
     """Scan the instantaneous spectral gap of the swept collective Hamiltonian."""
     from .operators import SpinRegister
@@ -868,7 +827,7 @@ def adiabaticity_profile(
     ham = lmg_sweep_hamiltonian(
         SpinRegister(n_spins), eta, delta, schedule.omega1, schedule.omega2, disorder
     )
-    gaps = _gap_scan(ham, times, degeneracy_tol)
+    gaps = _gap_scan(ham, times)
     min_gap = float(np.min(gaps))
     duration = float(times[-1] - times[0]) if times.size > 1 else 0.0
     return AdiabaticityProfile(

@@ -64,8 +64,6 @@ from .states import (
     target_state,
 )
 
-ENV_THREADS = "LMG_ADIABAT_THREADS"
-
 #: Twelve reference four-spin disorder profiles (fractions of lambda),
 #: grouped by their maximum relative deviation.
 REFERENCE_DISORDER_PROFILES: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
@@ -94,15 +92,8 @@ REFERENCE_DISPERSION_PAIRS: Tuple[Tuple[float, float], ...] = (
 
 
 def _resolve_workers(parallelism: Optional[int]) -> int:
-    if parallelism is not None:
-        return max(1, int(parallelism))
-    env = os.environ.get(ENV_THREADS, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{ENV_THREADS}={env!r} is not an integer")
-    return 1
+    """Worker threads for ``parallelism``: 1 by default, at most the CPUs this process may use."""
+    return max(1, min(int(parallelism or 1), len(os.sched_getaffinity(0))))
 
 
 def _pmap(fn, items, workers: int):
@@ -361,7 +352,6 @@ def run_scenarios(
     if branch_b is not None:
         populations["branch_minus"] = branch_b
         bilinears["branch_cross"] = (branch_a, branch_b)
-    observables = {"jz": collective_operator(reg, "z")}
 
     specs = [
         LindbladSpec(
@@ -377,7 +367,6 @@ def run_scenarios(
         step=first.step,
         populations=populations,
         bilinears=bilinears,
-        observables=observables,
         record_gap=record_gap,
         store_states=store_states,
     )
@@ -492,7 +481,8 @@ def disorder_ensemble(
 
     The members run as one batch (:func:`run_scenarios`).  ``parallelism``
     has no effect: splitting a batch over threads measured slower than
-    running it whole.
+    running it whole.  It is kept only because ``perfbench/workloads.py``
+    passes it.
     """
     jobs = [("baseline", cfg)]
     jobs += [(p.label or f"profile-{i}", replace(cfg, disorder=p))
@@ -518,8 +508,6 @@ def reference_disorder_profiles(eta: float) -> List[DisorderProfile]:
 def dispersion_ensemble(
     cfg: ScenarioConfig,
     deltas: Sequence[Tuple[float, float]],
-    *,
-    parallelism: Optional[int] = None,
 ) -> EnsembleReport:
     """One run per (dzeta1, dzeta2) drive-dispersion pair, in nu units.
 
@@ -527,8 +515,7 @@ def dispersion_ensemble(
     it exactly.  Unequal offsets leave beta1(t_final) = 2(dzeta1 - dzeta2),
     so a member's reported final populations are bounded by the target
     weight of the ground state of its own dispersed final Hamiltonian.  The
-    members run as one batch, as in :func:`disorder_ensemble`, and
-    ``parallelism`` has no effect.
+    members run as one batch, as in :func:`disorder_ensemble`.
     """
     zeta = cfg.schedule.zeta
     for d1, d2 in deltas:

@@ -189,22 +189,21 @@ class DensityCheck:
     min_eigenvalue: float
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-9,
-    herm_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> DensityCheck:
-    """Validate trace, Hermiticity and positivity; raise on violation."""
+def check_density_matrix(rho: np.ndarray) -> DensityCheck:
+    """Validate trace, Hermiticity and positivity; raise on violation.
+
+    The trace defect may reach 1e-9, the Hermiticity defect (Frobenius norm)
+    1e-10, and the smallest eigenvalue may go down to -1e-8.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     td = trace_defect(rho)
     hd = float(np.linalg.norm(rho - rho.conj().T))
-    if td > trace_tol or hd > herm_tol:
+    if td > 1e-9 or hd > 1e-10:
         raise InvalidInitialStateError(
             f"density matrix invalid: trace defect {td:.3e}, hermiticity defect {hd:.3e}"
         )
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if min_eig < eig_floor:
+    if min_eig < -1e-8:
         raise InvalidInitialStateError(
             f"density matrix has negative eigenvalue {min_eig:.3e}"
         )

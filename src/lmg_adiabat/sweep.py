@@ -3,10 +3,11 @@
 A grid is a base scenario plus named axes of parameter overrides; the
 cartesian product is executed point by point on worker threads and results
 are reassembled in grid order, so the output is independent of the worker
-count.  Extra workers gain little at the register sizes of the presets:
-the numpy kernels spend most of a step in Python between small array
-operations, holding the GIL, and numpy releases it only inside those
-operations.  Failed points keep their row with an error label instead of
+count.  The worker count is ``parallelism`` (1 by default), capped at the
+CPUs this process may use.  Extra workers gain little at the register sizes
+of the presets: the numpy kernels spend most of a step in Python between
+small array operations, holding the GIL, and numpy releases it only inside
+those operations.  Failed points keep their row with an error label instead of
 being dropped.
 """
 from __future__ import annotations
@@ -154,7 +155,10 @@ def run_sweep(
     grid: SweepGrid,
     parallelism: Optional[int] = None,
 ) -> SweepTable:
-    """Execute every grid point; the table is identical for any worker count."""
+    """Execute every grid point on up to ``parallelism`` threads (see the module docstring).
+
+    The table is identical for any worker count.
+    """
     workers = _resolve_workers(parallelism)
     points = list(enumerate(grid.points()))
 

@@ -69,7 +69,7 @@ def dispersion_report():
     cfg, pairs = _dispersion_setup()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", la.errors.RegimeWarning)
-        return la.dispersion_ensemble(cfg, pairs, parallelism=4)
+        return la.dispersion_ensemble(cfg, pairs)
 
 
 def test_criterion_1_operator_algebra():

@@ -273,6 +273,14 @@ def test_sweep_cli_worker_invariance(tmp_path):
     assert [p["index"] for p in sidecars[0]] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "classify", "validate-reduction"])
+def test_parallel_flag_is_only_for_sweep(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--parallel", "2", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+
 def test_spectrum_names_polarized_ground(tmp_path, capsys):
     code = cli.main(["spectrum", "--set", "case=I", "--set", "n_spins=4",
                      "--out", str(tmp_path)])

@@ -317,6 +317,59 @@ def test_invariant_subspace_is_real_orthonormal_and_reproducible():
     assert dynamics._invariant_subspace(terms, rho0s, limit=3) is None
 
 
+def _selection_batch(complex_terms):
+    """(terms, mask, initial states, tracked vectors, observables) of a dephased batch.
+
+    The criterion-8 batch has real terms; the three-spin batch adds the
+    complex, parity-conserving term (J_x J_y + J_y J_x) / 2.  Both start in
+    one parity block.
+    """
+    from lmg_adiabat.operators import collective_operator
+    from lmg_adiabat.states import target_state
+
+    if not complex_terms:
+        cfgs = _criterion_8_configs(gamma=1e-4)
+        reg = SpinRegister(4)
+        hams = [lmg_sweep_hamiltonian(reg, c.eta, c.delta, c.schedule.omega1,
+                                      c.schedule.omega2, c.disorder) for c in cfgs]
+        terms, _ = dynamics._term_union(hams)
+        rho0s = np.stack([density_from_state(c.initial_state()) for c in cfgs])
+        jx, jz = (collective_operator(reg, axis) for axis in "xz")
+        return (terms, dephasing_mask(cfgs[0].gammas()), rho0s,
+                np.stack([target_state("I", 4), dicke_state(4, 1.0, "y")]), np.stack([jz, jx]))
+    reg = SpinRegister(3)
+    jx, jy, jz = (collective_operator(reg, axis) for axis in "xyz")
+    terms = np.stack([jz, jx @ jx, dynamics._hermitian_part(jx @ jy)])
+    rho0s = np.stack([density_from_state(dicke_state(3, m, "z")) for m in (1.5, -0.5)])
+    return (terms, dephasing_mask((1e-4, 2e-4, 0.0)), rho0s,
+            np.stack([dicke_state(3, 0.5, "y"), dicke_state(3, 1.5, "x")]), np.stack([jy, jx]))
+
+
+@pytest.mark.parametrize("complex_terms", [False, True], ids=["criterion-8", "complex"])
+def test_selection_basis_picks_the_entries_of_its_block(complex_terms):
+    # why merging the block of basis states into the subspace class moves no
+    # output: Q^H X Q and f conj(Q) for a 0/1 selection Q are its entries
+    terms, w, rho0s, forms, obs = _selection_batch(complex_terms)
+    keep = dynamics._reachable_indices(terms, rho0s)
+    basis = dynamics._integration_basis(terms, w, rho0s)
+    assert (basis.kind, basis.dim) == ("basis states", terms.shape[1] // 2)
+    got = basis.restrict(terms, w, rho0s, forms, forms.conj(), obs)
+    inside = (Ellipsis, keep[:, None], keep)
+    want = (terms[inside], w[inside], rho0s[inside], forms[:, keep], forms.conj()[:, keep],
+            obs[inside])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    rng = np.random.default_rng(3)
+    x = dynamics._hermitian_part(rng.normal(size=(5, basis.dim, basis.dim))
+                                 + 1j * rng.normal(size=(5, basis.dim, basis.dim)))
+    full = basis.embed(x)
+    outside = np.ones(full.shape[1:], dtype=bool)
+    outside[keep[:, None], keep] = False
+    assert np.all(full[:, outside] == 0)
+    np.testing.assert_array_equal(full[inside], x)
+
+
 def _tiny_coupling_spec(epsilon):
     """Two spins under J_x^2 + J_x, the J_x term of norm ``epsilon``, without dephasing.
 
@@ -373,9 +426,8 @@ def test_block_gap_scan_matches_the_full_spectrum(n, disordered):
                                 cfg.schedule.omega2, disorder)
     times = np.linspace(0.0, cfg.t_final, 9)
     full = np.einsum("tk,kij->tij", ham.coefficient_table(times), ham.terms)
-    for tol in (None, 1e-6):
-        np.testing.assert_allclose(dynamics._gap_scan(ham, times, tol), spectral_gap(full, tol),
-                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dynamics._gap_scan(ham, times), spectral_gap(full),
+                               rtol=0, atol=1e-12)
     if n >= 2 and not disordered:
         # the band rule sees the doublet: its splitting is below the band and the gap above it
         vals = np.linalg.eigvalsh(full[-1])

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -146,17 +147,17 @@ def test_aggregate_disorder_levels_against_baseline():
         assert abs(r.pop_mean - baseline) <= 0.02
 
 
-def test_env_thread_fallback(monkeypatch):
-    from lmg_adiabat.protocols import ENV_THREADS, _resolve_workers
+def test_worker_count_is_capped_at_the_cpu_count():
+    # resolved without starting a thread: a huge --parallel must not ask the
+    # pool for one thread per grid point
+    from lmg_adiabat.protocols import _resolve_workers
 
-    monkeypatch.delenv(ENV_THREADS, raising=False)
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(3) == 3
-    monkeypatch.setenv(ENV_THREADS, "4")
-    assert _resolve_workers(None) == 4
-    monkeypatch.setenv(ENV_THREADS, "one")
-    with pytest.raises(ValidationError):
-        _resolve_workers(None)
+    cpus = len(os.sched_getaffinity(0))
+    assert _resolve_workers(None) == _resolve_workers(0) == 1
+    assert _resolve_workers(3) == min(3, cpus)
+    assert _resolve_workers(10**6) == cpus
+    for parallelism in (None, 0, 3, 10**6):
+        assert 1 <= _resolve_workers(parallelism) <= cpus
 
 
 def test_aggregate_unknown_axis():
