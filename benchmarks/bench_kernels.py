@@ -16,10 +16,14 @@ that parity block, as `evolve_batch` integrates it without dephasing.  A
 fourth section times that parity-block batch at gamma 0, where the kernel
 fuses the steps of each sample interval into one propagator, and at
 gamma 1e-4, where it conjugates rho step by step, per member and step.  The
-last section times the CF4 step propagators of that batch on its parity
+next section times the CF4 step propagators of that batch on its parity
 block, built in the kernel's stacks of `_kernels.STACK_BYTES`, per
 exponential, next to one batched `np.linalg.eigh` of the same Simpson
-moments.
+moments.  The last section times single case I runs at 1 kHz and step 1.0
+for N = 3 to 6 on their parity block, stepping rho one step at a time, and
+on the operator subspace of that block that `evolve_batch` integrates
+them on, where the step matrices of each sample interval are fused, in
+microseconds per step.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -31,6 +35,7 @@ import numpy as np
 from lmg_adiabat import _kernels
 from lmg_adiabat.dynamics import (
     _Basis,
+    _integration_basis,
     _invariant_subspace,
     _reachable_indices,
     _term_union,
@@ -150,6 +155,16 @@ def propagator_workload(block):
     return build, hams
 
 
+def operator_workload(n_spins, t_final=1000.0):
+    """A case I run at 1 kHz on its parity block, and its operator subspace there."""
+    _, _, args = lindblad_workload(n_spins, t_final=t_final, step=1.0)
+    terms, _, w, rho0, *_ = args
+    basis = _integration_basis(terms, w, rho0[None])
+    assert basis.kind == "operator subspace"
+    _, block = restricted(args, _Basis(basis.q, "basis states"))
+    return basis.q.shape[1], basis.dim, block, basis.operators
+
+
 def time_call(fn, args, repeat):
     best = np.inf
     for _ in range(repeat):
@@ -241,6 +256,19 @@ def main():
     t_build = time_call(build, (), opts.repeat)
     t_eigh = time_call(np.linalg.eigh, (hams,), opts.repeat)
     print(f"{1e6 * t_build / len(hams):10.3f} {1e6 * t_eigh / len(hams):10.3f}")
+
+    print("\nCF4 dephased run, case I at gamma 1e-4 and step 1.0: per-step loop on the parity"
+          "\nblock against fused intervals on its operator subspace (us per step)")
+    header = f"{'N':>3s} {'block':>6s} {'space':>6s} {'per step':>10s} {'operator':>10s} {'speedup':>9s}"
+    print(header)
+    print("-" * len(header))
+    for n in (3, 4, 5, 6):
+        k, r, block, operators = operator_workload(n)
+        n_steps = (block[1].shape[0] - 1) // 2
+        t_step = time_call(kern.lindblad_cf4, block, opts.repeat)
+        t_operator = time_call(kern.lindblad_cf4, (*block, operators), opts.repeat)
+        print(f"{n:3d} {k:6d} {r:6d} {1e6 * t_step / n_steps:10.2f} "
+              f"{1e6 * t_operator / n_steps:10.2f} {t_step / t_operator:8.1f}x")
 
 
 if __name__ == "__main__":

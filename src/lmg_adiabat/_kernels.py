@@ -12,13 +12,19 @@ half-steps exp(W dt / 2).  Its propagators are built for many steps at once
 by :func:`_exp_hermitian`, a truncated Taylor series (Paterson & Stockmeyer,
 SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
-only, in real arithmetic for real terms.  With dephasing, rho is conjugated
-by each step's propagator, at two small products a step.  Without it the
-steps between two samples compose exactly, so their propagators are first
+only, in real arithmetic for real terms.  Without dephasing the steps
+between two samples compose exactly, so their propagators are first
 multiplied into one on a pairwise tree (:func:`_segment_propagators`, one
 product a step) and rho is conjugated once per sample interval; this moves
-the results by rounding only, about 1e-14.  The step is CPTP, so it cannot
-blow up, and its size is set by how fast H(t) changes rather than by its norm.
+the results by rounding only, about 1e-14.  With dephasing and an
+:class:`OperatorBasis` of the operator space the run stays in, the whole
+step, dephasing included, is a real matrix on that space
+(:func:`_operator_steps`, from the same cos and sinc series,
+:func:`_cos_sinc`), so the step matrices of a sample interval are fused in
+the same way and only the coordinate vector of rho is advanced.  With
+dephasing and no such basis, rho is conjugated by each step's propagator,
+at two small products a step.  The step is CPTP, so it cannot blow up, and
+its size is set by how fast H(t) changes rather than by its norm.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -102,7 +108,12 @@ def _record(out, rows, rho, left_c, form_right, obs, store_rho):
 
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho):
+                        form_left, form_right, obs, store_rho, operators=None):
+    """Classical RK4 on rho, the reference of :func:`_lindblad_cf4_numpy`.
+
+    Takes the same arguments; ``operators`` only names a space the run
+    stays in, and this kernel integrates rho itself.
+    """
     if ctab.ndim == 2:  # single run: the batch of one
         out = _lindblad_rk4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
                                   form_left, form_right, obs, store_rho)
@@ -194,13 +205,47 @@ def _series_tables():
 _BLOCK_THETA, _SERIES = _series_tables()
 
 
+def _cos_sinc(y, top, sinc=True):
+    """cos X and sin(X) / X of every matrix of a stack, from Y = X^2: a (2, n, d, d) array.
+
+    Both are summed as polynomials in Y by Paterson-Stockmeyer: the powers
+    I, Y, .., Y^(_WIDTH - 1) give every block's cos and sin parts from one
+    real product, and the blocks are combined by Horner's rule in Y^_WIDTH.
+    Matrix i keeps blocks 0 .. top[i] only: the blocks past its own degree
+    are zeroed, so its bits do not depend on the rest of the stack.  With
+    ``sinc=False`` only cos X is summed, as a (1, n, d, d) array.
+    """
+    series = _SERIES if sinc else _SERIES[::2]
+    n, d, _ = y.shape
+    powers = np.empty((_WIDTH, n, d, d), dtype=y.dtype)  # I, Y, Y^2
+    powers[0] = np.eye(d)
+    powers[1] = y
+    for j in range(2, _WIDTH):
+        np.matmul(powers[1], powers[j - 1], out=powers[j])
+    y_width = powers[1] @ powers[_WIDTH - 1]
+    # every block's cos and sin parts from one real product (complex Y: its float64 view)
+    blocks = (series @ powers.reshape(_WIDTH, -1).view(np.float64)).view(y.dtype)
+    blocks = blocks.reshape(_BLOCKS, len(series) // _BLOCKS, n, d, d)
+
+    last = int(top.max(initial=0))
+    parts = blocks[last].copy()
+    for q in range(last, -1, -1):
+        if q < last:
+            parts = y_width @ parts
+            parts += blocks[q]
+        below = top < q
+        if below.any():
+            parts[:, below] = 0.0  # the matrix's series starts at a lower block
+    return parts
+
+
 def _exp_hermitian(s, h):
     """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack, up to a phase each.
 
     Each S is shifted by the centre c of its Gershgorin interval [c - r, c + r]
     and scaled by h / 2^k, where k is the fewest squarings that bring
     h r / 2^k to at most _THETA_MAX.  The series of exp(-i X) for the scaled
-    X = (S - c) h / 2^k is summed by Paterson-Stockmeyer as cos X - i X sin(X)/X,
+    X = (S - c) h / 2^k is summed as cos X - i X sin(X)/X by :func:`_cos_sinc`,
     two polynomials in Y = X^2, so real S stay in real arithmetic, and the
     result is squared k times.  The shift multiplies U by the scalar phase
     exp(-i h c), which cancels in U rho U^H, so it is dropped.
@@ -232,25 +277,7 @@ def _exp_hermitian(s, h):
 
     x = s * scale[:, None, None]
     x.reshape(n, d * d)[:, ::d + 1] -= (scale * (0.5 * (hi + lo)))[:, None]
-    powers = np.empty((_WIDTH, n, d, d), dtype=s.dtype)  # I, Y, Y^2
-    powers[0] = np.eye(d)
-    np.matmul(x, x, out=powers[1])
-    for j in range(2, _WIDTH):
-        np.matmul(powers[1], powers[j - 1], out=powers[j])
-    y_width = powers[1] @ powers[_WIDTH - 1]
-    # every block's cos and sin parts from one real product (complex Y: its float64 view)
-    blocks = (_SERIES @ powers.reshape(_WIDTH, -1).view(np.float64)).view(s.dtype)
-    blocks = blocks.reshape(_BLOCKS, 2, n, d, d)
-
-    last = int(top.max(initial=0))
-    parts = blocks[last].copy()  # cos and sin(X)/X, by Horner's rule in Y^_WIDTH
-    for q in range(last, -1, -1):
-        if q < last:
-            parts = y_width @ parts
-            parts += blocks[q]
-        below = top < q
-        if below.any():
-            parts[:, below] = 0.0  # the matrix's series starts at a lower block
+    parts = _cos_sinc(x @ x, top)
     sin_part = x @ parts[1]  # X sin(X) / X
     if s.dtype == np.float64:
         u = np.empty((n, d, d), dtype=np.complex128)
@@ -266,6 +293,12 @@ def _exp_hermitian(s, h):
     return u
 
 
+def _simpson_moments(rows):
+    """(n, 2, B, K) coefficients of each step's S_a and S_b from half-step rows (2n+1, B, K)."""
+    c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]
+    return np.stack([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
+
+
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
     """(n, B, d, d) stack of step propagators U from half-step coefficient rows (2n+1, B, K).
 
@@ -275,13 +308,128 @@ def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
     in U rho U^H.  A step whose Hamiltonian is not finite gets a NaN
     propagator, which the trace check reports.
     """
-    c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]
-    n, b, kk = c0.shape
-    moments = np.stack([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
+    moments = _simpson_moments(rows)
+    n, _, b, kk = moments.shape
     # a stack of fixed-shape products: each step's bits do not depend on n
     s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
     ua, ub = _exp_hermitian(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, d, d).swapaxes(0, 1)
     return ub @ ua  # S_a acts first
+
+
+class OperatorBasis(NamedTuple):
+    """Real orthonormal basis of a space of Hermitian k x k operators, as the kernel's state.
+
+    The space holds the initial states and is mapped into itself by every
+    term's commutator X -> -i [T, X] and by the dephasing mask X -> W o X.
+    Its first r1 basis operators are real symmetric matrices S_j and the
+    other r2 are i A_j with A_j real antisymmetric; an operator is the real
+    vector x of its coordinates.  Each array has a leading axis of 1 (shared
+    by the batch) or of the batch size.
+    """
+
+    #: (G, r1, k^2) vec(S_j), the mask's eigenvectors on the symmetric half.
+    symmetric: np.ndarray
+    #: (G, r2, k^2) vec(A_j), the mask's eigenvectors on the antisymmetric half.
+    antisymmetric: np.ndarray
+    #: (G, r1 + r2) the mask's eigenvalues on the basis, in its order.
+    rates: np.ndarray
+    #: (G, K, r2, r1) coordinates of -i [T_k, S_j] on the i A_l: the generator of term k.
+    couplings: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.rates.shape[-1]
+
+    def coordinates(self, rho):
+        """(B, r) coordinates of a (B, k, k) stack of Hermitian operators in the space."""
+        b, k, _ = rho.shape
+        flat = rho.reshape(b, 1, k * k)
+        return np.concatenate([(flat.real @ self.symmetric.swapaxes(-1, -2))[:, 0],
+                               (flat.imag @ self.antisymmetric.swapaxes(-1, -2))[:, 0]],
+                              axis=-1)
+
+    def embed(self, x):
+        """(B, s, k, k) Hermitian operators of the (B, s, r) coordinates ``x``.
+
+        Each operator is a fixed-shape product of its own coordinates, so its
+        bits depend on neither the batch nor the number of samples.
+        """
+        b, s, _ = x.shape
+        r1, kk = self.symmetric.shape[1:]
+        k = math.isqrt(kk)
+        x = x[:, :, None, :]
+        rho = np.empty((b, s, 1, kk), dtype=np.complex128)
+        rho.real = x[..., :r1] @ self.symmetric[:, None]
+        rho.imag = x[..., r1:] @ self.antisymmetric[:, None]
+        rho = rho.reshape(b, s, k, k)
+        return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
+def _rotation_exponentials(c, h):
+    """exp(h G) of G = [[0, -C^T], [C, 0]] for every C of an (n, r2, r1) stack: (n, r, r).
+
+    With B = h C, Z1 = B^T B and Z2 = B B^T, G^2 = -diag(Z1, Z2), so
+    exp(h G) = [[c(Z1), -B^T s(Z2)], [B s(Z1), c(Z2)]], with the cos and
+    sinc series c and s of :func:`_cos_sinc`.  Since B s(Z1) = s(Z2) B, only
+    the sinc of Z2 is summed: the antisymmetric half is the smaller one on
+    every preset (3 of 11 dimensions at N = 4, 16 of 45 at N = 8).  B is
+    scaled by 2^-k, where k is the fewest squarings that bring its Frobenius
+    norm, a bound on ||h G||_2, to at most _THETA_MAX, and the result is
+    squared k times.  As in :func:`_exp_hermitian`, each matrix takes its
+    own degree and squarings, and a C that is not finite, or whose bound is
+    not, gets a NaN exponential.
+    """
+    n, r2, r1 = c.shape
+    b = h * c
+    flat = b.reshape(n, r2 * r1)
+    theta = np.sqrt(np.einsum("ni,ni->n", flat, flat))
+    good = np.isfinite(theta)  # also false for a C that is not finite
+    if not good.all():
+        theta[~good] = 0.0
+        b[~good] = 0.0  # set to NaN at the end
+    mantissa, exponent = np.frexp(theta / _THETA_MAX)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    top = np.searchsorted(_BLOCK_THETA, np.ldexp(theta, -squarings))
+    # scaling by a power of 2 is exact, so Z1 and Z2 are those of the scaled B
+    b = np.ldexp(b, -squarings[:, None, None])
+    bt = np.ascontiguousarray(b.swapaxes(1, 2))
+    e = np.empty((n, r1 + r2, r1 + r2))
+    e[:, :r1, :r1] = _cos_sinc(bt @ b, top, sinc=False)[0]
+    cos2, sinc2 = _cos_sinc(b @ bt, top)
+    np.negative(bt @ sinc2, out=e[:, :r1, r1:])
+    np.matmul(sinc2, b, out=e[:, r1:, :r1])
+    e[:, r1:, r1:] = cos2
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        if more.all():
+            e = e @ e
+        else:
+            e[more] = e[more] @ e[more]
+    if not good.all():
+        e[~good] = np.nan
+    return e
+
+
+def _operator_steps(rows, operators, dt):
+    """(n, B, r, r) real step maps on an :class:`OperatorBasis` from half-step rows (2n+1, B, K).
+
+    On the basis the CF4 step E o (U X U^H) o E is D exp(dt G_b) exp(dt G_a) D,
+    with G_a and G_b the generators of the Simpson moments S_a and S_b
+    (:func:`_rotation_exponentials`) and D = diag(exp(dt lambda / 2)) the
+    dephasing half-step, since the basis diagonalizes the mask.  A step
+    whose Hamiltonian is not finite gets a NaN map, which the trace check
+    reports.
+    """
+    moments = _simpson_moments(rows)
+    n, _, b, kk = moments.shape
+    g, _, r2, r1 = operators.couplings.shape
+    # a stack of fixed-shape products per member: each step's bits depend on
+    # neither n nor the batch
+    generators = moments.transpose(0, 2, 1, 3) @ operators.couplings.reshape(g, kk, r2 * r1)
+    e = _rotation_exponentials(generators.reshape(n * b * 2, r2, r1), dt)
+    ea, eb = e.reshape(n, b, 2, r1 + r2, r1 + r2).transpose(2, 0, 1, 3, 4)
+    damp = np.exp(0.5 * dt * operators.rates)[:, None, :]  # (G, 1, r)
+    return (eb @ ea) * damp * damp.swapaxes(-1, -2)
 
 
 def _segment_ends(n_steps, sample_idx, longest):
@@ -328,24 +476,30 @@ def _segment_propagators(u, lengths):
 
 
 def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho):
+                        form_left, form_right, obs, store_rho, operators=None):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
-    Same arguments and outputs as :func:`_lindblad_rk4_numpy`.  One loop
-    advances rho over segments: rho <- E o (V (E o rho) V^H), then Hermitized,
+    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
+    optional :class:`OperatorBasis` of the space the run stays in.  One loop
+    advances the state over segments.  Without ``operators`` the state is
+    rho, and a segment maps it to E o (V (E o rho) V^H), then Hermitized,
     with E = exp(W dt / 2) and V the product of the segment's step
     propagators from :func:`_cf4_propagators`; every factor is a CPTP map,
     so the step keeps the trace and positivity at any step size.  With
     dephasing a segment is one step.  Without it (W = 0) the steps between
     two samples compose exactly, so a segment is a sample interval
     (:func:`_segment_ends`), multiplied out by :func:`_segment_propagators`.
-    The propagators are built in stacks of ``STACK_BYTES``; the segments that
-    end in a stack are applied, and their samples recorded, together, and a
-    segment's unfinished steps wait for the next stack.
+    With ``operators`` the state is the real coordinate vector of rho, each
+    step is a real matrix (:func:`_operator_steps`) that includes the
+    dephasing, so the steps of a sample interval compose exactly with or
+    without it, and the sampled states are embedded back as k x k matrices.
+    The step matrices are built in stacks of ``STACK_BYTES``; the segments
+    that end in a stack are applied, and their samples recorded, together,
+    and a segment's unfinished steps wait for the next stack.
     """
     if ctab.ndim == 2:  # single run: the batch of one
         out = _lindblad_cf4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
-                                  form_left, form_right, obs, store_rho)
+                                  form_left, form_right, obs, store_rho, operators)
         return tuple(x[0] for x in out)
 
     d = terms.shape[1]
@@ -354,28 +508,60 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     m = sample_idx.shape[0]
     out = _lindblad_outputs(b, m, form_left.shape[0], obs.shape[0], d, store_rho)
     left_c = form_left.conj()
-    stage_terms, stage_dtype = _stage_terms(terms)
-    half_damp = np.exp(0.5 * dt * w)
-    # 0.5 Hermitizes; 0.5 E also applies the second dephasing half-step
-    scale = 0.5 * half_damp
-    per_chunk = max(1, STACK_BYTES // (16 * b * d * d))
-    if np.any(w):
-        ends = list(range(1, n_steps + 1))
+    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
+    if operators is None:
+        stage_terms, stage_dtype = _stage_terms(terms)
+        half_damp = np.exp(0.5 * dt * w)
+        # 0.5 Hermitizes; 0.5 E also applies the second dephasing half-step
+        scale = 0.5 * half_damp
+        step_bytes, fused = 16 * d * d, not np.any(w)
+
+        def steps(rows):
+            return _cf4_propagators(rows, stage_terms, stage_dtype, dt, d)
+
+        def segments(v):
+            vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
+
+            def advance(j, x):
+                y = v[j] @ (half_damp * x) @ vh[j]
+                x = y + y.conj().transpose(0, 2, 1)
+                x *= scale
+                return x
+            return advance
+
+        def density(states):
+            return states
+
+        state = rho
     else:
-        ends = _segment_ends(n_steps, sample_idx, max(1, STACK_BYTES // (16 * d * d)))
+        step_bytes, fused = 8 * operators.dim ** 2, True
+
+        def steps(rows):
+            return _operator_steps(rows, operators, dt)
+
+        def segments(v):
+            return lambda j, x: (v[j] @ x[..., None])[..., 0]
+
+        density = operators.embed
+        state = operators.coordinates(rho)
+
+    per_chunk = max(1, STACK_BYTES // (b * step_bytes))
+    if fused:
+        ends = _segment_ends(n_steps, sample_idx, max(1, STACK_BYTES // step_bytes))
+    else:
+        ends = list(range(1, n_steps + 1))
     sampled = np.zeros(n_steps + 1, dtype=bool)
     sampled[sample_idx] = True
 
-    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     ptr = 0
     if sampled[0]:
-        _record(out, slice(0, 1), rho[:, None], left_c, form_right, obs, store_rho)
+        _record(out, slice(0, 1), density(state[:, None]), left_c, form_right, obs, store_rho)
         ptr = 1
-    pending = []  # propagator stacks of the steps of an unfinished segment
+    pending = []  # step stacks of the steps of an unfinished segment
     first = 0
     for lo in range(0, n_steps, per_chunk):
         hi = min(lo + per_chunk, n_steps)
-        u = _cf4_propagators(ctab[2 * lo:2 * hi + 1], stage_terms, stage_dtype, dt, d)
+        u = steps(ctab[2 * lo:2 * hi + 1])
         last = bisect.bisect_right(ends, hi, first)
         if last == first:  # no segment ends in this stack
             pending.append(u)
@@ -384,23 +570,22 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             u = np.concatenate(pending + [u])
         start = hi - u.shape[0]
         done = ends[first:last]  # the segments that end in this stack
-        v = _segment_propagators(u[:done[-1] - start], np.diff([start] + done).tolist())
-        vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
+        advance = segments(_segment_propagators(u[:done[-1] - start],
+                                                np.diff([start] + done).tolist()))
         states = []
         for j, end in enumerate(done):
-            y = v[j] @ (half_damp * rho) @ vh[j]
-            rho = y + y.conj().transpose(0, 2, 1)
-            rho *= scale
+            state = advance(j, state)
             if sampled[end]:
-                states.append(rho)
+                states.append(state)
         if states:
             rows = slice(ptr, ptr + len(states))
-            _record(out, rows, np.stack(states, axis=1), left_c, form_right, obs, store_rho)
+            _record(out, rows, density(np.stack(states, axis=1)), left_c, form_right, obs,
+                    store_rho)
             ptr += len(states)
         pending = [u[done[-1] - start:]] if hi > done[-1] else []
         first = last
 
-    return (*out, rho)
+    return (*out, density(state[:, None])[:, 0])
 
 
 def _schrodinger_rk4_numpy(terms, ctab, psi0, dt, sample_idx):

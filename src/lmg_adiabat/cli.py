@@ -314,27 +314,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_text(header: str, columns) -> str:
+    """CSV of equal-length float columns, each value as its shortest round-trip decimal.
+
+    The rows come from one ``tolist`` pass, so every value is a Python float
+    and ``repr`` gives the same text as :func:`_fmt` of the numpy scalar.
+    """
+    rows = np.column_stack(columns).tolist()
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def trajectory_csv_text(run: ScenarioRun) -> str:
     traj = run.trajectory
     gap = traj.gap if traj.gap is not None else np.full(traj.times.size, float("nan"))
-    lines = [TRAJECTORY_HEADER]
-    for i in range(traj.times.size):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    traj.times[i],
-                    run.pop_target[i],
-                    run.pop_target_phase_opt[i],
-                    traj.purity[i],
-                    traj.trace_defect[i],
-                    gap[i],
-                    run.omega1[i],
-                    run.omega2[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(TRAJECTORY_HEADER, [
+        traj.times, run.pop_target, run.pop_target_phase_opt, traj.purity,
+        traj.trace_defect, gap, run.omega1, run.omega2,
+    ])
 
 
 def sweep_csv_text(table: SweepTable) -> str:
@@ -357,21 +353,10 @@ def sweep_csv_text(table: SweepTable) -> str:
 
 
 def reduction_csv_text(report: ReductionReport) -> str:
-    lines = ["t_nu,jz_full,jz_effective,pop_full,pop_effective"]
-    for i in range(report.times.size):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    report.times[i],
-                    report.jz_full[i],
-                    report.jz_effective[i],
-                    report.pop_full[i],
-                    report.pop_effective[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text("t_nu,jz_full,jz_effective,pop_full,pop_effective", [
+        report.times, report.jz_full, report.jz_effective, report.pop_full,
+        report.pop_effective,
+    ])
 
 
 def write_csv(result: Union[ScenarioRun, SweepTable, ReductionReport], path: str) -> None:

@@ -17,9 +17,12 @@ exact dephasing around a 4th-order commutator-free Magnus propagator of H(t)
 Every factor is a CPTP map, so the trace and positivity hold at any step.
 Without dephasing E = 1, and the kernel multiplies the propagators of the
 steps between two samples into one before it conjugates rho; the state is
-Hermitized after each such sample interval, or after each step when there
-is dephasing.  Fusing the steps moves a run's results by rounding only,
-about 1e-14, since the same factors are multiplied in another order.
+Hermitized after each such sample interval.  On an operator subspace
+(below) the whole step, dephasing included, is a real matrix, and the
+steps of a sample interval are fused in the same way.  Fusing the steps
+moves a run's results by rounding only, about 1e-14, since the same
+factors are multiplied in another order.  Other dephased runs advance rho
+one step at a time and Hermitize it after each step.
 
 The step is limited by how fast H(t) changes, not by its norm (see
 DEFAULT_STEP).  Since the step is CPTP, the trace check does not flag a step
@@ -29,7 +32,7 @@ Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
 one.
 
-Every batch is integrated on one basis, the span of the orthonormal columns
+A batch is integrated on the span of the orthonormal columns
 of a d x k matrix Q (:class:`_Basis`): the kernel gets Q^H X Q for the
 terms, the initial states, the dephasing mask and the observables, and the
 sampled and final states are embedded back into the full space as Q X Q^H.
@@ -50,6 +53,19 @@ every preset starts in a state of definite parity, so that block has
 dimension 2^(N-1); a batch whose initial states mix the parity blocks
 selects the full space.  The embedded states are 0 outside the integrated
 basis (exactly for a selection, up to rounding for a subspace).
+
+On that block a dephased run with real terms and states is integrated on
+the smallest space of Hermitian operators that holds its initial states
+and that each term's commutator and the mask map into themselves
+(:func:`_operator_subspace`, kind "operator subspace"): 5, 11 and 24 real
+dimensions at N = 3, 4 and 6, against 16, 64 and 1024 entries of rho on
+the block.  The kernel's state is then the coordinate vector of rho in a
+basis of that space that diagonalizes the mask; its sampled states are
+embedded back on the block exactly Hermitian.  A space of k^2 or more than
+2k dimensions on a block of k basis states is not used
+(:func:`_operator_limit`), and such runs keep to the block.  Each member of
+a dephased batch gets the space of its own terms and initial state, so its
+results do not depend on its batch (:func:`_integration_groups`).
 
 The gap scan diagonalizes H(t) on each connected component of the nonzero
 pattern of its terms, the two parity blocks of an LMG Hamiltonian, and
@@ -79,9 +95,12 @@ DEFAULT_STEP = 1.0
 #: time, which bounds its memory, and the sampled trace is checked after
 #: every block, which stops a blown-up run early.
 BLOCK_STEPS = 500
-#: Most steps a run may take: up to 2^53 the step count and the sample steps
-#: are exact integers both in float64 and in int64.
-MAX_STEPS = 2**53
+#: Most steps a run may take.  At the few microseconds a step costs on the
+#: smallest registers this is hours of integration, so a step count past it
+#: is a typo (a step of 5e-13 over the preset window asks for 8e15 steps)
+#: rather than a run to wait for.  The step count and the sample steps stay
+#: exact integers in float64 and in int64 far beyond it.
+MAX_STEPS = 10**9
 #: A run stops with StepFailureError once a sampled trace defect exceeds this;
 #: the CF4 step keeps the trace to rounding, so only a blown-up run does.
 TRACE_TOL = 1e-8
@@ -258,8 +277,10 @@ class TrajectoryResult:
     #: is 0 outside it (exactly for basis states, up to rounding for a
     #: subspace).
     integrated_dim: int
-    #: That basis: "basis states" (a selection of the z basis) or "subspace"
-    #: (an invariant subspace of a run without dephasing).
+    #: That basis: "basis states" (a selection of the z basis), "subspace"
+    #: (an invariant subspace of a run without dephasing) or "operator
+    #: subspace" (a space of operators on a selection that a dephased run
+    #: stays in; ``integrated_dim`` is its real dimension).
     integrated_basis: str
     #: Smallest eigenvalue of the sampled states (None when they are not stored).
     min_eigenvalue: Optional[float]
@@ -290,8 +311,8 @@ def _sample_grid(t_span: Tuple[float, float], step: float, n_samples: int):
         raise ValueError(f"step must be positive, got {step}")
     steps = (t1 - t0) / step
     if not steps <= MAX_STEPS:  # also catches a NaN or infinite count
-        raise ValueError(f"t_span over step is {steps:.6g} steps, not an exact int64 "
-                         f"step count (at most 2**53)")
+        raise ValueError(f"t_span over step is {steps:.6g} steps, above the step limit "
+                         f"({MAX_STEPS:.0e})")
     n_samples = max(2, int(n_samples))
     # at least one step per sample interval, so a short window keeps its rows
     n_steps = max(n_samples - 1, math.ceil(steps - 1e-12))
@@ -421,11 +442,12 @@ def evolve_batch(
     phase-optimized populations); ``observables`` maps names to Hermitian
     matrices tracked as Tr(O rho).  ``store_states``
     (default: d <= 64) keeps the sampled states, and only then is their
-    smallest eigenvalue computed (``min_eigenvalue``).  The batch is
-    integrated on one basis for all its members (see the module docstring):
-    without dephasing that is the invariant subspace of all its initial
-    states together, so a member can differ from its standalone run by
-    rounding.  Raises :class:`StepFailureError` when a member's sampled
+    smallest eigenvalue computed (``min_eigenvalue``).  Without dephasing
+    the batch is integrated on one basis for all its members (see the
+    module docstring), the invariant subspace of all its initial states
+    together, so a member can differ from its standalone run by rounding;
+    with dephasing each member runs on the operator space of its own
+    terms and state.  Raises :class:`StepFailureError` when a member's sampled
     trace defect exceeds ``TRACE_TOL``, at the end of the block of
     ``BLOCK_STEPS`` steps in which that happens.
     """
@@ -477,12 +499,10 @@ def evolve_batch(
             raise DimensionMismatchError(
                 f"hamiltonian dim {ham.dim} does not match density matrix dim {dim}"
             )
-    forms, expvals, pur, tdef, hdef, states, rho_final, basis = _integrate_blocks(
+    forms, expvals, pur, tdef, hdef, states, rho_final, bases = _integrate_blocks(
         hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
         form_left, form_right, obs, bool(store_states),
     )
-    rho_samples = basis.embed(states) if store_states else None
-    rho_final = basis.embed(rho_final)
 
     results = []
     for b, spec in enumerate(specs):
@@ -504,14 +524,14 @@ def evolve_batch(
             trace_defect=tdef[b],
             hermiticity_defect=hdef[b],
             gap=gap,
-            rho_samples=rho_samples[b] if store_states else None,
-            rho_final=rho_final[b],
+            rho_samples=bases[b].embed(states[b]) if store_states else None,
+            rho_final=bases[b].embed(rho_final[b]),
             step=h,
             n_steps=n_steps,
             population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
                                               initial=0.0)),
-            integrated_dim=basis.dim,
-            integrated_basis=basis.kind,
+            integrated_dim=bases[b].dim,
+            integrated_basis=bases[b].kind,
             min_eigenvalue=_min_eigenvalue(states[b]) if store_states else None,
         ))
     return results
@@ -620,6 +640,100 @@ def _invariant_subspace(terms: np.ndarray, rho0s: np.ndarray,
     return q
 
 
+def _operator_subspace(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray,
+                       limit: int) -> Optional[_kernels.OperatorBasis]:
+    """Basis of the smallest operator space a dephased run stays in, or None.
+
+    ``terms`` (K, k, k), ``w`` (k, k) and ``rho0s`` (n, k, k) are given on
+    the block of basis states the run reaches.  The space is the smallest
+    space of Hermitian k x k operators that holds the initial states and
+    that each term's commutator X -> -i [T, X] and the mask X -> W o X map
+    into themselves.  For real terms and states it splits into real
+    symmetric operators S and imaginary antisymmetric ones i A: a commutator
+    maps S to i (S T - T S) and i A to T A - A T, and the mask keeps each
+    half.  The closure runs on both halves at once, as vectors vec(S) and
+    vec(A) extended by :func:`_extend_basis`, from the initial states until
+    nothing new comes; the terms and the mask are scaled to unit norm as in
+    :func:`_invariant_subspace`, and the same checks apply.  Each half is
+    then rotated to diagonalize the mask.  Returns None for complex terms or
+    states, and when the closure reaches ``limit`` dimensions.
+    """
+    if np.any(terms.imag) or np.any(rho0s.imag):
+        return None
+    terms, rho0s = terms.real, rho0s.real
+    kk, k, _ = terms.shape
+    norms = np.array([np.abs(term).sum(axis=1).max() for term in terms])
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    mask = w.reshape(k * k, 1)
+    mask_scale = 1.0 / np.abs(w).max() if np.any(w) else 0.0
+    # columns per product of the commutator images, so that each product's
+    # K images stay within STACK_BYTES, and at least one column
+    per_call = max(1, _kernels.STACK_BYTES // (8 * kk * k * k))
+
+    def commutators(v, sign):
+        """(K, k^2, n) vec(Y + sign Y^T), Y = V T, of the n columns V under the K terms.
+
+        For symmetric V and sign -1 that is V T - T V, for antisymmetric V
+        and sign +1 it is -(T V - V T).
+        """
+        y = v.T.reshape(-1, 1, k, k) @ terms
+        return (y + sign * y.swapaxes(-1, -2)).reshape(-1, kk, k * k).transpose(1, 2, 0)
+
+    def extend(q, new, sign, same):
+        """``q`` extended by the unit-norm images of the columns ``new`` of the other
+        half and by the mask images of the columns ``same`` of its own half."""
+        for i in range(0, new.shape[1], per_call):
+            images = commutators(new[:, i:i + per_call], sign) * scale[:, None, None]
+            q = _extend_basis(q, images.transpose(1, 0, 2).reshape(k * k, -1))
+        return _extend_basis(q, mask_scale * mask * same)
+
+    q1 = _extend_basis(np.zeros((k * k, 0)), rho0s.reshape(len(rho0s), k * k).T)
+    q2 = np.zeros((k * k, 0))
+    done1 = done2 = 0
+    while (done1, done2) != (q1.shape[1], q2.shape[1]):
+        if q1.shape[1] + q2.shape[1] >= limit:
+            return None
+        new1, new2 = q1[:, done1:], q2[:, done2:]
+        done1, done2 = q1.shape[1], q2.shape[1]
+        q1 = extend(q1, new2, 1.0, new1)
+        q2 = extend(q2, new1, -1.0, new2)
+
+    def project(v, sign, q):
+        """Coordinates on ``q`` of the images of the columns ``v`` under the K
+        terms, (K, r, n), and the norm of what each unit-norm term maps outside q."""
+        coords = np.empty((kk, q.shape[1], v.shape[1]))
+        outside = np.zeros(kk)
+        for i in range(0, v.shape[1], per_call):
+            images = commutators(v[:, i:i + per_call], sign)
+            coords[:, :, i:i + per_call] = q.T @ images
+            outside += np.square(images - q @ coords[:, :, i:i + per_call]).sum(axis=(1, 2))
+        return coords, np.sqrt(outside) * scale
+
+    def outside(q, image):
+        return np.linalg.norm(image - q @ (q.T @ image))
+
+    couplings, leak_anti = project(q1, -1.0, q2)
+    _, leak_sym = project(q2, 1.0, q1)
+    states = rho0s.reshape(len(rho0s), k * k).T
+    if (max(np.max(leak_anti, initial=0.0), np.max(leak_sym, initial=0.0),
+            mask_scale * outside(q1, mask * q1), mask_scale * outside(q2, mask * q2))
+            > _INVARIANCE_TOL
+            or np.linalg.norm(states - q1 @ (q1.T @ states), axis=0).max() > _STATE_TOL):
+        return None
+
+    def mask_eigenbasis(q):
+        m = q.T @ (mask * q)
+        return np.linalg.eigh(0.5 * (m + m.T))
+
+    rates1, rot1 = mask_eigenbasis(q1)
+    rates2, rot2 = mask_eigenbasis(q2)
+    return _kernels.OperatorBasis(
+        symmetric=np.ascontiguousarray((q1 @ rot1).T)[None],
+        antisymmetric=np.ascontiguousarray((q2 @ rot2).T)[None],
+        rates=np.concatenate([rates1, rates2])[None],
+        couplings=(rot2.T @ couplings @ rot1)[None])
+
+
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
@@ -628,11 +742,16 @@ class _Basis:
     """The span of the orthonormal columns of ``q`` (d, k), as the basis a batch is integrated on.
 
     ``kind`` is "basis states" when ``q`` selects columns of the identity,
-    else "subspace".
+    "subspace" for an invariant subspace of a run without dephasing, and
+    "operator subspace" when the kernel's state is the coordinate vector of
+    rho on ``operators``, a basis of operators on the selected block; then
+    ``dim`` is the dimension of that operator space.
     """
 
-    def __init__(self, q: np.ndarray, kind: str):
-        self.q, self.kind, self.dim = q, kind, q.shape[1]
+    def __init__(self, q: np.ndarray, kind: str,
+                 operators: Optional[_kernels.OperatorBasis] = None):
+        self.q, self.kind, self.operators = q, kind, operators
+        self.dim = q.shape[1] if operators is None else operators.dim
 
     def restrict(self, terms, w, rho, form_left, form_right, obs):
         """Kernel inputs on the basis: Q^H X Q for the matrices, Q^H a for the vectors.
@@ -669,19 +788,85 @@ class _Basis:
         return out.reshape(*x.shape[:-2], d, d)
 
 
-def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray) -> _Basis:
-    """The basis a batch is integrated on.
+def _operator_limit(k: int) -> int:
+    """Dimension from which a dephased run on k basis states keeps to the per-step loop.
 
-    That is the invariant subspace of the initial states when the batch has
-    no dephasing and the subspace is smaller than the block of basis states
-    the initial states reach, else that block.
+    The operator space must be smaller than the k^2 dimensions of all
+    Hermitian k x k matrices, and at most 2k.  Measured on 1000-step case I
+    runs: 16 dimensions at k = 4 took 41 ms against 28 ms per step on the
+    block, 62 at k = 8 took 377 ms against 45 ms, while 14 at k = 16 took
+    53 ms against 101 ms and 24 at k = 32 took 182 ms against 340 ms.
+    """
+    return min(k * k, 2 * k + 1)
+
+
+def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray) -> _Basis:
+    """The basis a batch whose members share ``terms`` is integrated on.
+
+    Without dephasing that is the invariant subspace of the initial states
+    when it is smaller than the block of basis states the initial states
+    reach; with dephasing, the operator space of :func:`_operator_subspace`
+    on that block when it is found below :func:`_operator_limit`; else the
+    block.
     """
     keep = _reachable_indices(terms, rho0s)
+    block = np.eye(rho0s.shape[1])[:, keep]
     if not np.any(w):
         q = _invariant_subspace(terms, rho0s, keep.size)
         if q is not None:
             return _Basis(q, "subspace")
-    return _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states")
+    else:
+        inside = (Ellipsis, keep[:, None], keep)
+        operators = _operator_subspace(terms[inside], w[inside], rho0s[inside],
+                                       _operator_limit(keep.size))
+        if operators is not None:
+            return _Basis(block, "operator subspace", operators)
+    return _Basis(block, "basis states")
+
+
+def _integration_groups(terms: np.ndarray, columns: Sequence[Sequence[int]], w: np.ndarray,
+                        rho0s: np.ndarray) -> List[Tuple[Union[slice, np.ndarray], _Basis]]:
+    """The members of a batch in groups that are integrated together, each with its basis.
+
+    ``columns`` holds each member's indices into the union ``terms``
+    (:func:`_term_union`).  Without dephasing the batch is one group on the
+    :func:`_integration_basis` of its union.  With dephasing each member's
+    operator space is found from its own terms and initial state, so that a
+    member's bits do not depend on its batch, and the members whose spaces
+    have the same dimensions on the same block form one group.  If a
+    member's space is not found, the batch is one group on the block of
+    basis states of its union.
+    """
+    if not np.any(w):
+        return [(slice(None), _integration_basis(terms, w, rho0s))]
+    found: Dict[Tuple, _Basis] = {}
+    keys = []
+    for cols, rho0 in zip(columns, rho0s):
+        own = tuple(dict.fromkeys(cols))
+        key = (own, rho0.tobytes())
+        if key not in found:
+            found[key] = _integration_basis(terms[list(own)], w, rho0[None])
+        keys.append(key)
+    bases = [found[key] for key in keys]
+    if len(found) == 1:  # the members share their terms and state, so the union is theirs
+        return [(slice(None), bases[0])]
+    if any(basis.kind != "operator subspace" or not np.array_equal(basis.q, bases[0].q)
+           for basis in bases):
+        keep = _reachable_indices(terms, rho0s)
+        return [(slice(None), _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states"))]
+    groups = []
+    shapes = [basis.operators.couplings.shape[2:] for basis in bases]
+    for shape in dict.fromkeys(shapes):
+        members = np.flatnonzero([s == shape for s in shapes])
+        ops = [bases[i].operators for i in members]
+        couplings = np.zeros((len(members), len(terms), *shape))
+        for j, i in enumerate(members):
+            couplings[j, list(keys[i][0])] = ops[j].couplings[0]
+        operators = _kernels.OperatorBasis(
+            *(np.concatenate([getattr(op, name) for op in ops])
+              for name in ("symmetric", "antisymmetric", "rates")), couplings)
+        groups.append((members, _Basis(bases[0].q, "operator subspace", operators)))
+    return groups
 
 
 def _min_eigenvalue(states: np.ndarray) -> float:
@@ -700,18 +885,27 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, obs, store_rho):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
 
-    The kernel runs on the basis that :func:`_integration_basis` picks; the
-    sampled states and the final state come back on that basis, followed by
-    the basis itself.
+    Each group of members that :func:`_integration_groups` forms runs on its
+    own basis; the sampled states and the final state come back on the
+    basis states those bases share (the columns of their ``q``), followed by
+    each member's basis.
     """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
-    basis = _integration_basis(terms, w, rho)
-    terms, w, rho, form_left, form_right, obs = basis.restrict(
-        terms, w, rho, form_left, form_right, obs)
     b = len(hams)
+    groups, bases = [], [None] * b
+    for members, basis in _integration_groups(terms, columns, w, rho):
+        extra = () if basis.operators is None else (basis.operators,)
+        groups.append((members, basis.restrict(terms, w, rho[members], form_left, form_right,
+                                               obs), extra))
+        for i in np.arange(b)[members]:
+            bases[i] = basis
+    k = bases[0].q.shape[1]  # every group's states are on the same basis states
     samples = _kernels._lindblad_outputs(b, sample_idx.size, form_left.shape[0], obs.shape[0],
-                                         basis.dim, store_rho)
+                                         k, store_rho)
+    rho = np.empty((b, k, k), dtype=np.complex128)
+    for members, inputs, _ in groups:
+        rho[members] = inputs[2]
     for s0 in range(0, n_steps, BLOCK_STEPS):
         s1 = min(s0 + BLOCK_STEPS, n_steps)
         # global half-step index, so every row matches a whole-window table
@@ -724,12 +918,14 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         # a block records the samples in (s0, s1]; the first also records step 0
         lo = np.searchsorted(sample_idx, s0 + 1 if s0 else 0)
         hi = np.searchsorted(sample_idx, s1, side="right")
-        *block, rho = kern.lindblad_cf4(terms, ctab, w, rho, h, sample_idx[lo:hi] - s0,
-                                        form_left, form_right, obs, store_rho)
-        for full, part in zip(samples, block):
-            full[:, lo:hi] = part
-        _check_trace(block[3], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
-    return (*samples, rho, basis)
+        for members, (g_terms, g_w, _, g_left, g_right, g_obs), extra in groups:
+            *block, rho[members] = kern.lindblad_cf4(
+                g_terms, ctab[:, members], g_w, rho[members], h, sample_idx[lo:hi] - s0,
+                g_left, g_right, g_obs, store_rho, *extra)
+            for full, part in zip(samples, block):
+                full[members, lo:hi] = part
+        _check_trace(samples[3][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
+    return (*samples, rho, bases)
 
 
 def _check_trace(tdef: np.ndarray, times: np.ndarray, h: float) -> None:

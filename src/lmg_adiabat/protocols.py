@@ -148,8 +148,8 @@ class ScenarioConfig:
             problems.append(f"step must be finite and > 0, got {self.step}")
         elif 0 < self.t_final < inf and not self.t_final / self.step <= MAX_STEPS:
             problems.append(f"step {self.step} gives t_final / step = "
-                            f"{self.t_final / self.step:.6g}, not an exact int64 step count "
-                            f"(at most 2**53)")
+                            f"{self.t_final / self.step:.6g}, above the step limit "
+                            f"({MAX_STEPS:.0e})")
         if isinstance(self.gamma_dep, (tuple, list)):
             gam = tuple(float(g) for g in self.gamma_dep)
             object.__setattr__(self, "gamma_dep", gam)
@@ -600,7 +600,7 @@ def validate_effective_reduction(
     if not t_final / step <= MAX_STEPS:
         raise ValidationError(
             f"the comparison window t_final = {t_final} is {t_final / step:.6g} steps of "
-            f"{step}, not an exact int64 step count (at most 2**53)"
+            f"{step}, above the step limit ({MAX_STEPS:.0e})"
         )
     if omega1 is None:
         omega1 = cfg.schedule.zeta

@@ -121,16 +121,18 @@ def test_config_number_out_of_range_is_invalid_config(override, tmp_path, capsys
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("step", ["1e-300", "1e-290", "1e-16"])
+@pytest.mark.parametrize("step", ["1e-300", "1e-290", "1e-16", "5e-13", "3e-6"])
 def test_step_count_beyond_int64_is_invalid_config(step, tmp_path, capsys):
-    # t_final / step must be an exact int64 step count; a larger one used to
-    # overflow np.linspace in the sample grid and exit 1 with a traceback
+    # t_final / step may be at most MAX_STEPS = 1e9 steps.  A count past int64
+    # used to overflow np.linspace in the sample grid and exit 1 with a
+    # traceback, and 5e-13 (8e15 steps) used to run until it was killed; 3e-6
+    # is 1.3e9 steps over the preset window, just past the limit
     code = cli.main(["simulate", "--set", "case=I", "--set", "n_spins=2",
                      "--set", f"step={step}", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config: step ")
-    assert "int64 step count" in err and "Traceback" not in err
+    assert "above the step limit (1e+09)" in err and "Traceback" not in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -334,3 +336,36 @@ def test_malformed_json_reports_line(tmp_path):
     path.write_text('{"case": "I",}')
     with pytest.raises(ParseError, match="line"):
         cli.parse_config(str(path))
+
+
+def _per_value_csv_text(header, columns):
+    """A CSV written one numpy scalar at a time through ``cli._fmt``."""
+    rows = [",".join(cli._fmt(column[i]) for column in columns) for i in range(len(columns[0]))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("record_gap", [False, True], ids=["nan-gap", "gap"])
+def test_csv_texts_match_the_per_value_formatting(record_gap):
+    import types
+
+    import numpy as np
+
+    from lmg_adiabat.protocols import run_scenario
+
+    cfg = preset("I", 3, gamma=1e-4, t_final=40.0, n_samples=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # a short sweep
+        run = run_scenario(cfg, record_gap=record_gap)
+    traj = run.trajectory
+    gap = traj.gap if record_gap else np.full(traj.times.size, np.nan)
+    text = cli.trajectory_csv_text(run)
+    assert text == _per_value_csv_text(cli.TRAJECTORY_HEADER, [
+        traj.times, run.pop_target, run.pop_target_phase_opt, traj.purity,
+        traj.trace_defect, gap, run.omega1, run.omega2])
+    assert (",nan," in text) == (not record_gap)
+    odd = np.array([0.1, 1.0 / 3.0, -0.0, 1e-300, 2.0**60, np.nan, np.inf])
+    report = types.SimpleNamespace(times=np.arange(7.0), jz_full=odd, jz_effective=-odd,
+                                   pop_full=odd[::-1].copy(), pop_effective=odd * 3.0)
+    assert cli.reduction_csv_text(report) == _per_value_csv_text(
+        "t_nu,jz_full,jz_effective,pop_full,pop_effective",
+        [report.times, odd, -odd, odd[::-1], odd * 3.0])

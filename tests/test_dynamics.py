@@ -227,9 +227,10 @@ def _full_space(terms, rho0s):
 
 
 def _force_full_space(monkeypatch):
-    """Integrate on the whole space: no reachable block, no invariant subspace."""
+    """Integrate on the whole space: no reachable block, no (operator) subspace."""
     monkeypatch.setattr(dynamics, "_reachable_indices", _full_space)
     monkeypatch.setattr(dynamics, "_invariant_subspace", lambda terms, rho0s, limit: None)
+    monkeypatch.setattr(dynamics, "_operator_subspace", lambda terms, w, rho0s, limit: None)
 
 
 def _assert_runs_agree(got, want):
@@ -253,6 +254,17 @@ GAMMA0_BASIS = {
     (5, False): (3, "subspace"), (5, True): (16, "basis states"),
     (6, False): (4, "subspace"), (6, True): (32, "basis states"),
 }
+#: The same at 1 kHz.  The clean runs reach 5, 11, 14 and 24 dimensions of
+#: Hermitian operators on the parity block at N = 3 to 6; the disordered runs
+#: keep that space only at N = 4, and elsewhere their closure passes
+#: ``_operator_limit``, as every closure at N = 2 does (it fills all 4).
+GAMMA1KHZ_BASIS = {
+    (2, False): (2, "basis states"), (2, True): (2, "basis states"),
+    (3, False): (5, "operator subspace"), (3, True): (4, "basis states"),
+    (4, False): (11, "operator subspace"), (4, True): (11, "operator subspace"),
+    (5, False): (14, "operator subspace"), (5, True): (16, "basis states"),
+    (6, False): (24, "operator subspace"), (6, True): (32, "basis states"),
+}
 
 
 @pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
@@ -270,7 +282,7 @@ def test_parity_block_matches_full_space(monkeypatch, n, disordered, gamma):
     reduced = run_scenario(cfg, record_gap=False).trajectory
     _force_full_space(monkeypatch)
     full = run_scenario(cfg, record_gap=False).trajectory
-    expected = GAMMA0_BASIS[n, disordered] if gamma == 0 else (2 ** (n - 1), "basis states")
+    expected = (GAMMA0_BASIS if gamma == 0 else GAMMA1KHZ_BASIS)[n, disordered]
     assert (reduced.integrated_dim, reduced.integrated_basis) == expected
     assert (full.integrated_dim, full.integrated_basis) == (2**n, "basis states")
     assert full.bilinears  # case I tracks the branch cross term
@@ -348,11 +360,14 @@ def _selection_batch(complex_terms):
 @pytest.mark.parametrize("complex_terms", [False, True], ids=["criterion-8", "complex"])
 def test_selection_basis_picks_the_entries_of_its_block(complex_terms):
     # why merging the block of basis states into the subspace class moves no
-    # output: Q^H X Q and f conj(Q) for a 0/1 selection Q are its entries
+    # output: Q^H X Q and f conj(Q) for a 0/1 selection Q are its entries.
+    # The real batch runs on an operator space of that block, the complex
+    # one on the block itself.
     terms, w, rho0s, forms, obs = _selection_batch(complex_terms)
     keep = dynamics._reachable_indices(terms, rho0s)
     basis = dynamics._integration_basis(terms, w, rho0s)
-    assert (basis.kind, basis.dim) == ("basis states", terms.shape[1] // 2)
+    kind = "basis states" if complex_terms else "operator subspace"
+    assert (basis.kind, basis.q.shape[1]) == (kind, terms.shape[1] // 2)
     got = basis.restrict(terms, w, rho0s, forms, forms.conj(), obs)
     inside = (Ellipsis, keep[:, None], keep)
     want = (terms[inside], w[inside], rho0s[inside], forms[:, keep], forms.conj()[:, keep],
@@ -361,8 +376,8 @@ def test_selection_basis_picks_the_entries_of_its_block(complex_terms):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
     rng = np.random.default_rng(3)
-    x = dynamics._hermitian_part(rng.normal(size=(5, basis.dim, basis.dim))
-                                 + 1j * rng.normal(size=(5, basis.dim, basis.dim)))
+    k = basis.q.shape[1]
+    x = dynamics._hermitian_part(rng.normal(size=(5, k, k)) + 1j * rng.normal(size=(5, k, k)))
     full = basis.embed(x)
     outside = np.ones(full.shape[1:], dtype=bool)
     outside[keep[:, None], keep] = False
@@ -442,8 +457,12 @@ def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
     kwargs = dict(n_samples=5, record_gap=False)
     mixed = evolve(spec, density_from_state(dicke_state(3, 1.5, "x")), (0.0, 20.0), **kwargs)
     polarized = evolve(spec, density_from_state(cfg.initial_state()), (0.0, 20.0), **kwargs)
+    # the kernel gets the terms on the block of basis states, and the
+    # polarized run integrates the 5 dimensions of operators it reaches there
     assert [shape[1:] for shape in lindblad_terms] == [(8, 8), (4, 4)]
-    assert (mixed.integrated_dim, polarized.integrated_dim) == (8, 4)
+    assert (mixed.integrated_dim, polarized.integrated_dim) == (8, 5)
+    assert (mixed.integrated_basis, polarized.integrated_basis) == (
+        "basis states", "operator subspace")
 
 
 def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
@@ -456,7 +475,7 @@ def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
     even = np.flatnonzero([bin(i).count("1") % 2 == 0 for i in range(16)])
     outside = np.ones((16, 16), dtype=bool)
     outside[even[:, None], even] = False  # the run starts in the even block
-    assert res.integrated_dim == 8
+    assert (res.integrated_dim, res.integrated_basis) == (11, "operator subspace")
     assert np.all(res.rho_samples[:, outside] == 0) and np.all(res.rho_final[outside] == 0)
     np.testing.assert_array_equal(res.rho_samples, res.rho_samples.conj().transpose(0, 2, 1))
     inside = res.rho_samples[:, even[:, None], even]
@@ -547,6 +566,117 @@ def test_block_size_changes_an_undamped_result_only_by_rounding(monkeypatch):
                                rtol=0, atol=1e-12)
     assert np.all(blocked.hermiticity_defect == 0.0) and np.all(whole.hermiticity_defect == 0.0)
     assert abs(blocked.populations["start"][-1] - 1.0) > 1e-3  # the state has moved
+
+
+def test_block_size_changes_an_operator_space_result_only_by_rounding(monkeypatch):
+    # the twin of the two tests above on the operator subspace: the steps of
+    # a sample interval are fused with dephasing too, and between blocks the
+    # state goes through its k x k matrix and back to coordinates
+    cfg = preset("I", 3, t_final=60.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, (1e-3,) * 3)
+    rho0 = density_from_state(cfg.initial_state())
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
+                  record_gap=False)
+    whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    assert (whole.integrated_dim, whole.integrated_basis) == (5, "operator subspace")
+    for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
+        np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(blocked.populations["start"], whole.populations["start"],
+                               rtol=0, atol=1e-12)
+    assert np.all(blocked.hermiticity_defect == 0.0) and np.all(whole.hermiticity_defect == 0.0)
+    assert abs(blocked.populations["start"][-1] - 1.0) > 1e-3  # the state has moved
+
+
+@pytest.mark.parametrize("case,n,dim", [("II", 3, 5), ("I", 4, 11), ("III", 6, 24)])
+def test_operator_subspace_of_a_dephased_run(case, n, dim):
+    # a real orthonormal basis of symmetric and i-antisymmetric operators on
+    # the parity block that holds rho0, which diagonalizes the mask
+    cfg = preset(case, n, gamma=1e-4)
+    ham = lmg_sweep_hamiltonian(SpinRegister(n), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    rho0 = density_from_state(cfg.initial_state())
+    w = dephasing_mask(cfg.gammas())
+    basis = dynamics._integration_basis(ham.terms, w, rho0[None])
+    assert (basis.kind, basis.dim, basis.q.shape[1]) == ("operator subspace", dim, 2 ** (n - 1))
+    ops = basis.operators
+    k = basis.q.shape[1]
+    inside = (Ellipsis, np.flatnonzero(basis.q.any(axis=1))[:, None],
+              np.flatnonzero(basis.q.any(axis=1)))
+    sym = ops.symmetric[0].reshape(-1, k, k)
+    anti = ops.antisymmetric[0].reshape(-1, k, k)
+    np.testing.assert_allclose(sym, sym.swapaxes(1, 2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(anti, -anti.swapaxes(1, 2), rtol=0, atol=1e-15)
+    rows = np.concatenate([ops.symmetric[0], ops.antisymmetric[0]])
+    np.testing.assert_allclose(rows @ rows.T, np.eye(dim), rtol=0, atol=1e-13)
+    mask = w[inside].reshape(-1)
+    np.testing.assert_allclose(rows @ (mask * rows).T, np.diag(ops.rates[0]), rtol=0,
+                               atol=1e-13 * np.abs(mask).max())
+    # the couplings are the coordinates of -i [T, S] = i (S T - T S) on the i A
+    terms = ham.terms[inside].real
+    for term, coupling in zip(terms, ops.couplings[0]):
+        images = sym @ term - term @ sym
+        np.testing.assert_allclose(coupling, anti.reshape(len(anti), -1)
+                                   @ images.reshape(len(sym), -1).T, rtol=0, atol=1e-12)
+    x = ops.coordinates(rho0[inside][None])
+    np.testing.assert_allclose(ops.embed(x[:, None])[0, 0], rho0[inside], rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+@pytest.mark.parametrize("gammas", [(1e-4, 2e-4, 1.5e-4), "complex"],
+                         ids=["per-spin", "complex-term"])
+def test_dephased_run_without_a_small_operator_space_steps_on_the_block(monkeypatch, gammas):
+    # per-spin rates reach 16 dimensions at N = 3, all of the block's
+    # operators; a complex term is not split into real halves.  Either run
+    # keeps to the per-step loop on the block, with the bits it had there
+    from lmg_adiabat.operators import collective_operator
+
+    cfg = preset("I", 3, t_final=100.0)
+    reg = SpinRegister(3)
+    ham = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    if gammas == "complex":
+        jx, jy = (collective_operator(reg, axis) for axis in "xy")
+        lmg = ham
+        ham = LinearHamiltonian(
+            terms=np.concatenate([lmg.terms, [dynamics._hermitian_part(jx @ jy)]]),
+            coefficients=lambda ts: np.column_stack([lmg.coefficients(ts),
+                                                     np.full(np.size(ts), 0.01)]))
+        gammas = (1e-4,) * 3
+    args = (LindbladSpec(ham, gammas), density_from_state(cfg.initial_state()), (0.0, 100.0))
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    got = evolve(*args, **kwargs)
+    assert (got.integrated_dim, got.integrated_basis) == (4, "basis states")
+    monkeypatch.setattr(dynamics, "_operator_subspace", lambda terms, w, rho0s, limit: None)
+    want = evolve(*args, **kwargs)
+    for name in ("purity", "trace_defect", "hermiticity_defect", "rho_samples", "rho_final"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.populations["start"], want.populations["start"])
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_dephased_batch_runs_each_member_on_its_own_operator_space(lindblad_calls):
+    # the clean and the disordered member reach spaces of the same dimension
+    # with different bases: one kernel call integrates both, each on its own
+    # basis, and each member keeps the bits of its standalone run
+    from lmg_adiabat.model import DisorderProfile
+    from lmg_adiabat.protocols import run_scenario, run_scenarios
+
+    cfg = preset("I", 4, gamma=1e-4, t_final=100.0, n_samples=11)
+    cfgs = [cfg, dataclasses.replace(cfg, disorder=DisorderProfile(
+        tuple(np.linspace(-0.1, 0.1, 4)), cfg.eta))]
+    batch = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    assert [shape[1] for shape in lindblad_calls] == [2]
+    for got, c in zip(batch, cfgs):
+        want = run_scenario(c, record_gap=False).trajectory
+        assert (got.integrated_dim, got.integrated_basis) == (11, "operator subspace")
+        for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=name)
 
 
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
@@ -691,12 +821,18 @@ def test_sample_grid_keeps_the_requested_samples():
     ((0.0, 4000.0), 1e-300),
     ((0.0, 1.0), 2.0**-54),
     ((0.0, np.inf), 1.0),
-], ids=["overflow", "past-2**53", "infinite-window"])
+    ((0.0, 1e9 + 1.0), 1.0),
+], ids=["overflow", "past-2**53", "infinite-window", "past-1e9"])
 def test_sample_grid_rejects_a_step_count_beyond_int64(t_span, step):
-    with pytest.raises(ValueError, match="not an exact int64 step count"):
+    with pytest.raises(ValueError, match=r"above the step limit \(1e\+09\)"):
         dynamics._sample_grid(t_span, step, 5)
-    with pytest.raises(ValueError, match="not an exact int64 step count"):
+    with pytest.raises(ValueError, match=r"above the step limit \(1e\+09\)"):
         dynamics.sample_times(t_span, step, 5)
+
+
+def test_sample_grid_takes_the_step_limit_itself():
+    assert dynamics.MAX_STEPS == 10**9
+    assert dynamics._sample_grid((0.0, 1e9), 1.0, 5)[2] == 10**9
 
 
 def test_adiabaticity_profile_constant_schedule():

@@ -349,6 +349,56 @@ def test_cf4_kernel_matches_the_step_by_step_oracle(monkeypatch, dissipate, stac
     assert np.all(got[4] == 0.0)  # Hermitized after every segment
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_operator_kernel_matches_the_step_by_step_oracle(n):
+    # case I at 1 kHz on its parity block: the kernel on the operator
+    # subspace, with the steps of each sample interval fused, against rho
+    # conjugated one step at a time; uneven sample intervals of 1 to 155
+    # steps, mid-sweep, where the initial state is far from an eigenstate
+    from lmg_adiabat import dynamics
+    from lmg_adiabat.model import lmg_sweep_hamiltonian
+    from lmg_adiabat.operators import SpinRegister, collective_operator
+    from lmg_adiabat.states import density_from_state, target_state
+
+    cfg = preset("I", n, gamma=1e-4)
+    reg = SpinRegister(n)
+    ham = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                cfg.schedule.omega2)
+    ctab = ham.coefficient_table(1800.0 + 0.5 * np.arange(2 * 300 + 1))
+    w = dynamics.dephasing_mask(cfg.gammas())
+    rho0 = density_from_state(cfg.initial_state())
+    basis = dynamics._integration_basis(ham.terms, w, rho0[None])
+    assert basis.kind == "operator subspace"
+    forms = np.stack([target_state("I", n), cfg.initial_state()]).astype(complex)
+    obs = collective_operator(reg, "z")[None]
+    args = basis.restrict(ham.terms, w, rho0, forms, forms, obs)
+    terms, w, rho0, fl, fr, obs = args
+    idx = np.array([0, 7, 100, 101, 255, 300])
+    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 1.0, idx, fl, fr, obs, True)
+    got = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 1.0, idx, fl, fr, obs, True,
+                                       basis.operators)
+    for name, a, b in zip(["forms", "expvals", "purity", "trace_defect", "herm_defect",
+                           "rho_samples", "rho_final"], got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+    assert np.all(got[4] == 0.0)  # the embedded states are exactly Hermitian
+    assert abs(got[2][-1] - 1.0) > 1e-6  # the dephasing has lowered the purity
+
+
+def test_operator_step_of_a_non_finite_hamiltonian_is_nan():
+    rng = np.random.default_rng(54)
+    c = rng.normal(size=(5, 2, 3))
+    c[1, 0, 2] = np.nan
+    c[3, 1, 1] = np.inf
+    e = _kernels._rotation_exponentials(c, 0.7)
+    bad = np.array([False, True, False, True, False])
+    assert np.isnan(e[bad]).all() and np.isfinite(e[~bad]).all()
+    # exp(h G) of the real antisymmetric G is orthogonal, and each matrix's
+    # bits do not depend on its stack
+    np.testing.assert_allclose(e[~bad] @ e[~bad].swapaxes(1, 2),
+                               np.broadcast_to(np.eye(5), (3, 5, 5)), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(_kernels._rotation_exponentials(c[~bad], 0.7), e[~bad])
+
+
 def test_segments_end_at_the_samples_and_at_most_every_longest_steps():
     # the cuts depend on the sample grid and the cap only, never on the batch
     idx = np.array([0, 7, 23, 40])
