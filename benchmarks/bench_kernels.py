@@ -23,7 +23,12 @@ moments.  The last section times single case I runs at 1 kHz and step 1.0
 for N = 3 to 6 on their parity block, stepping rho one step at a time, and
 on the operator subspace of that block that `evolve_batch` integrates
 them on, where the step matrices of each sample interval are fused, in
-microseconds per step.
+microseconds per step.  The kernel carries its step propagators as real
+block forms [[P, -Q], [Q, P]] of U = P + iQ, so a final section times one
+stack of small products in complex128 against the same products in block
+form at d = 2 to 64, and the gamma-0 kernel, which builds and fuses those
+block forms, on the parity block of case I at N = 4 to 7 (d = 8 to 64), in
+microseconds per member-step.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -165,6 +170,19 @@ def operator_workload(n_spins, t_final=1000.0):
     return basis.q.shape[1], basis.dim, block, basis.operators
 
 
+def product_workload(d, count=None):
+    """A stack of complex d x d propagators, and the same stack in block form.
+
+    ``count`` defaults to the kernel's propagator stack of one member, and
+    to at least 16 matrices.
+    """
+    count = count or max(16, _kernels.STACK_BYTES // (16 * d * d))
+    rng = np.random.default_rng(d)
+    u = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    blocks = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    return u, blocks
+
+
 def time_call(fn, args, repeat):
     best = np.inf
     for _ in range(repeat):
@@ -269,6 +287,31 @@ def main():
         t_operator = time_call(kern.lindblad_cf4, (*block, operators), opts.repeat)
         print(f"{n:3d} {k:6d} {r:6d} {1e6 * t_step / n_steps:10.2f} "
               f"{1e6 * t_operator / n_steps:10.2f} {t_step / t_operator:8.1f}x")
+
+    print("\nstacked products of d x d propagators: complex128 against the real block form"
+          "\n(2d x 2d float64) the CF4 kernel uses (us per product, 10 stack products)")
+    header = f"{'d':>3s} {'stack':>6s} {'complex':>10s} {'block':>10s} {'block/complex':>14s}"
+    print(header)
+    print("-" * len(header))
+    for d in (2, 3, 4, 8, 16, 32, 64):
+        u, blocks = product_workload(d)
+        t_complex, t_block = (time_call(lambda a: [a @ a for _ in range(10)], (x,), opts.repeat)
+                              for x in (u, blocks))
+        per = 1e6 / (10 * len(u))
+        print(f"{d:3d} {len(u):6d} {per * t_complex:10.3f} {per * t_block:10.3f} "
+              f"{t_block / t_complex:13.2f}x")
+
+    print("\nCF4 gamma-0 kernel on the parity block, case I at step 1.0 (block-form"
+          "\npropagators built and fused per sample interval)")
+    header = f"{'N':>3s} {'block':>6s} {'us/member-step':>15s}"
+    print(header)
+    print("-" * len(header))
+    for n in (4, 5, 6, 7):
+        _, _, (terms, ctab, w, rho0, *rest) = lindblad_workload(n, t_final=200.0, step=1.0,
+                                                                gamma=0.0)
+        k, block = parity_block((terms, ctab[:, None, :], w, rho0[None], *rest))
+        t = time_call(kern.lindblad_cf4, block, opts.repeat)
+        print(f"{n:3d} {k:6d} {1e6 * t / ((block[1].shape[0] - 1) // 2):15.2f}")
 
 
 if __name__ == "__main__":

@@ -9,19 +9,30 @@ The master equation is integrated by ``lindblad_cf4``
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
 half-steps exp(W dt / 2).  Its propagators are built for many steps at once
-by :func:`_exp_hermitian`, a truncated Taylor series (Paterson & Stockmeyer,
+by :func:`_exp_blocks`, a truncated Taylor series (Paterson & Stockmeyer,
 SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
-only, in real arithmetic for real terms.  Without dephasing the steps
-between two samples compose exactly, so their propagators are first
-multiplied into one on a pairwise tree (:func:`_segment_propagators`, one
-product a step) and rho is conjugated once per sample interval; this moves
-the results by rounding only, about 1e-14.  With dephasing and an
-:class:`OperatorBasis` of the operator space the run stays in, the whole
-step, dephasing included, is a real matrix on that space
-(:func:`_operator_steps`, from the same cos and sinc series,
-:func:`_cos_sinc`), so the step matrices of a sample interval are fused in
-the same way and only the coordinate vector of rho is advanced.  With
+only.  Every propagator U = P + iQ is carried as the real block matrix
+[[P, -Q], [Q, P]], whose products are those of the complex matrices: for
+real terms the cos and sin parts of the series are P and -Q themselves, and
+the product of a step's two exponentials, the squarings and the products
+that fuse steps are float64 products of 2d x 2d matrices.  Batched, these
+cost 0.04-0.13 us each up to d = 4 and 0.3-0.4 us at d = 8, against
+0.34-0.84 us for a complex128 product; they are about even at d = 16 and
+cost 1.2-1.7 times a complex product at d = 32 and 64
+(``benchmarks/bench_kernels.py``, 2 vCPUs); no run of the benchmark
+integrates a propagator above d = 5.  A propagator
+returns to complex (:func:`_unblock`) once per stack, where it conjugates
+rho.  Without dephasing the steps between two samples compose exactly, so
+their propagators are first multiplied into one on a pairwise tree
+(:func:`_segment_propagators`, one product a step) and rho is conjugated
+once per sample interval; this moves the results by rounding only, about
+1e-14.  With dephasing and an :class:`OperatorBasis` of the operator space
+the run stays in, the whole step, dephasing included, is a real matrix on
+that space (:func:`_operator_steps`, from the same series, :func:`_cos_sinc`,
+summed on the smaller half of the space only), so the step matrices of a
+sample interval are fused in the same way and only the coordinate vector of
+rho is advanced.  With
 dephasing and no such basis, rho is conjugated by each step's propagator,
 at two small products a step.  The step is CPTP, so it cannot blow up, and
 its size is set by how fast H(t) changes rather than by its norm.
@@ -91,9 +102,10 @@ def _record(out, rows, rho, left_c, form_right, obs, store_rho):
     """Write the (b, s, d, d) sampled states ``rho`` into ``rows`` of :func:`_lindblad_outputs`."""
     forms, expvals, purity, trace_defect, herm_defect, rho_samples = out
     b, s, d, _ = rho.shape
-    # stacks of per-state products, so each member's numbers are those of its own run
-    right = (rho @ form_right.T).swapaxes(-1, -2)  # rho r_f, as rows (b, s, F, d)
-    forms[:, rows] = (left_c[:, None, :] @ right[..., None])[..., 0, 0]
+    # per-state products and sums, so each member's numbers are those of its own run
+    # <l|rho|r> = sum_ij conj(l_i) rho_ij r_j
+    weights = (left_c[:, :, None] * form_right[:, None, :]).reshape(-1, d * d)
+    forms[:, rows] = (rho.reshape(b, s, 1, d * d) * weights).sum(axis=-1)
     if obs.shape[0]:
         # tr(O rho) = vec(O^T) . vec(rho)
         obs_t = obs.swapaxes(1, 2).reshape(obs.shape[0], d * d)
@@ -167,7 +179,8 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 
 
 #: Largest stack of small matrices built or diagonalized at once (bytes): the
-#: CF4 step propagators (64 steps of one member at d = 8; their exponentials
+#: CF4 step propagators (64 steps of one member at d = 8, counted as complex
+#: d x d matrices; their block forms take twice that, and their exponentials
 #: hold up to about twenty temporaries of that size), the fused propagators of
 #: one member's segment of a run without dephasing (so such a segment is at
 #: most 64 steps at d = 8, and one step from d = 64 up), and in
@@ -180,8 +193,8 @@ STACK_BYTES = 1 << 16
 #: _WIDTH powers each, _BLOCKS of them, so the series stops at X^23.
 _WIDTH, _BLOCKS = 3, 4
 #: Largest h r summed without squaring: up to there the four blocks keep the
-#: dropped tail below 2^-53, and a further block costs two real products where
-#: a squaring costs a complex one, several times dearer.
+#: dropped tail below 2^-53, and a further block costs two products of the
+#: stack where a squaring costs one of the block form, twice the size.
 _THETA_MAX = 2.0
 
 
@@ -190,32 +203,37 @@ def _series_tables():
 
     Truncated after k + 1 blocks the series keeps X^0 .. X^m, m = 2 _WIDTH (k+1) - 1,
     and its first dropped term is below 2^-54 when ||X|| <= thresholds[k].  Row
-    (q, 0) of the coefficients holds the cos terms of block q and row (q, 1) the
-    sin X / X terms, as coefficients of Y^(q _WIDTH) .. Y^(q _WIDTH + _WIDTH - 1).
+    (q, 0) of the coefficients holds the cos terms of block q, row (q, 1) the
+    sin X / X terms and row (q, 2) the terms of g(Y) = (cos X - 1) / Y, as
+    coefficients of Y^(q _WIDTH) .. Y^(q _WIDTH + _WIDTH - 1).  With B^T g(B B^T) B
+    in place of cos(X) - 1 for X^2 = B^T B, the same blocks keep one more term
+    of cos X, so the thresholds hold for it too.
     """
     degrees = 2 * _WIDTH * np.arange(1, _BLOCKS + 1) - 1
     thresholds = np.array([(math.factorial(m + 1) * 2.0 ** -54) ** (1.0 / (m + 1))
                            for m in degrees])
-    coefficients = [[(-1) ** k / math.factorial(2 * k + odd)
-                     for k in range(q * _WIDTH, (q + 1) * _WIDTH)]
-                    for q in range(_BLOCKS) for odd in (0, 1)]
+    # Y^k terms: cos (-1)^k / (2k)!, sinc (-1)^k / (2k+1)!, g (-1)^(k+1) / (2k+2)!
+    coefficients = [[[(-1) ** (k + (part == 2)) / math.factorial(2 * k + part)
+                      for k in range(q * _WIDTH, (q + 1) * _WIDTH)]
+                     for part in range(3)]
+                    for q in range(_BLOCKS)]
     return thresholds, np.array(coefficients)
 
 
 _BLOCK_THETA, _SERIES = _series_tables()
 
 
-def _cos_sinc(y, top, sinc=True):
-    """cos X and sin(X) / X of every matrix of a stack, from Y = X^2: a (2, n, d, d) array.
+def _cos_sinc(y, top, parts=2):
+    """cos X, sin(X) / X and (cos X - 1) / Y of a stack, from Y = X^2: a (parts, n, d, d) array.
 
-    Both are summed as polynomials in Y by Paterson-Stockmeyer: the powers
-    I, Y, .., Y^(_WIDTH - 1) give every block's cos and sin parts from one
-    real product, and the blocks are combined by Horner's rule in Y^_WIDTH.
-    Matrix i keeps blocks 0 .. top[i] only: the blocks past its own degree
-    are zeroed, so its bits do not depend on the rest of the stack.  With
-    ``sinc=False`` only cos X is summed, as a (1, n, d, d) array.
+    The first ``parts`` of the three are summed as polynomials in Y by
+    Paterson-Stockmeyer: the powers I, Y, .., Y^(_WIDTH - 1) give every
+    block's parts from one real product, and the blocks are combined by
+    Horner's rule in Y^_WIDTH.  Matrix i keeps blocks 0 .. top[i] only: the
+    blocks past its own degree are zeroed, so its bits do not depend on the
+    rest of the stack.
     """
-    series = _SERIES if sinc else _SERIES[::2]
+    series = _SERIES[:, :parts].reshape(-1, _WIDTH)
     n, d, _ = y.shape
     powers = np.empty((_WIDTH, n, d, d), dtype=y.dtype)  # I, Y, Y^2
     powers[0] = np.eye(d)
@@ -225,30 +243,34 @@ def _cos_sinc(y, top, sinc=True):
     y_width = powers[1] @ powers[_WIDTH - 1]
     # every block's cos and sin parts from one real product (complex Y: its float64 view)
     blocks = (series @ powers.reshape(_WIDTH, -1).view(np.float64)).view(y.dtype)
-    blocks = blocks.reshape(_BLOCKS, len(series) // _BLOCKS, n, d, d)
+    blocks = blocks.reshape(_BLOCKS, parts, n, d, d)
 
     last = int(top.max(initial=0))
-    parts = blocks[last].copy()
+    sums = blocks[last].copy()
     for q in range(last, -1, -1):
         if q < last:
-            parts = y_width @ parts
-            parts += blocks[q]
+            sums = y_width @ sums
+            sums += blocks[q]
         below = top < q
         if below.any():
-            parts[:, below] = 0.0  # the matrix's series starts at a lower block
-    return parts
+            sums[:, below] = 0.0  # the matrix's series starts at a lower block
+    return sums
 
 
-def _exp_hermitian(s, h):
+def _exp_blocks(s, h):
     """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack, up to a phase each.
 
-    Each S is shifted by the centre c of its Gershgorin interval [c - r, c + r]
-    and scaled by h / 2^k, where k is the fewest squarings that bring
-    h r / 2^k to at most _THETA_MAX.  The series of exp(-i X) for the scaled
-    X = (S - c) h / 2^k is summed as cos X - i X sin(X)/X by :func:`_cos_sinc`,
-    two polynomials in Y = X^2, so real S stay in real arithmetic, and the
-    result is squared k times.  The shift multiplies U by the scalar phase
-    exp(-i h c), which cancels in U rho U^H, so it is dropped.
+    The result is the (n, 2d, 2d) real block form [[P, -Q], [Q, P]] of each
+    U = P + iQ, whose products are those of the complex matrices
+    (:func:`_unblock` converts it back).  Each S is shifted by the centre c
+    of its Gershgorin interval [c - r, c + r] and scaled by h / 2^k, where k
+    is the fewest squarings that bring h r / 2^k to at most _THETA_MAX.  The
+    series of exp(-i X) for the scaled X = (S - c) h / 2^k is summed as
+    cos X - i X sin(X)/X by :func:`_cos_sinc`, two polynomials in Y = X^2,
+    so real S stay in real arithmetic and give P = cos X and
+    Q = -X sin(X)/X directly, and the block form is squared k times.  The
+    shift multiplies U by the scalar phase exp(-i h c), which cancels in
+    U rho U^H, so it is dropped.
 
     Each matrix takes its own number of blocks and squarings from its own
     bound: the blocks past its own degree are zeroed, so its bits do not
@@ -259,8 +281,9 @@ def _exp_hermitian(s, h):
     finite = np.isfinite(s).all(axis=(1, 2))
     if not finite.all():
         s = np.where(finite[:, None, None], s, 0.0)  # set to NaN at the end
-    diag = np.diagonal(s, axis1=1, axis2=2).real.T
-    radius = np.einsum("nij->in", np.abs(s)) - np.abs(diag)
+    # (d, n) C-ordered, so that the bounds are reduced over the outer axis
+    diag = np.ascontiguousarray(np.diagonal(s, axis1=1, axis2=2).real.T)
+    radius = np.ascontiguousarray(np.einsum("nij->in", np.abs(s))) - np.abs(diag)
     lo = (diag - radius).min(axis=0)
     hi = (diag + radius).max(axis=0)
     theta = h * (0.5 * (hi - lo))
@@ -277,20 +300,40 @@ def _exp_hermitian(s, h):
 
     x = s * scale[:, None, None]
     x.reshape(n, d * d)[:, ::d + 1] -= (scale * (0.5 * (hi + lo)))[:, None]
-    parts = _cos_sinc(x @ x, top)
-    sin_part = x @ parts[1]  # X sin(X) / X
+    cos_part, sinc_part = _cos_sinc(x @ x, top)
+    u = np.empty((n, 2 * d, 2 * d))
     if s.dtype == np.float64:
-        u = np.empty((n, d, d), dtype=np.complex128)
-        u.real = parts[0]
-        np.negative(sin_part, out=u.imag)
+        np.matmul(x, sinc_part, out=u[:, :d, d:])  # -Q = X sin(X) / X
     else:
-        u = parts[0] - 1j * sin_part
+        # U = cos X - i X sin(X) / X = (Re cos + Im sin) + i (Im cos - Re sin)
+        sin_part = x @ sinc_part
+        u[:, :d, d:] = sin_part.real - cos_part.imag
+        cos_part = cos_part.real + sin_part.imag
+    u[:, :d, :d] = u[:, d:, d:] = cos_part
+    np.negative(u[:, :d, d:], out=u[:, d:, :d])
     for k in range(int(squarings.max(initial=0))):
         more = np.nonzero(squarings > k)[0]
         u[more] = u[more] @ u[more]
     if not good.all():
         u[~good] = np.nan
     return u
+
+
+def _unblock(u):
+    """Complex matrices P + iQ of a stack of real block forms [[P, -Q], [Q, P]]."""
+    d = u.shape[-1] // 2
+    out = np.empty(u.shape[:-2] + (d, d), dtype=np.complex128)
+    out.real = u[..., :d, :d]
+    out.imag = u[..., d:, :d]
+    return out
+
+
+def _exp_hermitian(s, h):
+    """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack as complex matrices.
+
+    The block form of :func:`_exp_blocks` converted back.
+    """
+    return _unblock(_exp_blocks(s, h))
 
 
 def _simpson_moments(rows):
@@ -300,20 +343,22 @@ def _simpson_moments(rows):
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
-    """(n, B, d, d) stack of step propagators U from half-step coefficient rows (2n+1, B, K).
+    """(n, B, 2d, 2d) step propagators U from half-step coefficient rows (2n+1, B, K).
 
     Each step's Simpson moments S_a = (3 H_0 + 4 H_1/2 - H_1) / 12 and
     S_b = (-H_0 + 4 H_1/2 + 3 H_1) / 12 give U = exp(-i dt S_b) exp(-i dt S_a),
-    each exponential from :func:`_exp_hermitian`, up to a phase that cancels
-    in U rho U^H.  A step whose Hamiltonian is not finite gets a NaN
-    propagator, which the trace check reports.
+    each exponential from :func:`_exp_blocks`, up to a phase that cancels
+    in U rho U^H.  U is the real block form [[P, -Q], [Q, P]] of U = P + iQ,
+    so the product of the two exponentials is one float64 product.  A step
+    whose Hamiltonian is not finite gets a NaN propagator, which the trace
+    check reports.
     """
     moments = _simpson_moments(rows)
     n, _, b, kk = moments.shape
     # a stack of fixed-shape products: each step's bits do not depend on n
     s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
-    ua, ub = _exp_hermitian(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, d, d).swapaxes(0, 1)
-    return ub @ ua  # S_a acts first
+    u = _exp_blocks(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, 2 * d, 2 * d)
+    return u[:, 1] @ u[:, 0]  # S_a acts first
 
 
 class OperatorBasis(NamedTuple):
@@ -370,14 +415,16 @@ def _rotation_exponentials(c, h):
 
     With B = h C, Z1 = B^T B and Z2 = B B^T, G^2 = -diag(Z1, Z2), so
     exp(h G) = [[c(Z1), -B^T s(Z2)], [B s(Z1), c(Z2)]], with the cos and
-    sinc series c and s of :func:`_cos_sinc`.  Since B s(Z1) = s(Z2) B, only
-    the sinc of Z2 is summed: the antisymmetric half is the smaller one on
-    every preset (3 of 11 dimensions at N = 4, 16 of 45 at N = 8).  B is
-    scaled by 2^-k, where k is the fewest squarings that bring its Frobenius
-    norm, a bound on ||h G||_2, to at most _THETA_MAX, and the result is
-    squared k times.  As in :func:`_exp_hermitian`, each matrix takes its
-    own degree and squarings, and a C that is not finite, or whose bound is
-    not, gets a NaN exponential.
+    sinc series c and s of :func:`_cos_sinc`.  Since B s(Z1) = s(Z2) B and
+    c(Z1) = I + B^T g(Z2) B, with g(z) = (c(z) - 1) / z, only series of Z2
+    are summed, all three in one :func:`_cos_sinc` call; this holds for any
+    r1 and r2, and the antisymmetric half is the smaller one on every preset
+    (3 of 11 dimensions at N = 4, 16 of 45 at N = 8).  B is scaled by 2^-k,
+    where k is the fewest squarings that bring its Frobenius norm, a bound
+    on ||h G||_2, to at most _THETA_MAX, and the result is squared k times.
+    As in :func:`_exp_blocks`, each matrix takes its own degree and
+    squarings, and a C that is not finite, or whose bound is not, gets a
+    NaN exponential.
     """
     n, r2, r1 = c.shape
     b = h * c
@@ -393,9 +440,11 @@ def _rotation_exponentials(c, h):
     # scaling by a power of 2 is exact, so Z1 and Z2 are those of the scaled B
     b = np.ldexp(b, -squarings[:, None, None])
     bt = np.ascontiguousarray(b.swapaxes(1, 2))
-    e = np.empty((n, r1 + r2, r1 + r2))
-    e[:, :r1, :r1] = _cos_sinc(bt @ b, top, sinc=False)[0]
-    cos2, sinc2 = _cos_sinc(b @ bt, top)
+    r = r1 + r2
+    e = np.empty((n, r, r))
+    cos2, sinc2, g2 = _cos_sinc(b @ bt, top, parts=3)
+    np.matmul(bt, g2 @ b, out=e[:, :r1, :r1])
+    e.reshape(n, r * r)[:, :r1 * (r + 1):r + 1] += 1.0
     np.negative(bt @ sinc2, out=e[:, :r1, r1:])
     np.matmul(sinc2, b, out=e[:, r1:, :r1])
     e[:, r1:, r1:] = cos2
@@ -520,6 +569,7 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             return _cf4_propagators(rows, stage_terms, stage_dtype, dt, d)
 
         def segments(v):
+            v = _unblock(v)
             vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
 
             def advance(j, x):

@@ -172,7 +172,8 @@ def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
         if step == n_steps:
             break
         rows = ctab[2 * step:2 * step + 3, None, :]
-        u = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, dt, terms.shape[1])[0, 0]
+        u = _kernels._unblock(
+            _kernels._cf4_propagators(rows, stage_terms, stage_dtype, dt, terms.shape[1]))[0, 0]
         y = u @ (half_damp * rho) @ u.conj().T
         rho = half_damp * (0.5 * (y + y.conj().T))
     states = np.array(states)
@@ -307,8 +308,9 @@ def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries
         np.testing.assert_array_equal(_kernels._exp_hermitian(s[lo:lo + 4], 0.7), full[lo:lo + 4])
 
 
-@pytest.mark.parametrize("complex_terms", [False, True], ids=["real", "complex"])
-def test_cf4_propagators_match_the_eigh_oracle(complex_terms):
+@pytest.mark.parametrize("complex_terms,dt", [(False, 0.8), (True, 0.8), (False, 8.0), (True, 8.0)],
+                         ids=["real", "complex", "real-squared", "complex-squared"])
+def test_cf4_propagators_match_the_eigh_oracle(complex_terms, dt):
     rng = np.random.default_rng(53)
     terms, _, _, _, _, _, _, _ = _tiny_problem(rng)
     if not complex_terms:
@@ -316,14 +318,42 @@ def test_cf4_propagators_match_the_eigh_oracle(complex_terms):
     rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))  # 5 steps of 3 members
     stage_terms, stage_dtype = _kernels._stage_terms(terms)
     assert stage_dtype is (np.complex128 if complex_terms else np.float64)
-    u = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, 0.8, 4)
+    blocks = _kernels._cf4_propagators(rows, stage_terms, stage_dtype, dt, 4)
+    assert blocks.shape == (5, 3, 8, 8) and blocks.dtype == np.float64
+    u = _kernels._unblock(blocks)
     h = np.einsum("nbk,kij->nbij", rows, terms)
     s_a = (3.0 * h[:-1:2] + 4.0 * h[1::2] - h[2::2]) / 12.0
     s_b = (-h[:-1:2] + 4.0 * h[1::2] + 3.0 * h[2::2]) / 12.0
-    want = _eigh_exponentials(s_b, 0.8) @ _eigh_exponentials(s_a, 0.8)
+    if dt > 1.0:  # every exponential is squared
+        widths = _gershgorin_half_width(np.concatenate([s_a, s_b]).reshape(-1, 4, 4))
+        assert dt * widths.min() > _kernels._THETA_MAX
+    want = _eigh_exponentials(s_b, dt) @ _eigh_exponentials(s_a, dt)
     x = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex) + 0.3
     got = u @ x @ u.conj().swapaxes(-1, -2)
     np.testing.assert_allclose(got, want @ x @ want.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+
+
+def test_cf4_propagator_of_a_non_finite_step_is_nan():
+    # a NaN coefficient at the midpoint of step 2 of member 1 makes both of
+    # its moments non-finite; every other propagator of the stack keeps the
+    # bits it has when built without that step
+    rng = np.random.default_rng(55)
+    terms, _, _, _, _, _, _, _ = _tiny_problem(rng)
+    stage_terms, stage_dtype = _kernels._stage_terms(np.ascontiguousarray(terms.real) + 0j)
+    rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))
+    rows[5, 1, 0] = np.nan
+
+    def build(r):
+        return _kernels._cf4_propagators(r, stage_terms, stage_dtype, 0.8, 4)
+
+    u = build(rows)
+    assert np.isnan(u[2, 1]).all()
+    others = np.ones((5, 3), dtype=bool)
+    others[2, 1] = False
+    assert np.isfinite(u[others]).all()
+    np.testing.assert_array_equal(u[:2], build(rows[:5]))
+    np.testing.assert_array_equal(u[3:], build(rows[6:]))
+    np.testing.assert_array_equal(u[2, [0, 2]], build(rows[4:7, [0, 2]])[0])
 
 
 @pytest.mark.parametrize("dissipate", [False, True], ids=["no-dissipator", "dissipator"])
@@ -397,6 +427,25 @@ def test_operator_step_of_a_non_finite_hamiltonian_is_nan():
     np.testing.assert_allclose(e[~bad] @ e[~bad].swapaxes(1, 2),
                                np.broadcast_to(np.eye(5), (3, 5, 5)), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(_kernels._rotation_exponentials(c[~bad], 0.7), e[~bad])
+
+
+@pytest.mark.parametrize("r2,r1", [(3, 8), (1, 4), (0, 5), (6, 2)])
+def test_rotation_exponentials_match_the_eigh_oracle(r2, r1):
+    # exp(h G) of the real antisymmetric G = [[0, -C^T], [C, 0]] against
+    # V diag(exp(i h lambda)) V^H from the eigenvectors of the Hermitian -i G,
+    # for ||h C||_F from 1e-3 to 3: past _THETA_MAX the result is squared
+    rng = np.random.default_rng(56)
+    norms = np.geomspace(1e-3, 3.0, 12)
+    c = rng.normal(size=(norms.size, r2, r1))
+    scale = np.linalg.norm(c.reshape(norms.size, -1), axis=1) if r2 else np.ones(norms.size)
+    c *= (norms / (0.7 * scale))[:, None, None]
+    e = _kernels._rotation_exponentials(c, 0.7)
+    g = np.zeros((norms.size, r1 + r2, r1 + r2))
+    g[:, :r1, r1:] = -c.swapaxes(1, 2)
+    g[:, r1:, :r1] = c
+    vals, vecs = np.linalg.eigh(-1j * g)
+    want = (vecs * np.exp(1j * 0.7 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    assert np.abs(e - want).max() <= 1e-12
 
 
 def test_segments_end_at_the_samples_and_at_most_every_longest_steps():

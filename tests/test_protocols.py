@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -150,9 +150,10 @@ def test_disorder_ensemble_parallel_consistency():
         warnings.simplefilter("ignore", RegimeWarning)
         seq = disorder_ensemble(cfg, profiles, parallelism=1)
         par = disorder_ensemble(cfg, profiles, parallelism=3)
-    for a, b in zip(seq.members, par.members):
-        assert a.final_population == b.final_population
-        assert a.label == b.label
+    # every reported field of every member, baseline included, is equal
+    assert len(seq.members) == len(par.members) == 3
+    for a, b in zip([seq.baseline, *seq.members], [par.baseline, *par.members]):
+        assert asdict(a) == asdict(b)
 
 
 def test_dispersion_zero_pair_is_identical():
