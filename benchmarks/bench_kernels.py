@@ -170,13 +170,9 @@ def operator_workload(n_spins, t_final=1000.0):
     return basis.q.shape[1], basis.dim, block, basis.operators
 
 
-def product_workload(d, count=None):
-    """A stack of complex d x d propagators, and the same stack in block form.
-
-    ``count`` defaults to the kernel's propagator stack of one member, and
-    to at least 16 matrices.
-    """
-    count = count or max(16, _kernels.STACK_BYTES // (16 * d * d))
+def product_workload(d):
+    """A stack of complex d x d propagators, and the same stack in block form."""
+    count = max(16, _kernels.STACK_BYTES // (16 * d * d))
     rng = np.random.default_rng(d)
     u = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
     blocks = np.block([[u.real, -u.imag], [u.imag, u.real]])

@@ -328,14 +328,6 @@ def _unblock(u):
     return out
 
 
-def _exp_hermitian(s, h):
-    """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack as complex matrices.
-
-    The block form of :func:`_exp_blocks` converted back.
-    """
-    return _unblock(_exp_blocks(s, h))
-
-
 def _simpson_moments(rows):
     """(n, 2, B, K) coefficients of each step's S_a and S_b from half-step rows (2n+1, B, K)."""
     c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]

@@ -147,10 +147,15 @@ def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
 def _eigh_exponentials(s, h):
     """exp(-i h S) of a stack of Hermitian S from its eigendecomposition.
 
-    The oracle of the product-only exponential ``_kernels._exp_hermitian``.
+    The oracle of the product-only exponential ``_kernels._exp_blocks``.
     """
     vals, vecs = np.linalg.eigh(s)
     return (vecs * np.exp(-1j * h * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _exponentials(s, h):
+    """exp(-i h S) from ``_kernels._exp_blocks``, its block forms made complex."""
+    return _kernels._unblock(_kernels._exp_blocks(s, h))
 
 
 def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
@@ -272,7 +277,7 @@ def test_exponential_matches_the_eigh_oracle(complex_entries):
     s += rng.normal(size=(widths.size, 1, 1)) * np.eye(6)  # shifted spectra
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     x = (x + x.conj().T) / np.linalg.norm(x + x.conj().T, 2)
-    u = _kernels._exp_hermitian(s, 1.0)
+    u = _exponentials(s, 1.0)
     assert u.dtype == np.complex128
     assert np.abs(_conjugated(u, x) - _conjugated(_eigh_exponentials(s, 1.0), x)).max() <= 1e-12
     assert widths.max() > _kernels._THETA_MAX  # both branches ran
@@ -287,11 +292,11 @@ def test_exponential_of_a_non_finite_matrix_is_nan():
     s[1, 0, 2] = s[1, 2, 0] = np.nan
     s[3, 1, 1] = np.inf
     s[4, 0, 3] = -np.inf
-    u = _kernels._exp_hermitian(s, 1.0)
+    u = _exponentials(s, 1.0)
     bad = np.array([False, True, False, True, True, False])
     assert np.isnan(u[bad]).all()
     assert np.isfinite(u[~bad]).all()
-    np.testing.assert_array_equal(u[~bad], _kernels._exp_hermitian(s[~bad], 1.0))
+    np.testing.assert_array_equal(u[~bad], _exponentials(s[~bad], 1.0))
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
@@ -301,11 +306,11 @@ def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries
     rng = np.random.default_rng(52)
     widths = np.geomspace(1e-3, 20.0, 30)
     s = _hermitian_stack(rng, widths.size, 5, complex_entries, rng.permutation(widths))
-    full = _kernels._exp_hermitian(s, 0.7)
+    full = _exponentials(s, 0.7)
     for k in range(1, widths.size + 1):
-        np.testing.assert_array_equal(_kernels._exp_hermitian(s[:k], 0.7), full[:k])
+        np.testing.assert_array_equal(_exponentials(s[:k], 0.7), full[:k])
     for lo in range(0, widths.size, 7):
-        np.testing.assert_array_equal(_kernels._exp_hermitian(s[lo:lo + 4], 0.7), full[lo:lo + 4])
+        np.testing.assert_array_equal(_exponentials(s[lo:lo + 4], 0.7), full[lo:lo + 4])
 
 
 @pytest.mark.parametrize("complex_terms,dt", [(False, 0.8), (True, 0.8), (False, 8.0), (True, 8.0)],
@@ -465,7 +470,7 @@ def test_segment_products_depend_only_on_their_own_factors():
     rng = np.random.default_rng(54)
     lengths = [int(n) for n in rng.permutation(np.arange(1, 13))] + [3, 3, 3, 10, 10, 1, 1]
     s = _hermitian_stack(rng, sum(lengths) * 2, 3, True, np.full(sum(lengths) * 2, 1.5))
-    u = _kernels._exp_hermitian(s, 1.0).reshape(sum(lengths), 2, 3, 3)  # two members
+    u = _exponentials(s, 1.0).reshape(sum(lengths), 2, 3, 3)  # two members
     products = _kernels._segment_propagators(u.copy(), lengths)
     assert products.shape == (len(lengths), 2, 3, 3)
     start = 0
