@@ -184,10 +184,27 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 #: hold up to about twenty temporaries of that size), the fused propagators of
 #: one member's segment of a run without dephasing (so such a segment is at
 #: most 64 steps at d = 8, and one step from d = 64 up), and in
-#: :mod:`lmg_adiabat.dynamics` the gap-scan Hamiltonians and the sampled
-#: states whose eigenvalues are checked.  Larger gap-scan stacks saved
-#: little time and raised the peak memory of a run.
+#: :mod:`lmg_adiabat.dynamics` the sampled states whose eigenvalues are
+#: checked.
 STACK_BYTES = 1 << 16
+#: Largest stack of gap-scan Hamiltonians built and diagonalized at once
+#: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: all 401 samples of a
+#: run at N = 4, 64 of them at N = 6 and 4 at N = 8.  Where the scan runs
+#: beside the integration on a helper thread, ``eigvalsh`` releases the GIL
+#: for a whole stack, so larger stacks hand the GIL back and forth less often.
+#: Against the serial scan in 64 KiB stacks, the 13-member criterion-8
+#: ensemble ran 1.04x as fast with 64 KiB stacks on the thread, 1.08x with
+#: 256 KiB and 1.23x with 1 MiB (12 interleaved jobs each, 2 vCPUs); 1 MiB
+#: stacks add 1-3 MB to the peak RSS of a run at N = 6 and 8.
+GAP_STACK_BYTES = 1 << 20
+#: A batch's gap scan runs beside its integration only when its members'
+#: full-space Hamiltonians at the sample times would take at least this many
+#: bytes (float64).  A smaller scan hides too little to pay for sharing the
+#: GIL: the 2-7 ms scan of a single run at N = 4 (0.8 MB) made the
+#: ``simulate-cases`` jobs of ``perfbench/run.py`` 11% slower on the helper
+#: thread (2 of 8 alternating runs faster), while the 13-member criterion-8
+#: ensemble (10.7 MB) and the single N = 6 runs of a sweep (13 MB) gained.
+GAP_OVERLAP_BYTES = 1 << 22
 
 #: Paterson-Stockmeyer layout of the exponential series in Y = X^2: blocks of
 #: _WIDTH powers each, _BLOCKS of them, so the series stops at X^23.
@@ -278,18 +295,19 @@ def _exp_blocks(s, h):
     bound is not, gets a NaN propagator.
     """
     n, d, _ = s.shape
-    finite = np.isfinite(s).all(axis=(1, 2))
-    if not finite.all():
-        s = np.where(finite[:, None, None], s, 0.0)  # set to NaN at the end
-    # (d, n) C-ordered, so that the bounds are reduced over the outer axis
-    diag = np.ascontiguousarray(np.diagonal(s, axis1=1, axis2=2).real.T)
-    radius = np.ascontiguousarray(np.einsum("nij->in", np.abs(s))) - np.abs(diag)
-    lo = (diag - radius).min(axis=0)
-    hi = (diag + radius).max(axis=0)
-    theta = h * (0.5 * (hi - lo))
-    good = finite & np.isfinite(theta)
+    # a NaN or infinite entry makes its matrix's bound NaN or infinite (inf - inf
+    # is NaN), so the bound alone finds the matrices to set to NaN at the end
+    with np.errstate(invalid="ignore"):
+        # (d, n) C-ordered, so that the bounds are reduced over the outer axis
+        diag = np.ascontiguousarray(np.diagonal(s, axis1=1, axis2=2).real.T)
+        radius = np.ascontiguousarray(np.einsum("nij->in", np.abs(s))) - np.abs(diag)
+        lo = (diag - radius).min(axis=0)
+        hi = (diag + radius).max(axis=0)
+        theta = h * (0.5 * (hi - lo))
+    good = np.isfinite(theta)
     if not good.all():
-        # an overflowed bound: neither it nor a NaN may reach the squaring count
+        # a non-finite or overflowed bound: neither it nor a NaN may reach the
+        # squaring count
         theta[~good] = 0.0
         s = np.where(good[:, None, None], s, 0.0)
         lo[~good] = hi[~good] = 0.0

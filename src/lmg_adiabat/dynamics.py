@@ -70,13 +70,19 @@ results do not depend on its batch (:func:`_integration_groups`).
 The gap scan diagonalizes H(t) on each connected component of the nonzero
 pattern of its terms, the two parity blocks of an LMG Hamiltonian, and
 merges their spectra: the ferromagnetic ground doublet has one member in
-each block.
+each block.  When the process may use two CPUs and the scan is large, a
+batch's scans run on one helper thread while the batch is integrated
+(:func:`_beside`); the scan is the same either way, so its bits do not
+depend on where it ran.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -386,7 +392,8 @@ def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
 
     The blocks are the connected components of the nonzero pattern of the
     terms (:func:`_component_labels`), stacked by size.  They are built in
-    float64 when the terms are real and diagonalized in stacks of bounded size.
+    float64 when the terms are real and diagonalized in stacks of at most
+    ``_kernels.GAP_STACK_BYTES``.
     """
     labels = _component_labels(hamiltonian.terms)
     components = [np.flatnonzero(labels == label) for label in np.unique(labels)]
@@ -399,7 +406,7 @@ def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
         groups.append(terms[:, idx[:, :, None], idx[:, None, :]])
     flat = np.concatenate([g.reshape(len(g), -1) for g in groups], axis=1)
     splits = np.cumsum([g[0].size for g in groups])[:-1]
-    per_call = max(1, _kernels.STACK_BYTES // (flat.itemsize * flat.shape[1]))
+    per_call = max(1, _kernels.GAP_STACK_BYTES // (flat.itemsize * flat.shape[1]))
     gaps = []
     for i in range(0, times.size, per_call):
         h = _hamiltonian_matrix(hamiltonian, times[i:i + per_call], flat)
@@ -407,6 +414,49 @@ def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
                   for part, g in zip(np.split(h, splits, axis=1), groups)]
         gaps.append(spectral_gap(blocks))
     return np.concatenate(gaps)
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _beside(work: Callable[[], object], scan: Callable[[], object],
+            overlap: bool) -> Tuple[object, object]:
+    """``(work(), scan())``, with ``scan`` on one helper thread while ``work`` runs.
+
+    The helper thread runs in a copy of the caller's context, so ``scan``
+    sees the caller's ``np.errstate``, and it is joined on every path.  An
+    error of ``work`` wins over one of ``scan``, which is raised only once
+    ``work`` has returned.  Without ``overlap``, or in a process that may use
+    only one CPU, both run here, ``work`` first, and no thread starts.  The
+    gap scan pays on the second CPU because ``eigvalsh`` releases the GIL for
+    a whole stack.
+    """
+    if not overlap or _usable_cpus() < 2:
+        return work(), scan()
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((scan(), None))
+        except BaseException as exc:  # raised below once ``work`` has returned
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="lmg-adiabat gap scan")
+    thread.start()
+    try:
+        out = work()
+    finally:
+        thread.join()
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return out, result
 
 
 def evolve(spec: LindbladSpec, rho0: np.ndarray, t_span: Tuple[float, float],
@@ -447,9 +497,13 @@ def evolve_batch(
     module docstring), the invariant subspace of all its initial states
     together, so a member can differ from its standalone run by rounding;
     with dephasing each member runs on the operator space of its own
-    terms and state.  Raises :class:`StepFailureError` when a member's sampled
-    trace defect exceeds ``TRACE_TOL``, at the end of the block of
-    ``BLOCK_STEPS`` steps in which that happens.
+    terms and state.  With ``record_gap`` the members' gap scans run on one
+    helper thread while the batch is integrated, when the process may use
+    two CPUs and the scan is large enough to pay for it
+    (``_kernels.GAP_OVERLAP_BYTES``, :func:`_beside`).  Raises
+    :class:`StepFailureError` when a member's sampled trace defect exceeds
+    ``TRACE_TOL``, at the end of the block of ``BLOCK_STEPS`` steps in which
+    that happens.
     """
     specs = list(specs)
     if not specs or len(specs) != len(rho0s):
@@ -499,10 +553,18 @@ def evolve_batch(
             raise DimensionMismatchError(
                 f"hamiltonian dim {ham.dim} does not match density matrix dim {dim}"
             )
-    forms, expvals, pur, tdef, hdef, states, rho_final, bases = _integrate_blocks(
-        hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
-        form_left, form_right, obs, bool(store_states),
-    )
+
+    def integrate():
+        return _integrate_blocks(hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
+                                 form_left, form_right, obs, bool(store_states))
+
+    if record_gap:
+        scan_bytes = 8 * len(hams) * times.size * dim * dim
+        integrated, gaps = _beside(integrate, lambda: [_gap_scan(ham, times) for ham in hams],
+                                   scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
+    else:
+        integrated, gaps = integrate(), [None] * len(hams)
+    forms, expvals, pur, tdef, hdef, states, rho_final, bases = integrated
 
     results = []
     for b, spec in enumerate(specs):
@@ -514,7 +576,6 @@ def evolve_batch(
             name: forms[b, :, len(populations) + k] for k, name in enumerate(bilinears)
         }
         exp_out = {name: expvals[b, :, k] for k, name in enumerate(observables)}
-        gap = _gap_scan(spec.hamiltonian, times) if record_gap else None
         results.append(TrajectoryResult(
             times=times,
             populations=pop_out,
@@ -523,7 +584,7 @@ def evolve_batch(
             purity=pur[b],
             trace_defect=tdef[b],
             hermiticity_defect=hdef[b],
-            gap=gap,
+            gap=gaps[b],
             rho_samples=bases[b].embed(states[b]) if store_states else None,
             rho_final=bases[b].embed(rho_final[b]),
             step=h,

@@ -1,9 +1,11 @@
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from lmg_adiabat import dynamics
+from lmg_adiabat import _kernels, dynamics
 from lmg_adiabat.dynamics import (
     DriveSchedule,
     LindbladSpec,
@@ -717,6 +719,120 @@ def test_step_failure_inside_a_fused_interval_stops_at_the_same_block(
             record_gap=False,
         )
     assert len(lindblad_calls) == 1
+
+
+def _scan_cpus(monkeypatch, cpus):
+    """Let evolve_batch see ``cpus`` usable CPUs and scan beside the integration
+    whatever the scan's size: from 2 CPUs on the gap scan runs on a helper
+    thread, with 1 after the integration on the calling thread."""
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_kernels, "GAP_OVERLAP_BYTES", 0)
+
+
+def _threads_started(monkeypatch):
+    """Names of the threads started from here on, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def _slow_scan(fails):
+    """A gap scan that is still running when a short integration has ended."""
+    scan = dynamics._gap_scan
+
+    def slow(ham, times):
+        time.sleep(0.1)
+        if fails:
+            raise RuntimeError("gap scan failed")
+        return scan(ham, times)
+
+    return slow
+
+
+@pytest.mark.parametrize("scan_fails", [False, True], ids=["scan-runs", "scan-raises"])
+def test_step_failure_wins_over_the_gap_scan_beside_it(monkeypatch, scan_fails):
+    _scan_cpus(monkeypatch, 2)
+    monkeypatch.setattr(dynamics, "_gap_scan", _slow_scan(scan_fails))
+    started = _threads_started(monkeypatch)
+    before = threading.active_count()
+    with np.errstate(all="ignore"), pytest.raises(StepFailureError, match="at t = 104 "):
+        evolve(LindbladSpec(_failing_after(100.0), ()), density_from_state(TWO_SPIN_PLUS_X),
+               (0.0, 4000.0), step=8.0, n_samples=40, record_gap=True)
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_gap_scan_error_is_raised_after_the_integration(monkeypatch, lindblad_calls):
+    _scan_cpus(monkeypatch, 2)
+    monkeypatch.setattr(dynamics, "_gap_scan", _slow_scan(True))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="gap scan failed"):
+        evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
+               (0.0, 400.0), step=8.0, n_samples=40, record_gap=True)
+    assert len(lindblad_calls) == 1  # the whole window, in one block
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("record_gap,cpus,small", [(False, 2, False), (True, 1, False),
+                                                  (True, 2, True)],
+                         ids=["no-scan", "one-cpu", "small-scan"])
+def test_no_thread_without_a_large_gap_scan_and_a_second_cpu(monkeypatch, record_gap, cpus,
+                                                             small):
+    _scan_cpus(monkeypatch, cpus)
+    if small:  # 40 samples of a 4 x 4 Hamiltonian take 5 kB
+        monkeypatch.setattr(_kernels, "GAP_OVERLAP_BYTES", 8 * 40 * 16 + 1)
+    started = _threads_started(monkeypatch)
+    run = evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
+                 (0.0, 400.0), step=8.0, n_samples=40, record_gap=record_gap)
+    assert started == []
+    assert (run.gap is not None) == record_gap
+
+
+def test_gap_scan_beside_the_integration_sees_the_callers_errstate(monkeypatch):
+    _scan_cpus(monkeypatch, 2)
+    seen = []
+    scan = dynamics._gap_scan
+
+    def spy(ham, times):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return scan(ham, times)
+
+    monkeypatch.setattr(dynamics, "_gap_scan", spy)
+    default = np.geterr()
+    with np.errstate(all="ignore"):
+        caller = np.geterr()
+        evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
+               (0.0, 400.0), step=8.0, n_samples=40, record_gap=True)
+    assert caller != default
+    assert seen == [(False, caller)]
+
+
+def test_gap_scan_beside_a_disordered_batch_matches_the_serial_scan(monkeypatch):
+    from lmg_adiabat.protocols import reference_disorder_profiles
+
+    cfg = preset("I", 4, detuning_magnitude=0.9, t_final=400.0, n_samples=21)
+    specs = [LindbladSpec(lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
+                                                cfg.schedule.omega1, cfg.schedule.omega2, p))
+             for p in reference_disorder_profiles(cfg.eta)[:3]]
+    rho0s = [density_from_state(dicke_state(4, 0.0))] * 3
+    started = _threads_started(monkeypatch)
+    _scan_cpus(monkeypatch, 2)
+    beside = evolve_batch(specs, rho0s, (0.0, cfg.t_final), n_samples=cfg.n_samples)
+    assert len(started) == 1
+    _scan_cpus(monkeypatch, 1)
+    serial = evolve_batch(specs, rho0s, (0.0, cfg.t_final), n_samples=cfg.n_samples)
+    assert len(started) == 1
+    for spec, a, b in zip(specs, beside, serial):
+        want = dynamics._gap_scan(spec.hamiltonian, a.times)
+        np.testing.assert_array_equal(a.gap, want)
+        np.testing.assert_array_equal(b.gap, want)
+        np.testing.assert_array_equal(a.rho_final, b.rho_final)
 
 
 def test_callable_hamiltonian_is_rejected():

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from lmg_adiabat import _kernels, dynamics
 from lmg_adiabat.errors import (
     CutoffTooSmallError,
     ParityMismatchError,
@@ -143,16 +144,23 @@ def test_disorder_zero_profile_reproduces_baseline():
     )
 
 
-def test_disorder_ensemble_parallel_consistency():
+def test_disorder_ensemble_parallel_consistency(monkeypatch):
+    # the gap scan beside the integration (two usable CPUs) and the serial
+    # scan of a one-CPU process report the same ensemble
     cfg = preset("I", 4, detuning_magnitude=0.9, t_final=400.0, n_samples=21)
     profiles = reference_disorder_profiles(cfg.eta)[:3]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        seq = disorder_ensemble(cfg, profiles, parallelism=1)
-        par = disorder_ensemble(cfg, profiles, parallelism=3)
+    monkeypatch.setattr(_kernels, "GAP_OVERLAP_BYTES", 0)  # a scan this short would stay serial
+    reports = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            reports.append(disorder_ensemble(cfg, profiles))
+    beside, serial = reports
     # every reported field of every member, baseline included, is equal
-    assert len(seq.members) == len(par.members) == 3
-    for a, b in zip([seq.baseline, *seq.members], [par.baseline, *par.members]):
+    assert len(beside.members) == len(serial.members) == 3
+    for a, b in zip([beside.baseline, *beside.members], [serial.baseline, *serial.members]):
+        assert a.min_gap > 0
         assert asdict(a) == asdict(b)
 
 
