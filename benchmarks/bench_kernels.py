@@ -53,6 +53,11 @@ from lmg_adiabat.protocols import preset, reference_disorder_profiles
 from lmg_adiabat.states import density_from_state
 
 
+def _no_forms(d):
+    """The form and state-storage arguments of a kernel call that samples no forms."""
+    return np.zeros((0, d), dtype=np.complex128), np.zeros((0, d), dtype=np.complex128), False
+
+
 def lindblad_workload(n_spins, t_final=4000.0, step=0.25, gamma=1e-4):
     cfg = preset("I", n_spins, gamma=gamma)
     reg = SpinRegister(n_spins)
@@ -60,18 +65,12 @@ def lindblad_workload(n_spins, t_final=4000.0, step=0.25, gamma=1e-4):
     ham = lmg_sweep_hamiltonian(reg, 0.1, -1.1, sched.omega1, sched.omega2)
     n_steps = int(round(t_final / step))
     half_times = (step / 2.0) * np.arange(2 * n_steps + 1)
-    ctab = np.ascontiguousarray(ham.coefficient_table(half_times))
+    ctab = np.ascontiguousarray(ham.coefficient_table(half_times)[:, None, :])  # a batch of one
     w = dephasing_mask((gamma,) * n_spins)
-    rho0 = density_from_state(cfg.initial_state())
+    rho0 = density_from_state(cfg.initial_state())[None]
     idx = np.unique(np.round(np.linspace(0, n_steps, 101)).astype(np.int64))
     d = reg.dim
-    args = (
-        np.ascontiguousarray(ham.terms), ctab, w, rho0, step, idx,
-        np.zeros((0, d), dtype=np.complex128),
-        np.zeros((0, d), dtype=np.complex128),
-        np.zeros((0, d, d), dtype=np.complex128),
-        False,
-    )
+    args = (np.ascontiguousarray(ham.terms), ctab, w, rho0, step, idx, *_no_forms(d))
     return "lindblad", f"N={n_spins} (dim {d}) gamma {gamma:g}, {n_steps} steps", args
 
 
@@ -109,11 +108,10 @@ def batch_workload(t_final=1000.0, step=1.0, gamma=1e-4):
     rho0 = density_from_state(cfg.initial_state())
     idx = np.unique(np.round(np.linspace(0, n_steps, 101)).astype(np.int64))
     d = reg.dim
-    no_forms = (np.zeros((0, d), dtype=np.complex128), np.zeros((0, d), dtype=np.complex128),
-                np.zeros((0, d, d), dtype=np.complex128), False)
+    no_forms = _no_forms(d)
     batch = (terms, ctab, w, np.stack([rho0] * len(hams)), step, idx, *no_forms)
-    singles = [
-        (np.ascontiguousarray(ham.terms), table, w, rho0, step, idx, *no_forms)
+    singles = [  # batches of one
+        (np.ascontiguousarray(ham.terms), table[:, None, :], w, rho0[None], step, idx, *no_forms)
         for ham, table in zip(hams, tables)
     ]
     return f"{len(hams)} members, dim {d}, {n_steps} steps", batch, singles
@@ -134,10 +132,9 @@ def invariant_subspace(batch):
 
 
 def restricted(batch, basis):
-    terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho = batch
-    terms, w, rho0s, form_left, form_right, obs = basis.restrict(
-        terms, w, rho0s, form_left, form_right, obs)
-    return basis.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, obs, store_rho)
+    terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho = batch
+    terms, w, rho0s, form_left, form_right = basis.restrict(terms, w, rho0s, form_left, form_right)
+    return basis.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho)
 
 
 def propagator_workload(block):
@@ -164,7 +161,7 @@ def operator_workload(n_spins, t_final=1000.0):
     """A case I run at 1 kHz on its parity block, and its operator subspace there."""
     _, _, args = lindblad_workload(n_spins, t_final=t_final, step=1.0)
     terms, _, w, rho0, *_ = args
-    basis = _integration_basis(terms, w, rho0[None])
+    basis = _integration_basis(terms, w, rho0)
     assert basis.kind == "operator subspace"
     _, block = restricted(args, _Basis(basis.q, "basis states"))
     return basis.q.shape[1], basis.dim, block, basis.operators
@@ -303,9 +300,7 @@ def main():
     print(header)
     print("-" * len(header))
     for n in (4, 5, 6, 7):
-        _, _, (terms, ctab, w, rho0, *rest) = lindblad_workload(n, t_final=200.0, step=1.0,
-                                                                gamma=0.0)
-        k, block = parity_block((terms, ctab[:, None, :], w, rho0[None], *rest))
+        k, block = parity_block(lindblad_workload(n, t_final=200.0, step=1.0, gamma=0.0)[2])
         t = time_call(kern.lindblad_cf4, block, opts.repeat)
         print(f"{n:3d} {k:6d} {1e6 * t / ((block[1].shape[0] - 1) // 2):15.2f}")
 

@@ -43,12 +43,11 @@ The RK4 Lindblad kernel forms each commutator from one product: with
 y = h x, -i[h, x] = -i (y - y†), because x h = (h x)† for Hermitian h and x,
 so every stage is exactly Hermitian.
 
-The Lindblad kernels also take a batch: a (2n+1, B, K) table with a
+The Lindblad kernels integrate a batch: a (2n+1, B, K) table with a
 (B, d, d) stack of initial states integrates B members that share the terms,
-the dissipator mask and the sampled quantities, in one loop, and puts a
-leading B axis on every output (a single run is its batch of one).  When the
-terms are real (every LMG term is real symmetric in the z basis) the stage
-Hamiltonians stay real.
+the dissipator mask and the sampled forms, in one loop, and puts a leading B
+axis on every output.  When the terms are real (every LMG term is real
+symmetric in the z basis) the stage Hamiltonians stay real.
 """
 from __future__ import annotations
 
@@ -86,11 +85,10 @@ def _stage_terms(terms):
     return np.ascontiguousarray(terms.real).reshape(kk, d * d), np.float64
 
 
-def _lindblad_outputs(b, m, n_forms, n_obs, d, store_rho):
+def _lindblad_outputs(b, m, n_forms, d, store_rho):
     """Zeroed sample arrays of a batch of b members with m samples each."""
     return (
         np.zeros((b, m, n_forms), dtype=np.complex128),  # forms
-        np.zeros((b, m, n_obs), dtype=np.float64),  # expectation values
         np.zeros((b, m), dtype=np.float64),  # purity
         np.zeros((b, m), dtype=np.float64),  # trace defect
         np.zeros((b, m), dtype=np.float64),  # Hermiticity defect
@@ -98,18 +96,14 @@ def _lindblad_outputs(b, m, n_forms, n_obs, d, store_rho):
     )
 
 
-def _record(out, rows, rho, left_c, form_right, obs, store_rho):
+def _record(out, rows, rho, left_c, form_right, store_rho):
     """Write the (b, s, d, d) sampled states ``rho`` into ``rows`` of :func:`_lindblad_outputs`."""
-    forms, expvals, purity, trace_defect, herm_defect, rho_samples = out
+    forms, purity, trace_defect, herm_defect, rho_samples = out
     b, s, d, _ = rho.shape
     # per-state products and sums, so each member's numbers are those of its own run
     # <l|rho|r> = sum_ij conj(l_i) rho_ij r_j
     weights = (left_c[:, :, None] * form_right[:, None, :]).reshape(-1, d * d)
     forms[:, rows] = (rho.reshape(b, s, 1, d * d) * weights).sum(axis=-1)
-    if obs.shape[0]:
-        # tr(O rho) = vec(O^T) . vec(rho)
-        obs_t = obs.swapaxes(1, 2).reshape(obs.shape[0], d * d)
-        expvals[:, rows] = (rho.reshape(b, s, 1, d * d) @ obs_t.T)[..., 0, :].real
     flat = rho.reshape(b, s, 1, d * d).view(np.float64)
     purity[:, rows] = (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     trace_defect[:, rows] = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
@@ -120,22 +114,21 @@ def _record(out, rows, rho, left_c, form_right, obs, store_rho):
 
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho, operators=None):
+                        form_left, form_right, store_rho, operators=None):
     """Classical RK4 on rho, the reference of :func:`_lindblad_cf4_numpy`.
 
-    Takes the same arguments; ``operators`` only names a space the run
-    stays in, and this kernel integrates rho itself.
+    ``ctab`` (2n+1, B, K) holds each member's coefficients on the half-step
+    grid and ``rho0`` (B, d, d) its initial state; the members share the
+    (K, d, d) ``terms``, the mask ``w`` and the forms <l|rho|r> of the rows
+    of ``form_left`` and ``form_right`` (F, d).  Returns the arrays of
+    :func:`_lindblad_outputs` and the final states.  ``operators`` only
+    names a space the run stays in, and this kernel integrates rho itself.
     """
-    if ctab.ndim == 2:  # single run: the batch of one
-        out = _lindblad_rk4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
-                                  form_left, form_right, obs, store_rho)
-        return tuple(x[0] for x in out)
-
     kk, d, _ = terms.shape
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
     m = sample_idx.shape[0]
-    out = _lindblad_outputs(b, m, form_left.shape[0], obs.shape[0], d, store_rho)
+    out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     stage_terms, stage_dtype = _stage_terms(terms)
     if stage_dtype is np.complex128:
@@ -160,7 +153,7 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     ptr = 0
     for step in range(n_steps + 1):
         if ptr < m and sample_idx[ptr] == step:
-            _record(out, slice(ptr, ptr + 1), rho[:, None], left_c, form_right, obs, store_rho)
+            _record(out, slice(ptr, ptr + 1), rho[:, None], left_c, form_right, store_rho)
             ptr += 1
         if step == n_steps:
             break
@@ -535,7 +528,7 @@ def _segment_propagators(u, lengths):
 
 
 def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho, operators=None):
+                        form_left, form_right, store_rho, operators=None):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
     Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
@@ -556,16 +549,11 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     that end in a stack are applied, and their samples recorded, together,
     and a segment's unfinished steps wait for the next stack.
     """
-    if ctab.ndim == 2:  # single run: the batch of one
-        out = _lindblad_cf4_numpy(terms, ctab[:, None, :], w, rho0[None], dt, sample_idx,
-                                  form_left, form_right, obs, store_rho, operators)
-        return tuple(x[0] for x in out)
-
     d = terms.shape[1]
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
     m = sample_idx.shape[0]
-    out = _lindblad_outputs(b, m, form_left.shape[0], obs.shape[0], d, store_rho)
+    out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     if operators is None:
@@ -615,7 +603,7 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 
     ptr = 0
     if sampled[0]:
-        _record(out, slice(0, 1), density(state[:, None]), left_c, form_right, obs, store_rho)
+        _record(out, slice(0, 1), density(state[:, None]), left_c, form_right, store_rho)
         ptr = 1
     pending = []  # step stacks of the steps of an unfinished segment
     first = 0
@@ -639,8 +627,7 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                 states.append(state)
         if states:
             rows = slice(ptr, ptr + len(states))
-            _record(out, rows, density(np.stack(states, axis=1)), left_c, form_right, obs,
-                    store_rho)
+            _record(out, rows, density(np.stack(states, axis=1)), left_c, form_right, store_rho)
             ptr += len(states)
         pending = [u[done[-1] - start:]] if hi > done[-1] else []
         first = last

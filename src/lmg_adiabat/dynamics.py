@@ -34,8 +34,8 @@ one.
 
 A batch is integrated on the span of the orthonormal columns
 of a d x k matrix Q (:class:`_Basis`): the kernel gets Q^H X Q for the
-terms, the initial states, the dephasing mask and the observables, and the
-sampled and final states are embedded back into the full space as Q X Q^H.
+terms, the initial states and the dephasing mask, and the sampled and final
+states are embedded back into the full space as Q X Q^H.
 A batch without dephasing is integrated on the smallest subspace that holds
 every member's initial state and that every term of the batch maps into
 itself (:func:`_invariant_subspace`).  The LMG terms move a Dicke state only
@@ -262,12 +262,11 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, gammas: Sequence[float]) -> np.
 
 @dataclass
 class TrajectoryResult:
-    """Sampled observables of one master-equation run (times in 1/nu)."""
+    """Sampled quantities of one master-equation run (times in 1/nu)."""
 
     times: np.ndarray
     populations: Dict[str, np.ndarray]
     bilinears: Dict[str, np.ndarray]
-    expectations: Dict[str, np.ndarray]
     purity: np.ndarray
     trace_defect: np.ndarray
     hermiticity_defect: np.ndarray
@@ -343,15 +342,14 @@ def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray,
     return (table @ terms.reshape(len(terms), -1)).reshape(len(table), *terms.shape[1:])
 
 
-def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]],
-                 degeneracy_tol: Optional[float] = None) -> Union[float, np.ndarray]:
+def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.ndarray]:
     """Gap from the (possibly quasi-degenerate) ground band to the next level.
 
-    With ``degeneracy_tol=None`` the band tolerance is 1e-3 of the spectral
-    spread, which absorbs the exponentially split ferromagnetic ground doublet
-    near the one-axis end of a sweep.  A (..., d, d) stack gives an array of
-    gaps with the band rule applied to each matrix; a single matrix gives a
-    float.  ``h`` may also be a list of (..., n, s, s) stacks holding the
+    The band holds the levels up to 1e-3 of the spectral spread above the
+    ground level, which absorbs the exponentially split ferromagnetic ground
+    doublet near the one-axis end of a sweep.  A (..., d, d) stack gives an
+    array of gaps with the band rule applied to each matrix; a single matrix
+    gives a float.  ``h`` may also be a list of (..., n, s, s) stacks holding the
     diagonal blocks of one block-diagonal matrix, n blocks of size s in each;
     their eigenvalues are merged into its spectrum.
     """
@@ -362,7 +360,7 @@ def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]],
     else:
         vals = np.linalg.eigvalsh(h)
     ground = vals[..., 0]
-    tol = 1e-3 * (vals[..., -1] - ground) if degeneracy_tol is None else degeneracy_tol
+    tol = 1e-3 * (vals[..., -1] - ground)
     k = np.sum(vals <= (ground + tol)[..., None], axis=-1)
     above = np.take_along_axis(vals, np.minimum(k, vals.shape[-1] - 1)[..., None], axis=-1)
     gap = np.where(k < vals.shape[-1], above[..., 0] - ground, 0.0)
@@ -461,7 +459,7 @@ def _beside(work: Callable[[], object], scan: Callable[[], object],
 
 def evolve(spec: LindbladSpec, rho0: np.ndarray, t_span: Tuple[float, float],
            **options) -> TrajectoryResult:
-    """Integrate the master equation over ``t_span`` and sample observables.
+    """Integrate the master equation over ``t_span`` and sample the tracked forms.
 
     The batch of one of :func:`evolve_batch`, which documents the options.
     """
@@ -477,7 +475,6 @@ def evolve_batch(
     step: float = DEFAULT_STEP,
     populations: Optional[Mapping[str, np.ndarray]] = None,
     bilinears: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
-    observables: Optional[Mapping[str, np.ndarray]] = None,
     record_gap: bool = True,
     store_states: Optional[bool] = None,
 ) -> List[TrajectoryResult]:
@@ -489,8 +486,7 @@ def evolve_batch(
     window over ``step``, so a short window keeps every requested sample.
     ``populations`` maps names to state vectors tracked as <psi|rho|psi>;
     ``bilinears`` maps names to vector pairs tracked as <a|rho|b> (used for
-    phase-optimized populations); ``observables`` maps names to Hermitian
-    matrices tracked as Tr(O rho).  ``store_states``
+    phase-optimized populations).  ``store_states``
     (default: d <= 64) keeps the sampled states, and only then is their
     smallest eigenvalue computed (``min_eigenvalue``).  Without dephasing
     the batch is integrated on one basis for all its members (see the
@@ -525,7 +521,6 @@ def evolve_batch(
 
     populations = dict(populations or {})
     bilinears = dict(bilinears or {})
-    observables = dict(observables or {})
     form_pairs = [(v, v) for v in populations.values()]
     form_pairs += [(a, b) for a, b in bilinears.values()]
     if form_pairs:
@@ -534,16 +529,9 @@ def evolve_batch(
     else:
         form_left = np.zeros((0, dim), dtype=np.complex128)
         form_right = np.zeros((0, dim), dtype=np.complex128)
-    if observables:
-        obs = np.ascontiguousarray(list(observables.values()), dtype=np.complex128)
-    else:
-        obs = np.zeros((0, dim, dim), dtype=np.complex128)
     for name, (fl, fr) in zip(list(populations) + list(bilinears), form_pairs):
         if np.shape(fl) != (dim,) or np.shape(fr) != (dim,):
             raise DimensionMismatchError(f"registered state {name!r} does not match dim {dim}")
-    for name, o in observables.items():
-        if np.shape(o) != (dim, dim):
-            raise DimensionMismatchError(f"observable {name!r} does not match dim {dim}")
 
     if store_states is None:
         store_states = dim <= 64
@@ -556,7 +544,7 @@ def evolve_batch(
 
     def integrate():
         return _integrate_blocks(hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
-                                 form_left, form_right, obs, bool(store_states))
+                                 form_left, form_right, bool(store_states))
 
     if record_gap:
         scan_bytes = 8 * len(hams) * times.size * dim * dim
@@ -564,7 +552,7 @@ def evolve_batch(
                                    scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
     else:
         integrated, gaps = integrate(), [None] * len(hams)
-    forms, expvals, pur, tdef, hdef, states, rho_final, bases = integrated
+    forms, pur, tdef, hdef, states, rho_final, bases = integrated
 
     results = []
     for b, spec in enumerate(specs):
@@ -575,12 +563,10 @@ def evolve_batch(
         bil_out = {
             name: forms[b, :, len(populations) + k] for k, name in enumerate(bilinears)
         }
-        exp_out = {name: expvals[b, :, k] for k, name in enumerate(observables)}
         results.append(TrajectoryResult(
             times=times,
             populations=pop_out,
             bilinears=bil_out,
-            expectations=exp_out,
             purity=pur[b],
             trace_defect=tdef[b],
             hermiticity_defect=hdef[b],
@@ -814,7 +800,7 @@ class _Basis:
         self.q, self.kind, self.operators = q, kind, operators
         self.dim = q.shape[1] if operators is None else operators.dim
 
-    def restrict(self, terms, w, rho, form_left, form_right, obs):
+    def restrict(self, terms, w, rho, form_left, form_right):
         """Kernel inputs on the basis: Q^H X Q for the matrices, Q^H a for the vectors.
 
         The matrices are Hermitized, so the terms stay exactly Hermitian, and
@@ -828,10 +814,9 @@ class _Basis:
         def sandwich(x):
             return _hermitian_part(qh @ x @ q)
 
-        terms, rho, obs = (np.ascontiguousarray(sandwich(x), dtype=np.complex128)
-                           for x in (terms, rho, obs))
+        terms, rho = (np.ascontiguousarray(sandwich(x), dtype=np.complex128) for x in (terms, rho))
         return (terms, np.ascontiguousarray(sandwich(w).real), rho,
-                *(np.ascontiguousarray(f @ q.conj()) for f in (form_left, form_right)), obs)
+                *(np.ascontiguousarray(f @ q.conj()) for f in (form_left, form_right)))
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """(..., k, k) states on the basis as the Hermitian (..., d, d) states Q X Q^H.
@@ -943,13 +928,16 @@ def _min_eigenvalue(states: np.ndarray) -> float:
 
 
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
-                      form_left, form_right, obs, store_rho):
+                      form_left, form_right, store_rho):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
 
     Each group of members that :func:`_integration_groups` forms runs on its
-    own basis; the sampled states and the final state come back on the
-    basis states those bases share (the columns of their ``q``), followed by
-    each member's basis.
+    own basis, as one kernel call per block on its (2n+1, B, K) table and
+    (B, k, k) states; a call samples the forms <l|rho|r>, the purity and the
+    trace and Hermiticity defects, and the states when ``store_rho`` is set.
+    The sampled states and the final state come back on the basis states
+    those bases share (the columns of their ``q``), followed by each
+    member's basis.
     """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
@@ -957,13 +945,12 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
     groups, bases = [], [None] * b
     for members, basis in _integration_groups(terms, columns, w, rho):
         extra = () if basis.operators is None else (basis.operators,)
-        groups.append((members, basis.restrict(terms, w, rho[members], form_left, form_right,
-                                               obs), extra))
+        groups.append((members, basis.restrict(terms, w, rho[members], form_left, form_right),
+                       extra))
         for i in np.arange(b)[members]:
             bases[i] = basis
     k = bases[0].q.shape[1]  # every group's states are on the same basis states
-    samples = _kernels._lindblad_outputs(b, sample_idx.size, form_left.shape[0], obs.shape[0],
-                                         k, store_rho)
+    samples = _kernels._lindblad_outputs(b, sample_idx.size, form_left.shape[0], k, store_rho)
     rho = np.empty((b, k, k), dtype=np.complex128)
     for members, inputs, _ in groups:
         rho[members] = inputs[2]
@@ -979,13 +966,13 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         # a block records the samples in (s0, s1]; the first also records step 0
         lo = np.searchsorted(sample_idx, s0 + 1 if s0 else 0)
         hi = np.searchsorted(sample_idx, s1, side="right")
-        for members, (g_terms, g_w, _, g_left, g_right, g_obs), extra in groups:
+        for members, (g_terms, g_w, _, g_left, g_right), extra in groups:
             *block, rho[members] = kern.lindblad_cf4(
                 g_terms, ctab[:, members], g_w, rho[members], h, sample_idx[lo:hi] - s0,
-                g_left, g_right, g_obs, store_rho, *extra)
+                g_left, g_right, store_rho, *extra)
             for full, part in zip(samples, block):
                 full[members, lo:hi] = part
-        _check_trace(samples[3][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
+        _check_trace(samples[2][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
     return (*samples, rho, bases)
 
 

@@ -14,7 +14,6 @@ the full spin+resonator interaction-picture dynamics.
 """
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,6 +28,7 @@ from .dynamics import (
     DriveSchedule,
     LindbladSpec,
     TrajectoryResult,
+    _usable_cpus,
     calibrated_schedule,
     evolve,
     evolve_batch,
@@ -93,7 +93,7 @@ REFERENCE_DISPERSION_PAIRS: Tuple[Tuple[float, float], ...] = (
 
 def _resolve_workers(parallelism: Optional[int]) -> int:
     """Worker threads for ``parallelism``: 1 by default, at most the CPUs this process may use."""
-    return max(1, min(int(parallelism or 1), len(os.sched_getaffinity(0))))
+    return max(1, min(int(parallelism or 1), _usable_cpus()))
 
 
 def _pmap(fn, items, workers: int):

@@ -16,15 +16,13 @@ from lmg_adiabat.protocols import preset, run_scenario
 # ---------------------------------------------------------------------------
 
 def _lindblad_rk4_loops(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho):
+                        form_left, form_right, store_rho):
     kk, d, _ = terms.shape
     n_steps = (ctab.shape[0] - 1) // 2
     m = sample_idx.shape[0]
     nf = form_left.shape[0]
-    nb = obs.shape[0]
 
     forms = np.zeros((m, nf), dtype=np.complex128)
-    expvals = np.zeros((m, nb), dtype=np.float64)
     purity = np.zeros(m, dtype=np.float64)
     trace_defect = np.zeros(m, dtype=np.float64)
     herm_defect = np.zeros(m, dtype=np.float64)
@@ -45,12 +43,6 @@ def _lindblad_rk4_loops(terms, ctab, w, rho0, dt, sample_idx,
                         row += rho[i, j] * form_right[f, j]
                     acc += np.conj(form_left[f, i]) * row
                 forms[ptr, f] = acc
-            for b in range(nb):
-                tr = 0.0 + 0.0j
-                for i in range(d):
-                    for j in range(d):
-                        tr += obs[b, i, j] * rho[j, i]
-                expvals[ptr, b] = tr.real
             pur = 0.0
             tr = 0.0 + 0.0j
             for i in range(d):
@@ -100,7 +92,12 @@ def _lindblad_rk4_loops(terms, ctab, w, rho0, dt, sample_idx,
             raw_defect = np.sqrt(s)
         rho = 0.5 * (raw + raw.conj().T)
 
-    return forms, expvals, purity, trace_defect, herm_defect, rho_samples, rho
+    return forms, purity, trace_defect, herm_defect, rho_samples, rho
+
+
+def _single_run(kernel, terms, ctab, w, rho0, *rest):
+    """A kernel's outputs for one run: the (2n+1, K) table and (d, d) state as a batch of one."""
+    return tuple(x[0] for x in kernel(terms, ctab[:, None, :], w, rho0[None], *rest))
 
 
 def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
@@ -159,7 +156,7 @@ def _exponentials(s, h):
 
 
 def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, obs, store_rho):
+                        form_left, form_right, store_rho):
     """The CF4 step applied one step at a time, with each sample taken on its own.
 
     The oracle of the fused kernel ``_kernels._lindblad_cf4_numpy``: every
@@ -183,12 +180,10 @@ def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
         rho = half_damp * (0.5 * (y + y.conj().T))
     states = np.array(states)
     forms = np.einsum("fi,mij,fj->mf", form_left.conj(), states, form_right)
-    expvals = np.einsum("bij,mji->mb", obs, states).real
     purity = np.einsum("mij,mij->m", states.conj(), states).real
     trace_defect = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
     herm_defect = np.linalg.norm(states - states.conj().swapaxes(1, 2), axis=(1, 2))
-    return (forms, expvals, purity, trace_defect, herm_defect,
-            states if store_rho else states[:0], rho)
+    return (forms, purity, trace_defect, herm_defect, states if store_rho else states[:0], rho)
 
 
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
@@ -203,23 +198,22 @@ def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
     rho0 = np.outer(psi, psi.conj())
     forms_l = np.ascontiguousarray([psi, np.eye(dim, dtype=complex)[0]])
     forms_r = np.ascontiguousarray([psi, np.eye(dim, dtype=complex)[1]])
-    obs = np.ascontiguousarray([0.5 * (m + m.conj().T) for m in
-                                rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))])
     sample_idx = np.array([0, 7, 23, n_steps], dtype=np.int64)
-    return terms, ctab, w, rho0, sample_idx, forms_l, forms_r, obs
+    return terms, ctab, w, rho0, sample_idx, forms_l, forms_r
 
 
 @pytest.mark.parametrize("case", ["complex-hermitian", "real-symmetric", "no-dissipator"])
 def test_lindblad_backends_agree(case):
     # the numpy kernel takes a real product for real terms and skips an all-zero mask
     rng = np.random.default_rng(42)
-    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    terms, ctab, w, rho0, idx, fl, fr = _tiny_problem(rng)
     if case != "complex-hermitian":
         terms = np.ascontiguousarray(terms.real, dtype=np.complex128)
     if case == "no-dissipator":
         w = np.zeros_like(w)
-    out_loops = _lindblad_rk4_loops(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
-    out_numpy = _kernels._lindblad_rk4_numpy(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True)
+    out_loops = _lindblad_rk4_loops(terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, True)
+    out_numpy = _single_run(_kernels._lindblad_rk4_numpy, terms, ctab, w, rho0.copy(), 0.01, idx,
+                            fl, fr, True)
     for a, b in zip(out_loops, out_numpy):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -231,7 +225,7 @@ def test_lindblad_backends_agree(case):
 ], ids=["numpy", "cf4", "cf4-no-dissipator"])
 def test_lindblad_batch_form_matches_single_runs(monkeypatch, kernel, dissipate):
     rng = np.random.default_rng(45)
-    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    terms, ctab, w, rho0, idx, fl, fr = _tiny_problem(rng)
     if not dissipate:
         # fused sample intervals: chunks of 5 steps for the batch of three and
         # of 15 for a single run, so the two cut the window differently
@@ -240,9 +234,9 @@ def test_lindblad_batch_form_matches_single_runs(monkeypatch, kernel, dissipate)
     ctabs = [ctab, 0.5 * ctab, rng.normal(size=ctab.shape)]
     rho0s = [rho0, np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)]
     batch = kernel(terms, np.ascontiguousarray(np.stack(ctabs, axis=1)), w, np.stack(rho0s),
-                   0.01, idx, fl, fr, obs, True)
+                   0.01, idx, fl, fr, True)
     for b in range(3):
-        single = kernel(terms, ctabs[b], w, rho0s[b].copy(), 0.01, idx, fl, fr, obs, True)
+        single = _single_run(kernel, terms, ctabs[b], w, rho0s[b].copy(), 0.01, idx, fl, fr, True)
         for got, want in zip(batch, single):
             assert got.shape[0] == 3
             np.testing.assert_array_equal(got[b], want)
@@ -317,7 +311,7 @@ def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries
                          ids=["real", "complex", "real-squared", "complex-squared"])
 def test_cf4_propagators_match_the_eigh_oracle(complex_terms, dt):
     rng = np.random.default_rng(53)
-    terms, _, _, _, _, _, _, _ = _tiny_problem(rng)
+    terms = _tiny_problem(rng)[0]
     if not complex_terms:
         terms = np.ascontiguousarray(terms.real, dtype=np.complex128)
     rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))  # 5 steps of 3 members
@@ -343,7 +337,7 @@ def test_cf4_propagator_of_a_non_finite_step_is_nan():
     # its moments non-finite; every other propagator of the stack keeps the
     # bits it has when built without that step
     rng = np.random.default_rng(55)
-    terms, _, _, _, _, _, _, _ = _tiny_problem(rng)
+    terms = _tiny_problem(rng)[0]
     stage_terms, stage_dtype = _kernels._stage_terms(np.ascontiguousarray(terms.real) + 0j)
     rows = rng.normal(size=(2 * 5 + 1, 3, terms.shape[0]))
     rows[5, 1, 0] = np.nan
@@ -370,18 +364,18 @@ def test_cf4_kernel_matches_the_step_by_step_oracle(monkeypatch, dissipate, stac
     # without dephasing each is one fused product, and with a stack of five
     # steps the intervals are cut every five steps and chunks end mid-interval
     rng = np.random.default_rng(49)
-    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
+    terms, ctab, w, rho0, idx, fl, fr = _tiny_problem(rng)
     idx[0] = first_sample
     if not dissipate:
         w = np.zeros_like(w)
     if stack_bytes is not None:
         monkeypatch.setattr(_kernels, "STACK_BYTES", stack_bytes)
-    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 0.3, idx, fl, fr, obs, True)
-    got = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 0.3, idx, fl, fr, obs, True)
-    for name, a, b in zip(["forms", "expvals", "purity", "trace_defect", "herm_defect",
-                           "rho_samples", "rho_final"], got, want):
+    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    got = _single_run(_kernels._lindblad_cf4_numpy, terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    for name, a, b in zip(["forms", "purity", "trace_defect", "herm_defect", "rho_samples",
+                           "rho_final"], got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
-    assert np.all(got[4] == 0.0)  # Hermitized after every segment
+    assert np.all(got[3] == 0.0)  # Hermitized after every segment
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -392,7 +386,7 @@ def test_operator_kernel_matches_the_step_by_step_oracle(n):
     # steps, mid-sweep, where the initial state is far from an eigenstate
     from lmg_adiabat import dynamics
     from lmg_adiabat.model import lmg_sweep_hamiltonian
-    from lmg_adiabat.operators import SpinRegister, collective_operator
+    from lmg_adiabat.operators import SpinRegister
     from lmg_adiabat.states import density_from_state, target_state
 
     cfg = preset("I", n, gamma=1e-4)
@@ -405,18 +399,16 @@ def test_operator_kernel_matches_the_step_by_step_oracle(n):
     basis = dynamics._integration_basis(ham.terms, w, rho0[None])
     assert basis.kind == "operator subspace"
     forms = np.stack([target_state("I", n), cfg.initial_state()]).astype(complex)
-    obs = collective_operator(reg, "z")[None]
-    args = basis.restrict(ham.terms, w, rho0, forms, forms, obs)
-    terms, w, rho0, fl, fr, obs = args
+    terms, w, rho0, fl, fr = basis.restrict(ham.terms, w, rho0, forms, forms)
     idx = np.array([0, 7, 100, 101, 255, 300])
-    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 1.0, idx, fl, fr, obs, True)
-    got = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 1.0, idx, fl, fr, obs, True,
-                                       basis.operators)
-    for name, a, b in zip(["forms", "expvals", "purity", "trace_defect", "herm_defect",
-                           "rho_samples", "rho_final"], got, want):
+    want = _lindblad_cf4_steps(terms, ctab, w, rho0, 1.0, idx, fl, fr, True)
+    got = _single_run(_kernels._lindblad_cf4_numpy, terms, ctab, w, rho0, 1.0, idx, fl, fr, True,
+                      basis.operators)
+    for name, a, b in zip(["forms", "purity", "trace_defect", "herm_defect", "rho_samples",
+                           "rho_final"], got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
-    assert np.all(got[4] == 0.0)  # the embedded states are exactly Hermitian
-    assert abs(got[2][-1] - 1.0) > 1e-6  # the dephasing has lowered the purity
+    assert np.all(got[3] == 0.0)  # the embedded states are exactly Hermitian
+    assert abs(got[1][-1] - 1.0) > 1e-6  # the dephasing has lowered the purity
 
 
 def test_operator_step_of_a_non_finite_hamiltonian_is_nan():
@@ -489,7 +481,7 @@ def test_segment_products_depend_only_on_their_own_factors():
 
 def test_schrodinger_backends_agree():
     rng = np.random.default_rng(43)
-    terms, ctab, _, _, idx, _, _, _ = _tiny_problem(rng)
+    terms, ctab, _, _, idx, _, _ = _tiny_problem(rng)
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 /= np.linalg.norm(psi0)
     s_loops = _schrodinger_rk4_loops(terms, ctab, psi0.copy(), 0.01, idx)
@@ -500,14 +492,13 @@ def test_schrodinger_backends_agree():
 
 def test_recorded_quantities_match_direct_evaluation():
     rng = np.random.default_rng(44)
-    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
-    forms, exps, pur, tdef, hdef, rhos, rho_final = _kernels._lindblad_rk4_numpy(
-        terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, obs, True
+    terms, ctab, w, rho0, idx, fl, fr = _tiny_problem(rng)
+    forms, pur, tdef, hdef, rhos, rho_final = _single_run(
+        _kernels._lindblad_rk4_numpy, terms, ctab, w, rho0.copy(), 0.01, idx, fl, fr, True
     )
     for k in range(idx.size):
         rho = rhos[k]
         assert np.allclose(forms[k, 0], fl[0].conj() @ rho @ fr[0], atol=1e-13)
-        assert np.allclose(exps[k, 1], np.real(np.trace(obs[1] @ rho)), atol=1e-13)
         assert pur[k] == pytest.approx(np.real(np.trace(rho @ rho)), abs=1e-12)
         assert tdef[k] == pytest.approx(abs(np.trace(rho) - 1.0), abs=1e-13)
     assert np.allclose(rho_final, rhos[-1])
@@ -517,15 +508,13 @@ def test_recording_matches_the_member_by_member_expressions():
     # the batched sampling against the per-member expressions it replaced, on
     # states that are not Hermitian so that every quantity is nonzero
     rng = np.random.default_rng(48)
-    _, _, _, _, _, fl, fr, obs = _tiny_problem(rng)
+    _, _, _, _, _, fl, fr = _tiny_problem(rng)
     rho = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    out = _kernels._lindblad_outputs(3, 2, fl.shape[0], obs.shape[0], 4, True)
-    _kernels._record(out, slice(1, 2), rho[:, None], fl.conj(), fr, obs, True)
-    forms, exps, pur, tdef, hdef, rhos = out
+    out = _kernels._lindblad_outputs(3, 2, fl.shape[0], 4, True)
+    _kernels._record(out, slice(1, 2), rho[:, None], fl.conj(), fr, True)
+    forms, pur, tdef, hdef, rhos = out
     for i, r in enumerate(rho):
         np.testing.assert_allclose(forms[i, 1], np.einsum("fi,ij,fj->f", fl.conj(), r, fr),
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(exps[i, 1], np.real(np.einsum("bij,ji->b", obs, r)),
                                    rtol=0, atol=1e-13)
         assert pur[i, 1] == pytest.approx(np.real(np.vdot(r, r)), rel=1e-14)
         assert tdef[i, 1] == pytest.approx(abs(np.trace(r) - 1.0), rel=1e-14)
@@ -584,9 +573,9 @@ def test_cf4_convergence_order():
 def test_cf4_keeps_trace_positivity_and_exact_hermiticity_at_a_large_step():
     # a step far past RK4's stability bound for these terms
     rng = np.random.default_rng(47)
-    terms, ctab, w, rho0, idx, fl, fr, obs = _tiny_problem(rng)
-    _, _, _, tdef, hdef, rhos, rho_final = _kernels._lindblad_cf4_numpy(
-        terms, ctab, w, rho0.copy(), 2.0, idx, fl, fr, obs, True)
+    terms, ctab, w, rho0, idx, fl, fr = _tiny_problem(rng)
+    _, _, tdef, hdef, rhos, rho_final = _single_run(
+        _kernels._lindblad_cf4_numpy, terms, ctab, w, rho0.copy(), 2.0, idx, fl, fr, True)
     assert np.max(tdef) <= 1e-12
     assert np.all(hdef == 0.0)
     np.testing.assert_array_equal(rhos, rhos.conj().transpose(0, 2, 1))
@@ -600,15 +589,15 @@ def test_cf4_complex_terms_match_rk4_at_a_small_step(dissipate, tol):
     # smooth coefficients of complex Hermitian terms, 400 steps over t = 2;
     # the dephasing half-steps make the split step 2nd order in W
     rng = np.random.default_rng(46)
-    terms, _, w, rho0, _, fl, fr, obs = _tiny_problem(rng)
+    terms, _, w, rho0, _, fl, fr = _tiny_problem(rng)
     n_steps, dt = 400, 0.005
     t = (dt / 2.0) * np.arange(2 * n_steps + 1)
     ctab = np.stack([np.cos(t), np.sin(0.7 * t)], axis=1)
     if not dissipate:
         w = np.zeros_like(w)
     idx = np.array([0, 200, 400], dtype=np.int64)
-    rk4 = _kernels._lindblad_rk4_numpy(terms, ctab, w, rho0.copy(), dt, idx, fl, fr, obs, True)
-    cf4 = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0.copy(), dt, idx, fl, fr, obs, True)
+    rk4, cf4 = (_single_run(kernel, terms, ctab, w, rho0.copy(), dt, idx, fl, fr, True)
+                for kernel in (_kernels._lindblad_rk4_numpy, _kernels._lindblad_cf4_numpy))
     for got, want in zip(cf4, rk4):
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
@@ -663,7 +652,7 @@ def test_bench_script_workloads_run_on_the_kernel_set():
     build, hams = bench.propagator_workload(block)
     build()
     assert hams.shape == (2 * 20 * 13, 8, 8)
-    rho_final = kern.lindblad_rk4(*lindblad[2])[-1]
+    rho_final = kern.lindblad_rk4(*lindblad[2])[-1][0]
     psi_final = kern.schrodinger_rk4(*schrodinger[2])[-1]
     assert abs(np.trace(rho_final) - 1.0) < 1e-12
     assert abs(np.linalg.norm(psi_final) - 1.0) < 1e-9

@@ -160,6 +160,14 @@ def test_worker_count_is_capped_at_the_cpu_count():
         assert 1 <= _resolve_workers(parallelism) <= cpus
 
 
+def test_worker_count_without_an_affinity_mask(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the CPU count stands in
+    from lmg_adiabat.protocols import _resolve_workers
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert 1 <= _resolve_workers(3) <= os.cpu_count()
+
+
 def test_aggregate_unknown_axis():
     grid = small_grid(gamma_dep=(0.0,))
     with warnings.catch_warnings():
