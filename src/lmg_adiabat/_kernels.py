@@ -267,6 +267,33 @@ def _cos_sinc(y, top, parts=2):
     return sums
 
 
+def _scaling(theta):
+    """Squarings k, last series block at theta / 2^k and finiteness of each bound ``theta``.
+
+    k is the fewest squarings that bring theta / 2^k to at most _THETA_MAX.
+    A non-finite bound is set to 0 in place; :func:`_square` marks its matrix NaN.
+    """
+    good = np.isfinite(theta)
+    theta[~good] = 0.0
+    mantissa, exponent = np.frexp(theta / _THETA_MAX)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    top = np.searchsorted(_BLOCK_THETA, np.ldexp(theta, -squarings))
+    return squarings, top, good
+
+
+def _square(e, squarings, good):
+    """Square each matrix of the stack ``e`` its own number of times; NaN where not ``good``."""
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        if more.all():
+            e = e @ e
+        else:
+            e[more] = e[more] @ e[more]
+    if not good.all():
+        e[~good] = np.nan
+    return e
+
+
 def _exp_blocks(s, h):
     """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack, up to a phase each.
 
@@ -297,16 +324,11 @@ def _exp_blocks(s, h):
         lo = (diag - radius).min(axis=0)
         hi = (diag + radius).max(axis=0)
         theta = h * (0.5 * (hi - lo))
-    good = np.isfinite(theta)
+    squarings, top, good = _scaling(theta)
     if not good.all():
-        # a non-finite or overflowed bound: neither it nor a NaN may reach the
-        # squaring count
-        theta[~good] = 0.0
+        # a non-finite or overflowed bound: no NaN may reach the series
         s = np.where(good[:, None, None], s, 0.0)
         lo[~good] = hi[~good] = 0.0
-    mantissa, exponent = np.frexp(theta / _THETA_MAX)
-    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    top = np.searchsorted(_BLOCK_THETA, np.ldexp(theta, -squarings))
     scale = np.ldexp(h, -squarings)
 
     x = s * scale[:, None, None]
@@ -322,12 +344,7 @@ def _exp_blocks(s, h):
         cos_part = cos_part.real + sin_part.imag
     u[:, :d, :d] = u[:, d:, d:] = cos_part
     np.negative(u[:, :d, d:], out=u[:, d:, :d])
-    for k in range(int(squarings.max(initial=0))):
-        more = np.nonzero(squarings > k)[0]
-        u[more] = u[more] @ u[more]
-    if not good.all():
-        u[~good] = np.nan
-    return u
+    return _square(u, squarings, good)
 
 
 def _unblock(u):
@@ -433,13 +450,8 @@ def _rotation_exponentials(c, h):
     b = h * c
     flat = b.reshape(n, r2 * r1)
     theta = np.sqrt(np.einsum("ni,ni->n", flat, flat))
-    good = np.isfinite(theta)  # also false for a C that is not finite
-    if not good.all():
-        theta[~good] = 0.0
-        b[~good] = 0.0  # set to NaN at the end
-    mantissa, exponent = np.frexp(theta / _THETA_MAX)
-    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    top = np.searchsorted(_BLOCK_THETA, np.ldexp(theta, -squarings))
+    squarings, top, good = _scaling(theta)  # a C that is not finite has no finite bound
+    b[~good] = 0.0  # set to NaN at the end
     # scaling by a power of 2 is exact, so Z1 and Z2 are those of the scaled B
     b = np.ldexp(b, -squarings[:, None, None])
     bt = np.ascontiguousarray(b.swapaxes(1, 2))
@@ -451,15 +463,7 @@ def _rotation_exponentials(c, h):
     np.negative(bt @ sinc2, out=e[:, :r1, r1:])
     np.matmul(sinc2, b, out=e[:, r1:, :r1])
     e[:, r1:, r1:] = cos2
-    for k in range(int(squarings.max(initial=0))):
-        more = squarings > k
-        if more.all():
-            e = e @ e
-        else:
-            e[more] = e[more] @ e[more]
-    if not good.all():
-        e[~good] = np.nan
-    return e
+    return _square(e, squarings, good)
 
 
 def _operator_steps(rows, operators, dt):

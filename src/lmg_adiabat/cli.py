@@ -443,7 +443,7 @@ def _cmd_simulate(cfg, args) -> int:
 def _cmd_sweep(cfg, args) -> int:
     if not isinstance(cfg, SweepGrid):
         raise ValidationError("sweep expects a config with a 'sweep' section")
-    table = run_sweep(cfg, parallelism=args.parallel)
+    table = run_sweep(cfg)
     out = args.out
     path = cfg.output_path or os.path.join(out, "sweep.csv")
     write_csv(table, path)
@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "sweep":
             p.add_argument("--parallel", type=int, default=None,
-                           help="worker threads (default 1, at most the CPU count)")
+                           help="accepted for older scripts; has no effect (points run in order)")
         if name == "validate-reduction":
             p.add_argument("--cutoff", type=int, default=6, help="Fock cutoff (default 6)")
             p.add_argument(

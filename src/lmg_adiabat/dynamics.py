@@ -89,7 +89,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionMismatchError, StepFailureError
 from .model import DisorderProfile, LinearHamiltonian, lmg_sweep_hamiltonian
-from .states import check_density_matrix
+from .states import check_density_matrix, ground_band_size
 
 #: Default master-equation step (1/nu).  The spread of H(t) is about
 #: 0.65 N nu, so at N = 10 the step times the spread is 6.5, just above 2 pi.
@@ -336,22 +336,27 @@ def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray,
                         terms: np.ndarray) -> np.ndarray:
     """(T, ...) stack of sum_k c_k(t) terms[k] at the given times.
 
-    ``terms`` (K, ...) holds the Hamiltonian's terms or parts of them.
+    ``terms`` (K, ...) holds the Hamiltonian's terms or parts of them.  A
+    one-row table is multiplied as two rows and the pad dropped: as a
+    matrix-vector product it would round differently, so each row's bits do
+    not depend on the rows built with it.
     """
     table = hamiltonian.coefficient_table(times)
-    return (table @ terms.reshape(len(terms), -1)).reshape(len(table), *terms.shape[1:])
+    n = len(table)
+    rows = np.repeat(table, 2, axis=0) if n == 1 else table
+    return (rows @ terms.reshape(len(terms), -1))[:n].reshape(n, *terms.shape[1:])
 
 
 def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.ndarray]:
     """Gap from the (possibly quasi-degenerate) ground band to the next level.
 
-    The band holds the levels up to 1e-3 of the spectral spread above the
-    ground level, which absorbs the exponentially split ferromagnetic ground
-    doublet near the one-axis end of a sweep.  A (..., d, d) stack gives an
-    array of gaps with the band rule applied to each matrix; a single matrix
-    gives a float.  ``h`` may also be a list of (..., n, s, s) stacks holding the
-    diagonal blocks of one block-diagonal matrix, n blocks of size s in each;
-    their eigenvalues are merged into its spectrum.
+    The band is the default one of :func:`lmg_adiabat.states.ground_band_size`,
+    the levels up to 1e-3 of the spectral spread above the ground level.  A
+    (..., d, d) stack gives an array of gaps with the band rule applied to
+    each matrix; a single matrix gives a float.  ``h`` may also be a list of
+    (..., n, s, s) stacks holding the diagonal blocks of one block-diagonal
+    matrix, n blocks of size s in each; their eigenvalues are merged into its
+    spectrum.
     """
     if isinstance(h, (list, tuple)):
         vals = np.concatenate([np.linalg.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
@@ -360,8 +365,7 @@ def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.
     else:
         vals = np.linalg.eigvalsh(h)
     ground = vals[..., 0]
-    tol = 1e-3 * (vals[..., -1] - ground)
-    k = np.sum(vals <= (ground + tol)[..., None], axis=-1)
+    k = ground_band_size(vals)
     above = np.take_along_axis(vals, np.minimum(k, vals.shape[-1] - 1)[..., None], axis=-1)
     gap = np.where(k < vals.shape[-1], above[..., 0] - ground, 0.0)
     return float(gap) if gap.ndim == 0 else gap

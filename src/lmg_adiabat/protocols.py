@@ -15,7 +15,6 @@ the full spin+resonator interaction-picture dynamics.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import inf, isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,7 +27,6 @@ from .dynamics import (
     DriveSchedule,
     LindbladSpec,
     TrajectoryResult,
-    _usable_cpus,
     calibrated_schedule,
     evolve,
     evolve_batch,
@@ -91,18 +89,13 @@ REFERENCE_DISPERSION_PAIRS: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def _resolve_workers(parallelism: Optional[int]) -> int:
-    """Worker threads for ``parallelism``: 1 by default, at most the CPUs this process may use."""
-    return max(1, min(int(parallelism or 1), _usable_cpus()))
-
-
 def _pmap(fn, items, workers: int):
-    """Order-preserving map, threaded when workers > 1."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``.  ``workers`` has no effect.
+
+    A seam, not a pool: ``perfbench/tracing.py`` rebinds ``_pmap`` here and
+    in :mod:`lmg_adiabat.sweep` to count the members a call runs.
+    """
+    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,27 @@ class GroundSpace(NamedTuple):
         return self.vectors @ self.vectors.conj().T
 
 
-def ground_space(h: np.ndarray, degeneracy_tol: float = 1e-9) -> GroundSpace:
+def ground_band_size(vals: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    """Levels within ``tol`` of the lowest of ascending eigenvalues ``vals`` (..., d).
+
+    The default ``tol``, 1e-3 of the spectral spread, absorbs the exponentially
+    split ferromagnetic ground doublet near the one-axis end of a sweep.
+    """
+    ground = vals[..., 0]
+    if tol is None:
+        tol = 1e-3 * (vals[..., -1] - ground)
+    return np.sum(vals <= (ground + tol)[..., None], axis=-1)
+
+
+def ground_space(h: np.ndarray, degeneracy_tol: Optional[float] = None) -> GroundSpace:
     """Ground energy, orthonormal ground band and gap of a Hermitian matrix.
 
-    All eigenvectors within ``degeneracy_tol`` of the lowest eigenvalue form
-    the band; the gap is measured from the band bottom to the next level.
+    The band is that of :func:`ground_band_size`; the gap is measured from
+    the band bottom to the next level.
     """
     vals, vecs = hermitian_eig(h)
     e0 = float(vals[0])
-    in_band = vals <= e0 + degeneracy_tol
-    n_band = int(np.sum(in_band))
+    n_band = int(ground_band_size(vals, degeneracy_tol))
     gap = float(vals[n_band] - e0) if n_band < vals.size else 0.0
     return GroundSpace(e0, vecs[:, :n_band], gap)
 

@@ -1,14 +1,10 @@
-"""Parallel execution of scenario grids with deterministic aggregation.
+"""Scenario grids run point by point with deterministic aggregation.
 
 A grid is a base scenario plus named axes of parameter overrides; the
-cartesian product is executed point by point on worker threads and results
-are reassembled in grid order, so the output is independent of the worker
-count.  The worker count is ``parallelism`` (1 by default), capped at the
-CPUs this process may use.  Extra workers gain little at the register sizes
-of the presets: the numpy kernels spend most of a step in Python between
-small array operations, holding the GIL, and numpy releases it only inside
-those operations.  Failed points keep their row with an error label instead of
-being dropped.
+cartesian product runs one point after another, in grid order, on the
+calling thread (an N >= 6 point still scans its gap beside its integration,
+see :func:`lmg_adiabat.dynamics.evolve_batch`).  Failed points keep their
+row with an error label instead of being dropped.
 """
 from __future__ import annotations
 
@@ -23,7 +19,7 @@ import numpy as np
 from .dynamics import DriveSchedule
 from .errors import UnknownAxisError, ValidationError
 from .model import DisorderProfile
-from .protocols import ScenarioConfig, _pmap, _resolve_workers, run_scenario
+from .protocols import ScenarioConfig, _pmap, run_scenario
 
 DEFAULT_MAX_POINTS = 10_000
 
@@ -151,15 +147,8 @@ class SweepTable:
         return sum(1 for r in self.rows if r.status != "ok")
 
 
-def run_sweep(
-    grid: SweepGrid,
-    parallelism: Optional[int] = None,
-) -> SweepTable:
-    """Execute every grid point on up to ``parallelism`` threads (see the module docstring).
-
-    The table is identical for any worker count.
-    """
-    workers = _resolve_workers(parallelism)
+def run_sweep(grid: SweepGrid) -> SweepTable:
+    """Run every grid point in grid order; a failing point gets an error row."""
     points = list(enumerate(grid.points()))
 
     def one(item) -> SweepRow:
@@ -194,9 +183,7 @@ def run_sweep(
                 diagnostics={},
             )
 
-    rows = _pmap(one, points, workers)
-    rows.sort(key=lambda r: r.index)
-    return SweepTable(axes=grid.axis_names, rows=rows)
+    return SweepTable(axes=grid.axis_names, rows=_pmap(one, points, 1))
 
 
 @dataclass

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from lmg_adiabat import _kernels
@@ -59,3 +63,14 @@ def single_tone_params(request):
     n, cutoff, delta, omega1, omega2 = request.param
     return FullModelParams(n_spins=n, fock_cutoff=cutoff, eta=0.3, delta=delta,
                            omega1=omega1, omega2=omega2)
+
+
+@pytest.fixture
+def perfbench_tracing(monkeypatch):
+    """``perfbench/tracing.py``, loaded by path: it rebinds names of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    return tracing

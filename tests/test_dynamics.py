@@ -429,6 +429,17 @@ def test_closure_that_misses_a_direction_falls_back_to_the_block(monkeypatch):
     _assert_runs_agree(got, run_scenario(cfg, record_gap=False).trajectory)
 
 
+def test_gap_row_bits_do_not_depend_on_the_rows_built_with_it():
+    # from N = 7 a one-row build product, as a matrix-vector product, rounded differently
+    cfg = preset("I", 7)
+    ham = lmg_sweep_hamiltonian(SpinRegister(7), cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                cfg.schedule.omega2)
+    times = np.linspace(0.0, cfg.t_final, 13)
+    together = dynamics._gap_scan(ham, times)
+    alone = [dynamics._gap_scan(ham, times[i:i + 1])[0] for i in range(times.size)]
+    assert np.array_equal(alone, together)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("disordered", [False, True], ids=["clean", "disorder"])
 def test_block_gap_scan_matches_the_full_spectrum(n, disordered):

@@ -606,20 +606,14 @@ def test_cf4_is_the_kernel_of_every_backend():
     assert _kernels.get_kernels().lindblad_cf4 is _kernels._lindblad_cf4_numpy
 
 
-def test_perfbench_seams_exist(monkeypatch):
+def test_perfbench_seams_exist(perfbench_tracing):
     # perfbench/ rebinds or calls these names of the package
     import inspect
-    import sys
 
     import lmg_adiabat
     from lmg_adiabat.protocols import disorder_ensemble
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
-    for owner, attr in tracing.traced_attributes():
+    for owner, attr in perfbench_tracing.traced_attributes():
         assert attr in vars(owner), (owner, attr)
     assert {"lindblad_rk4", "schrodinger_rk4"} <= set(_kernels.get_kernels()._fields)
     assert callable(lmg_adiabat.resolve_backend)

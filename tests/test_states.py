@@ -152,6 +152,17 @@ def test_ground_space_one_axis_fi_doublet():
         assert np.real(v.conj() @ proj @ v) >= 1.0 - 1e-9
 
 
+def test_ground_space_takes_the_band_of_spectral_gap():
+    from lmg_adiabat.dynamics import spectral_gap
+
+    # a doublet split by 1e-4 of the spread is one band, one split by 1e-2 is not
+    for split, degeneracy in ((1e-4, 2), (1e-2, 1)):
+        h = np.diag([0.0, split, 0.5, 1.0]).astype(complex)
+        gs = ground_space(h)
+        assert gs.degeneracy == degeneracy
+        assert gs.gap == spectral_gap(h)
+
+
 def test_ground_space_sigma_z():
     gs = ground_space(np.diag([1.0, -1.0]).astype(complex), degeneracy_tol=1e-12)
     assert gs.energy == pytest.approx(-1.0)

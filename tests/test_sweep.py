@@ -30,20 +30,21 @@ def test_single_point_grid_matches_run_scenario():
 def test_gamma_axis_strictly_decreasing():
     base = preset("I", 3)
     grid = SweepGrid(base=base, axes=(("gamma_dep", (0.0, 1e-5, 5e-5, 1e-4)),))
-    table = run_sweep(grid, parallelism=2)
+    table = run_sweep(grid)
     pops = [r.pop_final for r in table.rows]
     assert all(a > b for a, b in zip(pops, pops[1:]))
 
 
-def test_worker_count_invariance():
+def test_rows_come_in_grid_order_and_match_their_points_run_alone():
     grid = small_grid(gamma_dep=(0.0, 5e-5), delta=(-1.1, -1.3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        t1 = run_sweep(grid, parallelism=1)
-        t4 = run_sweep(grid, parallelism=4)
-    from lmg_adiabat.cli import sweep_csv_text
-
-    assert sweep_csv_text(t1) == sweep_csv_text(t4)
+        table = run_sweep(grid)
+        alone = [run_scenario(grid.config_at(p), store_states=False) for p in grid.points()]
+    assert [r.index for r in table.rows] == [0, 1, 2, 3]
+    assert [r.values for r in table.rows] == grid.points()
+    assert [(r.pop_final, r.gap_min) for r in table.rows] == [
+        (run.final_population, run.min_gap) for run in alone]
 
 
 def test_grid_order_last_axis_fastest():
@@ -108,7 +109,7 @@ def test_aggregate_global_and_grouped():
     grid = small_grid(gamma_dep=(0.0, 1e-4), delta=(-1.1, -1.3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        table = run_sweep(grid, parallelism=2)
+        table = run_sweep(grid)
     (overall,) = aggregate(table)
     assert overall.count == 4 and overall.n_failed == 0
     assert overall.pop_min <= overall.pop_mean <= overall.pop_max
@@ -138,7 +139,7 @@ def test_aggregate_disorder_levels_against_baseline():
         for label, f in REFERENCE_DISORDER_PROFILES
     )
     grid = SweepGrid(base=base, axes=(("disorder", profiles),))
-    table = run_sweep(grid, parallelism=4)
+    table = run_sweep(grid)
     baseline = run_scenario(base, store_states=False).final_population
     rows = aggregate(table, ["disorder"])
     assert [r.group["disorder"] for r in rows] == ["5%", "10%", "20%", "30%"]
@@ -147,25 +148,56 @@ def test_aggregate_disorder_levels_against_baseline():
         assert abs(r.pop_mean - baseline) <= 0.02
 
 
-def test_worker_count_is_capped_at_the_cpu_count():
-    # resolved without starting a thread: a huge --parallel must not ask the
-    # pool for one thread per grid point
-    from lmg_adiabat.protocols import _resolve_workers
+def test_a_huge_parallel_value_starts_no_thread(tmp_path, monkeypatch):
+    # points run in order on the calling thread; --parallel is accepted and ignored
+    import json
+    import threading
 
-    cpus = len(os.sched_getaffinity(0))
-    assert _resolve_workers(None) == _resolve_workers(0) == 1
-    assert _resolve_workers(3) == min(3, cpus)
-    assert _resolve_workers(10**6) == cpus
-    for parallelism in (None, 0, 3, 10**6):
-        assert 1 <= _resolve_workers(parallelism) <= cpus
+    from lmg_adiabat import _kernels, cli
+
+    monkeypatch.setattr(_kernels, "GAP_OVERLAP_BYTES", 1 << 62)  # no gap scan is due a thread
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"case": "I", "n_spins": 2, "t_final": 60, "n_samples": 5,
+                                "sweep": {"axes": {"gamma_dep": [0.0, 1e-4, 2e-4]}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path),
+                         "--parallel", str(10**6)]) == 0
+    assert started == []
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
 
 
-def test_worker_count_without_an_affinity_mask(monkeypatch):
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity: the CPU count stands in
-    from lmg_adiabat.protocols import _resolve_workers
+    from lmg_adiabat.dynamics import _usable_cpus
 
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert 1 <= _resolve_workers(3) <= os.cpu_count()
+    assert 1 <= _usable_cpus() <= os.cpu_count()
+
+
+def test_traced_sweep_counts_its_points_as_pool_members(perfbench_tracing):
+    # perfbench's traced runs rebind both _pmap seams by name and count their members
+    import inspect
+
+    from lmg_adiabat import protocols, sweep
+
+    for owner in (protocols, sweep):
+        assert list(inspect.signature(owner._pmap).parameters) == ["fn", "items", "workers"]
+    grid = small_grid(delta=(-1.1, 1.0, -1.3))
+    tracer = perfbench_tracing.Tracer()
+    with warnings.catch_warnings(), perfbench_tracing.installed(tracer):
+        warnings.simplefilter("ignore", RegimeWarning)
+        table = sweep.run_sweep(grid)
+    pool = perfbench_tracing.pool_stats(tracer.spans)
+    assert (pool["members"], pool["failed"]) == (3, 1) == (len(table.rows), table.n_failed)
 
 
 def test_aggregate_unknown_axis():
