@@ -82,6 +82,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -271,24 +272,37 @@ class TrajectoryResult:
     trace_defect: np.ndarray
     hermiticity_defect: np.ndarray
     gap: Optional[np.ndarray]
-    rho_samples: Optional[np.ndarray]
     rho_final: np.ndarray
     step: float
     n_steps: int
     #: How far the largest unclipped tracked population went outside [0, 1]
     #: (0 when every sample stayed inside); ``populations`` are clipped.
     population_excursion: float
-    #: Dimension of the basis the run was integrated on; every sampled state
-    #: is 0 outside it (exactly for basis states, up to rounding for a
-    #: subspace).
-    integrated_dim: int
-    #: That basis: "basis states" (a selection of the z basis), "subspace"
-    #: (an invariant subspace of a run without dephasing) or "operator
-    #: subspace" (a space of operators on a selection that a dephased run
-    #: stays in; ``integrated_dim`` is its real dimension).
-    integrated_basis: str
+    #: The basis the run was integrated on; every sampled state is 0 outside
+    #: it (exactly for basis states, up to rounding for a subspace).
+    basis: _Basis
+    #: The sampled states as (n_samples, k, k) matrices on the k columns of
+    #: ``basis.q`` (None when they are not stored).
+    basis_samples: Optional[np.ndarray]
     #: Smallest eigenvalue of the sampled states (None when they are not stored).
     min_eigenvalue: Optional[float]
+
+    @cached_property
+    def rho_samples(self) -> Optional[np.ndarray]:
+        """The sampled states as (n_samples, d, d) matrices, embedded when first read."""
+        if self.basis_samples is None:
+            return None
+        return self.basis.embed(self.basis_samples)
+
+    @property
+    def integrated_dim(self) -> int:
+        """Dimension of the integration basis (real dimension for an operator subspace)."""
+        return self.basis.dim
+
+    @property
+    def integrated_basis(self) -> str:
+        """The kind of integration basis: "basis states", "subspace" or "operator subspace"."""
+        return self.basis.kind
 
     @property
     def final_time(self) -> float:
@@ -492,7 +506,8 @@ def evolve_batch(
     ``bilinears`` maps names to vector pairs tracked as <a|rho|b> (used for
     phase-optimized populations).  ``store_states``
     (default: d <= 64) keeps the sampled states, and only then is their
-    smallest eigenvalue computed (``min_eigenvalue``).  Without dephasing
+    smallest eigenvalue computed (``min_eigenvalue``); they are embedded in
+    the full space when ``rho_samples`` is first read.  Without dephasing
     the batch is integrated on one basis for all its members (see the
     module docstring), the invariant subspace of all its initial states
     together, so a member can differ from its standalone run by rounding;
@@ -575,14 +590,13 @@ def evolve_batch(
             trace_defect=tdef[b],
             hermiticity_defect=hdef[b],
             gap=gaps[b],
-            rho_samples=bases[b].embed(states[b]) if store_states else None,
             rho_final=bases[b].embed(rho_final[b]),
             step=h,
             n_steps=n_steps,
             population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
                                               initial=0.0)),
-            integrated_dim=bases[b].dim,
-            integrated_basis=bases[b].kind,
+            basis=bases[b],
+            basis_samples=states[b] if store_states else None,
             min_eigenvalue=_min_eigenvalue(states[b]) if store_states else None,
         ))
     return results

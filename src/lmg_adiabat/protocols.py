@@ -58,6 +58,7 @@ from .states import (
     CASES,
     density_from_state,
     dicke_state,
+    phase_optimized,
     target_branches,
     target_state,
 )
@@ -377,12 +378,9 @@ def run_scenarios(
 def _scenario_run(cfg: ScenarioConfig, result: TrajectoryResult, two_branches: bool) -> ScenarioRun:
     pop_target = result.populations["target"]
     if two_branches:
-        pop_opt = np.clip(
-            0.5 * (result.populations["branch_plus"] + result.populations["branch_minus"])
-            + np.abs(result.bilinears["branch_cross"]),
-            0.0,
-            1.0,
-        )
+        pop_opt = phase_optimized(result.populations["branch_plus"],
+                                  result.populations["branch_minus"],
+                                  result.bilinears["branch_cross"])
     else:
         pop_opt = pop_target.copy()
 

@@ -6,7 +6,6 @@ is applied on top of that convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional, Tuple
@@ -17,9 +16,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInitialStateError,
     InvalidWeightError,
+    NonHermitianError,
     ParityMismatchError,
 )
-from .linalg import hermitian_eig
 from .operators import SpinRegister, x_basis_transform, y_basis_transform
 
 CASES = ("I", "II", "III")
@@ -124,9 +123,20 @@ def ground_space(h: np.ndarray, degeneracy_tol: Optional[float] = None) -> Groun
     """Ground energy, orthonormal ground band and gap of a Hermitian matrix.
 
     The band is that of :func:`ground_band_size`; the gap is measured from
-    the band bottom to the next level.
+    the band bottom to the next level.  Raises :class:`DimensionMismatchError`
+    for a matrix that is not square and :class:`NonHermitianError` when
+    ||h - h^H||_F exceeds 1e-9 ||h||_F.
     """
-    vals, vecs = hermitian_eig(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+    defect = float(np.linalg.norm(h - h.conj().T))
+    bound = 1e-9 * float(np.linalg.norm(h))
+    if defect > bound:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds 1e-9 * ||h||_F = {bound:.3e}"
+        )
+    vals, vecs = np.linalg.eigh(h)
     e0 = float(vals[0])
     n_band = int(ground_band_size(vals, degeneracy_tol))
     gap = float(vals[n_band] - e0) if n_band < vals.size else 0.0
@@ -147,8 +157,16 @@ def population(rho: np.ndarray, psi: np.ndarray) -> float:
             f"density matrix {rho.shape} does not match state of dim {psi.size}"
         )
     p = float(np.real(psi.conj() @ rho @ psi))
-    p = min(max(p, -1e-9), 1.0 + 1e-9)
     return min(max(p, 0.0), 1.0)
+
+
+def phase_optimized(paa, pbb, cross):
+    """The phase-optimized population from <a|rho|a>, <b|rho|b> and <a|rho|b>.
+
+    max over phi of (paa + pbb)/2 + Re(e^{i phi} cross) is (paa + pbb)/2 +
+    |cross|, clipped into [0, 1]; the arguments may be arrays of samples.
+    """
+    return np.clip(0.5 * (paa + pbb) + np.abs(cross), 0.0, 1.0)
 
 
 def phase_optimized_population(rho: np.ndarray, branch_a: np.ndarray, branch_b: Optional[np.ndarray]) -> float:
@@ -165,11 +183,8 @@ def phase_optimized_population(rho: np.ndarray, branch_a: np.ndarray, branch_b: 
     b = np.asarray(branch_b, dtype=np.complex128)
     if rho.shape != (a.size, a.size) or a.size != b.size:
         raise DimensionMismatchError("branch/density dimensions do not match")
-    paa = float(np.real(a.conj() @ rho @ a))
-    pbb = float(np.real(b.conj() @ rho @ b))
-    cross = complex(a.conj() @ rho @ b)
-    p = 0.5 * (paa + pbb) + abs(cross)
-    return min(max(p, 0.0), 1.0)
+    return float(phase_optimized(np.real(a.conj() @ rho @ a), np.real(b.conj() @ rho @ b),
+                                 a.conj() @ rho @ b))
 
 
 def symmetric_sector_isometry(n: int) -> np.ndarray:
@@ -184,30 +199,14 @@ def symmetric_sector_isometry(n: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def purity(rho: np.ndarray) -> float:
-    rho = np.asarray(rho, dtype=np.complex128)
-    return float(np.real(np.sum(rho * rho.conj().T)))
-
-
-def trace_defect(rho: np.ndarray) -> float:
-    return abs(complex(np.trace(rho)) - 1.0)
-
-
-@dataclass(frozen=True)
-class DensityCheck:
-    trace_defect: float
-    hermiticity_defect: float
-    min_eigenvalue: float
-
-
-def check_density_matrix(rho: np.ndarray) -> DensityCheck:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Validate trace, Hermiticity and positivity; raise on violation.
 
     The trace defect may reach 1e-9, the Hermiticity defect (Frobenius norm)
     1e-10, and the smallest eigenvalue may go down to -1e-8.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    td = trace_defect(rho)
+    td = abs(complex(np.trace(rho)) - 1.0)
     hd = float(np.linalg.norm(rho - rho.conj().T))
     if td > 1e-9 or hd > 1e-10:
         raise InvalidInitialStateError(
@@ -218,4 +217,3 @@ def check_density_matrix(rho: np.ndarray) -> DensityCheck:
         raise InvalidInitialStateError(
             f"density matrix has negative eigenvalue {min_eig:.3e}"
         )
-    return DensityCheck(td, hd, min_eig)

@@ -476,6 +476,29 @@ def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
         "basis states", "operator subspace")
 
 
+def test_sampled_states_are_embedded_when_first_read(monkeypatch):
+    calls = []
+    embed = dynamics._Basis.embed
+
+    def counted(basis, x):
+        calls.append(x.shape)
+        return embed(basis, x)
+
+    monkeypatch.setattr(dynamics._Basis, "embed", counted)
+    cfg = preset("I", 4, t_final=200.0, n_samples=21)
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    res = evolve(LindbladSpec(ham, cfg.gammas()), density_from_state(cfg.initial_state()),
+                 (0.0, 200.0), n_samples=21, record_gap=False, store_states=True)
+    assert res.integrated_basis == "subspace"
+    assert calls == [(3, 3)]  # the final state; the samples wait for their first read
+    samples = res.rho_samples
+    assert calls == [(3, 3), (21, 3, 3)] and res.rho_samples is samples
+    np.testing.assert_array_equal(samples, embed(res.basis, res.basis_samples))
+    assert samples.shape == (21, 16, 16)
+    np.testing.assert_allclose(samples[-1], res.rho_final, atol=1e-14)
+
+
 def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
     cfg = preset("I", 4, gamma=1e-4, t_final=200.0, n_samples=21)
     ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,

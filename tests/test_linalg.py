@@ -1,102 +1,47 @@
+"""Small linear-algebra checks: Kronecker embedding and Hermitian ground spaces."""
 import numpy as np
 import pytest
 
-from lmg_adiabat import linalg
-from lmg_adiabat.errors import DimensionMismatchError, NonHermitianError
+from lmg_adiabat.operators import SpinRegister, embed_single_spin
+from lmg_adiabat.states import dicke_state, ground_space, symmetric_sector_isometry
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
 
 
-def random_hermitian(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return m + m.conj().T
-
-
 def test_kron_sigma_z_identity():
-    assert np.array_equal(linalg.kron(SZ, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_kron_identities():
-    assert np.array_equal(linalg.kron(I2, I2), np.eye(4, dtype=complex))
-
-
-def test_kron_double_flip():
-    up_up = np.zeros(4, dtype=complex)
-    up_up[0] = 1.0
-    down_down = np.zeros(4, dtype=complex)
-    down_down[3] = 1.0
-    assert np.allclose(linalg.kron(SX, SX) @ up_up, down_down)
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 4))
-    left = linalg.kron(linalg.kron(a, b), c)
-    right = linalg.kron(a, linalg.kron(b, c))
-    assert np.max(np.abs(left - right)) <= 1e-14 * np.max(np.abs(left))
+    # sigma_z on factor 1 of 2 is sigma_z ⊗ I
+    sz_1 = embed_single_spin(SpinRegister(2), 1, "z")
+    assert np.array_equal(sz_1, np.diag([1, 1, -1, -1]).astype(complex))
 
 
 def test_eig_pauli_x():
-    res = linalg.hermitian_eig(SX)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0])
+    gs = ground_space(SX)
+    assert gs.energy == pytest.approx(-1.0)
+    assert gs.gap == pytest.approx(2.0)
+    assert gs.degeneracy == 1
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert np.abs(minus @ gs.vectors[:, 0]) == pytest.approx(1.0)
 
 
 def test_eig_diagonal_permutation():
-    res = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0])
-    # permuted unit vectors up to phase
-    assert np.allclose(np.abs(res.eigenvectors), np.eye(3)[:, [1, 2, 0]])
+    gs = ground_space(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    assert gs.energy == pytest.approx(1.0)
+    assert gs.gap == pytest.approx(1.0)
+    # the ground vector is the second unit vector up to phase
+    assert np.allclose(np.abs(gs.vectors), np.eye(3)[:, [1]])
 
 
 def test_eig_jy_squared_triplet_sector():
-    # brute-force 4x4: J_y for two spins, restricted to the symmetric sector
+    # brute-force 4x4: J_y for two spins, restricted to the symmetric sector,
+    # where J_y^2 has the spectrum {0, 1, 1}
     jy = 0.5 * (np.kron(SY, I2) + np.kron(I2, SY))
-    v = np.zeros((4, 3), dtype=complex)
-    v[0, 0] = 1.0
-    v[1, 1] = v[2, 1] = 1.0 / np.sqrt(2.0)
-    v[3, 2] = 1.0
+    v = symmetric_sector_isometry(2)
     block = v.conj().T @ (jy @ jy) @ v
-    res = linalg.hermitian_eig(block)
-    assert np.allclose(res.eigenvalues, [0.0, 1.0, 1.0], atol=1e-12)
-
-
-@pytest.mark.parametrize("dim", [2, 5, 17, 64, 256])
-def test_eig_reconstruction_and_orthonormality(dim):
-    rng = np.random.default_rng(dim)
-    m = random_hermitian(rng, dim)
-    vals, vecs = linalg.hermitian_eig(m)
-    assert vals.size == dim
-    assert np.all(np.diff(vals) >= 0)
-    assert np.isrealobj(vals)
-    norm = np.linalg.norm(m)
-    assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - m) <= 1e-9 * norm
-    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) <= 1e-10 * dim
-    for k in range(dim):
-        resid = np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k])
-        assert resid <= 1e-10 * norm
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_frobenius_distance_examples():
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng, 5)
-    assert linalg.frobenius_distance(m, m) == 0.0
-    assert linalg.frobenius_distance(np.zeros((2, 2)), I2) == pytest.approx(np.sqrt(2.0))
-    assert linalg.frobenius_distance(SX, SY) == pytest.approx(2.0)
-
-
-def test_frobenius_distance_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        linalg.frobenius_distance(I2, np.eye(3))
-
-
-def test_hermiticity_defect():
-    assert linalg.hermiticity_defect(SX) == 0.0
-    assert linalg.hermiticity_defect(np.array([[0, 1j], [0, 0]])) == pytest.approx(1.0)
+    gs = ground_space(block)
+    assert gs.energy == pytest.approx(0.0, abs=1e-12)
+    assert gs.degeneracy == 1
+    assert gs.gap == pytest.approx(1.0)
+    m0_y = v.conj().T @ dicke_state(2, 0.0, "y")
+    assert np.abs(m0_y.conj() @ gs.vectors[:, 0]) == pytest.approx(1.0)

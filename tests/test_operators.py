@@ -20,8 +20,25 @@ from lmg_adiabat.operators import (
 def test_embed_single_spin_examples():
     assert np.array_equal(embed_single_spin(SpinRegister(1), 1, "z"), np.diag([1.0, -1.0]))
     assert np.array_equal(
+        embed_single_spin(SpinRegister(2), 1, "z"), np.diag([1.0, 1.0, -1.0, -1.0])
+    )
+    assert np.array_equal(
         embed_single_spin(SpinRegister(2), 2, "z"), np.diag([1.0, -1.0, 1.0, -1.0])
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_embed_factor_one_is_the_most_significant(n):
+    # flipping spin j of |up...up> (index 0) sets bit 2^(N - j) of the index
+    reg = SpinRegister(n)
+    all_up = np.zeros(reg.dim)
+    all_up[0] = 1.0
+    for j in range(1, n + 1):
+        assert np.flatnonzero(embed_single_spin(reg, j, "x") @ all_up).tolist() == [2 ** (n - j)]
+    flip_all = np.eye(reg.dim)
+    for j in range(1, n + 1):
+        flip_all = embed_single_spin(reg, j, "x") @ flip_all
+    assert np.flatnonzero(flip_all @ all_up).tolist() == [reg.dim - 1]
 
 
 def test_embed_raising_operator_action():

@@ -7,6 +7,7 @@ from lmg_adiabat.errors import (
     DimensionMismatchError,
     InvalidInitialStateError,
     InvalidWeightError,
+    NonHermitianError,
     ParityMismatchError,
 )
 from lmg_adiabat.model import effective_coefficients, build_effective_lmg
@@ -168,6 +169,38 @@ def test_ground_space_sigma_z():
     assert gs.energy == pytest.approx(-1.0)
     assert gs.gap == pytest.approx(2.0)
     assert np.abs(gs.vectors[1, 0]) == pytest.approx(1.0)
+
+
+def test_ground_space_rejects_non_square_and_non_hermitian_input():
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((0, 0))):
+        with pytest.raises(DimensionMismatchError):
+            ground_space(bad)
+    with pytest.raises(NonHermitianError):
+        ground_space(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the Hermiticity defect is measured against 1e-9 of the Frobenius norm
+    h = np.diag([1.0, -1.0]).astype(complex)
+    h[0, 1] = 1e-10
+    assert ground_space(h).degeneracy == 1
+    h[0, 1] = 1e-8
+    with pytest.raises(NonHermitianError):
+        ground_space(h)
+
+
+@pytest.mark.parametrize("dim", [5, 17, 64, 256])
+def test_ground_space_of_a_random_hermitian_matrix(dim):
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    # a threefold ground level listed after random higher levels
+    levels = np.concatenate([rng.uniform(0.5, 2.0, size=dim - 3), [-1.0] * 3])
+    h = q @ np.diag(levels) @ q.conj().T
+    h = 0.5 * (h + h.conj().T)
+    gs = ground_space(h, degeneracy_tol=1e-9)
+    assert gs.degeneracy == 3
+    assert gs.energy == pytest.approx(-1.0, abs=1e-12)
+    assert gs.gap == pytest.approx(np.min(levels[:-3]) + 1.0, abs=1e-12)
+    v = gs.vectors
+    assert np.linalg.norm(v.conj().T @ v - np.eye(gs.degeneracy)) <= 1e-12
+    assert np.linalg.norm(h @ v + v) <= 1e-12 * dim
 
 
 def test_population_examples():
