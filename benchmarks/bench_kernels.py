@@ -39,9 +39,8 @@ import numpy as np
 
 from lmg_adiabat import _kernels
 from lmg_adiabat.dynamics import (
-    _Basis,
-    _integration_basis,
-    _invariant_subspace,
+    _Plan,
+    _integration_plans,
     _reachable_indices,
     _term_union,
     calibrated_schedule,
@@ -121,20 +120,21 @@ def parity_block(batch):
     """The batch's kernel arguments restricted to the block its initial states reach."""
     terms, _, _, rho0s, *_ = batch
     keep = _reachable_indices(terms, rho0s)
-    return restricted(batch, _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states"))
+    return restricted(batch, _Plan(slice(None), np.eye(rho0s.shape[1])[:, keep], "basis states"))
 
 
 def invariant_subspace(batch):
     """The gamma-0 batch's kernel arguments on the invariant subspace of its initial states."""
-    terms, _, _, rho0s, *_ = batch
-    limit = _reachable_indices(terms, rho0s).size
-    return restricted(batch, _Basis(_invariant_subspace(terms, rho0s, limit), "subspace"))
+    terms, _, w, rho0s, *_ = batch
+    (plan,) = _integration_plans(terms, [range(len(terms))] * len(rho0s), w, rho0s)
+    assert plan.kind == "subspace"
+    return restricted(batch, plan)
 
 
-def restricted(batch, basis):
+def restricted(batch, plan):
     terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho = batch
-    terms, w, rho0s, form_left, form_right = basis.restrict(terms, w, rho0s, form_left, form_right)
-    return basis.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho)
+    terms, w, rho0s, form_left, form_right = plan.restrict(terms, w, rho0s, form_left, form_right)
+    return plan.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho)
 
 
 def propagator_workload(block):
@@ -161,10 +161,10 @@ def operator_workload(n_spins, t_final=1000.0):
     """A case I run at 1 kHz on its parity block, and its operator subspace there."""
     _, _, args = lindblad_workload(n_spins, t_final=t_final, step=1.0)
     terms, _, w, rho0, *_ = args
-    basis = _integration_basis(terms, w, rho0)
-    assert basis.kind == "operator subspace"
-    _, block = restricted(args, _Basis(basis.q, "basis states"))
-    return basis.q.shape[1], basis.dim, block, basis.operators
+    (plan,) = _integration_plans(terms, [range(len(terms))], w, rho0)
+    assert plan.kind == "operator subspace"
+    _, block = restricted(args, plan)  # the kernel inputs on the plan's block
+    return plan.q.shape[1], plan.dim, block, plan.operators
 
 
 def product_workload(d):

@@ -19,7 +19,6 @@ from .dynamics import (
     evolve,
     evolve_batch,
     evolve_state,
-    lindblad_rhs,
     literal_schedule,
     rotating_frame_states,
 )
@@ -31,7 +30,6 @@ from .model import (
     LmgRegime,
     build_disorder_term,
     build_effective_lmg,
-    build_full_interaction_hamiltonian,
     classify_lmg,
     effective_coefficients,
     full_interaction_frame,

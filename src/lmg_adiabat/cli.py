@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import resolve_backend
-from .dynamics import DEFAULT_STEP, DriveSchedule, calibrated_schedule, literal_schedule
+from .dynamics import DEFAULT_STEP, DriveSchedule
 from .errors import (
     ConfigError,
     LmgAdiabatError,
@@ -36,9 +36,12 @@ from .errors import (
 )
 from .model import DisorderProfile, isotropic_spectrum
 from .protocols import (
+    SCHEDULE_KINDS,
     ReductionReport,
     ScenarioConfig,
     ScenarioRun,
+    default_n_spins,
+    named_schedule,
     preset_delta,
     run_scenario,
     validate_effective_reduction,
@@ -89,8 +92,6 @@ def parse_gamma(value: Any) -> Union[float, Tuple[float, ...]]:
     return parse_frequency(value)
 
 
-_SCHEDULE_KINDS = ("calibrated", "literal")
-
 _CONFIG_KEYS = {
     "case",
     "n_spins",
@@ -112,12 +113,10 @@ def _schedule_from_value(value: Any, t_final: float) -> DriveSchedule:
     if isinstance(value, DriveSchedule):
         return value
     if isinstance(value, str):
-        if value == "calibrated":
-            return calibrated_schedule(t_final=t_final)
-        if value == "literal":
-            return literal_schedule()
+        if value in SCHEDULE_KINDS:
+            return named_schedule(value, t_final)
         raise ValidationError(
-            f"schedule must be one of {_SCHEDULE_KINDS} or a field mapping, got {value!r}"
+            f"schedule must be one of {SCHEDULE_KINDS} or a field mapping, got {value!r}"
         )
     if isinstance(value, dict):
         fields = {f.name for f in dataclasses.fields(DriveSchedule)}
@@ -178,7 +177,6 @@ def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
         return _coerce(name, data.get(name, default), build)
 
     case = field("case", "I", lambda v: str(v).upper())
-    default_n = {"I": 4, "II": 3, "III": 4}.get(case, 4)
     # checked here: the calibrated schedule is built from it before ScenarioConfig checks it
     t_final = field("t_final", 4000.0, _finite)
     if "delta" in data:
@@ -188,7 +186,7 @@ def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
     lam = field("lambda_over_nu", 0.1, float)
     cfg = ScenarioConfig(
         case=case,
-        n_spins=field("n_spins", default_n, int),
+        n_spins=field("n_spins", default_n_spins(case), int),
         lambda_over_nu=lam,
         delta=delta,
         schedule=field("schedule", "calibrated", lambda v: _schedule_from_value(v, t_final)),
@@ -562,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument(
             "--schedule",
-            choices=_SCHEDULE_KINDS,
+            choices=SCHEDULE_KINDS,
             default=None,
             help="drive schedule preset (overrides the config)",
         )

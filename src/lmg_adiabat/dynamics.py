@@ -32,13 +32,14 @@ Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
 one.
 
-A batch is integrated on the span of the orthonormal columns
-of a d x k matrix Q (:class:`_Basis`): the kernel gets Q^H X Q for the
-terms, the initial states and the dephasing mask, and the sampled and final
-states are embedded back into the full space as Q X Q^H.
-A batch without dephasing is integrated on the smallest subspace that holds
-every member's initial state and that every term of the batch maps into
-itself (:func:`_invariant_subspace`).  The LMG terms move a Dicke state only
+:func:`_integration_plans` splits a batch into groups, each with one plan
+(:class:`_Plan`): the span of the orthonormal columns of a d x k matrix Q.
+The kernel gets Q^H X Q for the terms, the initial states and the
+dephasing mask, and the sampled and final states are embedded back into the
+full space as Q X Q^H when they are first read.  A batch without dephasing
+is integrated on the smallest subspace that holds every member's initial
+state and that every term of the batch maps into itself
+(:func:`_invariant_subspace`).  The LMG terms move a Dicke state only
 along its collective spin, and the disorder term is 0 on the m = 0 Dicke
 state and a scalar on m = +-N/2, so case I at N = 4 runs at dimension 3
 instead of 16, with or without disorder.  A batch runs on the closure of
@@ -65,7 +66,9 @@ embedded back on the block exactly Hermitian.  A space of k^2 or more than
 2k dimensions on a block of k basis states is not used
 (:func:`_operator_limit`), and such runs keep to the block.  Each member of
 a dephased batch gets the space of its own terms and initial state, so its
-results do not depend on its batch (:func:`_integration_groups`).
+results do not depend on its batch; members whose spaces have the same
+dimensions share a plan, and if one has no such space the batch keeps to
+the block.
 
 The gap scan diagonalizes H(t) on each connected component of the nonzero
 pattern of its terms, the two parity blocks of an LMG Hamiltonian, and
@@ -251,16 +254,6 @@ def dephasing_mask(gammas: Sequence[float], dim: Optional[int] = None) -> np.nda
     return w
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, gammas: Sequence[float]) -> np.ndarray:
-    """Right-hand side -i[H, rho] + sum_j gamma_j (sigma_z^j rho sigma_z^j - rho)."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"shape mismatch: rho {rho.shape}, h {h.shape}")
-    w = dephasing_mask(gammas, dim=rho.shape[0])
-    return -1j * (h @ rho - rho @ h) + w * rho
-
-
 @dataclass
 class TrajectoryResult:
     """Sampled quantities of one master-equation run (times in 1/nu)."""
@@ -272,20 +265,26 @@ class TrajectoryResult:
     trace_defect: np.ndarray
     hermiticity_defect: np.ndarray
     gap: Optional[np.ndarray]
-    rho_final: np.ndarray
     step: float
     n_steps: int
     #: How far the largest unclipped tracked population went outside [0, 1]
     #: (0 when every sample stayed inside); ``populations`` are clipped.
     population_excursion: float
-    #: The basis the run was integrated on; every sampled state is 0 outside
-    #: it (exactly for basis states, up to rounding for a subspace).
-    basis: _Basis
+    #: The plan the run was integrated on; every state it returns is 0
+    #: outside its basis (exactly for basis states, up to rounding for a subspace).
+    basis: _Plan
+    #: The final state as a (k, k) matrix on the k columns of ``basis.q``.
+    basis_final: np.ndarray
     #: The sampled states as (n_samples, k, k) matrices on the k columns of
     #: ``basis.q`` (None when they are not stored).
     basis_samples: Optional[np.ndarray]
     #: Smallest eigenvalue of the sampled states (None when they are not stored).
     min_eigenvalue: Optional[float]
+
+    @cached_property
+    def rho_final(self) -> np.ndarray:
+        """The final state as a (d, d) matrix, embedded when first read."""
+        return self.basis.embed(self.basis_final)
 
     @cached_property
     def rho_samples(self) -> Optional[np.ndarray]:
@@ -303,10 +302,6 @@ class TrajectoryResult:
     def integrated_basis(self) -> str:
         """The kind of integration basis: "basis states", "subspace" or "operator subspace"."""
         return self.basis.kind
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
 
     @property
     def diagnostics(self) -> Dict[str, Optional[float]]:
@@ -542,15 +537,11 @@ def evolve_batch(
     bilinears = dict(bilinears or {})
     form_pairs = [(v, v) for v in populations.values()]
     form_pairs += [(a, b) for a, b in bilinears.values()]
-    if form_pairs:
-        form_left = np.ascontiguousarray([p[0] for p in form_pairs], dtype=np.complex128)
-        form_right = np.ascontiguousarray([p[1] for p in form_pairs], dtype=np.complex128)
-    else:
-        form_left = np.zeros((0, dim), dtype=np.complex128)
-        form_right = np.zeros((0, dim), dtype=np.complex128)
     for name, (fl, fr) in zip(list(populations) + list(bilinears), form_pairs):
         if np.shape(fl) != (dim,) or np.shape(fr) != (dim,):
             raise DimensionMismatchError(f"registered state {name!r} does not match dim {dim}")
+    form_left, form_right = (np.array([p[i] for p in form_pairs], dtype=np.complex128)
+                             .reshape(-1, dim) for i in (0, 1))
 
     if store_states is None:
         store_states = dim <= 64
@@ -571,7 +562,8 @@ def evolve_batch(
                                    scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
     else:
         integrated, gaps = integrate(), [None] * len(hams)
-    forms, pur, tdef, hdef, states, rho_final, bases = integrated
+    forms, pur, tdef, hdef, states, rho_final, plans = integrated
+    plan_of = {i: plan for plan in plans for i in np.arange(len(specs))[plan.members]}
 
     results = []
     for b, spec in enumerate(specs):
@@ -590,12 +582,12 @@ def evolve_batch(
             trace_defect=tdef[b],
             hermiticity_defect=hdef[b],
             gap=gaps[b],
-            rho_final=bases[b].embed(rho_final[b]),
             step=h,
             n_steps=n_steps,
             population_excursion=float(np.max(np.maximum(-unclipped, unclipped - 1.0),
                                               initial=0.0)),
-            basis=bases[b],
+            basis=plan_of[b],
+            basis_final=rho_final[b],
             basis_samples=states[b] if store_states else None,
             min_eigenvalue=_min_eigenvalue(states[b]) if store_states else None,
         ))
@@ -803,9 +795,12 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
-class _Basis:
-    """The span of the orthonormal columns of ``q`` (d, k), as the basis a batch is integrated on.
+class _Plan:
+    """A group of a batch's ``members`` and the basis it is integrated on.
 
+    ``members`` indexes the batch: a slice for the whole batch, whose
+    coefficient table is then passed without a copy, or an index array.
+    The basis is the span of the orthonormal columns of ``q`` (d, k).
     ``kind`` is "basis states" when ``q`` selects columns of the identity,
     "subspace" for an invariant subspace of a run without dephasing, and
     "operator subspace" when the kernel's state is the coordinate vector of
@@ -813,9 +808,9 @@ class _Basis:
     ``dim`` is the dimension of that operator space.
     """
 
-    def __init__(self, q: np.ndarray, kind: str,
+    def __init__(self, members: Union[slice, np.ndarray], q: np.ndarray, kind: str,
                  operators: Optional[_kernels.OperatorBasis] = None):
-        self.q, self.kind, self.operators = q, kind, operators
+        self.members, self.q, self.kind, self.operators = members, q, kind, operators
         self.dim = q.shape[1] if operators is None else operators.dim
 
     def restrict(self, terms, w, rho, form_left, form_right):
@@ -864,73 +859,56 @@ def _operator_limit(k: int) -> int:
     return min(k * k, 2 * k + 1)
 
 
-def _integration_basis(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray) -> _Basis:
-    """The basis a batch whose members share ``terms`` is integrated on.
-
-    Without dephasing that is the invariant subspace of the initial states
-    when it is smaller than the block of basis states the initial states
-    reach; with dephasing, the operator space of :func:`_operator_subspace`
-    on that block when it is found below :func:`_operator_limit`; else the
-    block.
-    """
-    keep = _reachable_indices(terms, rho0s)
-    block = np.eye(rho0s.shape[1])[:, keep]
-    if not np.any(w):
-        q = _invariant_subspace(terms, rho0s, keep.size)
-        if q is not None:
-            return _Basis(q, "subspace")
-    else:
-        inside = (Ellipsis, keep[:, None], keep)
-        operators = _operator_subspace(terms[inside], w[inside], rho0s[inside],
-                                       _operator_limit(keep.size))
-        if operators is not None:
-            return _Basis(block, "operator subspace", operators)
-    return _Basis(block, "basis states")
-
-
-def _integration_groups(terms: np.ndarray, columns: Sequence[Sequence[int]], w: np.ndarray,
-                        rho0s: np.ndarray) -> List[Tuple[Union[slice, np.ndarray], _Basis]]:
-    """The members of a batch in groups that are integrated together, each with its basis.
+def _integration_plans(terms: np.ndarray, columns: Sequence[Sequence[int]], w: np.ndarray,
+                       rho0s: np.ndarray) -> List[_Plan]:
+    """The members of a batch in groups that are integrated together, one plan each.
 
     ``columns`` holds each member's indices into the union ``terms``
-    (:func:`_term_union`).  Without dephasing the batch is one group on the
-    :func:`_integration_basis` of its union.  With dephasing each member's
-    operator space is found from its own terms and initial state, so that a
-    member's bits do not depend on its batch, and the members whose spaces
-    have the same dimensions on the same block form one group.  If a
-    member's space is not found, the batch is one group on the block of
-    basis states of its union.
+    (:func:`_term_union`).  The fallback is one group on the block of basis
+    states that the initial states reach through the union's terms.
+    Without dephasing the batch is one group on the invariant subspace of
+    all its initial states when that is smaller than the block.  With
+    dephasing each member's operator space on the block
+    (:func:`_operator_subspace`, below :func:`_operator_limit`) is found
+    from its own terms and initial state, so that a member's bits do not
+    depend on its batch, and the members whose spaces have the same
+    dimensions form one group.  If a member's space is not found, or its own
+    terms reach another block, the batch is one group on the block.
     """
+    everyone = slice(None)
+    keep = _reachable_indices(terms, rho0s)
+    block = _Plan(everyone, np.eye(rho0s.shape[1])[:, keep], "basis states")
     if not np.any(w):
-        return [(slice(None), _integration_basis(terms, w, rho0s))]
-    found: Dict[Tuple, _Basis] = {}
+        q = _invariant_subspace(terms, rho0s, keep.size)
+        return [block if q is None else _Plan(everyone, q, "subspace")]
+    inside = (Ellipsis, keep[:, None], keep)
+    spaces: Dict[Tuple, Optional[_kernels.OperatorBasis]] = {}
     keys = []
     for cols, rho0 in zip(columns, rho0s):
-        own = tuple(dict.fromkeys(cols))
-        key = (own, rho0.tobytes())
-        if key not in found:
-            found[key] = _integration_basis(terms[list(own)], w, rho0[None])
+        own = list(dict.fromkeys(cols))
+        key = (tuple(own), rho0.tobytes())
+        if key not in spaces:
+            on_block = np.array_equal(_reachable_indices(terms[own], rho0[None]), keep)
+            spaces[key] = _operator_subspace(terms[own][inside], w[inside], rho0[inside][None],
+                                             _operator_limit(keep.size)) if on_block else None
         keys.append(key)
-    bases = [found[key] for key in keys]
-    if len(found) == 1:  # the members share their terms and state, so the union is theirs
-        return [(slice(None), bases[0])]
-    if any(basis.kind != "operator subspace" or not np.array_equal(basis.q, bases[0].q)
-           for basis in bases):
-        keep = _reachable_indices(terms, rho0s)
-        return [(slice(None), _Basis(np.eye(rho0s.shape[1])[:, keep], "basis states"))]
-    groups = []
-    shapes = [basis.operators.couplings.shape[2:] for basis in bases]
+    if any(space is None for space in spaces.values()):
+        return [block]
+    if len(spaces) == 1:  # the members share their terms and state, so the union is theirs
+        return [_Plan(everyone, block.q, "operator subspace", spaces[keys[0]])]
+    plans = []
+    shapes = [spaces[key].couplings.shape[2:] for key in keys]
     for shape in dict.fromkeys(shapes):
         members = np.flatnonzero([s == shape for s in shapes])
-        ops = [bases[i].operators for i in members]
+        ops = [spaces[keys[i]] for i in members]
         couplings = np.zeros((len(members), len(terms), *shape))
         for j, i in enumerate(members):
             couplings[j, list(keys[i][0])] = ops[j].couplings[0]
         operators = _kernels.OperatorBasis(
             *(np.concatenate([getattr(op, name) for op in ops])
               for name in ("symmetric", "antisymmetric", "rates")), couplings)
-        groups.append((members, _Basis(bases[0].q, "operator subspace", operators)))
-    return groups
+        plans.append(_Plan(members, block.q, "operator subspace", operators))
+    return plans
 
 
 def _min_eigenvalue(states: np.ndarray) -> float:
@@ -949,29 +927,24 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, store_rho):
     """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
 
-    Each group of members that :func:`_integration_groups` forms runs on its
-    own basis, as one kernel call per block on its (2n+1, B, K) table and
+    Each plan of :func:`_integration_plans` runs its members on its own
+    basis, as one kernel call per block on its (2n+1, B, K) table and
     (B, k, k) states; a call samples the forms <l|rho|r>, the purity and the
     trace and Hermiticity defects, and the states when ``store_rho`` is set.
     The sampled states and the final state come back on the basis states
-    those bases share (the columns of their ``q``), followed by each
-    member's basis.
+    the plans share (the columns of their ``q``), followed by the plans.
     """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
     b = len(hams)
-    groups, bases = [], [None] * b
-    for members, basis in _integration_groups(terms, columns, w, rho):
-        extra = () if basis.operators is None else (basis.operators,)
-        groups.append((members, basis.restrict(terms, w, rho[members], form_left, form_right),
-                       extra))
-        for i in np.arange(b)[members]:
-            bases[i] = basis
-    k = bases[0].q.shape[1]  # every group's states are on the same basis states
+    plans = _integration_plans(terms, columns, w, rho)
+    inputs = [plan.restrict(terms, w, rho[plan.members], form_left, form_right)
+              for plan in plans]
+    k = plans[0].q.shape[1]  # every plan's states are on the same basis states
     samples = _kernels._lindblad_outputs(b, sample_idx.size, form_left.shape[0], k, store_rho)
     rho = np.empty((b, k, k), dtype=np.complex128)
-    for members, inputs, _ in groups:
-        rho[members] = inputs[2]
+    for plan, (_, _, rho0, _, _) in zip(plans, inputs):
+        rho[plan.members] = rho0
     for s0 in range(0, n_steps, BLOCK_STEPS):
         s1 = min(s0 + BLOCK_STEPS, n_steps)
         # global half-step index, so every row matches a whole-window table
@@ -984,14 +957,15 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         # a block records the samples in (s0, s1]; the first also records step 0
         lo = np.searchsorted(sample_idx, s0 + 1 if s0 else 0)
         hi = np.searchsorted(sample_idx, s1, side="right")
-        for members, (g_terms, g_w, _, g_left, g_right), extra in groups:
+        for plan, (g_terms, g_w, _, g_left, g_right) in zip(plans, inputs):
+            members = plan.members
             *block, rho[members] = kern.lindblad_cf4(
                 g_terms, ctab[:, members], g_w, rho[members], h, sample_idx[lo:hi] - s0,
-                g_left, g_right, store_rho, *extra)
+                g_left, g_right, store_rho, plan.operators)
             for full, part in zip(samples, block):
                 full[members, lo:hi] = part
         _check_trace(samples[2][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
-    return (*samples, rho, bases)
+    return (*samples, rho, plans)
 
 
 def _check_trace(tdef: np.ndarray, times: np.ndarray, h: float) -> None:
@@ -1069,9 +1043,6 @@ class AdiabaticityProfile:
     omega2: np.ndarray
     min_gap: float
     margin: float  # sweep duration times min gap; >> 1 for an adiabatic sweep
-
-    def rows(self):
-        return list(zip(self.times, self.gaps, self.omega1, self.omega2))
 
 
 def adiabaticity_profile(

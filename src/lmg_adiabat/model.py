@@ -332,11 +332,6 @@ def full_interaction_frame(p: FullModelParams) -> Optional[np.ndarray]:
     return np.add.outer(sign * p.delta * jz, np.arange(p.fock_cutoff, dtype=np.float64)).ravel()
 
 
-def build_full_interaction_hamiltonian(p: FullModelParams, t: float) -> np.ndarray:
-    """Joint-space Hamiltonian matrix at one time (dim 2^N * cutoff)."""
-    return full_interaction_hamiltonian(p).matrix(t)
-
-
 def isotropic_spectrum(n: int, alpha_beta_sq: float, epsilon: float):
     """Exact maximal-J spectrum of the isotropic model.
 

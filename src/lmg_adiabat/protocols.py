@@ -215,6 +215,22 @@ def preset_delta(case: str, magnitude: float) -> float:
     return +magnitude if above else -magnitude
 
 
+#: The named drive schedules of :func:`named_schedule`.
+SCHEDULE_KINDS = ("calibrated", "literal")
+
+
+def named_schedule(kind: str, t_final: float) -> DriveSchedule:
+    """The "calibrated" schedule over a window of ``t_final``, or the "literal" one."""
+    if kind not in SCHEDULE_KINDS:
+        raise ValidationError(f"unknown schedule kind {kind!r}")
+    return calibrated_schedule(t_final=t_final) if kind == "calibrated" else literal_schedule()
+
+
+def default_n_spins(case: str) -> int:
+    """Register size of a case's preset when none is given."""
+    return {"I": 4, "II": 3, "III": 4}.get(case, 4)
+
+
 def preset(
     case: str,
     n_spins: Optional[int] = None,
@@ -229,21 +245,12 @@ def preset(
 ) -> ScenarioConfig:
     """Scenario preset with the reference parameter sets."""
     case = str(case).upper()
-    if n_spins is None:
-        n_spins = {"I": 4, "II": 3, "III": 4}.get(case, 4)
-    if isinstance(schedule, str):
-        if schedule == "calibrated":
-            schedule = calibrated_schedule(t_final=t_final)
-        elif schedule == "literal":
-            schedule = literal_schedule()
-        else:
-            raise ValidationError(f"unknown schedule kind {schedule!r}")
     return ScenarioConfig(
         case=case,
-        n_spins=n_spins,
+        n_spins=default_n_spins(case) if n_spins is None else n_spins,
         lambda_over_nu=coupling,
         delta=preset_delta(case, detuning_magnitude),
-        schedule=schedule,
+        schedule=named_schedule(schedule, t_final) if isinstance(schedule, str) else schedule,
         gamma_dep=gamma,
         t_final=t_final,
         n_samples=n_samples,

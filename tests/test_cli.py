@@ -65,6 +65,21 @@ def test_schedule_flag_selects_literal():
     assert cfg.schedule.t0_1 == 0.0 and cfg.schedule.ramp2 == 1500.0
 
 
+@pytest.mark.parametrize("case", ["I", "II", "III"])
+def test_unset_fields_take_the_case_preset(case):
+    assert cli.parse_config(overrides=[f"case={case}"]) == preset(case)
+    assert (cli.parse_config(overrides=[f"case={case}"], schedule_kind="literal")
+            == preset(case, schedule="literal"))
+
+
+def test_schedule_name_that_is_not_a_kind_is_rejected():
+    with pytest.raises(ValidationError, match=r"schedule must be one of \('calibrated', "
+                                              r"'literal'\) or a field mapping, got 'slow'"):
+        cli.parse_config(overrides=["schedule=slow"])
+    with pytest.raises(ValidationError, match="unknown schedule kind 'slow'"):
+        preset("I", schedule="slow")
+
+
 def test_sweep_section_builds_grid():
     cfg = cli.parse_config(
         overrides=['sweep={"axes": {"gamma_dep": [0, "0.1kHz", ["1kHz", "1kHz", 0, 0]]}}']

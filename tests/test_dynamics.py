@@ -15,7 +15,6 @@ from lmg_adiabat.dynamics import (
     evolve,
     evolve_batch,
     evolve_state,
-    lindblad_rhs,
     literal_schedule,
     rotating_frame_states,
     spectral_gap,
@@ -64,38 +63,6 @@ def test_calibrated_schedule_realizes_single_drive_start():
     assert s.omega1(0.0) == pytest.approx(0.6, rel=1e-4)
     assert s.omega2(0.0) < 3e-4
     assert s.omega2(4000.0) == pytest.approx(0.6, rel=1e-3)
-
-
-def test_lindblad_rhs_closed_system():
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = h + h.conj().T
-    rho = np.eye(4, dtype=complex) / 4.0 + 0.01 * (h - np.trace(h) * np.eye(4) / 4.0)
-    rhs = lindblad_rhs(rho, h, [0.0, 0.0])
-    assert np.allclose(rhs, -1j * (h @ rho - rho @ h))
-
-
-def test_lindblad_rhs_single_qubit_dephasing_rate():
-    gamma = 3e-4
-    rho = density_from_state(PLUS_X)
-    rhs = lindblad_rhs(rho, np.zeros((2, 2), dtype=complex), [gamma])
-    # off-diagonal decays at 2*gamma, populations fixed
-    assert rhs[0, 1] == pytest.approx(-2.0 * gamma * rho[0, 1])
-    assert rhs[0, 0] == pytest.approx(0.0, abs=1e-18)
-    assert abs(np.trace(rhs)) <= 1e-12
-    assert np.max(np.abs(rhs - rhs.conj().T)) <= 1e-12
-
-
-def test_lindblad_rhs_diagonal_fixed_point():
-    h = np.diag([0.3, -0.1, 0.2, 0.5]).astype(complex)
-    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    rhs = lindblad_rhs(rho, h, [1e-3, 2e-3])
-    assert np.max(np.abs(rhs)) <= 1e-15
-
-
-def test_lindblad_rhs_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        lindblad_rhs(np.eye(4, dtype=complex) / 4.0, np.eye(2, dtype=complex), [0.1])
 
 
 def test_dephasing_mask_matches_operator_form():
@@ -368,7 +335,7 @@ def test_selection_basis_picks_the_entries_of_its_block(complex_terms):
     # one on the block itself.
     terms, w, rho0s, forms = _selection_batch(complex_terms)
     keep = dynamics._reachable_indices(terms, rho0s)
-    basis = dynamics._integration_basis(terms, w, rho0s)
+    (basis,) = dynamics._integration_plans(terms, [range(len(terms))] * len(rho0s), w, rho0s)
     kind = "basis states" if complex_terms else "operator subspace"
     assert (basis.kind, basis.q.shape[1]) == (kind, terms.shape[1] // 2)
     got = basis.restrict(terms, w, rho0s, forms, forms.conj())
@@ -478,25 +445,28 @@ def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
 
 def test_sampled_states_are_embedded_when_first_read(monkeypatch):
     calls = []
-    embed = dynamics._Basis.embed
+    embed = dynamics._Plan.embed
 
-    def counted(basis, x):
+    def counted(plan, x):
         calls.append(x.shape)
-        return embed(basis, x)
+        return embed(plan, x)
 
-    monkeypatch.setattr(dynamics._Basis, "embed", counted)
+    monkeypatch.setattr(dynamics._Plan, "embed", counted)
     cfg = preset("I", 4, t_final=200.0, n_samples=21)
     ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     res = evolve(LindbladSpec(ham, cfg.gammas()), density_from_state(cfg.initial_state()),
                  (0.0, 200.0), n_samples=21, record_gap=False, store_states=True)
     assert res.integrated_basis == "subspace"
-    assert calls == [(3, 3)]  # the final state; the samples wait for their first read
+    assert calls == []  # the final and sampled states wait for their first read
     samples = res.rho_samples
-    assert calls == [(3, 3), (21, 3, 3)] and res.rho_samples is samples
+    assert calls == [(21, 3, 3)] and res.rho_samples is samples
     np.testing.assert_array_equal(samples, embed(res.basis, res.basis_samples))
     assert samples.shape == (21, 16, 16)
-    np.testing.assert_allclose(samples[-1], res.rho_final, atol=1e-14)
+    final = res.rho_final
+    assert calls == [(21, 3, 3), (3, 3)] and res.rho_final is final
+    np.testing.assert_array_equal(final, embed(res.basis, res.basis_final))
+    np.testing.assert_allclose(samples[-1], final, atol=1e-14)
 
 
 def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
@@ -635,7 +605,7 @@ def test_operator_subspace_of_a_dephased_run(case, n, dim):
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     rho0 = density_from_state(cfg.initial_state())
     w = dephasing_mask(cfg.gammas())
-    basis = dynamics._integration_basis(ham.terms, w, rho0[None])
+    (basis,) = dynamics._integration_plans(ham.terms, [range(len(ham.terms))], w, rho0[None])
     assert (basis.kind, basis.dim, basis.q.shape[1]) == ("operator subspace", dim, 2 ** (n - 1))
     ops = basis.operators
     k = basis.q.shape[1]
@@ -711,6 +681,66 @@ def test_dephased_batch_runs_each_member_on_its_own_operator_space(lindblad_call
         for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                           err_msg=name)
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_dephased_members_whose_spaces_differ_in_dimension_take_a_call_each(lindblad_calls):
+    # on the even block the polarized start reaches 11 dimensions of
+    # operators, while the block's maximally mixed state commutes with every
+    # term and spans 1: the members run in one kernel call each, and each
+    # keeps the bits of its standalone run
+    cfg = preset("I", 4, gamma=1e-4, t_final=100.0, n_samples=11)
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, cfg.gammas())
+    even = np.array([bin(i).count("1") % 2 == 0 for i in range(16)])
+    rho0s = [density_from_state(cfg.initial_state()), np.diag(even / 8.0).astype(complex)]
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    batch = evolve_batch([spec, spec], rho0s, (0.0, 100.0), **kwargs)
+    assert [shape[1] for shape in lindblad_calls] == [1, 1]
+    for got, rho0, dim in zip(batch, rho0s, (11, 1)):
+        want = evolve(spec, rho0, (0.0, 100.0), **kwargs)
+        assert (got.integrated_dim, got.integrated_basis) == (dim, "operator subspace")
+        for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=name)
+        np.testing.assert_array_equal(got.populations["start"], want.populations["start"])
+    np.testing.assert_allclose(batch[1].purity, 1.0 / 8.0, rtol=0, atol=1e-15)  # it stays put
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_dephased_batch_with_a_member_without_a_small_space_runs_on_the_block(lindblad_calls):
+    # the complex (J_x J_y + J_y J_x) / 2 term is not split into real halves,
+    # so its member has no operator space; the whole batch then runs in one
+    # call on the block of basis states of its union, and that member keeps
+    # the bits of its standalone run there
+    from lmg_adiabat.operators import collective_operator
+
+    cfg = preset("I", 3, gamma=1e-4, t_final=100.0)
+    reg = SpinRegister(3)
+    lmg = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    jx, jy = (collective_operator(reg, axis) for axis in "xy")
+    twisted = LinearHamiltonian(
+        terms=np.concatenate([lmg.terms, [dynamics._hermitian_part(jx @ jy)]]),
+        coefficients=lambda ts: np.column_stack([lmg.coefficients(ts),
+                                                 np.full(np.size(ts), 0.01)]))
+    specs = [LindbladSpec(lmg, cfg.gammas()), LindbladSpec(twisted, cfg.gammas())]
+    rho0 = density_from_state(cfg.initial_state())
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), **kwargs)
+    assert [shape[1] for shape in lindblad_calls] == [2]
+    assert [(r.integrated_dim, r.integrated_basis) for r in batch] == [(4, "basis states")] * 2
+    alone = evolve(specs[1], rho0, (0.0, 100.0), **kwargs)
+    assert (alone.integrated_dim, alone.integrated_basis) == (4, "basis states")
+    for name in ("purity", "trace_defect", "hermiticity_defect", "rho_samples", "rho_final"):
+        np.testing.assert_array_equal(getattr(batch[1], name), getattr(alone, name),
+                                      err_msg=name)
+    np.testing.assert_array_equal(batch[1].populations["start"], alone.populations["start"])
+    # the clean member agrees with its run on its operator space to rounding
+    own = evolve(specs[0], rho0, (0.0, 100.0), **kwargs)
+    assert own.integrated_basis == "operator subspace"
+    np.testing.assert_allclose(batch[0].rho_final, own.rho_final, rtol=0, atol=1e-12)
 
 
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):

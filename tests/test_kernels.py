@@ -396,7 +396,7 @@ def test_operator_kernel_matches_the_step_by_step_oracle(n):
     ctab = ham.coefficient_table(1800.0 + 0.5 * np.arange(2 * 300 + 1))
     w = dynamics.dephasing_mask(cfg.gammas())
     rho0 = density_from_state(cfg.initial_state())
-    basis = dynamics._integration_basis(ham.terms, w, rho0[None])
+    (basis,) = dynamics._integration_plans(ham.terms, [range(len(ham.terms))], w, rho0[None])
     assert basis.kind == "operator subspace"
     forms = np.stack([target_state("I", n), cfg.initial_state()]).astype(complex)
     terms, w, rho0, fl, fr = basis.restrict(ham.terms, w, rho0, forms, forms)

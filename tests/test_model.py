@@ -7,7 +7,6 @@ from lmg_adiabat.model import (
     FullModelParams,
     build_disorder_term,
     build_effective_lmg,
-    build_full_interaction_hamiltonian,
     classify_lmg,
     effective_coefficients,
     full_interaction_frame,
@@ -180,7 +179,7 @@ def test_disorder_profile_validation():
 
 def test_full_hamiltonian_no_drive_is_zero():
     p = FullModelParams(n_spins=1, fock_cutoff=3, eta=0.1, delta=-1.1, omega1=0.0, omega2=0.0)
-    assert np.max(np.abs(build_full_interaction_hamiltonian(p, 0.7))) == 0.0
+    assert np.max(np.abs(full_interaction_hamiltonian(p).matrix(0.7))) == 0.0
 
 
 def test_full_hamiltonian_zero_coupling_form():
@@ -190,7 +189,7 @@ def test_full_hamiltonian_zero_coupling_form():
     for t in (0.0, 1.3, 7.9):
         drive = 0.3 * np.exp(1j * -1.1 * t)
         expected = np.kron(drive * jp + np.conj(drive) * jp.conj().T, np.eye(3))
-        assert np.allclose(build_full_interaction_hamiltonian(p, t), expected, atol=1e-12)
+        assert np.allclose(full_interaction_hamiltonian(p).matrix(t), expected, atol=1e-12)
 
 
 def test_full_hamiltonian_single_spin_hand_assembly():
@@ -202,7 +201,7 @@ def test_full_hamiltonian_single_spin_hand_assembly():
     block = np.eye(3) + eta * (a.conj().T - a)
     half = om1 * np.kron(sp, block)  # all drive phases are 1 at t = 0
     expected = half + half.conj().T
-    assert np.allclose(build_full_interaction_hamiltonian(p, 0.0), expected, atol=1e-14)
+    assert np.allclose(full_interaction_hamiltonian(p).matrix(0.0), expected, atol=1e-14)
 
 
 def test_full_hamiltonian_hermitian_at_sampled_times():
