@@ -14,7 +14,6 @@ from .dynamics import (
     DriveSchedule,
     LindbladSpec,
     TrajectoryResult,
-    adiabaticity_profile,
     calibrated_schedule,
     evolve,
     evolve_batch,
@@ -43,7 +42,6 @@ from .operators import (
     boson_operator,
     collective_operator,
     embed_single_spin,
-    spin_flip_parity,
     x_basis_transform,
     y_basis_transform,
 )
@@ -65,11 +63,8 @@ from .protocols import (
 )
 from .states import (
     dicke_state,
-    ground_space,
-    phase_optimized_population,
     population,
-    symmetric_sector_isometry,
     target_branches,
     target_state,
 )
-from .sweep import SweepGrid, SweepTable, aggregate, run_sweep
+from .sweep import SweepGrid, SweepTable, run_sweep

@@ -92,7 +92,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatchError, StepFailureError
-from .model import DisorderProfile, LinearHamiltonian, lmg_sweep_hamiltonian
+from .model import LinearHamiltonian
 from .states import check_density_matrix, ground_band_size
 
 #: Default master-equation step (1/nu).  The spread of H(t) is about
@@ -359,8 +359,8 @@ def _hamiltonian_matrix(hamiltonian: LinearHamiltonian, times: np.ndarray,
 def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.ndarray]:
     """Gap from the (possibly quasi-degenerate) ground band to the next level.
 
-    The band is the default one of :func:`lmg_adiabat.states.ground_band_size`,
-    the levels up to 1e-3 of the spectral spread above the ground level.  A
+    The band is that of :func:`lmg_adiabat.states.ground_band_size`, the
+    levels up to 1e-3 of the spectral spread above the ground level.  A
     (..., d, d) stack gives an array of gaps with the band rule applied to
     each matrix; a single matrix gives a float.  ``h`` may also be a list of
     (..., n, s, s) stacks holding the diagonal blocks of one block-diagonal
@@ -712,12 +712,10 @@ def _operator_subspace(terms: np.ndarray, w: np.ndarray, rho0s: np.ndarray,
     vec(A) extended by :func:`_extend_basis`, from the initial states until
     nothing new comes; the terms and the mask are scaled to unit norm as in
     :func:`_invariant_subspace`, and the same checks apply.  Each half is
-    then rotated to diagonalize the mask.  Returns None for complex terms or
-    states, and when the closure reaches ``limit`` dimensions.
+    then rotated to diagonalize the mask.  The terms and states must be real
+    (:func:`_integration_plans` sends no others); returns None when the
+    closure reaches ``limit`` dimensions.
     """
-    if np.any(terms.imag) or np.any(rho0s.imag):
-        return None
-    terms, rho0s = terms.real, rho0s.real
     kk, k, _ = terms.shape
     norms = np.array([np.abs(term).sum(axis=1).max() for term in terms])
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
@@ -872,8 +870,11 @@ def _integration_plans(terms: np.ndarray, columns: Sequence[Sequence[int]], w: n
     (:func:`_operator_subspace`, below :func:`_operator_limit`) is found
     from its own terms and initial state, so that a member's bits do not
     depend on its batch, and the members whose spaces have the same
-    dimensions form one group.  If a member's space is not found, or its own
-    terms reach another block, the batch is one group on the block.
+    dimensions form one group.  If a member has complex terms or a complex
+    initial state, or its own terms reach another block, or its space is not
+    found, the batch is one group on the block.  The first three are checked
+    for every member before any closure runs, and the closures stop at the
+    first member without a space.
     """
     everyone = slice(None)
     keep = _reachable_indices(terms, rho0s)
@@ -882,18 +883,25 @@ def _integration_plans(terms: np.ndarray, columns: Sequence[Sequence[int]], w: n
         q = _invariant_subspace(terms, rho0s, keep.size)
         return [block if q is None else _Plan(everyone, q, "subspace")]
     inside = (Ellipsis, keep[:, None], keep)
-    spaces: Dict[Tuple, Optional[_kernels.OperatorBasis]] = {}
+    rho_of: Dict[Tuple, np.ndarray] = {}
     keys = []
     for cols, rho0 in zip(columns, rho0s):
         own = list(dict.fromkeys(cols))
         key = (tuple(own), rho0.tobytes())
-        if key not in spaces:
-            on_block = np.array_equal(_reachable_indices(terms[own], rho0[None]), keep)
-            spaces[key] = _operator_subspace(terms[own][inside], w[inside], rho0[inside][None],
-                                             _operator_limit(keep.size)) if on_block else None
+        if key not in rho_of:
+            if (np.any(terms[own][inside].imag) or np.any(rho0[inside].imag)
+                    or not np.array_equal(_reachable_indices(terms[own], rho0[None]), keep)):
+                return [block]
+            rho_of[key] = rho0
         keys.append(key)
-    if any(space is None for space in spaces.values()):
-        return [block]
+    spaces: Dict[Tuple, _kernels.OperatorBasis] = {}
+    for key, rho0 in rho_of.items():
+        own = list(key[0])
+        space = _operator_subspace(terms[own][inside].real, w[inside], rho0[inside][None].real,
+                                   _operator_limit(keep.size))
+        if space is None:
+            return [block]
+        spaces[key] = space
     if len(spaces) == 1:  # the members share their terms and state, so the union is theirs
         return [_Plan(everyone, block.q, "operator subspace", spaces[keys[0]])]
     plans = []
@@ -1031,43 +1039,3 @@ def rotating_frame_states(h0: np.ndarray, frame: np.ndarray, psi0: np.ndarray,
     lam, v = np.linalg.eigh(h0 + np.diag(frame))
     coeffs = np.exp(-1.0j * np.multiply.outer(times, lam)) * (v.conj().T @ psi0)
     return np.exp(1.0j * np.multiply.outer(times, frame)) * (coeffs @ v.T)
-
-
-@dataclass
-class AdiabaticityProfile:
-    """Instantaneous gap along a drive sweep plus the global adiabaticity margin."""
-
-    times: np.ndarray
-    gaps: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    min_gap: float
-    margin: float  # sweep duration times min gap; >> 1 for an adiabatic sweep
-
-
-def adiabaticity_profile(
-    schedule: DriveSchedule,
-    eta: float,
-    delta: float,
-    n_spins: int,
-    times: np.ndarray,
-    disorder: Optional[DisorderProfile] = None,
-) -> AdiabaticityProfile:
-    """Scan the instantaneous spectral gap of the swept collective Hamiltonian."""
-    from .operators import SpinRegister
-
-    times = np.asarray(times, dtype=np.float64)
-    ham = lmg_sweep_hamiltonian(
-        SpinRegister(n_spins), eta, delta, schedule.omega1, schedule.omega2, disorder
-    )
-    gaps = _gap_scan(ham, times)
-    min_gap = float(np.min(gaps))
-    duration = float(times[-1] - times[0]) if times.size > 1 else 0.0
-    return AdiabaticityProfile(
-        times=times,
-        gaps=gaps,
-        omega1=np.asarray(schedule.omega1(times), dtype=np.float64),
-        omega2=np.asarray(schedule.omega2(times), dtype=np.float64),
-        min_gap=min_gap,
-        margin=duration * min_gap,
-    )

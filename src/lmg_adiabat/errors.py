@@ -9,10 +9,6 @@ class DimensionMismatchError(LmgAdiabatError, ValueError):
     """Operands have incompatible shapes or lengths."""
 
 
-class NonHermitianError(LmgAdiabatError, ValueError):
-    """A matrix required to be Hermitian exceeds the Hermiticity tolerance."""
-
-
 class ResonantDetuningError(LmgAdiabatError, ValueError):
     """|delta| equals the resonator frequency: effective coefficients diverge."""
 
@@ -35,10 +31,6 @@ class StepFailureError(LmgAdiabatError, RuntimeError):
 
 class CutoffTooSmallError(LmgAdiabatError, RuntimeError):
     """The Fock truncation visibly distorts the full-model trajectory."""
-
-
-class UnknownAxisError(LmgAdiabatError, KeyError):
-    """Aggregation refers to a sweep axis that does not exist."""
 
 
 class ConfigError(LmgAdiabatError, ValueError):

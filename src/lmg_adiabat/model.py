@@ -198,9 +198,6 @@ class LinearHamiltonian:
         c = self.coefficient_table(np.array([float(t)]))[0]
         return np.einsum("k,kij->ij", c, self.terms)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.matrix(t)
-
 
 def build_effective_lmg(reg: SpinRegister, c: EffectiveCoefficients) -> np.ndarray:
     """Collective-spin Hamiltonian for one set of effective coefficients."""

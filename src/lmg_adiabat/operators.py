@@ -43,10 +43,6 @@ class SpinRegister:
     def dim(self) -> int:
         return 2 ** self.n_spins
 
-    @property
-    def total_j(self) -> float:
-        return self.n_spins / 2.0
-
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -105,15 +101,6 @@ def y_basis_transform(reg: SpinRegister) -> np.ndarray:
 def x_basis_transform(reg: SpinRegister) -> np.ndarray:
     """Same as :func:`y_basis_transform` for the product x basis |+->_x."""
     return _kron_all([_U1_X] * reg.n_spins)
-
-
-def spin_flip_parity(reg: SpinRegister) -> np.ndarray:
-    """⊗_j sigma_z^j: flips every |+>_y ↔ |->_y (and |+>_x ↔ |->_x).
-
-    Commutes with J_z, J_x² and J_y², so it is conserved along the whole
-    drive sweep and splits the two degenerate ferromagnetic ground branches.
-    """
-    return _kron_all([SIGMA_Z] * reg.n_spins)
 
 
 def boson_operator(f: FockSpace, which: str) -> np.ndarray:

@@ -289,12 +289,6 @@ class ScenarioRun:
     def max_trace_defect(self) -> float:
         return float(np.max(self.trajectory.trace_defect))
 
-    def time_to_population(self, threshold: float, phase_opt: bool = True) -> float:
-        """First sampled time at which the target population reaches threshold."""
-        series = self.pop_target_phase_opt if phase_opt else self.pop_target
-        hit = np.nonzero(series >= threshold)[0]
-        return float(self.times[hit[0]]) if hit.size else float("inf")
-
 
 def _expected_final_magnetism(case: str) -> str:
     return "FI" if case == "I" else "AFI"
@@ -442,11 +436,6 @@ class EnsembleReport:
             (abs(m.final_population_phase_opt - base) for m in self.members),
             default=0.0,
         )
-
-    @property
-    def max_deviation(self) -> float:
-        base = self.baseline.final_population
-        return max((abs(m.final_population - base) for m in self.members), default=0.0)
 
     def spread(self) -> Dict[str, float]:
         vals = [m.final_population_phase_opt for m in self.members]

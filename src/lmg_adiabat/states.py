@@ -1,4 +1,4 @@
-"""Product, Dicke and target entangled states; populations and ground spaces.
+"""Product, Dicke and target entangled states; populations and ground bands.
 
 Phase convention: Dicke states carry nonnegative real amplitudes in their
 defining product basis.  Every relative phase appearing in the target states
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidInitialStateError,
     InvalidWeightError,
-    NonHermitianError,
     ParityMismatchError,
 )
 from .operators import SpinRegister, x_basis_transform, y_basis_transform
@@ -94,53 +93,16 @@ def target_branches(case: str, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]
     raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
 
 
-class GroundSpace(NamedTuple):
-    energy: float
-    vectors: np.ndarray  # (dim, degeneracy), orthonormal columns
-    gap: float  # to the first level above the tolerance band (0 if none)
+def ground_band_size(vals: np.ndarray) -> np.ndarray:
+    """How many of the ascending eigenvalues ``vals`` (..., d) lie in the ground band.
 
-    @property
-    def degeneracy(self) -> int:
-        return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
-
-
-def ground_band_size(vals: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    """Levels within ``tol`` of the lowest of ascending eigenvalues ``vals`` (..., d).
-
-    The default ``tol``, 1e-3 of the spectral spread, absorbs the exponentially
-    split ferromagnetic ground doublet near the one-axis end of a sweep.
+    The band reaches 1e-3 of the spectral spread above the lowest level, and
+    so absorbs the exponentially split ferromagnetic ground doublet
+    near the one-axis end of a sweep.
     """
     ground = vals[..., 0]
-    if tol is None:
-        tol = 1e-3 * (vals[..., -1] - ground)
+    tol = 1e-3 * (vals[..., -1] - ground)
     return np.sum(vals <= (ground + tol)[..., None], axis=-1)
-
-
-def ground_space(h: np.ndarray, degeneracy_tol: Optional[float] = None) -> GroundSpace:
-    """Ground energy, orthonormal ground band and gap of a Hermitian matrix.
-
-    The band is that of :func:`ground_band_size`; the gap is measured from
-    the band bottom to the next level.  Raises :class:`DimensionMismatchError`
-    for a matrix that is not square and :class:`NonHermitianError` when
-    ||h - h^H||_F exceeds 1e-9 ||h||_F.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    bound = 1e-9 * float(np.linalg.norm(h))
-    if defect > bound:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds 1e-9 * ||h||_F = {bound:.3e}"
-        )
-    vals, vecs = np.linalg.eigh(h)
-    e0 = float(vals[0])
-    n_band = int(ground_band_size(vals, degeneracy_tol))
-    gap = float(vals[n_band] - e0) if n_band < vals.size else 0.0
-    return GroundSpace(e0, vecs[:, :n_band], gap)
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
@@ -167,36 +129,6 @@ def phase_optimized(paa, pbb, cross):
     |cross|, clipped into [0, 1]; the arguments may be arrays of samples.
     """
     return np.clip(0.5 * (paa + pbb) + np.abs(cross), 0.0, 1.0)
-
-
-def phase_optimized_population(rho: np.ndarray, branch_a: np.ndarray, branch_b: Optional[np.ndarray]) -> float:
-    """max over phi of <psi(phi)| rho |psi(phi)> with psi = (a + e^{i phi} b)/sqrt(2).
-
-    Reports the transfer quality independent of the dynamical phase picked up
-    between two degenerate ground branches.  With ``branch_b=None`` this is the
-    plain population of ``branch_a``.
-    """
-    if branch_b is None:
-        return population(rho, branch_a)
-    rho = np.asarray(rho, dtype=np.complex128)
-    a = np.asarray(branch_a, dtype=np.complex128)
-    b = np.asarray(branch_b, dtype=np.complex128)
-    if rho.shape != (a.size, a.size) or a.size != b.size:
-        raise DimensionMismatchError("branch/density dimensions do not match")
-    return float(phase_optimized(np.real(a.conj() @ rho @ a), np.real(b.conj() @ rho @ b),
-                                 a.conj() @ rho @ b))
-
-
-def symmetric_sector_isometry(n: int) -> np.ndarray:
-    """Isometry V (2^N x (N+1)) onto the maximal-J sector.
-
-    Column k is the z-basis Dicke state with m = N/2 - k, so V† O V is the
-    (N+1)-dimensional block of any collective operator and V† psi the sector
-    coordinates of a symmetric state.
-    """
-    j = n / 2.0
-    cols = [dicke_state(n, j - k, "z") for k in range(n + 1)]
-    return np.stack(cols, axis=1)
 
 
 def check_density_matrix(rho: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Scenario grids run point by point with deterministic aggregation.
+"""Scenario grids run point by point into one table.
 
 A grid is a base scenario plus named axes of parameter overrides; the
 cartesian product runs one point after another, in grid order, on the
@@ -12,12 +12,12 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .dynamics import DriveSchedule
-from .errors import UnknownAxisError, ValidationError
+from .errors import ValidationError
 from .model import DisorderProfile
 from .protocols import ScenarioConfig, _pmap, run_scenario
 
@@ -184,60 +184,3 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
             )
 
     return SweepTable(axes=grid.axis_names, rows=_pmap(one, points, 1))
-
-
-@dataclass
-class AggregateRow:
-    group: Dict[str, Any]
-    count: int
-    n_failed: int
-    pop_min: float
-    pop_max: float
-    pop_mean: float
-    pop_opt_min: float
-    pop_opt_max: float
-    pop_opt_mean: float
-
-
-def aggregate(table: SweepTable, group_by: Sequence[str] = ()) -> List[AggregateRow]:
-    """Min/max/mean final populations per group of axis values.
-
-    Values group by their CSV representation, so e.g. disorder profiles that
-    share a label (one label per disorder level) fall into one group.  With no
-    ``group_by`` a single global summary row comes back.  Failed points are
-    counted but excluded from the statistics.
-    """
-    group_by = list(group_by)
-    for name in group_by:
-        if name not in table.axes:
-            raise UnknownAxisError(f"unknown axis {name!r}; table has {table.axes}")
-
-    groups: Dict[Tuple, List[SweepRow]] = {}
-    order: List[Tuple] = []
-    for row in table.rows:
-        key = tuple(format_cell(row.values[name]) for name in group_by)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-
-    out = []
-    for key in order:
-        rows = groups[key]
-        ok = [r for r in rows if r.status == "ok"]
-        pops = [r.pop_final for r in ok]
-        opts = [r.pop_final_phase_opt for r in ok]
-        out.append(
-            AggregateRow(
-                group=dict(zip(group_by, key)),
-                count=len(rows),
-                n_failed=len(rows) - len(ok),
-                pop_min=min(pops) if pops else float("nan"),
-                pop_max=max(pops) if pops else float("nan"),
-                pop_mean=float(np.mean(pops)) if pops else float("nan"),
-                pop_opt_min=min(opts) if opts else float("nan"),
-                pop_opt_max=max(opts) if opts else float("nan"),
-                pop_opt_mean=float(np.mean(opts)) if opts else float("nan"),
-            )
-        )
-    return out

@@ -9,7 +9,6 @@ from lmg_adiabat import _kernels, dynamics
 from lmg_adiabat.dynamics import (
     DriveSchedule,
     LindbladSpec,
-    adiabaticity_profile,
     calibrated_schedule,
     dephasing_mask,
     evolve,
@@ -630,6 +629,24 @@ def test_operator_subspace_of_a_dephased_run(case, n, dim):
     np.testing.assert_allclose(ops.embed(x[:, None])[0, 0], rho0[inside], rtol=0, atol=1e-15)
 
 
+def _clean_and_twisted(n):
+    """Case I at N = n with dephasing: the preset's spec, the same with the
+    complex (J_x J_y + J_y J_x) / 2 term added, and the preset start."""
+    from lmg_adiabat.operators import collective_operator
+
+    cfg = preset("I", n, gamma=1e-4, t_final=100.0)
+    reg = SpinRegister(n)
+    lmg = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    jx, jy = (collective_operator(reg, axis) for axis in "xy")
+    twisted = LinearHamiltonian(
+        terms=np.concatenate([lmg.terms, [dynamics._hermitian_part(jx @ jy)]]),
+        coefficients=lambda ts: np.column_stack([lmg.coefficients(ts),
+                                                 np.full(np.size(ts), 0.01)]))
+    specs = [LindbladSpec(lmg, cfg.gammas()), LindbladSpec(twisted, cfg.gammas())]
+    return cfg, specs, density_from_state(cfg.initial_state())
+
+
 @pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
 @pytest.mark.parametrize("gammas", [(1e-4, 2e-4, 1.5e-4), "complex"],
                          ids=["per-spin", "complex-term"])
@@ -637,21 +654,9 @@ def test_dephased_run_without_a_small_operator_space_steps_on_the_block(monkeypa
     # per-spin rates reach 16 dimensions at N = 3, all of the block's
     # operators; a complex term is not split into real halves.  Either run
     # keeps to the per-step loop on the block, with the bits it had there
-    from lmg_adiabat.operators import collective_operator
-
-    cfg = preset("I", 3, t_final=100.0)
-    reg = SpinRegister(3)
-    ham = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta,
-                                cfg.schedule.omega1, cfg.schedule.omega2)
-    if gammas == "complex":
-        jx, jy = (collective_operator(reg, axis) for axis in "xy")
-        lmg = ham
-        ham = LinearHamiltonian(
-            terms=np.concatenate([lmg.terms, [dynamics._hermitian_part(jx @ jy)]]),
-            coefficients=lambda ts: np.column_stack([lmg.coefficients(ts),
-                                                     np.full(np.size(ts), 0.01)]))
-        gammas = (1e-4,) * 3
-    args = (LindbladSpec(ham, gammas), density_from_state(cfg.initial_state()), (0.0, 100.0))
+    cfg, (clean, twisted), rho0 = _clean_and_twisted(3)
+    spec = twisted if gammas == "complex" else LindbladSpec(clean.hamiltonian, gammas)
+    args = (spec, rho0, (0.0, 100.0))
     kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
     got = evolve(*args, **kwargs)
     assert (got.integrated_dim, got.integrated_basis) == (4, "basis states")
@@ -714,19 +719,7 @@ def test_dephased_batch_with_a_member_without_a_small_space_runs_on_the_block(li
     # so its member has no operator space; the whole batch then runs in one
     # call on the block of basis states of its union, and that member keeps
     # the bits of its standalone run there
-    from lmg_adiabat.operators import collective_operator
-
-    cfg = preset("I", 3, gamma=1e-4, t_final=100.0)
-    reg = SpinRegister(3)
-    lmg = lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta,
-                                cfg.schedule.omega1, cfg.schedule.omega2)
-    jx, jy = (collective_operator(reg, axis) for axis in "xy")
-    twisted = LinearHamiltonian(
-        terms=np.concatenate([lmg.terms, [dynamics._hermitian_part(jx @ jy)]]),
-        coefficients=lambda ts: np.column_stack([lmg.coefficients(ts),
-                                                 np.full(np.size(ts), 0.01)]))
-    specs = [LindbladSpec(lmg, cfg.gammas()), LindbladSpec(twisted, cfg.gammas())]
-    rho0 = density_from_state(cfg.initial_state())
+    cfg, specs, rho0 = _clean_and_twisted(3)
     kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
     batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), **kwargs)
     assert [shape[1] for shape in lindblad_calls] == [2]
@@ -741,6 +734,25 @@ def test_dephased_batch_with_a_member_without_a_small_space_runs_on_the_block(li
     own = evolve(specs[0], rho0, (0.0, 100.0), **kwargs)
     assert own.integrated_basis == "operator subspace"
     np.testing.assert_allclose(batch[0].rho_final, own.rho_final, rtol=0, atol=1e-12)
+
+
+def test_a_complex_member_spares_the_batch_every_operator_space_closure(monkeypatch,
+                                                                        lindblad_calls):
+    # the complex member has no operator space, which shows before any closure
+    # runs, so the clean member's closure is not built and thrown away
+    closures = []
+    closure = dynamics._operator_subspace
+
+    def counted(terms, w, rho0s, limit):
+        closures.append(terms.shape)
+        return closure(terms, w, rho0s, limit)
+
+    monkeypatch.setattr(dynamics, "_operator_subspace", counted)
+    _, specs, rho0 = _clean_and_twisted(4)
+    batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), n_samples=11, record_gap=False)
+    assert closures == []
+    assert [shape[1] for shape in lindblad_calls] == [2]
+    assert [(r.integrated_dim, r.integrated_basis) for r in batch] == [(8, "basis states")] * 2
 
 
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
@@ -943,7 +955,8 @@ def test_rotating_frame_states_with_zero_frame_evolve_a_constant_hamiltonian():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_symmetric_sector_equivalence(n):
-    from lmg_adiabat.states import symmetric_sector_isometry, target_state
+    from lmg_adiabat.states import target_state
+    from oracles import symmetric_sector_isometry
 
     cfg = preset("I", n)
     reg = SpinRegister(n)
@@ -1014,24 +1027,26 @@ def test_sample_grid_takes_the_step_limit_itself():
 
 
 def test_adiabaticity_profile_constant_schedule():
+    # a constant drive, with omega2 zero throughout, gives a constant gap
     sched = DriveSchedule(zeta=0.3, ramp1=np.inf, ramp2=np.inf, dzeta2=-0.3)
     times = np.linspace(0.0, 100.0, 5)
-    prof = adiabaticity_profile(sched, 0.1, -1.1, 3, times)
-    assert np.allclose(prof.gaps, prof.gaps[0])
-    assert np.allclose(prof.omega2, 0.0)
-    assert prof.margin == pytest.approx(100.0 * prof.min_gap)
+    ham = lmg_sweep_hamiltonian(SpinRegister(3), 0.1, -1.1, sched.omega1, sched.omega2)
+    gaps = dynamics._gap_scan(ham, times)
+    assert np.allclose(gaps, gaps[0])
+    assert np.allclose(sched.omega2(times), 0.0)
 
 
 def test_adiabaticity_profile_case_one_gap_positive_and_final_value():
     cfg = preset("I", 4)
-    times = np.linspace(0.0, 4000.0, 81)
-    prof = adiabaticity_profile(cfg.schedule, cfg.eta, cfg.delta, 4, times)
-    assert np.all(prof.gaps > 0.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    gaps = dynamics._gap_scan(ham, np.linspace(0.0, 4000.0, 81))
+    assert np.all(gaps > 0.0)
     # final gap from the one-axis m^2 spectrum: |alpha| beta2^2 (2J - 1)
     c = effective_coefficients(cfg.eta, cfg.delta, float(cfg.schedule.omega1(4000.0)),
                                float(cfg.schedule.omega2(4000.0)))
     expected = abs(c.alpha) * c.beta2**2 * 3.0
-    assert prof.gaps[-1] == pytest.approx(expected, rel=5e-3)
+    assert gaps[-1] == pytest.approx(expected, rel=5e-3)
 
 
 def test_spectral_gap_band_semantics():

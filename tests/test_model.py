@@ -15,7 +15,7 @@ from lmg_adiabat.model import (
     lmg_sweep_hamiltonian,
 )
 from lmg_adiabat.operators import SpinRegister, collective_operator
-from lmg_adiabat.states import symmetric_sector_isometry
+from oracles import symmetric_sector_isometry
 
 
 def test_coefficients_case_one_values():
