@@ -4,7 +4,10 @@ Subcommands: ``simulate`` (one scenario trajectory), ``sweep`` (parameter
 grid), ``spectrum`` (closed-form isotropic spectrum report), ``classify``
 (regime report) and ``validate-reduction`` (full-vs-effective model check).
 All frequencies inside the tool are in units of nu; SI suffixes (kHz, MHz)
-are accepted at this boundary only and converted at nu/2pi = 10 MHz.
+are accepted in config values and sweep axis values only, and converted at
+nu/2pi = 10 MHz by :func:`lmg_adiabat.protocols.config_from_settings`, the
+one resolver from settings to a scenario that ``simulate`` and every sweep
+point share.
 Artifacts are written atomically (temp file + rename) and every output
 directory carries a ``manifest.json`` describing the resolved run.
 """
@@ -12,21 +15,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from ._kernels import resolve_backend
-from .dynamics import DEFAULT_STEP, DriveSchedule
 from .errors import (
     ConfigError,
     LmgAdiabatError,
@@ -34,22 +35,20 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .model import DisorderProfile, isotropic_spectrum
+from .model import isotropic_spectrum
 from .protocols import (
     SCHEDULE_KINDS,
     ReductionReport,
     ScenarioConfig,
     ScenarioRun,
-    default_n_spins,
-    named_schedule,
-    preset_delta,
+    SETTINGS_KEYS,
+    _coerce,
+    _integer,
+    config_from_settings,
     run_scenario,
     validate_effective_reduction,
 )
 from .sweep import SweepGrid, SweepTable, format_cell, run_sweep
-
-#: nu/2pi used for SI conversion of suffixed frequency strings.
-NU_HZ = 10.0e6
 
 TRAJECTORY_HEADER = (
     "t_nu,pop_target,pop_target_phase_opt,purity,trace_defect,gap_nu,omega1_nu,omega2_nu"
@@ -65,188 +64,41 @@ SWEEP_SUMMARY_COLUMNS = (
 
 
 # ---------------------------------------------------------------------------
-# value parsing and config (de)serialization
+# config parsing
 # ---------------------------------------------------------------------------
 
-def parse_frequency(value: Union[str, float, int]) -> float:
-    """Frequency in nu units; strings may carry a kHz or MHz suffix."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip()
-    for suffix, hz in (("kHz", 1.0e3), ("MHz", 1.0e6)):
-        if text.lower().endswith(suffix.lower()):
-            try:
-                return float(text[: -len(suffix)].strip()) * hz / NU_HZ
-            except ValueError:
-                raise ParseError(f"cannot parse frequency {value!r}")
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"cannot parse frequency {value!r}")
-
-
-def parse_gamma(value: Any) -> Union[float, Tuple[float, ...]]:
-    """Dephasing rate(s) in nu units: one frequency, or a list of one per spin."""
-    if isinstance(value, (list, tuple)):
-        return tuple(parse_frequency(g) for g in value)
-    return parse_frequency(value)
-
-
-_CONFIG_KEYS = {
-    "case",
-    "n_spins",
-    "lambda_over_nu",
-    "delta",
-    "detuning_magnitude",
-    "schedule",
-    "gamma_dep",
-    "disorder",
-    "t_final",
-    "n_samples",
-    "nbar",
-    "step",
-    "sweep",
-}
-
-
-def _schedule_from_value(value: Any, t_final: float) -> DriveSchedule:
-    if isinstance(value, DriveSchedule):
-        return value
-    if isinstance(value, str):
-        if value in SCHEDULE_KINDS:
-            return named_schedule(value, t_final)
-        raise ValidationError(
-            f"schedule must be one of {SCHEDULE_KINDS} or a field mapping, got {value!r}"
-        )
-    if isinstance(value, dict):
-        fields = {f.name for f in dataclasses.fields(DriveSchedule)}
-        unknown = set(value) - fields
-        if unknown:
-            raise ValidationError(f"unknown schedule fields: {sorted(unknown)}")
-        return DriveSchedule(**{k: float(v) for k, v in value.items()})
-    raise ValidationError(f"cannot build a schedule from {value!r}")
-
-
-def _disorder_from_value(value: Any, eta: float) -> Optional[DisorderProfile]:
-    if value is None or isinstance(value, DisorderProfile):
-        return value
-    if isinstance(value, dict):
-        return DisorderProfile(
-            fractions=tuple(float(f) for f in value["fractions"]),
-            eta=float(value.get("eta", eta)),
-            label=str(value.get("label", "")),
-        )
-    if isinstance(value, (list, tuple)):
-        return DisorderProfile(fractions=tuple(float(f) for f in value), eta=eta)
-    raise ValidationError(f"cannot build a disorder profile from {value!r}")
-
-
-def _finite(value: Any) -> float:
-    """``float(value)``, refusing nan and the infinities."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError("not a finite number")
-    return number
-
-
-def _coerce(name: str, value: Any, build: Callable[[Any], Any]) -> Any:
-    """``build(value)``, with a failure reported as a ValidationError naming the field."""
-    try:
-        return build(value)
-    except LmgAdiabatError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ValidationError(
-            f"{name}: cannot use {value!r} ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
 def config_from_dict(data: Dict[str, Any]) -> Union[ScenarioConfig, SweepGrid]:
-    """Build a validated scenario (or sweep grid) from a plain mapping.
+    """Build a validated scenario, or a sweep grid when ``data`` has a ``sweep`` section.
 
-    Unset fields fall back to the case preset defaults; ``delta`` may be given
-    signed, or left to the preset sign rule via ``detuning_magnitude``.  A
-    value that cannot be converted raises :class:`ValidationError` naming
-    its field.
+    The scenario, and every grid point, is resolved by
+    :func:`config_from_settings`.
     """
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-
-    def field(name: str, default: Any, build: Callable[[Any], Any]) -> Any:
-        return _coerce(name, data.get(name, default), build)
-
-    case = field("case", "I", lambda v: str(v).upper())
-    # checked here: the calibrated schedule is built from it before ScenarioConfig checks it
-    t_final = field("t_final", 4000.0, _finite)
-    if "delta" in data:
-        delta = field("delta", None, parse_frequency)
-    else:
-        delta = preset_delta(case, field("detuning_magnitude", 1.1, float))
-    lam = field("lambda_over_nu", 0.1, float)
-    cfg = ScenarioConfig(
-        case=case,
-        n_spins=field("n_spins", default_n_spins(case), int),
-        lambda_over_nu=lam,
-        delta=delta,
-        schedule=field("schedule", "calibrated", lambda v: _schedule_from_value(v, t_final)),
-        gamma_dep=field("gamma_dep", 0.0, parse_gamma),
-        disorder=field("disorder", None, lambda v: _disorder_from_value(v, lam)),
-        t_final=t_final,
-        n_samples=field("n_samples", 401, int),
-        nbar=field("nbar", 20.0, float),
-        step=field("step", DEFAULT_STEP, float),
-    )
-
     if "sweep" not in data:
-        return cfg
-    spec = data["sweep"]
+        return config_from_settings(data)
+    settings = dict(data)
+    spec = settings.pop("sweep")
     if not isinstance(spec, dict) or "axes" not in spec:
         raise ValidationError("sweep section must be a mapping with an 'axes' entry")
-    axes: List[Tuple[str, Tuple[Any, ...]]] = []
     for name, values in spec["axes"].items():
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"sweep axis {name!r} must list its values")
-        build = {
-            "gamma_dep": parse_gamma,
-            "delta": parse_frequency,
-            "disorder": lambda v: _disorder_from_value(v, cfg.eta),
-        }.get(name, lambda v: v)
-        axes.append((str(name), tuple(_coerce(f"sweep axis {name}", v, build) for v in values)))
     return SweepGrid(
-        base=cfg,
-        axes=tuple(axes),
+        settings=settings,
+        axes=tuple(spec["axes"].items()),
         output_path=spec.get("output_path"),
-        max_points=_coerce("sweep.max_points", spec.get("max_points", 10_000), int),
+        max_points=_coerce("sweep.max_points", spec.get("max_points", 10_000), _integer),
     )
 
 
-def serialize_config(cfg: ScenarioConfig) -> Dict[str, Any]:
-    """Plain-JSON mapping; ``config_from_dict`` round-trips it exactly."""
-    out: Dict[str, Any] = {
-        "case": cfg.case,
-        "n_spins": cfg.n_spins,
-        "lambda_over_nu": cfg.lambda_over_nu,
-        "delta": cfg.delta,
-        "schedule": dataclasses.asdict(cfg.schedule),
-        "gamma_dep": list(cfg.gamma_dep) if isinstance(cfg.gamma_dep, tuple) else cfg.gamma_dep,
-        "t_final": cfg.t_final,
-        "n_samples": cfg.n_samples,
-        "nbar": cfg.nbar,
-        "step": cfg.step,
-    }
-    if cfg.disorder is not None:
-        out["disorder"] = {
-            "fractions": list(cfg.disorder.fractions),
-            "eta": cfg.disorder.eta,
-            "label": cfg.disorder.label,
-        }
-    else:
-        out["disorder"] = None
-    return out
-
-
 def _set_deep(data: Dict[str, Any], dotted: str, value: Any) -> None:
+    """Set ``data[dotted]``; a dotted key that is not a settings key sets a field of a section.
+
+    ``schedule.<field>`` is a settings key, which the resolver lays over the
+    schedule that the rest of the settings give.
+    """
+    if dotted in SETTINGS_KEYS:
+        data[dotted] = value
+        return
     keys = dotted.split(".")
     node = data
     for key in keys[:-1]:
@@ -377,7 +229,7 @@ def build_manifest(command: str, cfg: ScenarioConfig) -> Dict[str, Any]:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "units_note": "frequencies in units of nu (nu = 1); SI conversion at nu/2pi = 10 MHz",
         "backend": resolve_backend(),
-        "config": serialize_config(cfg),
+        "config": asdict(cfg),
     }
 
 
@@ -452,8 +304,6 @@ def _cmd_sweep(cfg, args) -> int:
 
 
 def _cmd_spectrum(cfg, args) -> int:
-    if isinstance(cfg, SweepGrid):
-        cfg = cfg.base
     coeffs = cfg.coefficients_at(0.0)
     alpha_beta_sq = coeffs.alpha * coeffs.omega1**2
     rows = isotropic_spectrum(cfg.n_spins, alpha_beta_sq, coeffs.epsilon)
@@ -474,8 +324,6 @@ def _cmd_spectrum(cfg, args) -> int:
 
 
 def _cmd_classify(cfg, args) -> int:
-    if isinstance(cfg, SweepGrid):
-        cfg = cfg.base
     report: Dict[str, Any] = {}
     for label, t in (("initial", 0.0), ("final", cfg.t_final)):
         regime = cfg.regime_at(t)
@@ -499,8 +347,6 @@ def _cmd_classify(cfg, args) -> int:
 
 
 def _cmd_validate_reduction(cfg, args) -> int:
-    if isinstance(cfg, SweepGrid):
-        cfg = cfg.base
     report = validate_effective_reduction(cfg, fock_cutoff=args.cutoff, t_final=args.window)
     out = args.out
     write_csv(report, os.path.join(out, "reduction.csv"))
@@ -580,6 +426,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.set, args.schedule)
+        if isinstance(cfg, SweepGrid) and args.command not in ("simulate", "sweep"):
+            cfg = cfg.base
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ParityMismatchError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -8,6 +8,12 @@ the master equation, tracking the population of the case's target state:
 * case II  (AFI, odd N):   W-type    (|m_y=1/2> + i |m_y=-1/2>)/sqrt(2)
 * case III (AFI, even N):  W-type    |m_y=0>
 
+A plain settings mapping (a JSON config, ``--set`` overrides, or the base
+settings of a sweep plus one grid point) becomes a :class:`ScenarioConfig`
+through :func:`config_from_settings` alone.  It is where frequency strings
+with a kHz or MHz suffix (``delta``, ``gamma_dep`` and its per-spin lists)
+are converted to nu units, at nu/2pi = 10 MHz.
+
 On top of single runs this module provides the disorder / drive-dispersion
 robustness ensembles and a numerical check of the effective model against
 the full spin+resonator interaction-picture dynamics.
@@ -15,9 +21,9 @@ the full spin+resonator interaction-picture dynamics.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import inf, isfinite
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +43,9 @@ from .dynamics import (
 )
 from .errors import (
     CutoffTooSmallError,
+    LmgAdiabatError,
     ParityMismatchError,
+    ParseError,
     RegimeWarning,
     ValidationError,
 )
@@ -118,6 +126,17 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         case = str(self.case).upper()
         object.__setattr__(self, "case", case)
+        for name in ("n_spins", "n_samples"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.schedule, DriveSchedule):
+            raise ValidationError(f"schedule must be a DriveSchedule, got {self.schedule!r}")
+        if not (self.disorder is None or isinstance(self.disorder, DisorderProfile)):
+            raise ValidationError(
+                f"disorder must be None or a DisorderProfile, got {self.disorder!r}")
         problems = []
         if case not in CASES:
             problems.append(f"case must be one of {CASES}, got {case!r}")
@@ -215,15 +234,8 @@ def preset_delta(case: str, magnitude: float) -> float:
     return +magnitude if above else -magnitude
 
 
-#: The named drive schedules of :func:`named_schedule`.
+#: The named drive schedules a settings mapping may give.
 SCHEDULE_KINDS = ("calibrated", "literal")
-
-
-def named_schedule(kind: str, t_final: float) -> DriveSchedule:
-    """The "calibrated" schedule over a window of ``t_final``, or the "literal" one."""
-    if kind not in SCHEDULE_KINDS:
-        raise ValidationError(f"unknown schedule kind {kind!r}")
-    return calibrated_schedule(t_final=t_final) if kind == "calibrated" else literal_schedule()
 
 
 def default_n_spins(case: str) -> int:
@@ -243,18 +255,174 @@ def preset(
     n_samples: int = 401,
     step: float = DEFAULT_STEP,
 ) -> ScenarioConfig:
-    """Scenario preset with the reference parameter sets."""
-    case = str(case).upper()
+    """Scenario preset with the reference parameter sets (see :func:`config_from_settings`)."""
+    settings = dict(case=case, detuning_magnitude=detuning_magnitude, lambda_over_nu=coupling,
+                    gamma_dep=gamma, schedule=schedule, t_final=t_final, n_samples=n_samples,
+                    step=step)
+    if n_spins is not None:
+        settings["n_spins"] = n_spins
+    return config_from_settings(settings)
+
+
+#: nu/2pi used for SI conversion of suffixed frequency strings.
+NU_HZ = 10.0e6
+
+
+def parse_frequency(value: Union[str, float, int]) -> float:
+    """Frequency in nu units; strings may carry a kHz or MHz suffix."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    text = str(value).strip()
+    for suffix, hz in (("kHz", 1.0e3), ("MHz", 1.0e6)):
+        if text.lower().endswith(suffix.lower()):
+            try:
+                return float(text[: -len(suffix)].strip()) * hz / NU_HZ
+            except ValueError:
+                raise ParseError(f"cannot parse frequency {value!r}")
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"cannot parse frequency {value!r}")
+
+
+def parse_gamma(value: Any) -> Union[float, Tuple[float, ...]]:
+    """Dephasing rate(s) in nu units: one frequency, or a list of one per spin."""
+    if isinstance(value, (list, tuple)):
+        return tuple(parse_frequency(g) for g in value)
+    return parse_frequency(value)
+
+
+def _finite(value: Any) -> float:
+    """``float(value)``, refusing nan and the infinities."""
+    number = float(value)
+    if not isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a value with a fractional part (4.0 is 4, 4.5 is refused)."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError("not an integer")
+    return int(number)
+
+
+def _schedule_from_value(value: Any, t_final: float) -> DriveSchedule:
+    if isinstance(value, DriveSchedule):
+        return value
+    if value == "calibrated":
+        return calibrated_schedule(t_final=t_final)
+    if value == "literal":
+        return literal_schedule()
+    if isinstance(value, str):
+        raise ValidationError(
+            f"schedule must be one of {SCHEDULE_KINDS} or a field mapping, got {value!r}"
+        )
+    if isinstance(value, dict):
+        unknown = set(value) - {f.name for f in fields(DriveSchedule)}
+        if unknown:
+            raise ValidationError(f"unknown schedule fields: {sorted(unknown)}")
+        return DriveSchedule(**{k: float(v) for k, v in value.items()})
+    raise ValidationError(f"cannot build a schedule from {value!r}")
+
+
+def _disorder_from_value(value: Any, eta: float) -> Optional[DisorderProfile]:
+    if value is None or isinstance(value, DisorderProfile):
+        return value
+    if isinstance(value, dict):
+        return DisorderProfile(fractions=value["fractions"], eta=float(value.get("eta", eta)),
+                               label=str(value.get("label", "")))
+    if isinstance(value, (list, tuple)):
+        return DisorderProfile(fractions=value, eta=eta)
+    raise ValidationError(f"cannot build a disorder profile from {value!r}")
+
+
+def _coerce(name: str, value: Any, build: Callable[[Any], Any]) -> Any:
+    """``build(value)``, with a failure reported as a ValidationError naming the field."""
+    try:
+        return build(value)
+    except LmgAdiabatError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(
+            f"{name}: cannot use {value!r} ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+#: The converter of each settings key whose value depends on no other key.
+_CONVERTERS: Dict[str, Callable[[Any], Any]] = {
+    "case": lambda v: str(v).upper(), "n_spins": _integer, "n_samples": _integer,
+    "lambda_over_nu": float, "detuning_magnitude": float, "nbar": float, "step": float,
+    "delta": parse_frequency, "gamma_dep": parse_gamma, "t_final": float,
+}
+
+#: The dotted keys that set one field of the resolved schedule.
+_SCHEDULE_KEYS = frozenset(f"schedule.{f.name}" for f in fields(DriveSchedule))
+
+#: Every key of a settings mapping; ``schedule`` and ``disorder`` are built
+#: from ``t_final`` and ``lambda_over_nu``, then ``schedule.<field>`` keys
+#: set fields of the schedule.
+SETTINGS_KEYS = frozenset(_CONVERTERS) | {"schedule", "disorder"} | _SCHEDULE_KEYS
+
+
+def convert_setting(name: str, value: Any, label: Optional[str] = None) -> Any:
+    """``value`` of settings key ``name``, converted as :func:`config_from_settings` does.
+
+    ``schedule`` and ``disorder`` values, and dotted ``schedule.<field>``
+    ones, are returned as given: they are built only with the rest of the
+    settings.  A failure is a ValidationError naming ``label`` (default
+    ``name``).
+    """
+    build = _CONVERTERS.get(name)
+    return value if build is None else _coerce(label or name, value, build)
+
+
+def config_from_settings(data: Mapping[str, Any]) -> ScenarioConfig:
+    """Build a validated scenario from a plain settings mapping.
+
+    Unset fields fall back to the case preset defaults; ``delta`` may be given
+    signed, or left to the preset sign rule via ``detuning_magnitude``.  A
+    named schedule is built over ``t_final`` and a fraction-list disorder at
+    ``lambda_over_nu``; dotted ``schedule.<field>`` keys then set fields of
+    that schedule.  A value that cannot be converted raises
+    :class:`ValidationError` naming its field.
+    """
+    unknown = set(data) - SETTINGS_KEYS
+    if unknown:
+        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+
+    def field(name: str, default: Any) -> Any:
+        return convert_setting(name, data.get(name, default))
+
+    case = field("case", "I")
+    # finite before the calibrated schedule is built from it; checked here and
+    # not by the converter, so that a sweep point with a nan t_final fails alone
+    t_final = _coerce("t_final", field("t_final", 4000.0), _finite)
+    if "delta" in data:
+        delta = field("delta", None)
+    else:
+        delta = preset_delta(case, field("detuning_magnitude", 1.1))
+    lam = field("lambda_over_nu", 0.1)
+    schedule = _coerce("schedule", data.get("schedule", "calibrated"),
+                       lambda v: _schedule_from_value(v, t_final))
+    for key in sorted(data.keys() & _SCHEDULE_KEYS):
+        name = key.partition(".")[2]
+        schedule = _coerce(key, data[key], lambda v: replace(schedule, **{name: float(v)}))
     return ScenarioConfig(
         case=case,
-        n_spins=default_n_spins(case) if n_spins is None else n_spins,
-        lambda_over_nu=coupling,
-        delta=preset_delta(case, detuning_magnitude),
-        schedule=named_schedule(schedule, t_final) if isinstance(schedule, str) else schedule,
-        gamma_dep=gamma,
+        n_spins=field("n_spins", default_n_spins(case)),
+        lambda_over_nu=lam,
+        delta=delta,
+        schedule=schedule,
+        gamma_dep=field("gamma_dep", 0.0),
+        disorder=_coerce("disorder", data.get("disorder"), lambda v: _disorder_from_value(v, lam)),
         t_final=t_final,
-        n_samples=n_samples,
-        step=step,
+        n_samples=field("n_samples", 401),
+        nbar=field("nbar", 20.0),
+        step=field("step", DEFAULT_STEP),
     )
 
 

@@ -1,30 +1,40 @@
 """Scenario grids run point by point into one table.
 
-A grid is a base scenario plus named axes of parameter overrides; the
+A grid is a base settings mapping plus named axes of settings values; the
 cartesian product runs one point after another, in grid order, on the
 calling thread (an N >= 6 point still scans its gap beside its integration,
-see :func:`lmg_adiabat.dynamics.evolve_batch`).  Failed points keep their
-row with an error label instead of being dropped.
+see :func:`lmg_adiabat.dynamics.evolve_batch`).  Any settings key may be an
+axis, and so may a dotted ``schedule.<field>``.  Each point is resolved by
+:func:`lmg_adiabat.protocols.config_from_settings` from the base settings
+with the point's values substituted, exactly as ``simulate`` resolves a
+config, so values derived from other keys (the sign of ``delta``, a named
+schedule, a fraction-list disorder) follow the point.  Axis values are
+converted, kHz and MHz suffixes included, when the grid is built.  Failed
+points keep their row with an error label instead of being dropped.
 """
 from __future__ import annotations
 
-import dataclasses
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .dynamics import DriveSchedule
 from .errors import ValidationError
 from .model import DisorderProfile
-from .protocols import ScenarioConfig, _pmap, run_scenario
+from .protocols import (
+    SETTINGS_KEYS,
+    ScenarioConfig,
+    _pmap,
+    config_from_settings,
+    convert_setting,
+    run_scenario,
+)
 
 DEFAULT_MAX_POINTS = 10_000
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_SCHEDULE_FIELDS = {f.name for f in dataclasses.fields(DriveSchedule)}
 
 
 def format_cell(value: Any) -> str:
@@ -41,60 +51,47 @@ def format_cell(value: Any) -> str:
         return value.label or "(" + ";".join(repr(float(f)) for f in value.fractions) + ")"
     if isinstance(value, DriveSchedule):
         return ";".join(
-            f"{f.name}={repr(float(getattr(value, f.name)))}"
-            for f in dataclasses.fields(value)
+            f"{f.name}={repr(float(getattr(value, f.name)))}" for f in fields(value)
         )
+    if isinstance(value, dict):
+        return ";".join(f"{k}={format_cell(v)}" for k, v in value.items())
     if isinstance(value, (tuple, list)):
         return "(" + ";".join(format_cell(v) for v in value) + ")"
     return str(value)
 
 
-def _check_axis_name(name: str) -> None:
-    head, _, tail = name.partition(".")
-    if head not in _CONFIG_FIELDS:
-        raise ValidationError(f"axis {name!r} does not name a ScenarioConfig field")
-    if tail:
-        if head != "schedule" or tail not in _SCHEDULE_FIELDS:
-            raise ValidationError(f"axis {name!r} does not name a schedule field")
-
-
-def _apply_override(cfg: ScenarioConfig, name: str, value: Any) -> ScenarioConfig:
-    head, _, tail = name.partition(".")
-    if tail:
-        return dataclasses.replace(
-            cfg, schedule=dataclasses.replace(cfg.schedule, **{tail: value})
-        )
-    if head == "disorder" and value is not None and not isinstance(value, DisorderProfile):
-        value = DisorderProfile(fractions=tuple(value), eta=cfg.eta)
-    if head == "gamma_dep" and isinstance(value, list):
-        value = tuple(value)
-    return dataclasses.replace(cfg, **{head: value})
-
-
 @dataclass(frozen=True)
 class SweepGrid:
-    """Base scenario plus named override axes (cartesian product)."""
+    """Base settings plus named axes of settings values (cartesian product).
 
-    base: ScenarioConfig
+    ``settings`` is a settings mapping without its ``sweep`` section, and
+    ``base`` is it resolved.  Axis values are converted as the settings
+    resolver converts them; ``schedule``, ``schedule.<field>`` and
+    ``disorder`` values are kept as given and built per point.
+    """
+
+    settings: Mapping[str, Any]
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     output_path: Optional[str] = None
     max_points: int = DEFAULT_MAX_POINTS
+    base: ScenarioConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        axes = tuple(
-            (str(name), tuple(values)) for name, values in dict(self.axes).items()
-        ) if isinstance(self.axes, dict) else tuple(
-            (str(name), tuple(values)) for name, values in self.axes
-        )
-        object.__setattr__(self, "axes", axes)
-        for name, values in axes:
-            _check_axis_name(name)
+        axes = []
+        for name, values in self.axes:
+            name, values = str(name), tuple(values)
+            if name not in SETTINGS_KEYS:
+                raise ValidationError(f"axis {name!r} is neither a config key nor schedule.<field>")
             if not values:
                 raise ValidationError(f"axis {name!r} has no values")
+            axes.append((name, tuple(convert_setting(name, v, f"sweep axis {name}")
+                                     for v in values)))
+        object.__setattr__(self, "axes", tuple(axes))
         if self.size > self.max_points:
             raise ValidationError(
                 f"grid size {self.size} exceeds the cap of {self.max_points} points"
             )
+        object.__setattr__(self, "base", config_from_settings(self.settings))
 
     @property
     def axis_names(self) -> Tuple[str, ...]:
@@ -102,24 +99,19 @@ class SweepGrid:
 
     @property
     def size(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.axes)
 
     def points(self) -> List[Dict[str, Any]]:
-        """Override dictionaries in grid order (last axis fastest)."""
+        """Axis values of each point in grid order (last axis fastest)."""
         names = self.axis_names
         return [
             dict(zip(names, combo))
             for combo in product(*(values for _, values in self.axes))
         ]
 
-    def config_at(self, overrides: Dict[str, Any]) -> ScenarioConfig:
-        cfg = self.base
-        for name, value in overrides.items():
-            cfg = _apply_override(cfg, name, value)
-        return cfg
+    def config_at(self, point: Dict[str, Any]) -> ScenarioConfig:
+        """The base settings with the point's values, resolved as ``simulate`` resolves them."""
+        return config_from_settings({**self.settings, **point})
 
 
 @dataclass
@@ -152,35 +144,19 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
     points = list(enumerate(grid.points()))
 
     def one(item) -> SweepRow:
-        index, overrides = item
+        index, point = item
         start = time.perf_counter()
         try:
-            cfg = grid.config_at(overrides)
+            cfg = grid.config_at(point)
+            if "disorder" in point:  # its cell shows the built profile's label or fractions
+                point = {**point, "disorder": cfg.disorder}
             run = run_scenario(cfg, store_states=False)
-            return SweepRow(
-                index=index,
-                values=overrides,
-                pop_final=run.final_population,
-                pop_final_phase_opt=run.final_population_phase_opt,
-                gap_min=run.min_gap,
-                trace_defect_max=run.max_trace_defect,
-                status="ok",
-                error="",
-                wall_time=time.perf_counter() - start,
-                diagnostics=run.trajectory.diagnostics,
-            )
         except Exception as exc:  # captured per point, never dropped
-            return SweepRow(
-                index=index,
-                values=overrides,
-                pop_final=float("nan"),
-                pop_final_phase_opt=float("nan"),
-                gap_min=float("nan"),
-                trace_defect_max=float("nan"),
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time=time.perf_counter() - start,
-                diagnostics={},
-            )
+            nan = float("nan")
+            return SweepRow(index, point, nan, nan, nan, nan, "error",
+                            f"{type(exc).__name__}: {exc}", time.perf_counter() - start, {})
+        return SweepRow(index, point, run.final_population, run.final_population_phase_opt,
+                        run.min_gap, run.max_trace_defect, "ok", "",
+                        time.perf_counter() - start, run.trajectory.diagnostics)
 
     return SweepTable(axes=grid.axis_names, rows=_pmap(one, points, 1))

@@ -316,7 +316,7 @@ def test_criterion_12_determinism(tmp_path):
             ]
             assert texts[0] == texts[1]
             grid = la.SweepGrid(
-                base=la.preset("I", 3, t_final=800.0, n_samples=41),
+                settings={"case": "I", "n_spins": 3, "t_final": 800.0, "n_samples": 41},
                 axes=(("gamma_dep", GAMMAS),),
             )
             tables = [cli.sweep_csv_text(la.run_sweep(grid)) for _ in range(2)]

@@ -1,23 +1,25 @@
+import csv
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from lmg_adiabat import cli
+from lmg_adiabat import cli, protocols
 from lmg_adiabat.errors import ParseError, RegimeWarning, ValidationError
 from lmg_adiabat.protocols import preset
 from lmg_adiabat.sweep import SweepGrid
 
 
 def test_parse_frequency_units():
-    assert cli.parse_frequency(1e-4) == 1e-4
-    assert cli.parse_frequency("1.0kHz") == pytest.approx(1e-4)
-    assert cli.parse_frequency("0.5 kHz") == pytest.approx(5e-5)
-    assert cli.parse_frequency("11MHz") == pytest.approx(1.1)
-    assert cli.parse_frequency("-1.1") == -1.1
+    assert protocols.parse_frequency(1e-4) == 1e-4
+    assert protocols.parse_frequency("1.0kHz") == pytest.approx(1e-4)
+    assert protocols.parse_frequency("0.5 kHz") == pytest.approx(5e-5)
+    assert protocols.parse_frequency("11MHz") == pytest.approx(1.1)
+    assert protocols.parse_frequency("-1.1") == -1.1
     with pytest.raises(ParseError):
-        cli.parse_frequency("fast")
+        protocols.parse_frequency("fast")
 
 
 def test_defaulted_case_one_preset():
@@ -50,7 +52,7 @@ def test_unknown_field_rejected():
 def test_config_round_trip(case, n, mag, tmp_path):
     cfg = preset(case, n, detuning_magnitude=mag, gamma=1e-4)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cli.serialize_config(cfg)))
+    path.write_text(json.dumps(cli.build_manifest("simulate", cfg)["config"]))
     assert cli.parse_config(str(path)) == cfg
 
 
@@ -58,6 +60,13 @@ def test_set_dotted_schedule_override():
     cfg = cli.parse_config(overrides=["schedule.ramp2=700", "schedule.zeta=0.25"])
     assert cfg.schedule.ramp2 == 700.0
     assert cfg.schedule.zeta == 0.25
+    # each field is laid over the calibrated default, or the schedule --schedule names
+    calibrated = preset("I")
+    assert (cli.parse_config(overrides=["schedule.dzeta2=0.015"])
+            == replace(calibrated, schedule=calibrated.schedule.with_dispersion(0.0, 0.015)))
+    literal = preset("I", schedule="literal")
+    assert (cli.parse_config(overrides=["schedule.zeta=0.25"], schedule_kind="literal")
+            == replace(literal, schedule=replace(literal.schedule, zeta=0.25)))
 
 
 def test_schedule_flag_selects_literal():
@@ -73,24 +82,104 @@ def test_unset_fields_take_the_case_preset(case):
 
 
 def test_schedule_name_that_is_not_a_kind_is_rejected():
-    with pytest.raises(ValidationError, match=r"schedule must be one of \('calibrated', "
-                                              r"'literal'\) or a field mapping, got 'slow'"):
+    # the CLI and preset resolve their settings the same way, so they fail the same way
+    message = (r"schedule must be one of \('calibrated', 'literal'\) or a field mapping, "
+               r"got 'slow'")
+    with pytest.raises(ValidationError, match=message):
         cli.parse_config(overrides=["schedule=slow"])
-    with pytest.raises(ValidationError, match="unknown schedule kind 'slow'"):
+    with pytest.raises(ValidationError, match=message):
         preset("I", schedule="slow")
 
 
 def test_sweep_section_builds_grid():
-    cfg = cli.parse_config(
-        overrides=['sweep={"axes": {"gamma_dep": [0, "0.1kHz", ["1kHz", "1kHz", 0, 0]]}}']
-    )
+    cfg = cli.parse_config(overrides=[
+        "case=I", 'sweep={"axes": {"gamma_dep": [0, "0.1kHz", ["1kHz", "1kHz", 0, 0]]}}'])
     assert isinstance(cfg, SweepGrid)
+    # the grid keeps the settings without the sweep section, and resolves them as its base
+    assert cfg.settings == {"case": "I"}
+    assert cfg.base == preset("I")
     assert cfg.axes[0][0] == "gamma_dep"
     assert cfg.axes[0][1][1] == pytest.approx(1e-5)
     # a per-spin list on an axis is converted like the same list in the base config
     base = cli.parse_config(overrides=['gamma_dep=["1kHz", "1kHz", 0, 0]'])
     assert cfg.axes[0][1][2] == base.gamma_dep == pytest.approx((1e-4, 1e-4, 0.0, 0.0))
     assert cfg.config_at({"gamma_dep": cfg.axes[0][1][2]}) == base
+
+
+@pytest.mark.parametrize("base,axis,values", [
+    (["n_spins=4"], "case", ["I", "III"]),
+    ([], "t_final", [2000, 4000]),
+    (["disorder=[0.1,0,0,0]"], "lambda_over_nu", [0.1, 0.2]),
+    ([], "schedule", ["calibrated", "literal"]),
+    (["t_final=2000"], "schedule", [{"ramp2": 700, "zeta": 0.25}]),
+    ([], "detuning_magnitude", [0.9, 1.3]),
+    (["n_spins=4"], "gamma_dep", [0, "0.5kHz", ["1kHz", 0, "2 kHz", 0]]),
+    ([], "delta", [-1.3, "11MHz"]),
+    (["delta=-1.1", "n_spins=4"], "case", ["I", "III"]),
+    (["t_final=2000"], "schedule.dzeta2", [0.0, 0.015]),
+    (["lambda_over_nu=0.05"], "disorder",
+     [None, [0.1, 0, 0, 0], {"fractions": [0, 0.1, 0, 0], "label": "x"}]),
+], ids=["case", "t_final", "lambda-with-fraction-disorder", "schedule-names",
+        "schedule-mapping", "detuning_magnitude", "gamma_dep-si-and-per-spin", "delta",
+        "explicit-delta-wins", "schedule-field", "disorder"])
+def test_sweep_point_resolves_as_simulate_does(base, axis, values):
+    # every point is the config that simulate builds from the same settings
+    grid = cli.parse_config(overrides=[*base, "sweep=" + json.dumps({"axes": {axis: values}})])
+    points = grid.points()
+    assert len(points) == len(values)
+    for point, value in zip(points, values):
+        alone = cli.parse_config(overrides=[*base, f"{axis}={json.dumps(value)}"])
+        assert grid.config_at(point) == alone
+
+
+def test_sweep_over_cases_matches_simulate_bit_for_bit(tmp_path):
+    # case III's point takes case III's detuning sign, as simulate does
+    assert cli.main(["sweep", "--set", "n_spins=4",
+                     "--set", 'sweep={"axes": {"case": ["I", "III"]}}',
+                     "--out", str(tmp_path / "sweep")]) == 0
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["case"] for row in rows] == ["I", "III"]
+    for row in rows:
+        out = tmp_path / row["case"]
+        assert cli.main(["simulate", "--set", f"case={row['case']}", "--set", "n_spins=4",
+                         "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert row["pop_final"] == last["pop_target"]  # shortest round-trip text: same bits
+        assert float(row["pop_final_phase_opt"]) > 0.999
+
+
+def test_dotted_schedule_axis_over_a_named_schedule(tmp_path):
+    # a schedule.<field> axis sets that field of the schedule --schedule names
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        assert cli.main(["sweep", "--schedule", "literal", "--set", "n_spins=3",
+                         "--set", "t_final=300", "--set", "n_samples=11",
+                         "--set", 'sweep={"axes": {"schedule.zeta": [0.25, 0.3]}}',
+                         "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
+    grid = cli.parse_config(overrides=[
+        "n_spins=3", 'sweep={"axes": {"schedule.zeta": [0.25]}}'], schedule_kind="literal")
+    literal = preset("I", 3, schedule="literal")
+    assert grid.config_at(grid.points()[0]) == replace(
+        literal, schedule=replace(literal.schedule, zeta=0.25))
+
+
+@pytest.mark.parametrize("field", ["n_spins", "n_samples"])
+def test_non_integral_count_is_invalid_config(field, tmp_path, capsys):
+    # a count with a fractional part is refused, on an axis too; an integral 4.0 is 4
+    assert cli.main(["simulate", "--set", f"{field}=4.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {field}: cannot use 4.5 ")
+    sweep = "sweep=" + json.dumps({"axes": {field: [4, 4.5]}})
+    assert cli.main(["sweep", "--set", sweep, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"invalid config: sweep axis {field}: cannot use 4.5 ")
+    assert not (tmp_path / "trajectory.csv").exists() and not (tmp_path / "sweep.csv").exists()
+    value = getattr(cli.parse_config(overrides=[f"{field}=4.0"]), field)
+    assert value == 4 and type(value) is int
 
 
 @pytest.mark.parametrize("override", [

@@ -49,6 +49,22 @@ def test_config_rejects_non_finite_values():
         ScenarioConfig(step=float("nan"))
 
 
+@pytest.mark.parametrize("name", ["n_spins", "n_samples"])
+def test_config_rejects_non_integer_counts(name):
+    for value in (4.5, "4", None):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+    value = getattr(ScenarioConfig(**{name: 4.0}), name)
+    assert value == 4 and type(value) is int
+
+
+def test_config_rejects_a_schedule_or_disorder_of_another_type():
+    with pytest.raises(ValidationError, match="schedule must be a DriveSchedule"):
+        ScenarioConfig(schedule="literal")
+    with pytest.raises(ValidationError, match="disorder must be None or a DisorderProfile"):
+        ScenarioConfig(disorder=[0.1, 0, 0, 0])
+
+
 def test_config_gamma_list_length():
     with pytest.raises(ValidationError):
         ScenarioConfig(case="I", n_spins=4, gamma_dep=(1e-4, 1e-4))

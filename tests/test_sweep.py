@@ -1,17 +1,19 @@
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lmg_adiabat.cli import sweep_csv_text
 from lmg_adiabat.errors import RegimeWarning, ValidationError
 from lmg_adiabat.protocols import preset, run_scenario
 from lmg_adiabat.sweep import SweepGrid, run_sweep
 
 
 def small_grid(**axes):
-    base = preset("I", 3, t_final=300.0, n_samples=11)
-    return SweepGrid(base=base, axes=tuple(axes.items()))
+    settings = {"case": "I", "n_spins": 3, "t_final": 300.0, "n_samples": 11}
+    return SweepGrid(settings=settings, axes=tuple(axes.items()))
 
 
 def test_single_point_grid_matches_run_scenario():
@@ -28,8 +30,8 @@ def test_single_point_grid_matches_run_scenario():
 
 
 def test_gamma_axis_strictly_decreasing():
-    base = preset("I", 3)
-    grid = SweepGrid(base=base, axes=(("gamma_dep", (0.0, 1e-5, 5e-5, 1e-4)),))
+    grid = SweepGrid(settings={"case": "I", "n_spins": 3},
+                     axes=(("gamma_dep", (0.0, 1e-5, 5e-5, 1e-4)),))
     table = run_sweep(grid)
     pops = [r.pop_final for r in table.rows]
     assert all(a > b for a, b in zip(pops, pops[1:]))
@@ -58,6 +60,9 @@ def test_dotted_schedule_axis():
     grid = small_grid(**{"schedule.dzeta2": (0.0, 0.015)})
     cfg = grid.config_at(grid.points()[1])
     assert cfg.schedule.dzeta2 == 0.015
+    # the field is set on the base's calibrated schedule, not on the DriveSchedule defaults
+    base = preset("I", 3, t_final=300.0, n_samples=11)
+    assert cfg == replace(base, schedule=base.schedule.with_dispersion(0.0, 0.015))
 
 
 def test_disorder_axis_accepts_fraction_lists():
@@ -67,15 +72,32 @@ def test_disorder_axis_accepts_fraction_lists():
     assert cfg.disorder.fractions == (0.05, 0.05, 0.04)
 
 
+def test_disorder_axis_cells_show_the_built_profile():
+    # a fraction list prints its fractions as floats, a labelled mapping its label
+    grid = small_grid(disorder=(None, [0.1, 0, 0], {"fractions": [0, 0.1, 0], "label": "x"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        text = sweep_csv_text(run_sweep(grid))
+    assert [line.split(",")[0] for line in text.splitlines()] == [
+        "disorder", "", "(0.1;0.0;0.0)", "x"]
+
+
+def test_nan_t_final_axis_value_fails_its_own_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        table = run_sweep(small_grid(t_final=(float("nan"), 300.0)))
+    assert [r.status for r in table.rows] == ["error", "ok"]
+    assert "t_final: cannot use nan" in table.rows[0].error
+
+
 def test_grid_validation():
     with pytest.raises(ValidationError):
         small_grid(not_a_field=(1, 2))
     with pytest.raises(ValidationError):
         small_grid(gamma_dep=())
-    base = preset("I", 3, t_final=200.0)
     with pytest.raises(ValidationError):
-        SweepGrid(base=base, axes=(("gamma_dep", tuple(np.linspace(0, 1e-4, 7))),),
-                  max_points=5)
+        SweepGrid(settings={"case": "I", "n_spins": 3, "t_final": 200.0},
+                  axes=(("gamma_dep", tuple(np.linspace(0, 1e-4, 7))),), max_points=5)
 
 
 def test_failed_points_recorded_not_dropped():
@@ -117,7 +139,9 @@ def test_aggregate_disorder_levels_against_baseline():
         DisorderProfile(fractions=f, eta=base.eta, label=levels[label.split("(")[1][0]])
         for label, f in REFERENCE_DISORDER_PROFILES
     )
-    grid = SweepGrid(base=base, axes=(("disorder", profiles),))
+    grid = SweepGrid(settings={"case": "I", "n_spins": 4, "detuning_magnitude": 0.9},
+                     axes=(("disorder", profiles),))
+    assert grid.base == base
     table = run_sweep(grid)
     baseline = run_scenario(base, store_states=False).final_population
     assert [r.status for r in table.rows] == ["ok"] * 12
