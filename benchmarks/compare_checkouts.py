@@ -9,6 +9,13 @@ and how many pairs the change won (ties count for neither side).  The ``env``
 record names the kernel set the change checkout integrates on
 (``_kernels.get_kernels().name``) and the machine it ran on.
 
+Before the first pair both checkouts are byte-compiled
+(``python -m compileall -q src``), and ``env`` records that they were:
+where ``PYTHONDONTWRITEBYTECODE`` is set, or a checkout is read-only,
+``run.py``'s setup imports would otherwise compile whichever side has no
+bytecode caches from source on every sample, and a side compiled earlier
+would read about 25% faster on ``setup_s``.
+
 Usage:
 
     python benchmarks/compare_checkouts.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
@@ -40,6 +47,11 @@ def run_once(checkout, workload, seed, seconds):
     return {"correct": result["correct"], "failed": result["failed"],
             "attempted": result["attempted"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def compile_sources(checkout):
+    """Byte-compile the package of a checkout, so that neither side imports from source."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
 
 
 def environment(checkout):
@@ -88,7 +100,9 @@ def main():
 
     path = Path(opts.out)
     bench = json.loads(path.read_text()) if path.exists() else {"runs": {}}
-    bench["env"] = environment(opts.change)
+    for checkout in (opts.parent, opts.change):
+        compile_sources(checkout)
+    bench["env"] = {**environment(opts.change), "compiled": True}
     bench["seconds"] = opts.seconds
     for spec in opts.run:
         workload, seed, pairs = spec.split(":")

@@ -22,20 +22,23 @@ cost 0.04-0.13 us each up to d = 4 and 0.3-0.4 us at d = 8, against
 cost 1.2-1.7 times a complex product at d = 32 and 64
 (``benchmarks/bench_kernels.py``, 2 vCPUs); no run of the benchmark
 integrates a propagator above d = 5.  A propagator
-returns to complex (:func:`_unblock`) once per stack, where it conjugates
-rho.  Without dephasing the steps between two samples compose exactly, so
-their propagators are first multiplied into one on a pairwise tree
-(:func:`_segment_propagators`, one product a step) and rho is conjugated
-once per sample interval; this moves the results by rounding only, about
-1e-14.  With dephasing and an :class:`OperatorBasis` of the operator space
-the run stays in, the whole step, dephasing included, is a real matrix on
-that space (:func:`_operator_steps`, from the same series, :func:`_cos_sinc`,
-summed on the smaller half of the space only), so the step matrices of a
-sample interval are fused in the same way and only the coordinate vector of
-rho is advanced.  With
-dephasing and no such basis, rho is conjugated by each step's propagator,
-at two small products a step.  The step is CPTP, so it cannot blow up, and
-its size is set by how fast H(t) changes rather than by its norm.
+returns to complex (:func:`_unblock`) only where it meets rho.  Without
+dephasing the steps between two samples compose exactly, so their
+propagators are first multiplied into one per sample interval on a pairwise
+tree (:func:`_segment_propagators`, one product a step).  The intervals are
+then taken in groups of a fixed count, and a log-depth scan
+(:func:`_prefix_products`) gives each group's prefix products, which carry
+the group's starting rho to every sample in one batched conjugation,
+Hermitized; this moves the results by rounding only, about 1e-14.  With
+dephasing and an :class:`OperatorBasis` of the operator space the run stays
+in, the whole step, dephasing included, is a real matrix on that space
+(:func:`_operator_steps`, from the same series, :func:`_cos_sinc`, summed on
+the smaller half of the space only), so the step matrices of a sample
+interval are fused and scanned in the same way and only the coordinate
+vector of rho is carried.  With dephasing and no such basis, rho is
+conjugated by each step's propagator, at two small products a step, one
+Python step at a time.  The step is CPTP, so it cannot blow up, and its
+size is set by how fast H(t) changes rather than by its norm.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -176,9 +179,9 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 #: d x d matrices; their block forms take twice that, and their exponentials
 #: hold up to about twenty temporaries of that size), the fused propagators of
 #: one member's segment of a run without dephasing (so such a segment is at
-#: most 64 steps at d = 8, and one step from d = 64 up), and in
-#: :mod:`lmg_adiabat.dynamics` the sampled states whose eigenvalues are
-#: checked.
+#: most 64 steps at d = 8, and one step from d = 64 up), the segments of one
+#: member scanned together (64 at d = 8), and in :mod:`lmg_adiabat.dynamics`
+#: the sampled states whose eigenvalues are checked.
 STACK_BYTES = 1 << 16
 #: Largest stack of gap-scan Hamiltonians built and diagonalized at once
 #: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: all 401 samples of a
@@ -489,7 +492,7 @@ def _operator_steps(rows, operators, dt):
 
 
 def _segment_ends(n_steps, sample_idx, longest):
-    """Ends of the fused segments of a run without dephasing.
+    """Ends of the fused segments of a run without dephasing or on an operator space.
 
     A segment runs from one sample step (or step 0) to the next one (or
     ``n_steps``) and is cut every ``longest`` steps from its start, so the
@@ -531,86 +534,16 @@ def _segment_propagators(u, lengths):
     return products[0] if len(products) == 1 else np.concatenate(products)
 
 
-def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, store_rho, operators=None):
-    """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
+def _segment_stacks(steps, ctab, ends, per_chunk):
+    """Yield the (n, B, ., .) segment products of a run, stack by stack.
 
-    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
-    optional :class:`OperatorBasis` of the space the run stays in.  One loop
-    advances the state over segments.  Without ``operators`` the state is
-    rho, and a segment maps it to E o (V (E o rho) V^H), then Hermitized,
-    with E = exp(W dt / 2) and V the product of the segment's step
-    propagators from :func:`_cf4_propagators`; every factor is a CPTP map,
-    so the step keeps the trace and positivity at any step size.  With
-    dephasing a segment is one step.  Without it (W = 0) the steps between
-    two samples compose exactly, so a segment is a sample interval
-    (:func:`_segment_ends`), multiplied out by :func:`_segment_propagators`.
-    With ``operators`` the state is the real coordinate vector of rho, each
-    step is a real matrix (:func:`_operator_steps`) that includes the
-    dephasing, so the steps of a sample interval compose exactly with or
-    without it, and the sampled states are embedded back as k x k matrices.
-    The step matrices are built in stacks of ``STACK_BYTES``; the segments
-    that end in a stack are applied, and their samples recorded, together,
-    and a segment's unfinished steps wait for the next stack.
+    ``steps`` builds the step maps of ``per_chunk`` steps at a time from
+    their rows of ``ctab``; each stack yields the products of the segments
+    that end in it (:func:`_segment_propagators`), and a segment's
+    unfinished steps wait for the next stack.
     """
-    d = terms.shape[1]
     n_steps = (ctab.shape[0] - 1) // 2
-    b = ctab.shape[1]
-    m = sample_idx.shape[0]
-    out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
-    left_c = form_left.conj()
-    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
-    if operators is None:
-        stage_terms, stage_dtype = _stage_terms(terms)
-        half_damp = np.exp(0.5 * dt * w)
-        # 0.5 Hermitizes; 0.5 E also applies the second dephasing half-step
-        scale = 0.5 * half_damp
-        step_bytes, fused = 16 * d * d, not np.any(w)
-
-        def steps(rows):
-            return _cf4_propagators(rows, stage_terms, stage_dtype, dt, d)
-
-        def segments(v):
-            v = _unblock(v)
-            vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
-
-            def advance(j, x):
-                y = v[j] @ (half_damp * x) @ vh[j]
-                x = y + y.conj().transpose(0, 2, 1)
-                x *= scale
-                return x
-            return advance
-
-        def density(states):
-            return states
-
-        state = rho
-    else:
-        step_bytes, fused = 8 * operators.dim ** 2, True
-
-        def steps(rows):
-            return _operator_steps(rows, operators, dt)
-
-        def segments(v):
-            return lambda j, x: (v[j] @ x[..., None])[..., 0]
-
-        density = operators.embed
-        state = operators.coordinates(rho)
-
-    per_chunk = max(1, STACK_BYTES // (b * step_bytes))
-    if fused:
-        ends = _segment_ends(n_steps, sample_idx, max(1, STACK_BYTES // step_bytes))
-    else:
-        ends = list(range(1, n_steps + 1))
-    sampled = np.zeros(n_steps + 1, dtype=bool)
-    sampled[sample_idx] = True
-
-    ptr = 0
-    if sampled[0]:
-        _record(out, slice(0, 1), density(state[:, None]), left_c, form_right, store_rho)
-        ptr = 1
-    pending = []  # step stacks of the steps of an unfinished segment
-    first = 0
+    pending, first = [], 0
     for lo in range(0, n_steps, per_chunk):
         hi = min(lo + per_chunk, n_steps)
         u = steps(ctab[2 * lo:2 * hi + 1])
@@ -621,20 +554,146 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
         if pending:
             u = np.concatenate(pending + [u])
         start = hi - u.shape[0]
-        done = ends[first:last]  # the segments that end in this stack
-        advance = segments(_segment_propagators(u[:done[-1] - start],
-                                                np.diff([start] + done).tolist()))
-        states = []
-        for j, end in enumerate(done):
-            state = advance(j, state)
-            if sampled[end]:
-                states.append(state)
-        if states:
-            rows = slice(ptr, ptr + len(states))
-            _record(out, rows, density(np.stack(states, axis=1)), left_c, form_right, store_rho)
-            ptr += len(states)
+        done = ends[first:last]
+        yield _segment_propagators(u[:done[-1] - start], np.diff([start] + done).tolist())
         pending = [u[done[-1] - start:]] if hi > done[-1] else []
         first = last
+
+
+def _groups(stacks, size):
+    """The items of a stream of stacks, restacked ``size`` at a time (the last may be fewer)."""
+    held, count = [], 0
+    for stack in stacks:
+        held.append(np.ascontiguousarray(stack))  # not a view that keeps its step stack alive
+        count += len(stack)
+        while count >= size:
+            joined = np.concatenate(held)
+            yield joined[:size]
+            held, count = [joined[size:]], count - size
+    if count:
+        yield np.concatenate(held)
+
+
+def _prefix_products(v):
+    """Inclusive prefix products V_j ... V_0 of an (n, B, ., .) stack, in place.
+
+    A Hillis-Steele scan (Blelloch, "Prefix sums and their applications",
+    1990): after the pass of shift s, entry j holds V_j ... V_(j - 2s + 1)
+    (or ... V_0), so ceil(log2 n) batched products make every prefix.
+    Entry j is multiplied in an order set by j alone, so its bits depend on
+    neither n nor the batch.
+    """
+    shift = 1
+    while shift < len(v):
+        v[shift:] = v[shift:] @ v[:-shift]
+        shift *= 2
+    return v
+
+
+def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
+                        form_left, form_right, store_rho, operators=None):
+    """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
+
+    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
+    optional :class:`OperatorBasis` of the space the run stays in.  Without
+    ``operators`` the state is rho, and a step maps it to
+    E o (U (E o rho) U^H) with E = exp(W dt / 2) and U from
+    :func:`_cf4_propagators`; every factor is a CPTP map, so the step keeps
+    the trace and positivity at any step size.  With ``operators`` the state
+    is the real coordinate vector of rho and each step is a real matrix
+    (:func:`_operator_steps`) that includes the dephasing; the sampled
+    states are embedded back as k x k matrices.
+
+    The step maps are built in stacks of ``STACK_BYTES``.  Without dephasing
+    (W = 0), or on ``operators``, the steps between two samples compose
+    exactly: the run is cut into segments, one sample interval each, cut
+    again every ``longest = STACK_BYTES // step_bytes`` steps
+    (:func:`_segment_ends`), and each segment's maps are multiplied into one,
+    V_j (:func:`_segment_propagators`).  The segments are taken ``longest``
+    at a time, counted from the start of the call; each group's prefix
+    products W_j = V_j ... V_0 (:func:`_prefix_products`) carry the group's
+    starting state to every segment end in one batched product, W rho W^H
+    Hermitized or W x, and the group's samples are recorded together.  The
+    segments and groups follow from d (or r) and the sample grid alone, so a
+    member's bits depend on neither its batch nor where the stacks fall.  A
+    dephased run without ``operators`` conjugates rho by one step's
+    propagator at a time and Hermitizes it after each step.
+    """
+    d = terms.shape[1]
+    n_steps = (ctab.shape[0] - 1) // 2
+    b = ctab.shape[1]
+    out = _lindblad_outputs(b, sample_idx.shape[0], form_left.shape[0], d, store_rho)
+    left_c = form_left.conj()
+    sampled = np.zeros(n_steps + 1, dtype=bool)
+    sampled[sample_idx] = True
+    ptr = 0
+
+    def record(states):
+        nonlocal ptr
+        rows = slice(ptr, ptr + states.shape[1])
+        _record(out, rows, density(states), left_c, form_right, store_rho)
+        ptr = rows.stop
+
+    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
+    if operators is None:
+        stage_terms, stage_dtype = _stage_terms(terms)
+        step_bytes = 16 * d * d
+
+        def steps(rows):
+            return _cf4_propagators(rows, stage_terms, stage_dtype, dt, d)
+
+        def apply(p, x):
+            p = _unblock(p).swapaxes(0, 1)
+            y = p @ x[:, None] @ p.conj().swapaxes(-1, -2)
+            return 0.5 * (y + y.conj().swapaxes(-1, -2))
+
+        def density(states):
+            return states
+
+        state = rho
+    else:
+        step_bytes = 8 * operators.dim ** 2
+
+        def steps(rows):
+            return _operator_steps(rows, operators, dt)
+
+        def apply(p, x):
+            return (p.swapaxes(0, 1) @ x[:, None, :, None])[..., 0]
+
+        density = operators.embed
+        state = operators.coordinates(rho)
+
+    per_chunk = max(1, STACK_BYTES // (b * step_bytes))
+    longest = max(1, STACK_BYTES // step_bytes)
+    if sampled[0]:
+        record(state[:, None])
+    first = 0  # the first segment of the next stack or group
+    if operators is None and np.any(w):  # one step a segment
+        ends = list(range(1, n_steps + 1))
+        half_damp = np.exp(0.5 * dt * w)
+        scale = 0.5 * half_damp  # 0.5 Hermitizes; E applies the second half-step
+        for v in _segment_stacks(steps, ctab, ends, per_chunk):
+            v = _unblock(v)
+            vh = np.ascontiguousarray(v.conj().swapaxes(-1, -2))
+            states = []
+            for j in range(v.shape[0]):
+                y = v[j] @ (half_damp * state) @ vh[j]
+                state = y + y.conj().transpose(0, 2, 1)
+                state *= scale
+                if sampled[ends[first + j]]:
+                    states.append(state)
+            if states:
+                record(np.stack(states, axis=1))
+            first += v.shape[0]
+    else:
+        ends = _segment_ends(n_steps, sample_idx, longest)
+        for v in _groups(_segment_stacks(steps, ctab, ends, per_chunk), longest):
+            states = apply(_prefix_products(v), state)
+            state = states[:, -1]
+            keep = sampled[ends[first:first + v.shape[0]]]
+            if keep.any():
+                record(states[:, keep])
+            first += v.shape[0]
 
     return (*out, density(state[:, None])[:, 0])
 

@@ -241,10 +241,11 @@ def write_manifest(manifest: Dict[str, Any], out_dir: str) -> None:
 
 
 def write_sweep_diagnostics(table: SweepTable, path: str) -> None:
-    """Per-point index, status, wall time and run diagnostics, kept out of the CSV."""
+    """Per-point index, status, wall time, diagnostics and resolved config, kept out of the CSV."""
     points = [
         {"index": row.index, "status": row.status, "wall_time": row.wall_time,
-         "diagnostics": row.diagnostics}
+         "diagnostics": row.diagnostics,
+         "config": None if row.config is None else asdict(row.config)}
         for row in table.rows
     ]
     _atomic_write(path, json.dumps({"points": points}, indent=2, sort_keys=True) + "\n")
@@ -298,7 +299,10 @@ def _cmd_sweep(cfg, args) -> int:
     path = cfg.output_path or os.path.join(out, "sweep.csv")
     write_csv(table, path)
     write_sweep_diagnostics(table, os.path.join(os.path.dirname(path), "sweep_diagnostics.json"))
-    write_manifest(build_manifest("sweep", cfg.base), out)
+    manifest = build_manifest("sweep", cfg.base)
+    # the axes in declaration order; each point's resolved config is in the sidecar
+    manifest["axes"] = [{"name": name, "values": list(values)} for name, values in cfg.axes]
+    write_manifest(manifest, out)
     print(f"{len(table.rows)} points, {table.n_failed} failed; wrote {path}")
     return 1 if table.n_failed else 0
 

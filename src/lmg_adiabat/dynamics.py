@@ -16,13 +16,15 @@ exact dephasing around a 4th-order commutator-free Magnus propagator of H(t)
 
 Every factor is a CPTP map, so the trace and positivity hold at any step.
 Without dephasing E = 1, and the kernel multiplies the propagators of the
-steps between two samples into one before it conjugates rho; the state is
-Hermitized after each such sample interval.  On an operator subspace
-(below) the whole step, dephasing included, is a real matrix, and the
-steps of a sample interval are fused in the same way.  Fusing the steps
-moves a run's results by rounding only, about 1e-14, since the same
-factors are multiplied in another order.  Other dephased runs advance rho
-one step at a time and Hermitize it after each step.
+steps between two samples into one, V_j.  It takes these in groups and
+carries each group's starting state to all of the group's samples at once
+through the prefix products V_j ... V_0, which a log-depth scan forms; each
+sampled state is Hermitized.  On an operator subspace (below) the whole
+step, dephasing included, is a real matrix, and the steps of a sample
+interval are fused and scanned in the same way.  Fusing the steps moves a
+run's results by rounding only, about 1e-14, since the same factors are
+multiplied in another order.  Other dephased runs advance rho one step at
+a time and Hermitize it after each step.
 
 The step is limited by how fast H(t) changes, not by its norm (see
 DEFAULT_STEP).  Since the step is CPTP, the trace check does not flag a step

@@ -127,6 +127,8 @@ class SweepRow:
     wall_time: float
     #: the run's TrajectoryResult.diagnostics (empty for a failed point)
     diagnostics: Dict[str, Any]
+    #: the point's resolved config (None if it could not be resolved)
+    config: Optional[ScenarioConfig]
 
 
 @dataclass
@@ -146,6 +148,7 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
     def one(item) -> SweepRow:
         index, point = item
         start = time.perf_counter()
+        cfg = None
         try:
             cfg = grid.config_at(point)
             if "disorder" in point:  # its cell shows the built profile's label or fractions
@@ -154,9 +157,9 @@ def run_sweep(grid: SweepGrid) -> SweepTable:
         except Exception as exc:  # captured per point, never dropped
             nan = float("nan")
             return SweepRow(index, point, nan, nan, nan, nan, "error",
-                            f"{type(exc).__name__}: {exc}", time.perf_counter() - start, {})
+                            f"{type(exc).__name__}: {exc}", time.perf_counter() - start, {}, cfg)
         return SweepRow(index, point, run.final_population, run.final_population_phase_opt,
                         run.min_gap, run.max_trace_defect, "ok", "",
-                        time.perf_counter() - start, run.trajectory.diagnostics)
+                        time.perf_counter() - start, run.trajectory.diagnostics, cfg)
 
     return SweepTable(axes=grid.axis_names, rows=_pmap(one, points, 1))

@@ -2,12 +2,13 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 from lmg_adiabat import cli, protocols
 from lmg_adiabat.errors import ParseError, RegimeWarning, ValidationError
+from lmg_adiabat.dynamics import DriveSchedule
 from lmg_adiabat.protocols import preset
 from lmg_adiabat.sweep import SweepGrid
 
@@ -377,6 +378,27 @@ def test_sweep_cli_worker_invariance(tmp_path):
     assert texts[0] == texts[1]
     assert sidecars[0] == sidecars[1]
     assert [p["index"] for p in sidecars[0]] == [0, 1, 2]
+
+
+def test_sweep_records_its_axes_and_each_points_config(tmp_path):
+    # the README schedule-axis sweep: the manifest names the axes, and each
+    # point's sidecar entry holds the config it ran, which the CSV leaves out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # the literal envelopes end elsewhere
+        code = cli.main(["sweep", "--set", "case=I", "--set", "n_spins=3", "--set",
+                         'sweep={"axes": {"schedule": ["calibrated", "literal"]}}',
+                         "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["axes"] == [{"name": "schedule", "values": ["calibrated", "literal"]}]
+    calibrated, literal = json.loads((tmp_path / "sweep_diagnostics.json").read_text())["points"]
+    assert calibrated["config"] == manifest["config"]
+    assert literal["config"]["schedule"] == asdict(DriveSchedule())
+    assert literal["config"]["schedule"] != calibrated["config"]["schedule"]
+    assert {k: v for k, v in literal["config"].items() if k != "schedule"} == \
+        {k: v for k, v in calibrated["config"].items() if k != "schedule"}
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert header == "schedule,pop_final,pop_final_phase_opt,gap_min,trace_defect_max,status,error"
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum", "classify", "validate-reduction"])

@@ -186,6 +186,68 @@ def _lindblad_cf4_steps(terms, ctab, w, rho0, dt, sample_idx,
     return (forms, purity, trace_defect, herm_defect, states if store_rho else states[:0], rho)
 
 
+def _lindblad_cf4_segments(terms, ctab, w, rho0, dt, sample_idx,
+                           form_left, form_right, store_rho, operators=None):
+    """A batch advanced one segment at a time, as a sequential loop.
+
+    The oracle of the prefix pass of ``_kernels._lindblad_cf4_numpy``: the
+    kernel's segments (``_kernels._segment_ends`` at its ``longest``, or one
+    step each for a dephased run without ``operators``), each multiplied
+    out by ``_kernels._segment_propagators``, but the state is carried
+    through them in turn and Hermitized after each one.
+    """
+    b, d = rho0.shape[0], terms.shape[1]
+    n_steps = (ctab.shape[0] - 1) // 2
+    rho = 0.5 * (rho0 + rho0.conj().swapaxes(1, 2))
+    if operators is None:
+        stage_terms, stage_dtype = _kernels._stage_terms(terms)
+        half_damp = np.exp(0.5 * dt * w)
+        longest = _kernels.STACK_BYTES // (16 * d * d) if not np.any(w) else 1
+
+        def steps(rows):
+            return _kernels._cf4_propagators(rows, stage_terms, stage_dtype, dt, d)
+
+        def advance(v, x):
+            v = _kernels._unblock(v)
+            y = v @ (half_damp * x) @ np.ascontiguousarray(v.conj().swapaxes(1, 2))
+            x = y + y.conj().swapaxes(1, 2)
+            x *= 0.5 * half_damp
+            return x
+
+        def density(x):
+            return x
+
+        state = rho
+    else:
+        longest = _kernels.STACK_BYTES // (8 * operators.dim ** 2)
+
+        def steps(rows):
+            return _kernels._operator_steps(rows, operators, dt)
+
+        def advance(v, x):
+            return (v @ x[:, :, None])[:, :, 0]
+
+        def density(x):
+            return operators.embed(x[:, None])[:, 0]
+
+        state = operators.coordinates(rho)
+    states = [density(state)] if 0 in sample_idx else []
+    start = 0
+    for end in _kernels._segment_ends(n_steps, sample_idx, max(1, longest)):
+        u = steps(ctab[2 * start:2 * end + 1])
+        state = advance(_kernels._segment_propagators(u, [end - start])[0], state)
+        if end in sample_idx:
+            states.append(density(state))
+        start = end
+    states = np.stack(states, axis=1)
+    forms = np.einsum("fi,bmij,fj->bmf", form_left.conj(), states, form_right)
+    purity = np.einsum("bmij,bmij->bm", states.conj(), states).real
+    trace_defect = np.abs(np.trace(states, axis1=2, axis2=3) - 1.0)
+    herm_defect = np.linalg.norm(states - states.conj().swapaxes(2, 3), axis=(2, 3))
+    return (forms, purity, trace_defect, herm_defect, states if store_rho else states[:, :0],
+            density(state))
+
+
 def _tiny_problem(rng, dim=4, n_terms=2, n_steps=40):
     terms = rng.normal(size=(n_terms, dim, dim)) + 1j * rng.normal(size=(n_terms, dim, dim))
     terms = 0.5 * (terms + terms.conj().transpose(0, 2, 1))
@@ -409,6 +471,100 @@ def test_operator_kernel_matches_the_step_by_step_oracle(n):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
     assert np.all(got[3] == 0.0)  # the embedded states are exactly Hermitian
     assert abs(got[1][-1] - 1.0) > 1e-6  # the dephasing has lowered the purity
+
+
+_OUTPUTS = ["forms", "purity", "trace_defect", "herm_defect", "rho_samples", "rho_final"]
+
+
+def _batch_problem(rng, b, n_steps, sample_idx, complex_terms):
+    """``b`` members of a 4-dim run without dephasing: own coefficients and initial states."""
+    terms, _, w, _, _, fl, fr = _tiny_problem(rng, n_steps=n_steps)
+    if not complex_terms:
+        terms = np.ascontiguousarray(terms.real, dtype=np.complex128)
+    ctab = rng.normal(size=(2 * n_steps + 1, b, terms.shape[0]))
+    psi = rng.normal(size=(b, 4)) + 1j * rng.normal(size=(b, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rho0 = psi[:, :, None] * psi[:, None, :].conj()
+    return terms, ctab, np.zeros_like(w), rho0, np.array(sample_idx), fl, fr
+
+
+@pytest.mark.parametrize("b", [1, 13])
+@pytest.mark.parametrize("complex_terms", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n_steps,sample_idx,stack_bytes", [
+    (120, [0, 1, 2, 5, 9, 30, 31, 64, 100, 119, 120], None),
+    (120, list(range(0, 121, 3)), 16 * 4 * 4 * 5),
+    (300, [0, 300], None),
+    (40, [0, 40], 16 * 4 * 4 * 3),
+], ids=["uneven", "groups-span-stacks", "two-samples", "two-samples-small-stacks"])
+def test_prefix_pass_matches_the_segment_by_segment_oracle(monkeypatch, b, complex_terms,
+                                                           n_steps, sample_idx, stack_bytes):
+    # without dephasing: groups of STACK_BYTES / (16 d^2) segments, 256 at
+    # d = 4 by default (300 steps between two samples: cut at step 256) and
+    # 5 or 3 with small stacks, where a batch of 13 builds one step a stack
+    rng = np.random.default_rng(57)
+    terms, ctab, w, rho0, idx, fl, fr = _batch_problem(rng, b, n_steps, sample_idx,
+                                                       complex_terms)
+    if stack_bytes is not None:
+        monkeypatch.setattr(_kernels, "STACK_BYTES", stack_bytes)
+    got = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    want = _lindblad_cf4_segments(terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    for name, a, c in zip(_OUTPUTS, got, want):
+        assert a.shape == c.shape, name
+        np.testing.assert_allclose(a, c, rtol=0, atol=1e-13, err_msg=name)
+    assert np.all(got[3] == 0.0)  # every recorded state is Hermitized
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 8 * 11 * 11 * 4], ids=["default", "small-stacks"])
+def test_operator_prefix_pass_matches_the_segment_by_segment_oracle(monkeypatch, stack_bytes):
+    # case I, N = 4, at 1 kHz on its 11-dim operator space: groups of
+    # STACK_BYTES / (8 r^2) = 67 segments by default, or 4 with small stacks
+    from lmg_adiabat import dynamics
+    from lmg_adiabat.model import lmg_sweep_hamiltonian
+    from lmg_adiabat.operators import SpinRegister
+    from lmg_adiabat.states import density_from_state, target_state
+
+    cfg = preset("I", 4, gamma=1e-4)
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                cfg.schedule.omega2)
+    ctab = ham.coefficient_table(1800.0 + 0.5 * np.arange(2 * 500 + 1))
+    w = dynamics.dephasing_mask(cfg.gammas())
+    rho0 = density_from_state(cfg.initial_state())
+    (plan,) = dynamics._integration_plans(ham.terms, [range(len(ham.terms))], w, rho0[None])
+    assert plan.kind == "operator subspace" and plan.operators.dim == 11
+    forms = np.stack([target_state("I", 4), cfg.initial_state()]).astype(complex)
+    terms, w, rho0, fl, fr = plan.restrict(ham.terms, w, rho0, forms, forms)
+    if stack_bytes is not None:
+        monkeypatch.setattr(_kernels, "STACK_BYTES", stack_bytes)
+    idx = np.concatenate([np.arange(0, 500, 10), [500]])
+    got = _single_run(_kernels._lindblad_cf4_numpy, terms, ctab, w, rho0, 1.0, idx, fl, fr,
+                      True, plan.operators)
+    want = tuple(x[0] for x in _lindblad_cf4_segments(terms, ctab[:, None], w, rho0[None], 1.0,
+                                                       idx, fl, fr, True, plan.operators))
+    for name, a, c in zip(_OUTPUTS, got, want):
+        np.testing.assert_allclose(a, c, rtol=0, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 16 * 4 * 4 * 5], ids=["default", "small-stacks"])
+def test_dephased_fallback_steps_one_step_at_a_time(monkeypatch, stack_bytes):
+    # a dephased run without an operator basis conjugates rho by one step at
+    # a time: its states have the bits of the sequential loop, and a
+    # member's outputs have the same bits alone and in a batch of 13
+    rng = np.random.default_rng(58)
+    terms, ctab, _, rho0, idx, fl, fr = _batch_problem(rng, 13, 40, [0, 7, 23, 40], True)
+    w = _tiny_problem(rng)[2]
+    if stack_bytes is not None:
+        monkeypatch.setattr(_kernels, "STACK_BYTES", stack_bytes)
+    batch = _kernels._lindblad_cf4_numpy(terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    want = _lindblad_cf4_segments(terms, ctab, w, rho0, 0.3, idx, fl, fr, True)
+    np.testing.assert_array_equal(batch[4], want[4])
+    np.testing.assert_array_equal(batch[5], want[5])
+    for name, a, c in zip(_OUTPUTS[:4], batch, want):
+        np.testing.assert_allclose(a, c, rtol=0, atol=1e-13, err_msg=name)
+    for k in (0, 6, 12):
+        alone = _single_run(_kernels._lindblad_cf4_numpy, terms, ctab[:, k], w, rho0[k], 0.3,
+                            idx, fl, fr, True)
+        for name, a, c in zip(_OUTPUTS, batch, alone):
+            np.testing.assert_array_equal(a[k], c, err_msg=name)
 
 
 def test_operator_step_of_a_non_finite_hamiltonian_is_nan():

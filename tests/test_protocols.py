@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lmg_adiabat import _kernels, dynamics
+from lmg_adiabat import _kernels, dynamics, protocols
 from lmg_adiabat.errors import (
     CutoffTooSmallError,
     ParityMismatchError,
@@ -316,3 +316,17 @@ def test_validate_reduction_lamb_dicke_warning():
     cfg = ScenarioConfig(case="I", n_spins=1, lambda_over_nu=0.1, delta=-1.1, nbar=20.0)
     with pytest.warns(RegimeWarning, match="expansion regime"):
         validate_effective_reduction(cfg, fock_cutoff=3, omega1=0.1, t_final=20.0, n_samples=6)
+
+
+@pytest.mark.parametrize("case,n", [("I", 4), ("II", 3), ("III", 4)])
+@pytest.mark.parametrize("gamma", [0, "1.0kHz"])
+def test_simulate_presets_keep_trace_and_hermiticity_to_rounding(case, n, gamma):
+    # the six simulate jobs of the benchmark: the fused sample intervals and
+    # the prefix products over them keep every sampled state's trace to
+    # rounding and exactly Hermitian
+    cfg = protocols.config_from_settings({"case": case, "n_spins": n, "gamma_dep": gamma})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        diagnostics = run_scenario(cfg, record_gap=False).trajectory.diagnostics
+    assert diagnostics["max_trace_defect"] <= 1e-13
+    assert diagnostics["max_hermiticity_defect"] <= 1e-13
