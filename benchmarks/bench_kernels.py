@@ -19,11 +19,14 @@ gamma 1e-4, where it conjugates rho step by step, per member and step.  The
 next section times the CF4 step propagators of that batch on its parity
 block, built in the kernel's stacks of `_kernels.STACK_BYTES`, per
 exponential, next to one batched `np.linalg.eigh` of the same Simpson
-moments.  The last section times single case I runs at 1 kHz and step 1.0
-for N = 3 to 6 on their parity block, stepping rho one step at a time, and
-on the operator subspace of that block that `evolve_batch` integrates
-them on, where the step matrices of each sample interval are fused, in
-microseconds per step.  The kernel carries its step propagators as real
+moments, and the exponentials of real moments at d = 2 and 3 in closed form
+(`_kernels._exp_closed_form`) against the series (`_kernels._exp_series`),
+on the invariant subspaces of a case I run at N = 3 (d = 2) and of the
+gamma-0 batch (d = 3).  The last section times single case I runs at 1 kHz
+and step 1.0 for N = 3 to 6 on their parity block, stepping rho one step at
+a time, and on the operator subspace of that block that `evolve_batch`
+integrates them on, where the step matrices of each sample interval are
+fused, in microseconds per step.  The kernel carries its step propagators as real
 block forms [[P, -Q], [Q, P]] of U = P + iQ, so a final section times one
 stack of small products in complex128 against the same products in block
 form at d = 2 to 64, and the gamma-0 kernel, which builds and fuses those
@@ -137,15 +140,20 @@ def restricted(batch, plan):
     return plan.dim, (terms, ctab, w, rho0s, step, idx, form_left, form_right, store_rho)
 
 
+def kernel_stacks(ctab, d):
+    """The coefficient rows of each stack of steps that the CF4 kernel builds at once."""
+    n_steps, b = (ctab.shape[0] - 1) // 2, ctab.shape[1]
+    count = -(-n_steps // max(1, _kernels.STACK_BYTES // (16 * b * d * d)))
+    bounds = [n_steps * k // count for k in range(count + 1)]
+    return [ctab[2 * lo:2 * hi + 1] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def propagator_workload(block):
     """The parity-block batch's Simpson moments and its propagator builds, stack by stack."""
     terms, ctab, _, _, step, *_ = block
     d = terms.shape[1]
-    n_steps, b = (ctab.shape[0] - 1) // 2, ctab.shape[1]
     stage_terms, stage_dtype = _kernels._stage_terms(terms)
-    per_stack = max(1, _kernels.STACK_BYTES // (16 * b * d * d))
-    stacks = [ctab[2 * lo:2 * min(lo + per_stack, n_steps) + 1]
-              for lo in range(0, n_steps, per_stack)]
+    stacks = kernel_stacks(ctab, d)
 
     def build():
         for rows in stacks:
@@ -155,6 +163,15 @@ def propagator_workload(block):
     moments = np.concatenate([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
     hams = (moments @ stage_terms).view(stage_dtype).reshape(-1, d, d)
     return build, hams
+
+
+def exponential_workload(block):
+    """The block's Simpson moments, in the stacks that the CF4 kernel exponentiates."""
+    terms, ctab, *_ = block
+    kk, d, _ = terms.shape
+    stage_terms, stage_dtype = _kernels._stage_terms(terms)
+    return [(_kernels._simpson_moments(rows).reshape(-1, kk) @ stage_terms)
+            .view(stage_dtype).reshape(-1, d, d) for rows in kernel_stacks(ctab, d)]
 
 
 def operator_workload(n_spins, t_final=1000.0):
@@ -267,6 +284,21 @@ def main():
     t_build = time_call(build, (), opts.repeat)
     t_eigh = time_call(np.linalg.eigh, (hams,), opts.repeat)
     print(f"{1e6 * t_build / len(hams):10.3f} {1e6 * t_eigh / len(hams):10.3f}")
+
+    print("\nCF4 step exponentials of real moments at d = 2 and 3: closed form against the"
+          "\nseries, on the invariant subspaces of case I at N = 3 (one run) and of the"
+          "\ncriterion-8 batch at gamma 0, step 1.0 (us per exponential)")
+    header = f"{'run':>10s} {'d':>3s} {'closed':>10s} {'series':>10s} {'series/closed':>14s}"
+    print(header)
+    print("-" * len(header))
+    single = lindblad_workload(3, t_final=1000.0, step=1.0, gamma=0.0)[2]
+    for name, (dim, space) in [("N=3", invariant_subspace(single)), ("13 members", (sub_dim, sub))]:
+        stacks = exponential_workload(space)
+        count = sum(len(s) for s in stacks)
+        t_closed, t_series = (time_call(lambda: [exp(s, space[4]) for s in stacks], (), opts.repeat)
+                              for exp in (_kernels._exp_closed_form, _kernels._exp_series))
+        print(f"{name:>10s} {dim:3d} {1e6 * t_closed / count:10.3f} {1e6 * t_series / count:10.3f} "
+              f"{t_series / t_closed:13.2f}x")
 
     print("\nCF4 dephased run, case I at gamma 1e-4 and step 1.0: per-step loop on the parity"
           "\nblock against fused intervals on its operator subspace (us per step)")

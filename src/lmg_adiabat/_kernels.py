@@ -9,12 +9,17 @@ The master equation is integrated by ``lindblad_cf4``
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
 half-steps exp(W dt / 2).  Its propagators are built for many steps at once
-by :func:`_exp_blocks`, a truncated Taylor series (Paterson & Stockmeyer,
-SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
-only.  Every propagator U = P + iQ is carried as the real block matrix
-[[P, -Q], [Q, P]], whose products are those of the complex matrices: for
-real terms the cos and sin parts of the series are P and -Q themselves, and
+by :func:`_exp_blocks`.  Real moments at d = 2 and 3 (the invariant
+subspaces of the gamma-0 presets at N = 3 and 4 and of the criterion-8
+members) are exponentiated in closed form (:func:`_exp_closed_form`:
+trigonometric eigenvalues and a Newton divided-difference form, elementwise
+on vectors of the stack's entries).  Complex moments and the other
+dimensions take a truncated Taylor series (:func:`_exp_series`; Paterson &
+Stockmeyer, SIAM J. Comput. 2, 60 (1973)) with scaling and squaring
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of
+batched small products only, which is also the closed form's test oracle.  Every propagator U = P + iQ is carried as
+the real block matrix [[P, -Q], [Q, P]], whose products are those of the
+complex matrices: for real terms both methods give P and -Q directly, and
 the product of a step's two exponentials, the squarings and the products
 that fuse steps are float64 products of 2d x 2d matrices.  Batched, these
 cost 0.04-0.13 us each up to d = 4 and 0.3-0.4 us at d = 8, against
@@ -32,7 +37,7 @@ the group's starting rho to every sample in one batched conjugation,
 Hermitized; this moves the results by rounding only, about 1e-14.  With
 dephasing and an :class:`OperatorBasis` of the operator space the run stays
 in, the whole step, dephasing included, is a real matrix on that space
-(:func:`_operator_steps`, from the same series, :func:`_cos_sinc`, summed on
+(:func:`_operator_steps`, from the series of :func:`_cos_sinc`, summed on
 the smaller half of the space only), so the step matrices of a sample
 interval are fused and scanned in the same way and only the coordinate
 vector of rho is carried.  With dephasing and no such basis, rho is
@@ -174,15 +179,22 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     return (*out, rho)
 
 
-#: Largest stack of small matrices built or diagonalized at once (bytes): the
-#: CF4 step propagators (64 steps of one member at d = 8, counted as complex
-#: d x d matrices; their block forms take twice that, and their exponentials
-#: hold up to about twenty temporaries of that size), the fused propagators of
-#: one member's segment of a run without dephasing (so such a segment is at
-#: most 64 steps at d = 8, and one step from d = 64 up), the segments of one
-#: member scanned together (64 at d = 8), and in :mod:`lmg_adiabat.dynamics`
-#: the sampled states whose eigenvalues are checked.
-STACK_BYTES = 1 << 16
+#: Largest stack of small matrices built or diagonalized at once (bytes),
+#: counted as complex d x d matrices: the CF4 step propagators of a batch
+#: (910 steps of one member at d = 3 and 128 at d = 8; their block forms
+#: take twice that, and a series exponential holds up to about twenty
+#: temporaries of that size), the operator-space step maps as r x r float64
+#: (135 steps at r = 11), the fused segments and the scanned groups of one
+#: member (the same counts: one step from d = 91 up), and in
+#: :mod:`lmg_adiabat.dynamics` the closure's images, the embedded states and
+#: the sampled states whose eigenvalues are checked.  Against the series
+#: exponentials in 64 KiB stacks, the closed form made the 13-member
+#: criterion-8 ensemble take 0.78 of the time in 64 KiB stacks, 0.68 in
+#: 128 KiB and 0.84 in 256 KiB (medians of 20 paired in-process jobs,
+#: 2 vCPUs); the dephased ``simulate`` jobs at N = 4, whose operator steps
+#: take fewer calls in larger stacks, took 0.88 at 128 KiB and 1.02-1.07 at
+#: 64 KiB.
+STACK_BYTES = 1 << 17
 #: Largest stack of gap-scan Hamiltonians built and diagonalized at once
 #: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: all 401 samples of a
 #: run at N = 4, 64 of them at N = 6 and 4 at N = 8.  Where the scan runs
@@ -297,14 +309,135 @@ def _square(e, squarings, good):
     return e
 
 
+def _symmetric_layout(d):
+    """Entry layout of the d x d real symmetric matrices of :func:`_exp_closed_form`.
+
+    A matrix is carried as the m = d (d + 1) / 2 rows of its diagonal, then
+    its upper off-diagonal entries.  Returns the rows' flat indices; the
+    flattened (d, m) gathers ``left`` and ``right`` of the product M N of two
+    commuting symmetric matrices, whose row k is the sum over j of row
+    left[j, k] of M times row right[j, k] of N; and the (2m, 4 d^2) map of
+    the rows of P and Q to the block form [[P, -Q], [Q, P]], whose entries
+    are 0 and +-1, so that a product with it only moves values, exactly.
+    """
+    pairs = [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+    row = {}
+    for k, (i, j) in enumerate(pairs):
+        row[i, j] = row[j, i] = k
+    m = len(pairs)
+    left = np.array([[row[i, j] for i, _ in pairs] for j in range(d)])
+    right = np.array([[row[j, k] for _, k in pairs] for j in range(d)])
+    scatter = np.zeros((2, m, 2, d, 2, d))
+    for i in range(d):
+        for j in range(d):
+            k = row[i, j]
+            scatter[0, k, 0, i, 0, j] = scatter[0, k, 1, i, 1, j] = 1.0
+            scatter[1, k, 1, i, 0, j], scatter[1, k, 0, i, 1, j] = 1.0, -1.0
+    flat = np.array([i * d + j for i, j in pairs])
+    return flat, left.ravel(), right.ravel(), scatter.reshape(2 * m, 4 * d * d)
+
+
+#: The dimensions whose real exponentials :func:`_exp_blocks` takes in closed form.
+_SYMMETRIC_LAYOUTS = {d: _symmetric_layout(d) for d in (2, 3)}
+
+
+def _exp_closed_form(s, h):
+    """exp(-i h S) of every real symmetric matrix of an (n, d, d) stack, d = 2 or 3, up to a phase each.
+
+    The block forms of :func:`_exp_blocks`, from elementwise work on length-n
+    vectors: each matrix is carried as the rows of its upper triangle
+    (:func:`_symmetric_layout`).  B = h (S - m), with m = tr S / d, drops the
+    phase exp(-i h m), which cancels in U rho U^H.  At d = 3 the eigenvalues
+    l1 >= l2 >= l3 of B come from the trigonometric method (Kopp, Int. J.
+    Mod. Phys. C 19, 523 (2008)): with p^2 = tr B^2 / 6 and
+    r = det(B / p) / 2, l1 and l3 are 2 p cos(phi) and 2 p cos(phi + 2 pi / 3),
+    phi = arccos(r) / 3, and l2 = -l1 - l3.  exp(-i B) is then exact in
+    Newton form on those eigenvalues (Bernstein & So, IEEE Trans. Autom.
+    Control 38, 1228 (1993)), f[l1] + f[l1, l2] (B - l1) +
+    f[l1, l2, l3] (B - l1)(B - l2) with f(x) = exp(-i x).  Each first
+    difference is taken as -i exp(-i (a + b) / 2) sin(delta) / delta,
+    delta = (a - b) / 2, which has no cancellation, and l1 - l3 >= 3 p
+    bounds the rounding of the second difference against the O(p^2) matrix
+    it multiplies; at p = 0 it is its limit -1/2.  At d = 2 the same form on
+    the eigenvalues +-t, t^2 = tr B^2 / 2, is cos(t) - i sin(t) / t B.
+    Each matrix's bits depend only on that matrix.  Only the upper triangle
+    is read.  A matrix that is not finite, or whose tr B^2 overflows
+    (entries beyond about 1e154), gets a NaN propagator.
+    """
+    n, d, _ = s.shape
+    flat, left, right, scatter = _SYMMETRIC_LAYOUTS[d]
+    parts = np.zeros((2, len(flat), n))  # the rows of P and Q
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        b = s.reshape(n, d * d).T[flat] * h
+        b[:d] -= np.add.reduce(b[:d]) / d
+        squares = b * b
+        trace = np.add.reduce(squares[:d]) + 2.0 * np.add.reduce(squares[d:])  # tr B^2
+        if d == 3:
+            p = np.sqrt(trace / 6.0)
+            a, e, c, u, v, w = b / p
+            r = 0.5 * (a * (e * c - w * w) - u * (u * c - w * v) + v * (u * w - e * v))
+            phi = np.empty((2, n))  # phi and phi + 2 pi / 3
+            # r is NaN at p = 0, which fmin takes to 1: any phi gives l = 0 there
+            np.arccos(np.fmax(np.fmin(r, 1.0), -1.0), out=phi[0])
+            phi[0] /= 3.0
+            np.add(phi[0], 2.0 * np.pi / 3.0, out=phi[1])
+            # l1 / 2 and l3 / 2, then (l1 - l2) / 2 and (l2 - l3) / 2, as l2 = -l1 - l3
+            halves = np.empty((4, n))
+            np.multiply(p, np.cos(phi), out=halves[:2])
+            half1, half3 = halves[:2]
+            np.add(2.0 * half1, half3, out=halves[2])
+            np.subtract(-half1, 2.0 * half3, out=halves[3])
+            # the pair means (l1 + l2) / 2 = -l3 / 2 and (l2 + l3) / 2 = -l1 / 2
+            # share the sines and cosines of l1 / 2 and l3 / 2
+            cos, sin = np.cos(halves[:2]), np.sin(halves)
+            sinc = np.divide(sin[2:], halves[2:], out=np.ones((2, n)), where=halves[2:] != 0)
+            first = np.empty((2, 2, n))  # f[l1, l2] and f[l2, l3], real and imaginary parts
+            np.multiply(sinc, sin[1::-1], out=first[:, 0])
+            np.multiply(-sinc, cos[::-1], out=first[:, 1])
+            second = np.empty((2, n))  # f[l1, l2, l3]
+            second[0], second[1] = -0.5, 0.0
+            np.divide(first[0] - first[1], 2.0 * (half1 - half3), out=second, where=p > 0)
+            m1 = b.copy()
+            m1[:d] -= 2.0 * half1
+            b[:d] += 2.0 * (half1 + half3)
+            m2 = (m1[left] * b[right]).reshape(d, -1, n)
+            np.multiply(first[0][:, None], m1, out=parts)
+            parts += second[:, None] * (m2[0] + m2[1] + m2[2])
+            # f[l1] = exp(-i l1) from the half angle
+            parts[0, :d] += cos[0] * cos[0] - sin[0] * sin[0]
+            parts[1, :d] -= 2.0 * sin[0] * cos[0]
+        else:
+            t = np.sqrt(0.5 * trace)
+            parts[0, :d] = np.cos(t)
+            parts[1] = -np.divide(np.sin(t), t, out=np.ones(n), where=t != 0) * b
+        u = (parts.reshape(-1, n).T @ scatter).reshape(n, 2 * d, 2 * d)
+    good = np.isfinite(trace)
+    if not good.all():
+        u[~good] = np.nan
+    return u
+
+
 def _exp_blocks(s, h):
     """exp(-i h S) of every Hermitian matrix of an (n, d, d) stack, up to a phase each.
 
     The result is the (n, 2d, 2d) real block form [[P, -Q], [Q, P]] of each
     U = P + iQ, whose products are those of the complex matrices
-    (:func:`_unblock` converts it back).  Each S is shifted by the centre c
-    of its Gershgorin interval [c - r, c + r] and scaled by h / 2^k, where k
-    is the fewest squarings that bring h r / 2^k to at most _THETA_MAX.  The
+    (:func:`_unblock` converts it back).  Real S at d = 2 and 3 are taken
+    in closed form (:func:`_exp_closed_form`), the rest by the series
+    (:func:`_exp_series`).  Each matrix's bits depend only on that matrix,
+    and a matrix that is not finite gets a NaN propagator.
+    """
+    if s.dtype == np.float64 and s.shape[-1] in _SYMMETRIC_LAYOUTS:
+        return _exp_closed_form(s, h)
+    return _exp_series(s, h)
+
+
+def _exp_series(s, h):
+    """The block forms of :func:`_exp_blocks` from a truncated Taylor series, for any d.
+
+    Each S is shifted by the centre c of its Gershgorin interval
+    [c - r, c + r] and scaled by h / 2^k, where k is the fewest squarings
+    that bring h r / 2^k to at most _THETA_MAX.  The
     series of exp(-i X) for the scaled X = (S - c) h / 2^k is summed as
     cos X - i X sin(X)/X by :func:`_cos_sinc`, two polynomials in Y = X^2,
     so real S stay in real arithmetic and give P = cos X and
@@ -445,7 +578,7 @@ def _rotation_exponentials(c, h):
     (3 of 11 dimensions at N = 4, 16 of 45 at N = 8).  B is scaled by 2^-k,
     where k is the fewest squarings that bring its Frobenius norm, a bound
     on ||h G||_2, to at most _THETA_MAX, and the result is squared k times.
-    As in :func:`_exp_blocks`, each matrix takes its own degree and
+    As in :func:`_exp_series`, each matrix takes its own degree and
     squarings, and a C that is not finite, or whose bound is not, gets a
     NaN exponential.
     """
@@ -537,15 +670,19 @@ def _segment_propagators(u, lengths):
 def _segment_stacks(steps, ctab, ends, per_chunk):
     """Yield the (n, B, ., .) segment products of a run, stack by stack.
 
-    ``steps`` builds the step maps of ``per_chunk`` steps at a time from
-    their rows of ``ctab``; each stack yields the products of the segments
-    that end in it (:func:`_segment_propagators`), and a segment's
-    unfinished steps wait for the next stack.
+    ``steps`` builds the step maps of a stack of steps from their rows of
+    ``ctab``.  The run is split into the fewest stacks of at most
+    ``per_chunk`` steps, their lengths equal up to one step (500 steps at
+    most 455 a stack make two stacks of 250, not 455 + 45), since a short
+    stack costs nearly as much as a full one.  Each stack yields the
+    products of the segments that end in it (:func:`_segment_propagators`),
+    and a segment's unfinished steps wait for the next stack.
     """
     n_steps = (ctab.shape[0] - 1) // 2
+    count = -(-n_steps // per_chunk)
     pending, first = [], 0
-    for lo in range(0, n_steps, per_chunk):
-        hi = min(lo + per_chunk, n_steps)
+    for k in range(count):
+        lo, hi = n_steps * k // count, n_steps * (k + 1) // count
         u = steps(ctab[2 * lo:2 * hi + 1])
         last = bisect.bisect_right(ends, hi, first)
         if last == first:  # no segment ends in this stack

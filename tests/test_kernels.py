@@ -144,7 +144,7 @@ def _schrodinger_rk4_loops(terms, ctab, psi0, dt, sample_idx):
 def _eigh_exponentials(s, h):
     """exp(-i h S) of a stack of Hermitian S from its eigendecomposition.
 
-    The oracle of the product-only exponential ``_kernels._exp_blocks``.
+    The oracle of the closed form and the series of ``_kernels._exp_blocks``.
     """
     vals, vecs = np.linalg.eigh(s)
     return (vecs * np.exp(-1j * h * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -323,50 +323,122 @@ def _conjugated(u, x):
     return u @ x @ u.conj().swapaxes(1, 2)
 
 
-@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-def test_exponential_matches_the_eigh_oracle(complex_entries):
-    # h r from 0 to 100: series alone up to 2, squarings beyond; the dropped
-    # scalar phase cancels in U X U^H
+def _unit_hermitian(rng, d):
+    """A random complex Hermitian d x d matrix of unit spectral norm."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (x + x.conj().T) / np.linalg.norm(x + x.conj().T, 2)
+
+
+def _entries_and_dims(default_d):
+    """(complex_entries, d) cases: real and complex at ``default_d``, then at d = 2 and 3."""
+    return pytest.mark.parametrize(
+        "complex_entries,d",
+        [(c, d) for d in (default_d, 2, 3) for c in (False, True)],
+        ids=[f"{kind}{'' if d == default_d else f'-d{d}'}"
+             for d in (default_d, 2, 3) for kind in ("real", "complex")])
+
+
+@_entries_and_dims(6)
+def test_exponential_matches_the_eigh_oracle(complex_entries, d):
+    # h r from 0 to 100: the closed form for real S at d = 2 and 3, else the
+    # series alone up to 2 and squarings beyond; the dropped scalar phase
+    # cancels in U X U^H
     rng = np.random.default_rng(50)
     widths = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 47)])
-    s = _hermitian_stack(rng, widths.size, 6, complex_entries, widths)
-    s += rng.normal(size=(widths.size, 1, 1)) * np.eye(6)  # shifted spectra
-    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    x = (x + x.conj().T) / np.linalg.norm(x + x.conj().T, 2)
+    s = _hermitian_stack(rng, widths.size, d, complex_entries, widths)
+    s += rng.normal(size=(widths.size, 1, 1)) * np.eye(d)  # shifted spectra
+    x = _unit_hermitian(rng, d)
     u = _exponentials(s, 1.0)
     assert u.dtype == np.complex128
     assert np.abs(_conjugated(u, x) - _conjugated(_eigh_exponentials(s, 1.0), x)).max() <= 1e-12
-    assert widths.max() > _kernels._THETA_MAX  # both branches ran
+    assert widths.max() > _kernels._THETA_MAX  # both branches of the series ran
     short = widths <= 1.0
-    defect = np.abs(u[short] @ u[short].conj().swapaxes(1, 2) - np.eye(6)).max()
+    defect = np.abs(u[short] @ u[short].conj().swapaxes(1, 2) - np.eye(d)).max()
     assert defect <= 1e-14
 
 
 def test_exponential_of_a_non_finite_matrix_is_nan():
+    # the closed form at d = 2 and 3, the series at d = 4
     rng = np.random.default_rng(51)
-    s = _hermitian_stack(rng, 6, 4, False, np.full(6, 0.5))
-    s[1, 0, 2] = s[1, 2, 0] = np.nan
-    s[3, 1, 1] = np.inf
-    s[4, 0, 3] = -np.inf
-    u = _exponentials(s, 1.0)
-    bad = np.array([False, True, False, True, True, False])
-    assert np.isnan(u[bad]).all()
-    assert np.isfinite(u[~bad]).all()
-    np.testing.assert_array_equal(u[~bad], _exponentials(s[~bad], 1.0))
+    for d in (2, 3, 4):
+        s = _hermitian_stack(rng, 6, d, False, np.full(6, 0.5))
+        s[1, 0, d - 1] = s[1, d - 1, 0] = np.nan
+        s[3, 1, 1] = np.inf
+        s[4, 0, d - 1] = -np.inf
+        u = _exponentials(s, 1.0)
+        bad = np.array([False, True, False, True, True, False])
+        assert np.isnan(u[bad]).all()
+        assert np.isfinite(u[~bad]).all()
+        np.testing.assert_array_equal(u[~bad], _exponentials(s[~bad], 1.0))
 
 
-@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries):
-    # every matrix picks its own degree and squarings, so a stack's first k
-    # matrices, or any slice of it, come out with the same bits on their own
+@_entries_and_dims(5)
+def test_exponential_of_each_matrix_does_not_depend_on_its_stack(complex_entries, d):
+    # every matrix picks its own degree and squarings, or is taken in closed
+    # form, so a stack's first k matrices, or any slice of it, come out with
+    # the same bits on their own
     rng = np.random.default_rng(52)
     widths = np.geomspace(1e-3, 20.0, 30)
-    s = _hermitian_stack(rng, widths.size, 5, complex_entries, rng.permutation(widths))
+    s = _hermitian_stack(rng, widths.size, d, complex_entries, rng.permutation(widths))
     full = _exponentials(s, 0.7)
     for k in range(1, widths.size + 1):
         np.testing.assert_array_equal(_exponentials(s[:k], 0.7), full[:k])
     for lo in range(0, widths.size, 7):
         np.testing.assert_array_equal(_exponentials(s[lo:lo + 4], 0.7), full[lo:lo + 4])
+
+
+def _spectra_stack(rng, spectra, d):
+    """Real symmetric d x d matrices with the given eigenvalues, in random eigenbases."""
+    out = []
+    for values in spectra:
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        out.append((q * np.asarray(values[:d], dtype=float)) @ q.T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_exponential_of_degenerate_spectra(d):
+    # the zero matrix, a triple and double eigenvalues, and splittings of
+    # 1e-9: the Newton form stays exact where the eigenvalues meet
+    rng = np.random.default_rng(59)
+    spectra = [(0.0, 0.0, 0.0), (0.7, 0.7, 0.7), (1.0, 1.0, -2.0), (2.0, -1.0, -1.0),
+               (1.0, 1.0 + 1e-9, -3.0), (0.5, 0.5 + 1e-9, 0.5 + 2e-9), (1e-9, 0.0, -1e-9),
+               (4.0, -4.0 + 1e-9, -4.0), (3.0, 0.0, -3.0)]
+    s = _spectra_stack(rng, spectra, d)
+    s[0] = 0.0
+    x = _unit_hermitian(rng, d)
+    u = _exponentials(s, 1.3)
+    np.testing.assert_array_equal(u[0], np.eye(d))
+    for oracle in (_eigh_exponentials(s, 1.3), _kernels._unblock(_kernels._exp_series(s, 1.3))):
+        assert np.abs(_conjugated(u, x) - _conjugated(oracle, x)).max() <= 1e-14
+    assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(d)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_exponential_matches_the_series(d):
+    # real S at d = 2 and 3 take the closed form, complex S the series, which is
+    # the closed form's oracle: within 1e-14 in conjugation for h r up to 20
+    rng = np.random.default_rng(60)
+    widths = np.concatenate([[0.0], np.geomspace(1e-6, 20.0, 199)])
+    s = _hermitian_stack(rng, widths.size, d, False, widths)
+    s += rng.normal(size=(widths.size, 1, 1)) * np.eye(d)
+    closed = _kernels._exp_closed_form(s, 1.0)
+    np.testing.assert_array_equal(_kernels._exp_blocks(s, 1.0), closed)
+    np.testing.assert_array_equal(_kernels._exp_blocks(s + 0j, 1.0), _kernels._exp_series(s + 0j, 1.0))
+    x = _unit_hermitian(rng, d)
+    series = _kernels._unblock(_kernels._exp_series(s, 1.0))
+    assert np.abs(_conjugated(_kernels._unblock(closed), x) - _conjugated(series, x)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_exponential_alone_and_in_a_stack_of_910(d):
+    # a member's propagator has the same bits alone as inside the kernel's
+    # largest stack at d = 3 (455 steps of two moments)
+    rng = np.random.default_rng(61)
+    s = _hermitian_stack(rng, 910, d, False, rng.uniform(0.0, 3.0, 910))
+    full = _kernels._exp_blocks(s, 1.0)
+    for k in (0, 1, 454, 455, 907, 909):
+        np.testing.assert_array_equal(_kernels._exp_blocks(s[k:k + 1], 1.0), full[k:k + 1])
 
 
 @pytest.mark.parametrize("complex_terms,dt", [(False, 0.8), (True, 0.8), (False, 8.0), (True, 8.0)],
@@ -493,13 +565,13 @@ def _batch_problem(rng, b, n_steps, sample_idx, complex_terms):
 @pytest.mark.parametrize("n_steps,sample_idx,stack_bytes", [
     (120, [0, 1, 2, 5, 9, 30, 31, 64, 100, 119, 120], None),
     (120, list(range(0, 121, 3)), 16 * 4 * 4 * 5),
-    (300, [0, 300], None),
+    (600, [0, 600], None),
     (40, [0, 40], 16 * 4 * 4 * 3),
 ], ids=["uneven", "groups-span-stacks", "two-samples", "two-samples-small-stacks"])
 def test_prefix_pass_matches_the_segment_by_segment_oracle(monkeypatch, b, complex_terms,
                                                            n_steps, sample_idx, stack_bytes):
-    # without dephasing: groups of STACK_BYTES / (16 d^2) segments, 256 at
-    # d = 4 by default (300 steps between two samples: cut at step 256) and
+    # without dephasing: groups of STACK_BYTES / (16 d^2) segments, 512 at
+    # d = 4 by default (600 steps between two samples: cut at step 512) and
     # 5 or 3 with small stacks, where a batch of 13 builds one step a stack
     rng = np.random.default_rng(57)
     terms, ctab, w, rho0, idx, fl, fr = _batch_problem(rng, b, n_steps, sample_idx,
@@ -517,7 +589,7 @@ def test_prefix_pass_matches_the_segment_by_segment_oracle(monkeypatch, b, compl
 @pytest.mark.parametrize("stack_bytes", [None, 8 * 11 * 11 * 4], ids=["default", "small-stacks"])
 def test_operator_prefix_pass_matches_the_segment_by_segment_oracle(monkeypatch, stack_bytes):
     # case I, N = 4, at 1 kHz on its 11-dim operator space: groups of
-    # STACK_BYTES / (8 r^2) = 67 segments by default, or 4 with small stacks
+    # STACK_BYTES / (8 r^2) = 135 segments by default, or 4 with small stacks
     from lmg_adiabat import dynamics
     from lmg_adiabat.model import lmg_sweep_hamiltonian
     from lmg_adiabat.operators import SpinRegister
