@@ -1,4 +1,4 @@
-"""Hot integration loops: one set of numpy kernels.
+"""Hot integration loops: one set of numpy kernels, and the closed forms they share.
 
 Every kernel integrates with a fixed step against a Hamiltonian given as a
 stack of constant Hermitian terms plus a coefficient table (rows on the
@@ -8,27 +8,39 @@ The master equation is integrated by ``lindblad_cf4``
 (:func:`_lindblad_cf4_numpy`): a 4th-order commutator-free Magnus step
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
-half-steps exp(W dt / 2).  Its propagators are built for many steps at once
-by :func:`_exp_blocks`.  Real moments at d = 2 and 3 (the invariant
-subspaces of the gamma-0 presets at N = 3 and 4 and of the criterion-8
-members) are exponentiated in closed form (:func:`_exp_closed_form`:
-trigonometric eigenvalues and a Newton divided-difference form, elementwise
-on vectors of the stack's entries).  Complex moments and the other
-dimensions take a truncated Taylor series (:func:`_exp_series`; Paterson &
-Stockmeyer, SIAM J. Comput. 2, 60 (1973)) with scaling and squaring
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of
-batched small products only, which is also the closed form's test oracle.  Every propagator U = P + iQ is carried as
-the real block matrix [[P, -Q], [Q, P]], whose products are those of the
-complex matrices: for real terms both methods give P and -Q directly, and
-the product of a step's two exponentials, the squarings and the products
-that fuse steps are float64 products of 2d x 2d matrices.  Batched, these
-cost 0.04-0.13 us each up to d = 4 and 0.3-0.4 us at d = 8, against
-0.34-0.84 us for a complex128 product; they are about even at d = 16 and
-cost 1.2-1.7 times a complex product at d = 32 and 64
-(``benchmarks/bench_kernels.py``, 2 vCPUs); no run of the benchmark
-integrates a propagator above d = 5.  A propagator
-returns to complex (:func:`_unblock`) only where it meets rho.  Without
-dephasing the steps between two samples compose exactly, so their
+half-steps exp(W dt / 2).  Both Simpson moments of a step come from one
+fixed-shape product of its three half-step rows with the terms, the Simpson
+weights folded into the terms (:func:`_simpson_terms`).  Its propagators
+are built for many steps at once by :func:`_exp_blocks`.  Real moments at
+d = 2 and 3 (the invariant subspaces of the gamma-0 presets at N = 3 and 4
+and of the criterion-8 members) are exponentiated in closed form
+(:func:`_exp_closed_form`).  Complex moments and the other dimensions take
+a truncated Taylor series (:func:`_exp_series`; Paterson & Stockmeyer,
+SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
+only, which is also the closed form's test oracle.
+
+The closed forms of real symmetric (and, for the eigenvalues, complex
+Hermitian) matrices up to 3 x 3 share one set of helpers, elementwise on
+vectors of each stack's upper-triangle entries (:func:`_symmetric_layout`):
+trigonometric eigenvalues (:func:`_trig_spectrum`), the same with a close
+pair separated again to within rounding (:func:`_spectrum`), and the Newton
+divided-difference form of a matrix function on them
+(:func:`_newton_form`).  They give the step exponentials above and
+:func:`eigvalsh`, which the gap scan and the smallest eigenvalue of the
+sampled states use up to 3 x 3.
+
+Every propagator U = P + iQ is carried as the real block matrix
+[[P, -Q], [Q, P]], whose products are those of the complex matrices: for
+real terms both methods give P and -Q directly, and the product of a step's
+two exponentials, the squarings and the products that fuse steps are
+float64 products of 2d x 2d matrices.  Batched, these cost 0.04-0.13 us
+each up to d = 4 and 0.3-0.4 us at d = 8, against 0.34-0.84 us for a
+complex128 product; they are about even at d = 16 and cost 1.2-1.7 times a
+complex product at d = 32 and 64 (``benchmarks/bench_kernels.py``,
+2 vCPUs); no run of the benchmark integrates a propagator above d = 5.  A
+propagator returns to complex (:func:`_unblock`) only where it meets rho.
+Without dephasing the steps between two samples compose exactly, so their
 propagators are first multiplied into one per sample interval on a pairwise
 tree (:func:`_segment_propagators`, one product a step).  The intervals are
 then taken in groups of a fixed count, and a log-depth scan
@@ -43,7 +55,9 @@ interval are fused and scanned in the same way and only the coordinate
 vector of rho is carried.  With dephasing and no such basis, rho is
 conjugated by each step's propagator, at two small products a step, one
 Python step at a time.  The step is CPTP, so it cannot blow up, and its
-size is set by how fast H(t) changes rather than by its norm.
+size is set by how fast H(t) changes rather than by its norm.  A call
+records its samples into arrays it is given, so a caller that integrates a
+run in several calls passes views of the run's arrays and copies nothing.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -122,21 +136,24 @@ def _record(out, rows, rho, left_c, form_right, store_rho):
 
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, store_rho, operators=None):
+                        form_left, form_right, store_rho, operators=None, out=None):
     """Classical RK4 on rho, the reference of :func:`_lindblad_cf4_numpy`.
 
     ``ctab`` (2n+1, B, K) holds each member's coefficients on the half-step
     grid and ``rho0`` (B, d, d) its initial state; the members share the
     (K, d, d) ``terms``, the mask ``w`` and the forms <l|rho|r> of the rows
     of ``form_left`` and ``form_right`` (F, d).  Returns the arrays of
-    :func:`_lindblad_outputs` and the final states.  ``operators`` only
-    names a space the run stays in, and this kernel integrates rho itself.
+    :func:`_lindblad_outputs` and the final states; the samples are written
+    into ``out`` when it holds such arrays (views into a longer run's, say).
+    ``operators`` only names a space the run stays in, and this kernel
+    integrates rho itself.
     """
     kk, d, _ = terms.shape
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
     m = sample_idx.shape[0]
-    out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
+    if out is None:
+        out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     stage_terms, stage_dtype = _stage_terms(terms)
     if stage_dtype is np.complex128:
@@ -196,22 +213,28 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 #: 64 KiB.
 STACK_BYTES = 1 << 17
 #: Largest stack of gap-scan Hamiltonians built and diagonalized at once
-#: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: all 401 samples of a
-#: run at N = 4, 64 of them at N = 6 and 4 at N = 8.  Where the scan runs
-#: beside the integration on a helper thread, ``eigvalsh`` releases the GIL
-#: for a whole stack, so larger stacks hand the GIL back and forth less often.
-#: Against the serial scan in 64 KiB stacks, the 13-member criterion-8
-#: ensemble ran 1.04x as fast with 64 KiB stacks on the thread, 1.08x with
-#: 256 KiB and 1.23x with 1 MiB (12 interleaved jobs each, 2 vCPUs); 1 MiB
-#: stacks add 1-3 MB to the peak RSS of a run at N = 6 and 8.
+#: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: every sample of a
+#: symmetric run's spin-j halves up to N = 10 (1.2 kB a sample there), and of
+#: the parity blocks of a disordered run, 401 samples at N = 4, 64 at N = 6
+#: and 4 at N = 8.  Where the scan runs beside the integration on a helper
+#: thread, ``eigvalsh`` releases the GIL for a whole stack, so larger stacks
+#: hand the GIL back and forth less often.  Against the serial scan in 64 KiB
+#: stacks, the 13-member criterion-8 ensemble ran 1.04x as fast with 64 KiB
+#: stacks on the thread, 1.08x with 256 KiB and 1.23x with 1 MiB (12
+#: interleaved jobs each, 2 vCPUs); 1 MiB stacks add 1-3 MB to the peak RSS
+#: of a run at N = 6 and 8.
 GAP_STACK_BYTES = 1 << 20
-#: A batch's gap scan runs beside its integration only when its members'
-#: full-space Hamiltonians at the sample times would take at least this many
-#: bytes (float64).  A smaller scan hides too little to pay for sharing the
-#: GIL: the 2-7 ms scan of a single run at N = 4 (0.8 MB) made the
-#: ``simulate-cases`` jobs of ``perfbench/run.py`` 11% slower on the helper
-#: thread (2 of 8 alternating runs faster), while the 13-member criterion-8
-#: ensemble (10.7 MB) and the single N = 6 runs of a sweep (13 MB) gained.
+#: A batch's gap scan runs beside its integration only when the blocks it
+#: diagonalizes (:func:`lmg_adiabat.dynamics._gap_blocks`) at the sample times
+#: would take at least this many bytes.  A smaller scan hides too little to
+#: pay for sharing the GIL: the 2-7 ms parity-block scan of a single run at
+#: N = 4 (0.8 MB) made the ``simulate-cases`` jobs of ``perfbench/run.py``
+#: 11% slower on the helper thread (2 of 8 alternating runs faster), while
+#: the 13-member criterion-8 ensemble (10.7 MB of full-space matrices, 5.3 MB
+#: of parity blocks) and the single N = 6 runs of a sweep (13 MB) gained.  A
+#: symmetric run's spin-j halves take 61 kB at N = 4 and 0.47 MB at N = 10
+#: over 401 samples, so a symmetric batch of up to eight N = 10 members scans
+#: inline.
 GAP_OVERLAP_BYTES = 1 << 22
 
 #: Paterson-Stockmeyer layout of the exponential series in Y = X^2: blocks of
@@ -310,7 +333,7 @@ def _square(e, squarings, good):
 
 
 def _symmetric_layout(d):
-    """Entry layout of the d x d real symmetric matrices of :func:`_exp_closed_form`.
+    """Entry layout of the d x d symmetric (or Hermitian) matrices of the closed forms, d <= 3.
 
     A matrix is carried as the m = d (d + 1) / 2 rows of its diagonal, then
     its upper off-diagonal entries.  Returns the rows' flat indices; the
@@ -337,8 +360,146 @@ def _symmetric_layout(d):
     return flat, left.ravel(), right.ravel(), scatter.reshape(2 * m, 4 * d * d)
 
 
-#: The dimensions whose real exponentials :func:`_exp_blocks` takes in closed form.
-_SYMMETRIC_LAYOUTS = {d: _symmetric_layout(d) for d in (2, 3)}
+#: The layouts of :func:`_symmetric_layout` of the dimensions the closed forms take.
+_SYMMETRIC_LAYOUTS = {d: _symmetric_layout(d) for d in (1, 2, 3)}
+
+
+def _abs2(x):
+    """|x|^2, elementwise, in real arithmetic."""
+    if np.iscomplexobj(x):
+        return x.real * x.real + x.imag * x.imag
+    return x * x
+
+
+def _trig_spectrum(b, d):
+    """Eigenvalues l1 >= .. >= ld, a (d, n) array, of traceless Hermitian matrices, and tr B^2.
+
+    ``b`` holds the matrices as the (m, n) rows of :func:`_symmetric_layout`
+    (the off-diagonal rows may be complex).  At d = 3 they come from the
+    trigonometric method (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)): with
+    p^2 = tr B^2 / 6 and r = det(B / p) / 2, l1 and l3 are 2 p cos(phi) and
+    2 p cos(phi + 2 pi / 3), phi = arccos(r) / 3, and l2 = -l1 - l3.  At
+    d = 2 they are +-t, t^2 = tr B^2 / 2, and at d = 1 zero.  The
+    characteristic polynomial loses the separation of a close pair at d = 3,
+    whose members may err by up to sqrt(eps) p; a Newton form on them is
+    still exact (:func:`_exp_closed_form`), and :func:`_spectrum` separates
+    the pair again.  At p = 0 every eigenvalue is 0.  Call inside
+    ``np.errstate(invalid="ignore", divide="ignore")``.
+    """
+    squares = _abs2(b)
+    trace = np.add.reduce(squares[:d]) + 2.0 * np.add.reduce(squares[d:])
+    if d == 1:
+        return np.zeros((1, b.shape[1])), trace
+    if d == 2:
+        t = np.sqrt(0.5 * trace)
+        return np.stack([t, -t]), trace
+    p = np.sqrt(trace / 6.0)
+    a, e, c = b[:3].real / p
+    u, v, w = b[3:] / p
+    au, av, aw = squares[3:] / (p * p)
+    r = 0.5 * (a * (e * c - aw) - c * au - e * av) + (u * w * v.conj()).real
+    phi = np.empty((2, b.shape[1]))  # phi and phi + 2 pi / 3
+    # r is NaN at p = 0, which fmin takes to 1: any phi gives l = 0 there
+    np.arccos(np.fmax(np.fmin(r, 1.0), -1.0), out=phi[0])
+    phi[0] /= 3.0
+    np.add(phi[0], 2.0 * np.pi / 3.0, out=phi[1])
+    l = np.empty((3, b.shape[1]))
+    np.multiply(2.0 * p, np.cos(phi), out=l[::2])
+    np.subtract(-l[0], l[2], out=l[1])
+    return l, trace
+
+
+def _spectrum(b, d):
+    """The eigenvalues of :func:`_trig_spectrum` to within about eps ||B|| each, and tr B^2.
+
+    At d = 3 the eigenvalue that stands apart, l1 if l1 - l2 >= l2 - l3 and
+    else l3, is accurate as the trigonometric method gives it.  Its
+    eigenvector x is the largest cross product of two rows of B - l I, and
+    the other two eigenvalues are -l / 2 +- delta, where 2 delta^2 is the
+    squared Frobenius norm of P (B + l / 2) P, P = I - x x^H: that matrix
+    has the eigenvalues 0 and +-delta, and its entries are formed directly,
+    so delta has no cancellation however close the pair is.  Call inside
+    ``np.errstate(invalid="ignore", divide="ignore")``.
+    """
+    l, trace = _trig_spectrum(b, d)
+    if d < 3:
+        return l, trace
+    top = l[0] - l[1] >= l[1] - l[2]  # l1 stands apart from l2 and l3
+    lam = np.where(top, l[0], l[2])
+    a, e, c = b[:3].real
+    u, v, w = b[3:]
+    uc, vc, wc = u.conj(), v.conj(), w.conj()
+    a0, a1, a2 = a - lam, e - lam, c - lam
+    # the cross products of the rows (a0, u, v), (u*, a1, w) and (v*, w*, a2)
+    cross = np.array([[u * w - v * a1, v * uc - a0 * w, a0 * a1 - u * uc],
+                      [u * a2 - v * wc, v * vc - a0 * a2, a0 * wc - u * vc],
+                      [a1 * a2 - w * wc, w * vc - uc * a2, uc * wc - a1 * vc]])
+    norms = np.add.reduce(_abs2(cross), axis=1)
+    best = np.argmax(norms, axis=0)
+    x = np.take_along_axis(cross, best[None, None], axis=0)[0]
+    norm = np.sqrt(np.take_along_axis(norms, best[None], axis=0)[0])
+    x = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
+    half = 0.5 * lam
+    full = [[a + half, u, v], [uc, e + half, w], [vc, wc, c + half]]  # B + l / 2
+    y = [full[i][0] * x[0] + full[i][1] * x[1] + full[i][2] * x[2] for i in range(3)]
+    xc = x.conj()
+    s = (xc[0] * y[0] + xc[1] * y[1] + xc[2] * y[2]).real
+    frobenius = np.zeros_like(lam)
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        entry = full[i][j] - x[i] * y[j].conj() - y[i] * xc[j] + s * x[i] * xc[j]
+        frobenius += (1.0 if i == j else 2.0) * _abs2(entry)
+    delta = np.sqrt(0.5 * frobenius)
+    spectrum = np.stack([lam, -half + delta, -half - delta])
+    spectrum.sort(axis=0)
+    return spectrum[::-1], trace
+
+
+def eigvalsh(h):
+    """Ascending eigenvalues of a (..., d, d) stack of Hermitian matrices, as ``np.linalg.eigvalsh``.
+
+    Up to d = 3 they are taken in closed form (:func:`_spectrum`, on each
+    matrix less the mean of its diagonal), elementwise over the stack, so
+    each matrix's values depend only on that matrix; larger matrices go to
+    LAPACK.  Only the upper triangle is read.
+    """
+    d = h.shape[-1]
+    if d > 3:
+        return np.linalg.eigvalsh(h)
+    flat = _SYMMETRIC_LAYOUTS[d][0]
+    rows = h.reshape(-1, d * d).T[flat]
+    mean = np.add.reduce(rows[:d].real) / d
+    rows[:d] -= mean
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l, _ = _spectrum(rows, d)
+    return (l[::-1] + mean).T.reshape(h.shape[:-1])
+
+
+def _newton_form(b, d, x1, x2, c0, c1, c2):
+    """Rows (q, m, n) of c0 I + c1 (B - x1) + c2 (B - x1)(B - x2) for real symmetric B, d = 2 or 3.
+
+    ``b`` holds B as the (m, n) rows of :func:`_symmetric_layout`; x1 and
+    x2 are (n,) and the coefficients (q, n), one row per output.  With x1
+    and x2 eigenvalues of B and the coefficients the divided differences of
+    a function f on them, this is f(B) (Bernstein & So, IEEE Trans. Autom.
+    Control 38, 1228 (1993)).  (B - x1)(B - x2) is formed from the rows by
+    the gathers of the layout; c2 and x2 are not read at d = 2.
+    """
+    _, left, right, _ = _SYMMETRIC_LAYOUTS[d]
+    m1 = b.copy()
+    m1[:d] -= x1
+    out = c1[:, None] * m1
+    if d == 3:
+        m2 = b.copy()
+        m2[:d] -= x2
+        product = (m1[left] * m2[right]).reshape(d, -1, b.shape[1])
+        out += c2[:, None] * (product[0] + product[1] + product[2])
+    out[:, :d] += c0[:, None]
+    return out
+
+
+def _sinc(x):
+    """sin(x) / x, elementwise, 1 at 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def _exp_closed_form(s, h):
@@ -347,69 +508,45 @@ def _exp_closed_form(s, h):
     The block forms of :func:`_exp_blocks`, from elementwise work on length-n
     vectors: each matrix is carried as the rows of its upper triangle
     (:func:`_symmetric_layout`).  B = h (S - m), with m = tr S / d, drops the
-    phase exp(-i h m), which cancels in U rho U^H.  At d = 3 the eigenvalues
-    l1 >= l2 >= l3 of B come from the trigonometric method (Kopp, Int. J.
-    Mod. Phys. C 19, 523 (2008)): with p^2 = tr B^2 / 6 and
-    r = det(B / p) / 2, l1 and l3 are 2 p cos(phi) and 2 p cos(phi + 2 pi / 3),
-    phi = arccos(r) / 3, and l2 = -l1 - l3.  exp(-i B) is then exact in
-    Newton form on those eigenvalues (Bernstein & So, IEEE Trans. Autom.
-    Control 38, 1228 (1993)), f[l1] + f[l1, l2] (B - l1) +
+    phase exp(-i h m), which cancels in U rho U^H.  The eigenvalues
+    l1 >= l2 >= l3 of B come from the trigonometric method
+    (:func:`_trig_spectrum`), and exp(-i B) is exact in Newton form on them
+    (:func:`_newton_form`), f[l1] + f[l1, l2] (B - l1) +
     f[l1, l2, l3] (B - l1)(B - l2) with f(x) = exp(-i x).  Each first
     difference is taken as -i exp(-i (a + b) / 2) sin(delta) / delta,
     delta = (a - b) / 2, which has no cancellation, and l1 - l3 >= 3 p
     bounds the rounding of the second difference against the O(p^2) matrix
     it multiplies; at p = 0 it is its limit -1/2.  At d = 2 the same form on
-    the eigenvalues +-t, t^2 = tr B^2 / 2, is cos(t) - i sin(t) / t B.
-    Each matrix's bits depend only on that matrix.  Only the upper triangle
-    is read.  A matrix that is not finite, or whose tr B^2 overflows
-    (entries beyond about 1e154), gets a NaN propagator.
+    the eigenvalues +-t is cos(t) - i sin(t) / t B.  Each matrix's bits
+    depend only on that matrix.  Only the upper triangle is read.  A matrix
+    that is not finite, or whose tr B^2 overflows (entries beyond about
+    1e154), gets a NaN propagator.
     """
     n, d, _ = s.shape
-    flat, left, right, scatter = _SYMMETRIC_LAYOUTS[d]
-    parts = np.zeros((2, len(flat), n))  # the rows of P and Q
+    flat, _, _, scatter = _SYMMETRIC_LAYOUTS[d]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         b = s.reshape(n, d * d).T[flat] * h
         b[:d] -= np.add.reduce(b[:d]) / d
-        squares = b * b
-        trace = np.add.reduce(squares[:d]) + 2.0 * np.add.reduce(squares[d:])  # tr B^2
+        l, trace = _trig_spectrum(b, d)
         if d == 3:
-            p = np.sqrt(trace / 6.0)
-            a, e, c, u, v, w = b / p
-            r = 0.5 * (a * (e * c - w * w) - u * (u * c - w * v) + v * (u * w - e * v))
-            phi = np.empty((2, n))  # phi and phi + 2 pi / 3
-            # r is NaN at p = 0, which fmin takes to 1: any phi gives l = 0 there
-            np.arccos(np.fmax(np.fmin(r, 1.0), -1.0), out=phi[0])
-            phi[0] /= 3.0
-            np.add(phi[0], 2.0 * np.pi / 3.0, out=phi[1])
-            # l1 / 2 and l3 / 2, then (l1 - l2) / 2 and (l2 - l3) / 2, as l2 = -l1 - l3
-            halves = np.empty((4, n))
-            np.multiply(p, np.cos(phi), out=halves[:2])
-            half1, half3 = halves[:2]
-            np.add(2.0 * half1, half3, out=halves[2])
-            np.subtract(-half1, 2.0 * half3, out=halves[3])
+            half = 0.5 * l
             # the pair means (l1 + l2) / 2 = -l3 / 2 and (l2 + l3) / 2 = -l1 / 2
             # share the sines and cosines of l1 / 2 and l3 / 2
-            cos, sin = np.cos(halves[:2]), np.sin(halves)
-            sinc = np.divide(sin[2:], halves[2:], out=np.ones((2, n)), where=halves[2:] != 0)
+            cos, sin = np.cos(half[::2]), np.sin(half[::2])
+            sinc = _sinc(half[:2] - half[1:])  # of (l1 - l2) / 2 and (l2 - l3) / 2
             first = np.empty((2, 2, n))  # f[l1, l2] and f[l2, l3], real and imaginary parts
-            np.multiply(sinc, sin[1::-1], out=first[:, 0])
+            np.multiply(sinc, sin[::-1], out=first[:, 0])
             np.multiply(-sinc, cos[::-1], out=first[:, 1])
             second = np.empty((2, n))  # f[l1, l2, l3]
             second[0], second[1] = -0.5, 0.0
-            np.divide(first[0] - first[1], 2.0 * (half1 - half3), out=second, where=p > 0)
-            m1 = b.copy()
-            m1[:d] -= 2.0 * half1
-            b[:d] += 2.0 * (half1 + half3)
-            m2 = (m1[left] * b[right]).reshape(d, -1, n)
-            np.multiply(first[0][:, None], m1, out=parts)
-            parts += second[:, None] * (m2[0] + m2[1] + m2[2])
+            np.divide(first[0] - first[1], l[0] - l[2], out=second, where=l[0] > l[2])
             # f[l1] = exp(-i l1) from the half angle
-            parts[0, :d] += cos[0] * cos[0] - sin[0] * sin[0]
-            parts[1, :d] -= 2.0 * sin[0] * cos[0]
+            value = np.stack([cos[0] * cos[0] - sin[0] * sin[0], -2.0 * sin[0] * cos[0]])
+            parts = _newton_form(b, d, l[0], l[1], value, first[0], second)
         else:
-            t = np.sqrt(0.5 * trace)
-            parts[0, :d] = np.cos(t)
-            parts[1] = -np.divide(np.sin(t), t, out=np.ones(n), where=t != 0) * b
+            zero = np.zeros(n)
+            parts = _newton_form(b, d, 0.0, None, np.stack([np.cos(l[0]), zero]),
+                                 np.stack([zero, -_sinc(l[0])]), None)
         u = (parts.reshape(-1, n).T @ scatter).reshape(n, 2 * d, 2 * d)
     good = np.isfinite(trace)
     if not good.all():
@@ -427,7 +564,7 @@ def _exp_blocks(s, h):
     (:func:`_exp_series`).  Each matrix's bits depend only on that matrix,
     and a matrix that is not finite gets a NaN propagator.
     """
-    if s.dtype == np.float64 and s.shape[-1] in _SYMMETRIC_LAYOUTS:
+    if s.dtype == np.float64 and s.shape[-1] in (2, 3):
         return _exp_closed_form(s, h)
     return _exp_series(s, h)
 
@@ -492,10 +629,33 @@ def _unblock(u):
     return out
 
 
-def _simpson_moments(rows):
-    """(n, 2, B, K) coefficients of each step's S_a and S_b from half-step rows (2n+1, B, K)."""
-    c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]
-    return np.stack([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
+#: Simpson weights of a step's half-step rows c0, c_1/2 and c1 (rows) in its
+#: moments S_a = (3 c0 + 4 c_1/2 - c1) / 12 and S_b = (-c0 + 4 c_1/2 + 3 c1) / 12
+#: (columns).
+_SIMPSON = np.array([[3.0, -1.0], [4.0, 4.0], [-1.0, 3.0]]) / 12.0
+
+
+def _simpson_terms(terms):
+    """(..., 3K, 2M) terms with the Simpson weights folded in, from (..., K, M) terms.
+
+    Row j K + k, column a M + x holds the weight of half-step row j in
+    moment a times entry x of term k, so that one product with a step's
+    three rows side by side (:func:`_step_rows`) gives both of its moments.
+    Each entry is one product of a weight and a term entry.
+    """
+    *lead, kk, m = terms.shape
+    folded = np.einsum("ja,...kx->...jkax", _SIMPSON, terms)
+    return folded.reshape(*lead, 3 * kk, 2 * m)
+
+
+def _step_rows(rows):
+    """(n, B, 3K): each step's half-step rows c0, c_1/2 and c1 side by side, from (2n+1, B, K)."""
+    n = (len(rows) - 1) // 2
+    out = np.empty((n, rows.shape[1], 3, rows.shape[2]))
+    out[:, :, 0] = rows[:-1:2]
+    out[:, :, 1] = rows[1::2]
+    out[:, :, 2] = rows[2::2]
+    return out.reshape(n, rows.shape[1], -1)
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
@@ -504,17 +664,23 @@ def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
     Each step's Simpson moments S_a = (3 H_0 + 4 H_1/2 - H_1) / 12 and
     S_b = (-H_0 + 4 H_1/2 + 3 H_1) / 12 give U = exp(-i dt S_b) exp(-i dt S_a),
     each exponential from :func:`_exp_blocks`, up to a phase that cancels
-    in U rho U^H.  U is the real block form [[P, -Q], [Q, P]] of U = P + iQ,
-    so the product of the two exponentials is one float64 product.  A step
-    whose Hamiltonian is not finite gets a NaN propagator, which the trace
-    check reports.
+    in U rho U^H.  Both moments of a step come from one product of its
+    three rows with the stage terms of :func:`_stage_terms`, the Simpson
+    weights folded in (:func:`_simpson_terms`).  U is the real block form
+    [[P, -Q], [Q, P]] of U = P + iQ, so the product of the two exponentials
+    is one float64 product.  A step whose Hamiltonian is not finite gets a
+    NaN propagator, which the trace check reports.
     """
-    moments = _simpson_moments(rows)
-    n, _, b, kk = moments.shape
-    # a stack of fixed-shape products: each step's bits do not depend on n
-    s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
-    u = _exp_blocks(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, 2 * d, 2 * d)
-    return u[:, 1] @ u[:, 0]  # S_a acts first
+    n = (len(rows) - 1) // 2
+    b = rows.shape[1]
+    steps = _step_rows(rows)
+    if b == 1:  # as one row, a matrix-vector product, which rounds differently
+        steps = np.repeat(steps, 2, axis=1)
+    # a stack of fixed-shape products, one a step: each step's bits depend on
+    # neither n nor the batch
+    s = (steps @ _simpson_terms(stage_terms))[:, :b].view(stage_dtype)
+    u = _exp_blocks(s.reshape(n * b * 2, d, d), dt).reshape(n, b, 2, 2 * d, 2 * d)
+    return u[:, :, 1] @ u[:, :, 0]  # S_a acts first
 
 
 class OperatorBasis(NamedTuple):
@@ -607,17 +773,23 @@ def _operator_steps(rows, operators, dt):
 
     On the basis the CF4 step E o (U X U^H) o E is D exp(dt G_b) exp(dt G_a) D,
     with G_a and G_b the generators of the Simpson moments S_a and S_b
-    (:func:`_rotation_exponentials`) and D = diag(exp(dt lambda / 2)) the
+    (:func:`_rotation_exponentials`), both from one product of the step's
+    three rows with the couplings, the Simpson weights folded in
+    (:func:`_simpson_terms`), and D = diag(exp(dt lambda / 2)) the
     dephasing half-step, since the basis diagonalizes the mask.  A step
     whose Hamiltonian is not finite gets a NaN map, which the trace check
     reports.
     """
-    moments = _simpson_moments(rows)
-    n, _, b, kk = moments.shape
-    g, _, r2, r1 = operators.couplings.shape
-    # a stack of fixed-shape products per member: each step's bits depend on
-    # neither n nor the batch
-    generators = moments.transpose(0, 2, 1, 3) @ operators.couplings.reshape(g, kk, r2 * r1)
+    n = (len(rows) - 1) // 2
+    b = rows.shape[1]
+    g, kk, r2, r1 = operators.couplings.shape
+    folded = _simpson_terms(operators.couplings.reshape(g, kk, r2 * r1))
+    # a stack of fixed-shape products, one per step and member, each of the
+    # row twice (as one row, a matrix-vector product, its bits would change
+    # with the zero columns of the other members' terms): each step's bits
+    # depend on neither n nor the batch
+    steps = np.repeat(_step_rows(rows)[:, :, None, :], 2, axis=2)
+    generators = (steps @ folded)[:, :, 0]
     e = _rotation_exponentials(generators.reshape(n * b * 2, r2, r1), dt)
     ea, eb = e.reshape(n, b, 2, r1 + r2, r1 + r2).transpose(2, 0, 1, 3, 4)
     damp = np.exp(0.5 * dt * operators.rates)[:, None, :]  # (G, 1, r)
@@ -672,11 +844,12 @@ def _segment_stacks(steps, ctab, ends, per_chunk):
 
     ``steps`` builds the step maps of a stack of steps from their rows of
     ``ctab``.  The run is split into the fewest stacks of at most
-    ``per_chunk`` steps, their lengths equal up to one step (500 steps at
-    most 455 a stack make two stacks of 250, not 455 + 45), since a short
-    stack costs nearly as much as a full one.  Each stack yields the
-    products of the segments that end in it (:func:`_segment_propagators`),
-    and a segment's unfinished steps wait for the next stack.
+    ``per_chunk`` steps, their lengths equal up to one step (4000 steps at
+    most 910 a stack make five stacks of 800, not four of 910 and one of
+    360), since a short stack costs nearly as much as a full one.  Each
+    stack yields the products of the segments that end in it
+    (:func:`_segment_propagators`), and a segment's unfinished steps wait
+    for the next stack.
     """
     n_steps = (ctab.shape[0] - 1) // 2
     count = -(-n_steps // per_chunk)
@@ -728,12 +901,12 @@ def _prefix_products(v):
 
 
 def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, store_rho, operators=None):
+                        form_left, form_right, store_rho, operators=None, out=None):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
-    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
-    optional :class:`OperatorBasis` of the space the run stays in.  Without
-    ``operators`` the state is rho, and a step maps it to
+    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, with
+    ``operators`` an optional :class:`OperatorBasis` of the space the run
+    stays in.  Without ``operators`` the state is rho, and a step maps it to
     E o (U (E o rho) U^H) with E = exp(W dt / 2) and U from
     :func:`_cf4_propagators`; every factor is a CPTP map, so the step keeps
     the trace and positivity at any step size.  With ``operators`` the state
@@ -759,7 +932,8 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     d = terms.shape[1]
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
-    out = _lindblad_outputs(b, sample_idx.shape[0], form_left.shape[0], d, store_rho)
+    if out is None:
+        out = _lindblad_outputs(b, sample_idx.shape[0], form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     sampled = np.zeros(n_steps + 1, dtype=bool)
     sampled[sample_idx] = True

@@ -32,7 +32,9 @@ that is too large: such a step returns a valid but less accurate state.  The
 classical RK4 kernel remains as the reference the step is tested against.
 Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
-one.
+one.  The kernel is called once per block of steps whose coefficient table
+fits ``TABLE_BYTES`` (the whole window of a single preset run), and records
+its samples straight into the run's arrays.
 
 :func:`_integration_plans` splits a batch into groups, each with one plan
 (:class:`_Plan`): the span of the orthonormal columns of a d x k matrix Q.
@@ -72,13 +74,19 @@ results do not depend on its batch; members whose spaces have the same
 dimensions share a plan, and if one has no such space the batch keeps to
 the block.
 
-The gap scan diagonalizes H(t) on each connected component of the nonzero
-pattern of its terms, the two parity blocks of an LMG Hamiltonian, and
-merges their spectra: the ferromagnetic ground doublet has one member in
-each block.  When the process may use two CPUs and the scan is large, a
-batch's scans run on one helper thread while the batch is integrated
-(:func:`_beside`); the scan is the same either way, so its bits do not
-depend on where it ran.
+The gap scan diagonalizes H(t) on diagonal blocks and merges their
+spectra (:func:`_gap_blocks`).  A symmetric LMG Hamiltonian, whose terms
+are exactly the register's J_z, J_x^2 and J_y^2, is block-diagonal in the
+total spin j, and each spin-j irrep splits into the halves of even and odd
+j - m, at most N / 2 + 1 dimensions; halves up to 3 x 3 are diagonalized
+in closed form (:func:`lmg_adiabat._kernels.eigvalsh`), larger ones by
+LAPACK.  Other Hamiltonians (with disorder, say) are diagonalized on the
+connected components of the nonzero pattern of their terms, the two parity
+blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground doublet
+has its members in two blocks.  When the process may use two CPUs and the
+blocks are large, a batch's scans run on one helper thread while the batch
+is integrated (:func:`_beside`); the scan is the same either way, so its
+bits do not depend on where it ran.
 """
 from __future__ import annotations
 
@@ -87,14 +95,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatchError, StepFailureError
-from .model import LinearHamiltonian
+from .model import LinearHamiltonian, _collective_products
 from .states import check_density_matrix, ground_band_size
 
 #: Default master-equation step (1/nu).  The spread of H(t) is about
@@ -103,10 +111,17 @@ from .states import check_density_matrix, ground_band_size
 #: preset runs err by at most 2e-9 at 1/nu, where RK4 at 0.25/nu errs by up to 9e-5; at 2/nu the
 #: step errs by up to 1e-4 (case III at N = 8 and 10).
 DEFAULT_STEP = 1.0
-#: Steps per kernel call.  The coefficient table is built one block at a
-#: time, which bounds its memory, and the sampled trace is checked after
-#: every block, which stops a blown-up run early.
-BLOCK_STEPS = 500
+#: Largest coefficient table of one kernel call (bytes), which bounds its
+#: memory.  A batch of B members with K distinct terms takes
+#: TABLE_BYTES / (16 B K) steps a call (the table holds 2 n + 1 half-step
+#: rows of B K float64): a single run of three terms takes up to 32768 steps,
+#: so every preset window is one call, and the 13-member criterion-8
+#: ensemble (15 terms) takes 504.  The sampled trace is checked after every
+#: call, which stops a blown-up batch at the end of the call.  A call's end
+#: cuts the fused sample intervals, so a member whose window takes more
+#: calls in its batch than alone differs from its standalone run by
+#: rounding.
+TABLE_BYTES = 3 << 19
 #: Most steps a run may take.  At the few microseconds a step costs on the
 #: smallest registers this is hours of integration, so a step count past it
 #: is a typo (a step of 5e-13 over the preset window asks for 8e15 steps)
@@ -367,14 +382,15 @@ def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.
     each matrix; a single matrix gives a float.  ``h`` may also be a list of
     (..., n, s, s) stacks holding the diagonal blocks of one block-diagonal
     matrix, n blocks of size s in each; their eigenvalues are merged into its
-    spectrum.
+    spectrum.  Matrices up to 3 x 3 are diagonalized in closed form
+    (:func:`lmg_adiabat._kernels.eigvalsh`).
     """
     if isinstance(h, (list, tuple)):
-        vals = np.concatenate([np.linalg.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
+        vals = np.concatenate([_kernels.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
                               axis=-1)
         vals.sort(axis=-1)
     else:
-        vals = np.linalg.eigvalsh(h)
+        vals = _kernels.eigvalsh(h)
     ground = vals[..., 0]
     k = ground_band_size(vals)
     above = np.take_along_axis(vals, np.minimum(k, vals.shape[-1] - 1)[..., None], axis=-1)
@@ -400,23 +416,75 @@ def _component_labels(terms: np.ndarray) -> np.ndarray:
         labels = lowest
 
 
-def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
-    """Spectral gap at each time, from the eigenvalues of H(t)'s diagonal blocks.
+def _is_symmetric_lmg(terms: np.ndarray) -> bool:
+    """Whether the terms are exactly J_z, J_x^2 and J_y^2 of an N-spin register, in that order."""
+    kk, d, _ = terms.shape
+    n = d.bit_length() - 1
+    if kk != 3 or d != 1 << n or not 1 <= n <= 10:
+        return False
+    return all(np.array_equal(t, p) for t, p in zip(terms, _collective_products(n)))
 
-    The blocks are the connected components of the nonzero pattern of the
-    terms (:func:`_component_labels`), stacked by size.  They are built in
-    float64 when the terms are real and diagonalized in stacks of at most
-    ``_kernels.GAP_STACK_BYTES``.
+
+@lru_cache(maxsize=4)
+def _spin_blocks(n_spins: int) -> Tuple[np.ndarray, ...]:
+    """J_z, J_x^2 and J_y^2 on the parity halves of every spin-j irrep of n spins.
+
+    In the irrep of total spin j, on |j, m> for m = j, j - 1, .., -j, J_z is
+    diag(m) and J_+ |j, m> = sqrt(j (j + 1) - m (m + 1)) |j, m + 1>, so
+    J_x^2 and J_y^2, real in this basis, couple m only to m +- 2: each irrep
+    splits into the halves of even and of odd j - m.  Returns one read-only
+    (3, n, s, s) stack per half size s, in increasing s, holding the n
+    halves of that size.  Each j counts once: the spectrum's multiplicities
+    do not change the band rule of :func:`spectral_gap`.
     """
-    labels = _component_labels(hamiltonian.terms)
+    by_size: Dict[int, List[np.ndarray]] = {}
+    for two_j in range(n_spins, -1, -2):
+        j = two_j / 2.0
+        m = j - np.arange(two_j + 1)
+        raising = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+        jx, jy_i = raising + raising.T, raising - raising.T  # 2 J_x and 2 i J_y
+        terms = np.stack([np.diag(m), 0.25 * (jx @ jx), -0.25 * (jy_i @ jy_i)])
+        for first in (0, 1):
+            half = np.arange(first, two_j + 1, 2)
+            if half.size:
+                by_size.setdefault(half.size, []).append(terms[:, half[:, None], half])
+    blocks = tuple(np.stack(by_size[s], axis=1) for s in sorted(by_size))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+def _gap_blocks(terms: np.ndarray) -> List[np.ndarray]:
+    """The (K, n, s, s) terms of the diagonal blocks the gap scan diagonalizes, by size.
+
+    Terms that are exactly the register's J_z, J_x^2 and J_y^2 (a symmetric
+    LMG Hamiltonian, read from the terms alone) give the parity halves of
+    the spin-j irreps (:func:`_spin_blocks`): N + 1 dimensions in all for
+    j = N / 2, against two parity blocks of 2^(N-1).  Any other terms (with
+    disorder, say) give the connected components of their nonzero pattern
+    (:func:`_component_labels`), real when the terms are.
+    """
+    if _is_symmetric_lmg(terms):
+        return list(_spin_blocks(terms.shape[1].bit_length() - 1))
+    labels = _component_labels(terms)
     components = [np.flatnonzero(labels == label) for label in np.unique(labels)]
-    terms = hamiltonian.terms
     if not np.any(terms.imag):
         terms = terms.real
     groups = []  # the (K, n, s, s) terms of the n components of size s
     for size in sorted({c.size for c in components}):
         idx = np.stack([c for c in components if c.size == size])
         groups.append(terms[:, idx[:, :, None], idx[:, None, :]])
+    return groups
+
+
+def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
+    """Spectral gap at each time, from the eigenvalues of H(t)'s diagonal blocks.
+
+    The blocks are those of :func:`_gap_blocks`, stacked by size.  They are
+    built from the coefficient table and diagonalized in stacks of at most
+    ``_kernels.GAP_STACK_BYTES``, in closed form up to 3 x 3.
+    """
+    groups = _gap_blocks(hamiltonian.terms)
     flat = np.concatenate([g.reshape(len(g), -1) for g in groups], axis=1)
     splits = np.cumsum([g[0].size for g in groups])[:-1]
     per_call = max(1, _kernels.GAP_STACK_BYTES // (flat.itemsize * flat.shape[1]))
@@ -511,10 +579,10 @@ def evolve_batch(
     with dephasing each member runs on the operator space of its own
     terms and state.  With ``record_gap`` the members' gap scans run on one
     helper thread while the batch is integrated, when the process may use
-    two CPUs and the scan is large enough to pay for it
-    (``_kernels.GAP_OVERLAP_BYTES``, :func:`_beside`).  Raises
+    two CPUs and the blocks the scans diagonalize are large enough to pay
+    for it (``_kernels.GAP_OVERLAP_BYTES``, :func:`_beside`).  Raises
     :class:`StepFailureError` when a member's sampled trace defect exceeds
-    ``TRACE_TOL``, at the end of the block of ``BLOCK_STEPS`` steps in which
+    ``TRACE_TOL``, at the end of the kernel call (``TABLE_BYTES``) in which
     that happens.
     """
     specs = list(specs)
@@ -559,7 +627,8 @@ def evolve_batch(
                                  form_left, form_right, bool(store_states))
 
     if record_gap:
-        scan_bytes = 8 * len(hams) * times.size * dim * dim
+        # the float64 (or complex) blocks the members' scans diagonalize, at every sample
+        scan_bytes = times.size * sum(g[0].nbytes for ham in hams for g in _gap_blocks(ham.terms))
         integrated, gaps = _beside(integrate, lambda: [_gap_scan(ham, times) for ham in hams],
                                    scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
     else:
@@ -926,23 +995,26 @@ def _min_eigenvalue(states: np.ndarray) -> float:
 
     Outside that basis the embedded states are 0, so their eigenvalues
     there are 0 and would hide the ones inside.  The stack is diagonalized
-    in pieces of at most ``_kernels.STACK_BYTES``.
+    in pieces of at most ``_kernels.STACK_BYTES``, in closed form up to
+    k = 3 (:func:`lmg_adiabat._kernels.eigvalsh`).
     """
     per_call = max(1, _kernels.STACK_BYTES // (16 * states.shape[-1]**2))
-    return float(min(np.linalg.eigvalsh(states[i:i + per_call])[:, 0].min()
+    return float(min(_kernels.eigvalsh(states[i:i + per_call])[:, 0].min()
                      for i in range(0, len(states), per_call)))
 
 
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, store_rho):
-    """Kernel loop over blocks of BLOCK_STEPS steps, carrying rho across them.
+    """Kernel loop over blocks of steps whose coefficient table fits ``TABLE_BYTES``.
 
     Each plan of :func:`_integration_plans` runs its members on its own
     basis, as one kernel call per block on its (2n+1, B, K) table and
-    (B, k, k) states; a call samples the forms <l|rho|r>, the purity and the
-    trace and Hermiticity defects, and the states when ``store_rho`` is set.
-    The sampled states and the final state come back on the basis states
-    the plans share (the columns of their ``q``), followed by the plans.
+    (B, k, k) states, carrying the states across blocks; a call samples the
+    forms <l|rho|r>, the purity and the trace and Hermiticity defects, and
+    the states when ``store_rho`` is set, straight into the run's arrays
+    when the plan holds the whole batch.  The sampled states and the final
+    state come back on the basis states the plans share (the columns of
+    their ``q``), followed by the plans.
     """
     terms, columns = _term_union(hams)
     kern = _kernels.get_kernels()
@@ -955,8 +1027,9 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
     rho = np.empty((b, k, k), dtype=np.complex128)
     for plan, (_, _, rho0, _, _) in zip(plans, inputs):
         rho[plan.members] = rho0
-    for s0 in range(0, n_steps, BLOCK_STEPS):
-        s1 = min(s0 + BLOCK_STEPS, n_steps)
+    block = max(1, TABLE_BYTES // (16 * b * len(terms)))
+    for s0 in range(0, n_steps, block):
+        s1 = min(s0 + block, n_steps)
         # global half-step index, so every row matches a whole-window table
         half_times = t0 + (h / 2.0) * np.arange(2 * s0, 2 * s1 + 1, dtype=np.float64)
         ctab = np.zeros((half_times.size, b, terms.shape[0]))
@@ -969,11 +1042,15 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         hi = np.searchsorted(sample_idx, s1, side="right")
         for plan, (g_terms, g_w, _, g_left, g_right) in zip(plans, inputs):
             members = plan.members
-            *block, rho[members] = kern.lindblad_cf4(
+            # views into the run's arrays for a whole-batch plan, else the kernel's own
+            views = (tuple(full[members, lo:hi] for full in samples)
+                     if isinstance(members, slice) else None)
+            *part, rho[members] = kern.lindblad_cf4(
                 g_terms, ctab[:, members], g_w, rho[members], h, sample_idx[lo:hi] - s0,
-                g_left, g_right, store_rho, plan.operators)
-            for full, part in zip(samples, block):
-                full[members, lo:hi] = part
+                g_left, g_right, store_rho, plan.operators, views)
+            if views is None:
+                for full, values in zip(samples, part):
+                    full[members, lo:hi] = values
         _check_trace(samples[2][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
     return (*samples, rho, plans)
 

@@ -426,6 +426,77 @@ def test_block_gap_scan_matches_the_full_spectrum(n, disordered):
         assert vals[1] - vals[0] < 1e-3 * (vals[-1] - vals[0]) < vals[2] - vals[0]
 
 
+def _case_hamiltonian(case, n, disorder=None):
+    cfg = preset(case, n)
+    return cfg, lmg_sweep_hamiltonian(SpinRegister(n), cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                      cfg.schedule.omega2, disorder)
+
+
+@pytest.mark.parametrize("case,n", [(case, n) for case, parity in (("I", None), ("II", 1), ("III", 0))
+                                    for n in range(2, 9) if parity in (None, n % 2)])
+def test_total_spin_gap_scan_matches_the_parity_scan(monkeypatch, case, n):
+    # a symmetric LMG Hamiltonian is scanned on the parity halves of its
+    # spin-j irreps, N + 1 dimensions for j = N / 2, and gives the gaps of
+    # the two 2^(N-1) parity blocks
+    cfg, ham = _case_hamiltonian(case, n)
+    blocks = dynamics._gap_blocks(ham.terms)
+    assert sum(g.shape[1] * g.shape[2] for g in blocks) == sum(
+        two_j + 1 for two_j in range(n, -1, -2))
+    assert max(g.shape[2] for g in blocks) == n // 2 + 1
+    times = np.linspace(0.0, cfg.t_final, 41)
+    spin = dynamics._gap_scan(ham, times)
+    monkeypatch.setattr(dynamics, "_is_symmetric_lmg", lambda terms: False)
+    assert [g.shape[2] for g in dynamics._gap_blocks(ham.terms)] == [2 ** (n - 1)]
+    np.testing.assert_allclose(spin, dynamics._gap_scan(ham, times), rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+@pytest.mark.parametrize("gamma", [0.0, 1e-4], ids=["gamma-0", "1kHz"])
+def test_a_run_records_the_total_spin_scan(monkeypatch, gamma):
+    # with or without dephasing, the recorded gaps are the scan of the run's
+    # Hamiltonian, within 1e-12 of the parity-block scan
+    from lmg_adiabat.protocols import run_scenario
+
+    cfg = preset("III", 4, gamma=gamma, t_final=200.0, n_samples=21)
+    run = run_scenario(cfg).trajectory
+    ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                cfg.schedule.omega2)
+    np.testing.assert_array_equal(run.gap, dynamics._gap_scan(ham, run.times))
+    monkeypatch.setattr(dynamics, "_is_symmetric_lmg", lambda terms: False)
+    np.testing.assert_allclose(run.gap, dynamics._gap_scan(ham, run.times), rtol=0, atol=1e-12)
+
+
+def test_only_the_exact_collective_terms_take_the_total_spin_scan():
+    # disorder adds a fourth term, and a rescaled or reordered J_z, J_x^2,
+    # J_y^2 is not the register's: those keep the parity blocks
+    from lmg_adiabat.model import DisorderProfile
+
+    cfg, ham = _case_hamiltonian("I", 4)
+    assert dynamics._is_symmetric_lmg(ham.terms)
+    _, disordered = _case_hamiltonian("I", 4, DisorderProfile((0.1, 0.0, -0.1, 0.05), cfg.eta))
+    for terms in (disordered.terms, 2.0 * ham.terms, ham.terms[[1, 0, 2]], ham.terms[:2]):
+        assert not dynamics._is_symmetric_lmg(terms)
+        assert [g.shape[1:] for g in dynamics._gap_blocks(terms)] == [(2, 8, 8)]
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
+def test_a_symmetric_batch_scans_inline_and_a_disordered_one_beside(monkeypatch):
+    # the overlap is sized from the blocks each scan diagonalizes: 401
+    # samples of the six dispersion members' spin-j halves take 0.4 MB, below
+    # GAP_OVERLAP_BYTES, while the 13 criterion-8 members' two 8 x 8 parity
+    # blocks take 5.3 MB, above it
+    from lmg_adiabat.protocols import (REFERENCE_DISPERSION_PAIRS, disorder_ensemble,
+                                       dispersion_ensemble, reference_disorder_profiles)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    started = _threads_started(monkeypatch)
+    cfg = preset("I", 4, detuning_magnitude=0.9, t_final=40.0)
+    dispersion_ensemble(cfg, REFERENCE_DISPERSION_PAIRS)
+    assert started == []
+    disorder_ensemble(cfg, reference_disorder_profiles(cfg.eta))
+    assert len(started) == 1
+
+
 def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
     cfg = preset("I", 3, t_final=20.0)
     ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
@@ -531,6 +602,12 @@ def test_evolve_step_failure_on_unstable_step():
         )
 
 
+def _block_steps(monkeypatch, steps, members, terms):
+    """Make every kernel call of a batch of ``members`` with ``terms`` distinct terms
+    take ``steps`` steps: its coefficient table holds 16 bytes a step, member and term."""
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 16 * steps * members * terms)
+
+
 def test_block_size_does_not_change_the_result(monkeypatch):
     cfg = preset("I", 2, t_final=60.0)
     ham = lmg_sweep_hamiltonian(SpinRegister(2), cfg.eta, cfg.delta,
@@ -542,7 +619,7 @@ def test_block_size_does_not_change_the_result(monkeypatch):
     # 246 steps of a step that is not a binary fraction: one block, then six
     # blocks of 41 steps that end on every other sample
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
-    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    _block_steps(monkeypatch, 41, 1, 3)
     blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     for name in ("purity", "trace_defect", "hermiticity_defect", "rho_samples", "rho_final"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
@@ -560,7 +637,7 @@ def test_block_size_changes_an_undamped_result_only_by_rounding(monkeypatch):
     kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
                   record_gap=False)
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
-    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    _block_steps(monkeypatch, 41, 1, 3)
     blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
         np.testing.assert_allclose(getattr(blocked, name), getattr(whole, name),
@@ -583,7 +660,7 @@ def test_block_size_changes_an_operator_space_result_only_by_rounding(monkeypatc
     kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
                   record_gap=False)
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
-    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 41)
+    _block_steps(monkeypatch, 41, 1, 3)
     blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     assert (whole.integrated_dim, whole.integrated_basis) == (5, "operator subspace")
     for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
@@ -758,7 +835,7 @@ def test_a_complex_member_spares_the_batch_every_operator_space_closure(monkeypa
 def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_calls):
     # the second member's Hamiltonian turns NaN after t = 100, the first stays
     # finite; the run must stop after the first block instead of finishing the window
-    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 20)
+    _block_steps(monkeypatch, 20, 2, 2)
     rho0 = density_from_state(TWO_SPIN_PLUS_X)
     failure = pytest.raises(StepFailureError, match="member 1: .* at t = 104 ")
     with np.errstate(all="ignore"), failure:
@@ -780,7 +857,7 @@ def test_step_failure_inside_a_fused_interval_stops_at_the_same_block(
     # interval: steps 13 to 26 are one fused product without dephasing, and
     # the coefficient turns NaN at t = 148, inside step 18; both runs stop at
     # the sample at step 26 in the first of 13 blocks of 40 steps
-    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 40)
+    _block_steps(monkeypatch, 40, 2, 2)
     rho0 = density_from_state(TWO_SPIN_PLUS_X)
     failure = pytest.raises(StepFailureError, match="member 1: .* at t = 208 ")
     with np.errstate(all="ignore"), failure:
@@ -993,6 +1070,39 @@ def test_fast_sweep_stays_positive():
     # RK4 at step 0.25 reached -1.8e-5 here; the CF4 step is CPTP
     res = run_scenario(preset("I", 4, t_final=400.0), record_gap=False)
     assert res.trajectory.min_eigenvalue >= -1e-12
+
+
+def test_sample_grid_is_uneven_where_the_samples_do_not_divide_the_steps():
+    # 401 samples over 4000/nu: steps 1, 2, 2.5 and 5 put every sample on its
+    # nominal time (a multiple of 10), steps 4 and 8 round the sample steps
+    # to the step grid, up to half a step from nominal
+    nominal = np.linspace(0.0, 4000.0, 401)
+    for step in (1.0, 2.0, 2.5, 5.0):
+        np.testing.assert_array_equal(dynamics.sample_times((0.0, 4000.0), step, 401), nominal)
+    at_4 = dynamics.sample_times((0.0, 4000.0), 4.0, 401)
+    np.testing.assert_array_equal(at_4[:5], [0.0, 8.0, 20.0, 32.0, 40.0])
+    assert np.abs(at_4 - nominal).max() == 2.0
+    assert np.abs(dynamics.sample_times((0.0, 4000.0), 8.0, 401) - nominal).max() == 4.0
+
+
+def test_one_kernel_call_per_plan_for_a_single_run(lindblad_calls):
+    # the coefficient table of a single preset run, 8001 half-steps of three
+    # terms, is far below TABLE_BYTES, so the whole window is one call
+    from lmg_adiabat.protocols import run_scenario
+
+    run_scenario(preset("I", 4), record_gap=False)
+    assert lindblad_calls == [(8001, 1, 3)]
+
+
+@pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")
+def test_the_criterion_8_batch_keeps_blocks_of_about_500_steps(lindblad_calls):
+    # 13 members and 15 distinct terms: 504 steps a call, 8 calls over 4000/nu
+    from lmg_adiabat.protocols import disorder_ensemble, reference_disorder_profiles
+
+    cfg = preset("I", 4, detuning_magnitude=0.9)
+    disorder_ensemble(cfg, reference_disorder_profiles(cfg.eta))
+    assert dynamics.TABLE_BYTES // (16 * 13 * 15) == 504
+    assert lindblad_calls == [(2 * 504 + 1, 13, 15)] * 7 + [(2 * (4000 - 7 * 504) + 1, 13, 15)]
 
 
 def test_sample_grid_keeps_the_requested_samples():
