@@ -168,11 +168,10 @@ def propagator_workload(block):
 def exponential_workload(block):
     """The block's Simpson moments, in the stacks that the CF4 kernel exponentiates."""
     terms, ctab, *_ = block
-    d = terms.shape[1]
+    kk, d, _ = terms.shape
     stage_terms, stage_dtype = _kernels._stage_terms(terms)
-    folded = _kernels._simpson_terms(stage_terms)
-    return [(_kernels._step_rows(rows) @ folded).view(stage_dtype).reshape(-1, d, d)
-            for rows in kernel_stacks(ctab, d)]
+    return [(_kernels._simpson_moments(rows).reshape(-1, kk) @ stage_terms)
+            .view(stage_dtype).reshape(-1, d, d) for rows in kernel_stacks(ctab, d)]
 
 
 def operator_workload(n_spins, t_final=1000.0):

@@ -8,10 +8,8 @@ The master equation is integrated by ``lindblad_cf4``
 (:func:`_lindblad_cf4_numpy`): a 4th-order commutator-free Magnus step
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
-half-steps exp(W dt / 2).  Both Simpson moments of a step come from one
-fixed-shape product of its three half-step rows with the terms, the Simpson
-weights folded into the terms (:func:`_simpson_terms`).  Its propagators
-are built for many steps at once by :func:`_exp_blocks`.  Real moments at
+half-steps exp(W dt / 2).  Its propagators are built for many steps at
+once by :func:`_exp_blocks`.  Real moments at
 d = 2 and 3 (the invariant subspaces of the gamma-0 presets at N = 3 and 4
 and of the criterion-8 members) are exponentiated in closed form
 (:func:`_exp_closed_form`).  Complex moments and the other dimensions take
@@ -55,9 +53,7 @@ interval are fused and scanned in the same way and only the coordinate
 vector of rho is carried.  With dephasing and no such basis, rho is
 conjugated by each step's propagator, at two small products a step, one
 Python step at a time.  The step is CPTP, so it cannot blow up, and its
-size is set by how fast H(t) changes rather than by its norm.  A call
-records its samples into arrays it is given, so a caller that integrates a
-run in several calls passes views of the run's arrays and copies nothing.
+size is set by how fast H(t) changes rather than by its norm.
 
 The classical RK4 kernel ``lindblad_rk4`` is the reference the CF4 step is
 tested and benchmarked against; ``schrodinger_rk4`` integrates pure states.
@@ -136,24 +132,21 @@ def _record(out, rows, rho, left_c, form_right, store_rho):
 
 
 def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, store_rho, operators=None, out=None):
+                        form_left, form_right, store_rho, operators=None):
     """Classical RK4 on rho, the reference of :func:`_lindblad_cf4_numpy`.
 
     ``ctab`` (2n+1, B, K) holds each member's coefficients on the half-step
     grid and ``rho0`` (B, d, d) its initial state; the members share the
     (K, d, d) ``terms``, the mask ``w`` and the forms <l|rho|r> of the rows
     of ``form_left`` and ``form_right`` (F, d).  Returns the arrays of
-    :func:`_lindblad_outputs` and the final states; the samples are written
-    into ``out`` when it holds such arrays (views into a longer run's, say).
-    ``operators`` only names a space the run stays in, and this kernel
-    integrates rho itself.
+    :func:`_lindblad_outputs` and the final states.  ``operators`` only
+    names a space the run stays in, and this kernel integrates rho itself.
     """
     kk, d, _ = terms.shape
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
     m = sample_idx.shape[0]
-    if out is None:
-        out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
+    out = _lindblad_outputs(b, m, form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     stage_terms, stage_dtype = _stage_terms(terms)
     if stage_dtype is np.complex128:
@@ -212,6 +205,14 @@ def _lindblad_rk4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 #: take fewer calls in larger stacks, took 0.88 at 128 KiB and 1.02-1.07 at
 #: 64 KiB.
 STACK_BYTES = 1 << 17
+#: Steps of a block, counted from the start of a call.  Where the steps of
+#: a sample interval are fused, every block starts its own segments and
+#: prefix groups from a state taken as a new call takes it, so a call cut at
+#: a multiple of this count gives the same bits as the calls before and
+#: after the cut together; a batch whose coefficient table is integrated in
+#: several calls (:func:`lmg_adiabat.dynamics._integrate_blocks`) gives each
+#: member the bits of its run alone.
+BLOCK_STEPS = 500
 #: Largest stack of gap-scan Hamiltonians built and diagonalized at once
 #: (bytes), in :func:`lmg_adiabat.dynamics._gap_scan`: every sample of a
 #: symmetric run's spin-j halves up to N = 10 (1.2 kB a sample there), and of
@@ -460,18 +461,21 @@ def eigvalsh(h):
     Up to d = 3 they are taken in closed form (:func:`_spectrum`, on each
     matrix less the mean of its diagonal), elementwise over the stack, so
     each matrix's values depend only on that matrix; larger matrices go to
-    LAPACK.  Only the upper triangle is read.
+    LAPACK.  Only the lower triangle is read, as LAPACK reads it.
     """
+    h = np.asarray(h)
     d = h.shape[-1]
     if d > 3:
         return np.linalg.eigvalsh(h)
-    flat = _SYMMETRIC_LAYOUTS[d][0]
-    rows = h.reshape(-1, d * d).T[flat]
-    mean = np.add.reduce(rows[:d].real) / d
-    rows[:d] -= mean
-    with np.errstate(invalid="ignore", divide="ignore"):
+    lower = h.swapaxes(-1, -2)  # its upper triangle, conjugated, is the lower one of h
+    if np.iscomplexobj(lower):
+        lower = lower.conj()
+    rows = lower.reshape(-1, d * d).T[_SYMMETRIC_LAYOUTS[d][0]].astype(np.result_type(h, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mean = np.add.reduce(rows[:d].real) / d
+        rows[:d] = rows[:d].real - mean  # LAPACK reads the diagonal's real part only
         l, _ = _spectrum(rows, d)
-    return (l[::-1] + mean).T.reshape(h.shape[:-1])
+        return (l[::-1] + mean).T.reshape(h.shape[:-1])
 
 
 def _newton_form(b, d, x1, x2, c0, c1, c2):
@@ -629,33 +633,10 @@ def _unblock(u):
     return out
 
 
-#: Simpson weights of a step's half-step rows c0, c_1/2 and c1 (rows) in its
-#: moments S_a = (3 c0 + 4 c_1/2 - c1) / 12 and S_b = (-c0 + 4 c_1/2 + 3 c1) / 12
-#: (columns).
-_SIMPSON = np.array([[3.0, -1.0], [4.0, 4.0], [-1.0, 3.0]]) / 12.0
-
-
-def _simpson_terms(terms):
-    """(..., 3K, 2M) terms with the Simpson weights folded in, from (..., K, M) terms.
-
-    Row j K + k, column a M + x holds the weight of half-step row j in
-    moment a times entry x of term k, so that one product with a step's
-    three rows side by side (:func:`_step_rows`) gives both of its moments.
-    Each entry is one product of a weight and a term entry.
-    """
-    *lead, kk, m = terms.shape
-    folded = np.einsum("ja,...kx->...jkax", _SIMPSON, terms)
-    return folded.reshape(*lead, 3 * kk, 2 * m)
-
-
-def _step_rows(rows):
-    """(n, B, 3K): each step's half-step rows c0, c_1/2 and c1 side by side, from (2n+1, B, K)."""
-    n = (len(rows) - 1) // 2
-    out = np.empty((n, rows.shape[1], 3, rows.shape[2]))
-    out[:, :, 0] = rows[:-1:2]
-    out[:, :, 1] = rows[1::2]
-    out[:, :, 2] = rows[2::2]
-    return out.reshape(n, rows.shape[1], -1)
+def _simpson_moments(rows):
+    """(n, 2, B, K) coefficients of each step's S_a and S_b from half-step rows (2n+1, B, K)."""
+    c0, cm, c1 = rows[:-1:2], rows[1::2], rows[2::2]
+    return np.stack([3.0 * c0 + 4.0 * cm - c1, 4.0 * cm + 3.0 * c1 - c0], axis=1) / 12.0
 
 
 def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
@@ -664,23 +645,17 @@ def _cf4_propagators(rows, stage_terms, stage_dtype, dt, d):
     Each step's Simpson moments S_a = (3 H_0 + 4 H_1/2 - H_1) / 12 and
     S_b = (-H_0 + 4 H_1/2 + 3 H_1) / 12 give U = exp(-i dt S_b) exp(-i dt S_a),
     each exponential from :func:`_exp_blocks`, up to a phase that cancels
-    in U rho U^H.  Both moments of a step come from one product of its
-    three rows with the stage terms of :func:`_stage_terms`, the Simpson
-    weights folded in (:func:`_simpson_terms`).  U is the real block form
-    [[P, -Q], [Q, P]] of U = P + iQ, so the product of the two exponentials
-    is one float64 product.  A step whose Hamiltonian is not finite gets a
-    NaN propagator, which the trace check reports.
+    in U rho U^H.  U is the real block form [[P, -Q], [Q, P]] of U = P + iQ,
+    so the product of the two exponentials is one float64 product.  A step
+    whose Hamiltonian is not finite gets a NaN propagator, which the trace
+    check reports.
     """
-    n = (len(rows) - 1) // 2
-    b = rows.shape[1]
-    steps = _step_rows(rows)
-    if b == 1:  # as one row, a matrix-vector product, which rounds differently
-        steps = np.repeat(steps, 2, axis=1)
-    # a stack of fixed-shape products, one a step: each step's bits depend on
-    # neither n nor the batch
-    s = (steps @ _simpson_terms(stage_terms))[:, :b].view(stage_dtype)
-    u = _exp_blocks(s.reshape(n * b * 2, d, d), dt).reshape(n, b, 2, 2 * d, 2 * d)
-    return u[:, :, 1] @ u[:, :, 0]  # S_a acts first
+    moments = _simpson_moments(rows)
+    n, _, b, kk = moments.shape
+    # a stack of fixed-shape products: each step's bits do not depend on n
+    s = (moments.reshape(n, 2 * b, kk) @ stage_terms).view(stage_dtype)
+    u = _exp_blocks(s.reshape(n * 2 * b, d, d), dt).reshape(n, 2, b, 2 * d, 2 * d)
+    return u[:, 1] @ u[:, 0]  # S_a acts first
 
 
 class OperatorBasis(NamedTuple):
@@ -773,23 +748,17 @@ def _operator_steps(rows, operators, dt):
 
     On the basis the CF4 step E o (U X U^H) o E is D exp(dt G_b) exp(dt G_a) D,
     with G_a and G_b the generators of the Simpson moments S_a and S_b
-    (:func:`_rotation_exponentials`), both from one product of the step's
-    three rows with the couplings, the Simpson weights folded in
-    (:func:`_simpson_terms`), and D = diag(exp(dt lambda / 2)) the
+    (:func:`_rotation_exponentials`) and D = diag(exp(dt lambda / 2)) the
     dephasing half-step, since the basis diagonalizes the mask.  A step
     whose Hamiltonian is not finite gets a NaN map, which the trace check
     reports.
     """
-    n = (len(rows) - 1) // 2
-    b = rows.shape[1]
-    g, kk, r2, r1 = operators.couplings.shape
-    folded = _simpson_terms(operators.couplings.reshape(g, kk, r2 * r1))
-    # a stack of fixed-shape products, one per step and member, each of the
-    # row twice (as one row, a matrix-vector product, its bits would change
-    # with the zero columns of the other members' terms): each step's bits
-    # depend on neither n nor the batch
-    steps = np.repeat(_step_rows(rows)[:, :, None, :], 2, axis=2)
-    generators = (steps @ folded)[:, :, 0]
+    moments = _simpson_moments(rows)
+    n, _, b, kk = moments.shape
+    g, _, r2, r1 = operators.couplings.shape
+    # a stack of fixed-shape products per member: each step's bits depend on
+    # neither n nor the batch
+    generators = moments.transpose(0, 2, 1, 3) @ operators.couplings.reshape(g, kk, r2 * r1)
     e = _rotation_exponentials(generators.reshape(n * b * 2, r2, r1), dt)
     ea, eb = e.reshape(n, b, 2, r1 + r2, r1 + r2).transpose(2, 0, 1, 3, 4)
     damp = np.exp(0.5 * dt * operators.rates)[:, None, :]  # (G, 1, r)
@@ -799,12 +768,14 @@ def _operator_steps(rows, operators, dt):
 def _segment_ends(n_steps, sample_idx, longest):
     """Ends of the fused segments of a run without dephasing or on an operator space.
 
-    A segment runs from one sample step (or step 0) to the next one (or
-    ``n_steps``) and is cut every ``longest`` steps from its start, so the
-    segments depend on the sample grid and ``longest`` only.
+    A segment runs from one sample step, block start (``BLOCK_STEPS``) or
+    step 0 to the next one (or ``n_steps``) and is cut every ``longest``
+    steps from its start, so the segments depend on the sample grid and
+    ``longest`` only.
     """
     ends, start = [], 0
-    for cut in np.union1d(sample_idx, [n_steps]).tolist():
+    blocks = range(BLOCK_STEPS, n_steps, BLOCK_STEPS)
+    for cut in np.union1d(sample_idx, [*blocks, n_steps]).tolist():
         if cut > start:
             ends += range(start + longest, cut, longest)
             ends.append(cut)
@@ -870,18 +841,30 @@ def _segment_stacks(steps, ctab, ends, per_chunk):
         first = last
 
 
-def _groups(stacks, size):
-    """The items of a stream of stacks, restacked ``size`` at a time (the last may be fewer)."""
+def _group_sizes(ends, longest):
+    """Sizes of the prefix groups of the segments that end at ``ends``.
+
+    Each block of ``BLOCK_STEPS`` steps takes its segments ``longest`` at a
+    time, counted from its first; the last group of a block may be smaller.
+    """
+    blocks = np.bincount(np.subtract(ends, 1) // BLOCK_STEPS)
+    return [min(longest, count - start) for count in blocks.tolist()
+            for start in range(0, count, longest)]
+
+
+def _groups(stacks, sizes):
+    """The items of a stream of stacks, restacked into groups of ``sizes`` items."""
     held, count = [], 0
+    sizes = iter(sizes)
+    size = next(sizes, 0)
     for stack in stacks:
         held.append(np.ascontiguousarray(stack))  # not a view that keeps its step stack alive
         count += len(stack)
-        while count >= size:
+        while size and count >= size:
             joined = np.concatenate(held)
             yield joined[:size]
             held, count = [joined[size:]], count - size
-    if count:
-        yield np.concatenate(held)
+            size = next(sizes, 0)
 
 
 def _prefix_products(v):
@@ -901,7 +884,7 @@ def _prefix_products(v):
 
 
 def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
-                        form_left, form_right, store_rho, operators=None, out=None):
+                        form_left, form_right, store_rho, operators=None):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
     Same arguments and outputs as :func:`_lindblad_rk4_numpy`, with
@@ -919,21 +902,22 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
     exactly: the run is cut into segments, one sample interval each, cut
     again every ``longest = STACK_BYTES // step_bytes`` steps
     (:func:`_segment_ends`), and each segment's maps are multiplied into one,
-    V_j (:func:`_segment_propagators`).  The segments are taken ``longest``
-    at a time, counted from the start of the call; each group's prefix
-    products W_j = V_j ... V_0 (:func:`_prefix_products`) carry the group's
-    starting state to every segment end in one batched product, W rho W^H
-    Hermitized or W x, and the group's samples are recorded together.  The
-    segments and groups follow from d (or r) and the sample grid alone, so a
-    member's bits depend on neither its batch nor where the stacks fall.  A
-    dephased run without ``operators`` conjugates rho by one step's
-    propagator at a time and Hermitizes it after each step.
+    V_j (:func:`_segment_propagators`).  Every block of ``BLOCK_STEPS``
+    steps takes its segments ``longest`` at a time, from a state taken as a
+    new call takes it (:func:`_group_sizes`); each group's prefix products
+    W_j = V_j ... V_0 (:func:`_prefix_products`) carry the group's starting
+    state to every segment end in one batched product, W rho W^H Hermitized
+    or W x, and the group's samples are recorded together.  The segments and
+    groups follow from d (or r) and the sample grid alone, so a member's bits
+    depend on neither its batch, nor where the stacks fall, nor whether the
+    run is cut into calls at block starts.  A dephased run without
+    ``operators`` conjugates rho by one step's propagator at a time and
+    Hermitizes it after each step.
     """
     d = terms.shape[1]
     n_steps = (ctab.shape[0] - 1) // 2
     b = ctab.shape[1]
-    if out is None:
-        out = _lindblad_outputs(b, sample_idx.shape[0], form_left.shape[0], d, store_rho)
+    out = _lindblad_outputs(b, sample_idx.shape[0], form_left.shape[0], d, store_rho)
     left_c = form_left.conj()
     sampled = np.zeros(n_steps + 1, dtype=bool)
     sampled[sample_idx] = True
@@ -945,7 +929,6 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
         _record(out, rows, density(states), left_c, form_right, store_rho)
         ptr = rows.stop
 
-    rho = 0.5 * (rho0 + rho0.conj().transpose(0, 2, 1))
     if operators is None:
         stage_terms, stage_dtype = _stage_terms(terms)
         step_bytes = 16 * d * d
@@ -961,7 +944,6 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
         def density(states):
             return states
 
-        state = rho
     else:
         step_bytes = 8 * operators.dim ** 2
 
@@ -972,8 +954,12 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             return (p.swapaxes(0, 1) @ x[:, None, :, None])[..., 0]
 
         density = operators.embed
-        state = operators.coordinates(rho)
 
+    def start(rho):  # the state of a call, or of a block, from its Hermitized rho
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        return rho if operators is None else operators.coordinates(rho)
+
+    state = start(rho0)
     per_chunk = max(1, STACK_BYTES // (b * step_bytes))
     longest = max(1, STACK_BYTES // step_bytes)
     if sampled[0]:
@@ -998,7 +984,10 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             first += v.shape[0]
     else:
         ends = _segment_ends(n_steps, sample_idx, longest)
-        for v in _groups(_segment_stacks(steps, ctab, ends, per_chunk), longest):
+        groups = _groups(_segment_stacks(steps, ctab, ends, per_chunk), _group_sizes(ends, longest))
+        for v in groups:
+            if first and ends[first - 1] % BLOCK_STEPS == 0:
+                state = start(density(state[:, None])[:, 0])
             states = apply(_prefix_products(v), state)
             state = states[:, -1]
             keep = sampled[ends[first:first + v.shape[0]]]

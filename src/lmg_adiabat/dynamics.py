@@ -32,9 +32,10 @@ that is too large: such a step returns a valid but less accurate state.  The
 classical RK4 kernel remains as the reference the step is tested against.
 Runs that share the time grid and the dephasing rates are integrated
 together as one batch (:func:`evolve_batch`); a single run is the batch of
-one.  The kernel is called once per block of steps whose coefficient table
-fits ``TABLE_BYTES`` (the whole window of a single preset run), and records
-its samples straight into the run's arrays.
+one.  The kernel is called once for as many whole blocks of
+``_kernels.BLOCK_STEPS`` steps as fit a coefficient table of ``TABLE_BYTES``
+(the whole window of a single preset run); a call cut at a block start gives
+the bits of the uncut call, so a member's bits do not depend on its batch.
 
 :func:`_integration_plans` splits a batch into groups, each with one plan
 (:class:`_Plan`): the span of the orthonormal columns of a d x k matrix Q.
@@ -112,15 +113,14 @@ from .states import check_density_matrix, ground_band_size
 #: step errs by up to 1e-4 (case III at N = 8 and 10).
 DEFAULT_STEP = 1.0
 #: Largest coefficient table of one kernel call (bytes), which bounds its
-#: memory.  A batch of B members with K distinct terms takes
-#: TABLE_BYTES / (16 B K) steps a call (the table holds 2 n + 1 half-step
-#: rows of B K float64): a single run of three terms takes up to 32768 steps,
-#: so every preset window is one call, and the 13-member criterion-8
-#: ensemble (15 terms) takes 504.  The sampled trace is checked after every
-#: call, which stops a blown-up batch at the end of the call.  A call's end
-#: cuts the fused sample intervals, so a member whose window takes more
-#: calls in its batch than alone differs from its standalone run by
-#: rounding.
+#: memory.  A batch of B members with K distinct terms takes as many whole
+#: blocks of ``_kernels.BLOCK_STEPS`` (500) steps a call as fit
+#: TABLE_BYTES / (16 B K) steps (the table holds 2 n + 1 half-step rows of
+#: B K float64), and at least one: a single run of three terms takes up to
+#: 32500 steps, so every preset window is one call, and the 13-member
+#: criterion-8 ensemble (15 terms, 504 steps) takes one block.  The sampled
+#: trace is checked after every call, which stops a blown-up batch at the
+#: end of the call.
 TABLE_BYTES = 3 << 19
 #: Most steps a run may take.  At the few microseconds a step costs on the
 #: smallest registers this is hours of integration, so a step count past it
@@ -1011,8 +1011,7 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
     basis, as one kernel call per block on its (2n+1, B, K) table and
     (B, k, k) states, carrying the states across blocks; a call samples the
     forms <l|rho|r>, the purity and the trace and Hermiticity defects, and
-    the states when ``store_rho`` is set, straight into the run's arrays
-    when the plan holds the whole batch.  The sampled states and the final
+    the states when ``store_rho`` is set.  The sampled states and the final
     state come back on the basis states the plans share (the columns of
     their ``q``), followed by the plans.
     """
@@ -1027,7 +1026,8 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
     rho = np.empty((b, k, k), dtype=np.complex128)
     for plan, (_, _, rho0, _, _) in zip(plans, inputs):
         rho[plan.members] = rho0
-    block = max(1, TABLE_BYTES // (16 * b * len(terms)))
+    grid = _kernels.BLOCK_STEPS
+    block = grid * max(1, TABLE_BYTES // (16 * b * len(terms) * grid))
     for s0 in range(0, n_steps, block):
         s1 = min(s0 + block, n_steps)
         # global half-step index, so every row matches a whole-window table
@@ -1042,15 +1042,11 @@ def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
         hi = np.searchsorted(sample_idx, s1, side="right")
         for plan, (g_terms, g_w, _, g_left, g_right) in zip(plans, inputs):
             members = plan.members
-            # views into the run's arrays for a whole-batch plan, else the kernel's own
-            views = (tuple(full[members, lo:hi] for full in samples)
-                     if isinstance(members, slice) else None)
-            *part, rho[members] = kern.lindblad_cf4(
+            *block_samples, rho[members] = kern.lindblad_cf4(
                 g_terms, ctab[:, members], g_w, rho[members], h, sample_idx[lo:hi] - s0,
-                g_left, g_right, store_rho, plan.operators, views)
-            if views is None:
-                for full, values in zip(samples, part):
-                    full[members, lo:hi] = values
+                g_left, g_right, store_rho, plan.operators)
+            for full, part in zip(samples, block_samples):
+                full[members, lo:hi] = part
         _check_trace(samples[2][:, lo:hi], t0 + h * sample_idx[lo:hi].astype(np.float64), h)
     return (*samples, rho, plans)
 

@@ -603,8 +603,10 @@ def test_evolve_step_failure_on_unstable_step():
 
 
 def _block_steps(monkeypatch, steps, members, terms):
-    """Make every kernel call of a batch of ``members`` with ``terms`` distinct terms
-    take ``steps`` steps: its coefficient table holds 16 bytes a step, member and term."""
+    """Cut runs into blocks of ``steps`` steps, and make every kernel call of a batch of
+    ``members`` with ``terms`` distinct terms take one block: its coefficient table
+    holds 16 bytes a step, member and term."""
+    monkeypatch.setattr(_kernels, "BLOCK_STEPS", steps)
     monkeypatch.setattr(dynamics, "TABLE_BYTES", 16 * steps * members * terms)
 
 
@@ -1096,13 +1098,39 @@ def test_one_kernel_call_per_plan_for_a_single_run(lindblad_calls):
 
 @pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")
 def test_the_criterion_8_batch_keeps_blocks_of_about_500_steps(lindblad_calls):
-    # 13 members and 15 distinct terms: 504 steps a call, 8 calls over 4000/nu
+    # 13 members and 15 distinct terms: the table fits 504 steps, so one
+    # block of 500 steps a call, 8 calls over 4000/nu
     from lmg_adiabat.protocols import disorder_ensemble, reference_disorder_profiles
 
     cfg = preset("I", 4, detuning_magnitude=0.9)
     disorder_ensemble(cfg, reference_disorder_profiles(cfg.eta))
-    assert dynamics.TABLE_BYTES // (16 * 13 * 15) == 504
-    assert lindblad_calls == [(2 * 504 + 1, 13, 15)] * 7 + [(2 * (4000 - 7 * 504) + 1, 13, 15)]
+    assert dynamics.TABLE_BYTES // (16 * 13 * 15) == 504 and _kernels.BLOCK_STEPS == 500
+    assert lindblad_calls == [(2 * 500 + 1, 13, 15)] * 8
+
+
+@pytest.mark.parametrize("gammas,n,basis", [
+    ((0.0,) * 4, 4, "subspace"),
+    ((1e-3, 2e-3), 2, "basis states"),
+    ((1e-3,) * 3, 3, "operator subspace"),
+], ids=["undamped", "dephased", "operator-space"])
+def test_calls_cut_at_block_starts_do_not_change_the_result(monkeypatch, gammas, n, basis):
+    # 246 steps in blocks of 41: one call for the window, against one call a
+    # block, gives the same bits on each path of the kernel
+    cfg = preset("I", n, t_final=60.0)
+    ham = lmg_sweep_hamiltonian(SpinRegister(n), cfg.eta, cfg.delta,
+                                cfg.schedule.omega1, cfg.schedule.omega2)
+    spec = LindbladSpec(ham, gammas)
+    rho0 = density_from_state(cfg.initial_state())
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
+                  record_gap=False)
+    monkeypatch.setattr(_kernels, "BLOCK_STEPS", 41)
+    whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    _block_steps(monkeypatch, 41, 1, 3)
+    blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
+    assert whole.integrated_basis == basis
+    for name in ("purity", "trace_defect", "hermiticity_defect", "rho_samples", "rho_final"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name), err_msg=name)
+    np.testing.assert_array_equal(blocked.populations["start"], whole.populations["start"])
 
 
 def test_sample_grid_keeps_the_requested_samples():

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,21 @@ def test_closed_form_eigenvalues_match_eigvalsh(d, complex_entries):
     # elementwise: each matrix's values do not depend on its stack
     np.testing.assert_array_equal(_kernels.eigvalsh(s[5:9]), got[5:9])
     np.testing.assert_array_equal(_kernels.eigvalsh(s.reshape(2, -1, d, d)), got.reshape(2, -1, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_eigenvalues_read_what_lapack_reads(d):
+    # integer matrices are taken as float64, and only the lower triangle and
+    # the real part of the diagonal are read, as by np.linalg.eigvalsh
+    rng = np.random.default_rng(63)
+    ints = rng.integers(-5, 6, size=(50, d, d))
+    np.testing.assert_allclose(_kernels.eigvalsh(ints), np.linalg.eigvalsh(ints), rtol=0, atol=2e-14)
+    x = rng.normal(size=(50, d, d)) + 1j * rng.normal(size=(50, d, d))
+    np.testing.assert_allclose(_kernels.eigvalsh(x), np.linalg.eigvalsh(x), rtol=0, atol=2e-14)
+    assert _kernels.eigvalsh(np.diag([3, 1, 2][:d])).tolist() == sorted([3.0, 1.0, 2.0][:d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not np.isfinite(_kernels.eigvalsh(np.diag([np.inf, 1.0, 2.0][:d])[None])).all()
 
 
 @pytest.mark.parametrize("complex_terms,dt", [(False, 0.8), (True, 0.8), (False, 8.0), (True, 8.0)],

@@ -224,6 +224,20 @@ def test_batched_ensemble_members_match_standalone_runs():
         )
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-4])
+def test_criterion_8_members_match_standalone_runs_over_the_whole_window(gamma):
+    # over 4000/nu the 13-member batch takes eight calls of 500 steps and
+    # each run alone one call of 4000
+    cfg = preset("I", 4, detuning_magnitude=0.9, gamma=gamma)
+    profiles = reference_disorder_profiles(cfg.eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        _assert_members_match_standalone(
+            disorder_ensemble(cfg, profiles),
+            [cfg] + [replace(cfg, disorder=p) for p in profiles],
+        )
+
+
 def test_run_scenarios_rejects_unshared_settings():
     cfg = preset("I", 4, t_final=40.0, n_samples=5)
     with pytest.raises(ValidationError, match="n_spins"):
