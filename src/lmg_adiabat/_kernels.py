@@ -1,4 +1,4 @@
-"""Hot integration loops: one set of numpy kernels, and the closed forms they share.
+"""Hot integration loops: one set of numpy kernels.
 
 Every kernel integrates with a fixed step against a Hamiltonian given as a
 stack of constant Hermitian terms plus a coefficient table (rows on the
@@ -8,37 +8,27 @@ The master equation is integrated by ``lindblad_cf4``
 (:func:`_lindblad_cf4_numpy`): a 4th-order commutator-free Magnus step
 (Blanes & Moan 2006; Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 for H(t), with the sigma_z dephasing applied exactly as elementwise
-half-steps exp(W dt / 2).  Its propagators are built for many steps at
-once by :func:`_exp_blocks`.  Real moments at
-d = 2 and 3 (the invariant subspaces of the gamma-0 presets at N = 3 and 4
-and of the criterion-8 members) are exponentiated in closed form
-(:func:`_exp_closed_form`).  Complex moments and the other dimensions take
-a truncated Taylor series (:func:`_exp_series`; Paterson & Stockmeyer,
-SIAM J. Comput. 2, 60 (1973)) with scaling and squaring (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of batched small products
-only, which is also the closed form's test oracle.
-
-The closed forms of real symmetric (and, for the eigenvalues, complex
-Hermitian) matrices up to 3 x 3 share one set of helpers, elementwise on
-vectors of each stack's upper-triangle entries (:func:`_symmetric_layout`):
-trigonometric eigenvalues (:func:`_trig_spectrum`), the same with a close
-pair separated again to within rounding (:func:`_spectrum`), and the Newton
-divided-difference form of a matrix function on them
-(:func:`_newton_form`).  They give the step exponentials above and
-:func:`eigvalsh`, which the gap scan and the smallest eigenvalue of the
-sampled states use up to 3 x 3.
-
-Every propagator U = P + iQ is carried as the real block matrix
-[[P, -Q], [Q, P]], whose products are those of the complex matrices: for
-real terms both methods give P and -Q directly, and the product of a step's
-two exponentials, the squarings and the products that fuse steps are
-float64 products of 2d x 2d matrices.  Batched, these cost 0.04-0.13 us
-each up to d = 4 and 0.3-0.4 us at d = 8, against 0.34-0.84 us for a
-complex128 product; they are about even at d = 16 and cost 1.2-1.7 times a
-complex product at d = 32 and 64 (``benchmarks/bench_kernels.py``,
-2 vCPUs); no run of the benchmark integrates a propagator above d = 5.  A
-propagator returns to complex (:func:`_unblock`) only where it meets rho.
-Without dephasing the steps between two samples compose exactly, so their
+half-steps exp(W dt / 2).  Its propagators are built for many steps at once
+by :func:`_exp_blocks`.  Real moments at d = 2 and 3 (the invariant
+subspaces of the gamma-0 presets at N = 3 and 4 and of the criterion-8
+members) are exponentiated in closed form (:func:`_exp_closed_form`:
+trigonometric eigenvalues and a Newton divided-difference form, elementwise
+on vectors of the stack's entries).  Complex moments and the other
+dimensions take a truncated Taylor series (:func:`_exp_series`; Paterson &
+Stockmeyer, SIAM J. Comput. 2, 60 (1973)) with scaling and squaring
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) made of
+batched small products only, which is also the closed form's test oracle.  Every propagator U = P + iQ is carried as
+the real block matrix [[P, -Q], [Q, P]], whose products are those of the
+complex matrices: for real terms both methods give P and -Q directly, and
+the product of a step's two exponentials, the squarings and the products
+that fuse steps are float64 products of 2d x 2d matrices.  Batched, these
+cost 0.04-0.13 us each up to d = 4 and 0.3-0.4 us at d = 8, against
+0.34-0.84 us for a complex128 product; they are about even at d = 16 and
+cost 1.2-1.7 times a complex product at d = 32 and 64
+(``benchmarks/bench_kernels.py``, 2 vCPUs); no run of the benchmark
+integrates a propagator above d = 5.  A propagator
+returns to complex (:func:`_unblock`) only where it meets rho.  Without
+dephasing the steps between two samples compose exactly, so their
 propagators are first multiplied into one per sample interval on a pairwise
 tree (:func:`_segment_propagators`, one product a step).  The intervals are
 then taken in groups of a fixed count, and a log-depth scan
@@ -334,7 +324,7 @@ def _square(e, squarings, good):
 
 
 def _symmetric_layout(d):
-    """Entry layout of the d x d symmetric (or Hermitian) matrices of the closed forms, d <= 3.
+    """Entry layout of the d x d real symmetric matrices of :func:`_exp_closed_form`.
 
     A matrix is carried as the m = d (d + 1) / 2 rows of its diagonal, then
     its upper off-diagonal entries.  Returns the rows' flat indices; the
@@ -361,149 +351,8 @@ def _symmetric_layout(d):
     return flat, left.ravel(), right.ravel(), scatter.reshape(2 * m, 4 * d * d)
 
 
-#: The layouts of :func:`_symmetric_layout` of the dimensions the closed forms take.
-_SYMMETRIC_LAYOUTS = {d: _symmetric_layout(d) for d in (1, 2, 3)}
-
-
-def _abs2(x):
-    """|x|^2, elementwise, in real arithmetic."""
-    if np.iscomplexobj(x):
-        return x.real * x.real + x.imag * x.imag
-    return x * x
-
-
-def _trig_spectrum(b, d):
-    """Eigenvalues l1 >= .. >= ld, a (d, n) array, of traceless Hermitian matrices, and tr B^2.
-
-    ``b`` holds the matrices as the (m, n) rows of :func:`_symmetric_layout`
-    (the off-diagonal rows may be complex).  At d = 3 they come from the
-    trigonometric method (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)): with
-    p^2 = tr B^2 / 6 and r = det(B / p) / 2, l1 and l3 are 2 p cos(phi) and
-    2 p cos(phi + 2 pi / 3), phi = arccos(r) / 3, and l2 = -l1 - l3.  At
-    d = 2 they are +-t, t^2 = tr B^2 / 2, and at d = 1 zero.  The
-    characteristic polynomial loses the separation of a close pair at d = 3,
-    whose members may err by up to sqrt(eps) p; a Newton form on them is
-    still exact (:func:`_exp_closed_form`), and :func:`_spectrum` separates
-    the pair again.  At p = 0 every eigenvalue is 0.  Call inside
-    ``np.errstate(invalid="ignore", divide="ignore")``.
-    """
-    squares = _abs2(b)
-    trace = np.add.reduce(squares[:d]) + 2.0 * np.add.reduce(squares[d:])
-    if d == 1:
-        return np.zeros((1, b.shape[1])), trace
-    if d == 2:
-        t = np.sqrt(0.5 * trace)
-        return np.stack([t, -t]), trace
-    p = np.sqrt(trace / 6.0)
-    a, e, c = b[:3].real / p
-    u, v, w = b[3:] / p
-    au, av, aw = squares[3:] / (p * p)
-    r = 0.5 * (a * (e * c - aw) - c * au - e * av) + (u * w * v.conj()).real
-    phi = np.empty((2, b.shape[1]))  # phi and phi + 2 pi / 3
-    # r is NaN at p = 0, which fmin takes to 1: any phi gives l = 0 there
-    np.arccos(np.fmax(np.fmin(r, 1.0), -1.0), out=phi[0])
-    phi[0] /= 3.0
-    np.add(phi[0], 2.0 * np.pi / 3.0, out=phi[1])
-    l = np.empty((3, b.shape[1]))
-    np.multiply(2.0 * p, np.cos(phi), out=l[::2])
-    np.subtract(-l[0], l[2], out=l[1])
-    return l, trace
-
-
-def _spectrum(b, d):
-    """The eigenvalues of :func:`_trig_spectrum` to within about eps ||B|| each, and tr B^2.
-
-    At d = 3 the eigenvalue that stands apart, l1 if l1 - l2 >= l2 - l3 and
-    else l3, is accurate as the trigonometric method gives it.  Its
-    eigenvector x is the largest cross product of two rows of B - l I, and
-    the other two eigenvalues are -l / 2 +- delta, where 2 delta^2 is the
-    squared Frobenius norm of P (B + l / 2) P, P = I - x x^H: that matrix
-    has the eigenvalues 0 and +-delta, and its entries are formed directly,
-    so delta has no cancellation however close the pair is.  Call inside
-    ``np.errstate(invalid="ignore", divide="ignore")``.
-    """
-    l, trace = _trig_spectrum(b, d)
-    if d < 3:
-        return l, trace
-    top = l[0] - l[1] >= l[1] - l[2]  # l1 stands apart from l2 and l3
-    lam = np.where(top, l[0], l[2])
-    a, e, c = b[:3].real
-    u, v, w = b[3:]
-    uc, vc, wc = u.conj(), v.conj(), w.conj()
-    a0, a1, a2 = a - lam, e - lam, c - lam
-    # the cross products of the rows (a0, u, v), (u*, a1, w) and (v*, w*, a2)
-    cross = np.array([[u * w - v * a1, v * uc - a0 * w, a0 * a1 - u * uc],
-                      [u * a2 - v * wc, v * vc - a0 * a2, a0 * wc - u * vc],
-                      [a1 * a2 - w * wc, w * vc - uc * a2, uc * wc - a1 * vc]])
-    norms = np.add.reduce(_abs2(cross), axis=1)
-    best = np.argmax(norms, axis=0)
-    x = np.take_along_axis(cross, best[None, None], axis=0)[0]
-    norm = np.sqrt(np.take_along_axis(norms, best[None], axis=0)[0])
-    x = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
-    half = 0.5 * lam
-    full = [[a + half, u, v], [uc, e + half, w], [vc, wc, c + half]]  # B + l / 2
-    y = [full[i][0] * x[0] + full[i][1] * x[1] + full[i][2] * x[2] for i in range(3)]
-    xc = x.conj()
-    s = (xc[0] * y[0] + xc[1] * y[1] + xc[2] * y[2]).real
-    frobenius = np.zeros_like(lam)
-    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        entry = full[i][j] - x[i] * y[j].conj() - y[i] * xc[j] + s * x[i] * xc[j]
-        frobenius += (1.0 if i == j else 2.0) * _abs2(entry)
-    delta = np.sqrt(0.5 * frobenius)
-    spectrum = np.stack([lam, -half + delta, -half - delta])
-    spectrum.sort(axis=0)
-    return spectrum[::-1], trace
-
-
-def eigvalsh(h):
-    """Ascending eigenvalues of a (..., d, d) stack of Hermitian matrices, as ``np.linalg.eigvalsh``.
-
-    Up to d = 3 they are taken in closed form (:func:`_spectrum`, on each
-    matrix less the mean of its diagonal), elementwise over the stack, so
-    each matrix's values depend only on that matrix; larger matrices go to
-    LAPACK.  Only the lower triangle is read, as LAPACK reads it.
-    """
-    h = np.asarray(h)
-    d = h.shape[-1]
-    if d > 3:
-        return np.linalg.eigvalsh(h)
-    lower = h.swapaxes(-1, -2)  # its upper triangle, conjugated, is the lower one of h
-    if np.iscomplexobj(lower):
-        lower = lower.conj()
-    rows = lower.reshape(-1, d * d).T[_SYMMETRIC_LAYOUTS[d][0]].astype(np.result_type(h, 1.0))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mean = np.add.reduce(rows[:d].real) / d
-        rows[:d] = rows[:d].real - mean  # LAPACK reads the diagonal's real part only
-        l, _ = _spectrum(rows, d)
-        return (l[::-1] + mean).T.reshape(h.shape[:-1])
-
-
-def _newton_form(b, d, x1, x2, c0, c1, c2):
-    """Rows (q, m, n) of c0 I + c1 (B - x1) + c2 (B - x1)(B - x2) for real symmetric B, d = 2 or 3.
-
-    ``b`` holds B as the (m, n) rows of :func:`_symmetric_layout`; x1 and
-    x2 are (n,) and the coefficients (q, n), one row per output.  With x1
-    and x2 eigenvalues of B and the coefficients the divided differences of
-    a function f on them, this is f(B) (Bernstein & So, IEEE Trans. Autom.
-    Control 38, 1228 (1993)).  (B - x1)(B - x2) is formed from the rows by
-    the gathers of the layout; c2 and x2 are not read at d = 2.
-    """
-    _, left, right, _ = _SYMMETRIC_LAYOUTS[d]
-    m1 = b.copy()
-    m1[:d] -= x1
-    out = c1[:, None] * m1
-    if d == 3:
-        m2 = b.copy()
-        m2[:d] -= x2
-        product = (m1[left] * m2[right]).reshape(d, -1, b.shape[1])
-        out += c2[:, None] * (product[0] + product[1] + product[2])
-    out[:, :d] += c0[:, None]
-    return out
-
-
-def _sinc(x):
-    """sin(x) / x, elementwise, 1 at 0."""
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+#: The dimensions whose real exponentials :func:`_exp_blocks` takes in closed form.
+_SYMMETRIC_LAYOUTS = {d: _symmetric_layout(d) for d in (2, 3)}
 
 
 def _exp_closed_form(s, h):
@@ -512,45 +361,69 @@ def _exp_closed_form(s, h):
     The block forms of :func:`_exp_blocks`, from elementwise work on length-n
     vectors: each matrix is carried as the rows of its upper triangle
     (:func:`_symmetric_layout`).  B = h (S - m), with m = tr S / d, drops the
-    phase exp(-i h m), which cancels in U rho U^H.  The eigenvalues
-    l1 >= l2 >= l3 of B come from the trigonometric method
-    (:func:`_trig_spectrum`), and exp(-i B) is exact in Newton form on them
-    (:func:`_newton_form`), f[l1] + f[l1, l2] (B - l1) +
+    phase exp(-i h m), which cancels in U rho U^H.  At d = 3 the eigenvalues
+    l1 >= l2 >= l3 of B come from the trigonometric method (Kopp, Int. J.
+    Mod. Phys. C 19, 523 (2008)): with p^2 = tr B^2 / 6 and
+    r = det(B / p) / 2, l1 and l3 are 2 p cos(phi) and 2 p cos(phi + 2 pi / 3),
+    phi = arccos(r) / 3, and l2 = -l1 - l3.  exp(-i B) is then exact in
+    Newton form on those eigenvalues (Bernstein & So, IEEE Trans. Autom.
+    Control 38, 1228 (1993)), f[l1] + f[l1, l2] (B - l1) +
     f[l1, l2, l3] (B - l1)(B - l2) with f(x) = exp(-i x).  Each first
     difference is taken as -i exp(-i (a + b) / 2) sin(delta) / delta,
     delta = (a - b) / 2, which has no cancellation, and l1 - l3 >= 3 p
     bounds the rounding of the second difference against the O(p^2) matrix
     it multiplies; at p = 0 it is its limit -1/2.  At d = 2 the same form on
-    the eigenvalues +-t is cos(t) - i sin(t) / t B.  Each matrix's bits
-    depend only on that matrix.  Only the upper triangle is read.  A matrix
-    that is not finite, or whose tr B^2 overflows (entries beyond about
-    1e154), gets a NaN propagator.
+    the eigenvalues +-t, t^2 = tr B^2 / 2, is cos(t) - i sin(t) / t B.
+    Each matrix's bits depend only on that matrix.  Only the upper triangle
+    is read.  A matrix that is not finite, or whose tr B^2 overflows
+    (entries beyond about 1e154), gets a NaN propagator.
     """
     n, d, _ = s.shape
-    flat, _, _, scatter = _SYMMETRIC_LAYOUTS[d]
+    flat, left, right, scatter = _SYMMETRIC_LAYOUTS[d]
+    parts = np.zeros((2, len(flat), n))  # the rows of P and Q
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         b = s.reshape(n, d * d).T[flat] * h
         b[:d] -= np.add.reduce(b[:d]) / d
-        l, trace = _trig_spectrum(b, d)
+        squares = b * b
+        trace = np.add.reduce(squares[:d]) + 2.0 * np.add.reduce(squares[d:])  # tr B^2
         if d == 3:
-            half = 0.5 * l
+            p = np.sqrt(trace / 6.0)
+            a, e, c, u, v, w = b / p
+            r = 0.5 * (a * (e * c - w * w) - u * (u * c - w * v) + v * (u * w - e * v))
+            phi = np.empty((2, n))  # phi and phi + 2 pi / 3
+            # r is NaN at p = 0, which fmin takes to 1: any phi gives l = 0 there
+            np.arccos(np.fmax(np.fmin(r, 1.0), -1.0), out=phi[0])
+            phi[0] /= 3.0
+            np.add(phi[0], 2.0 * np.pi / 3.0, out=phi[1])
+            # l1 / 2 and l3 / 2, then (l1 - l2) / 2 and (l2 - l3) / 2, as l2 = -l1 - l3
+            halves = np.empty((4, n))
+            np.multiply(p, np.cos(phi), out=halves[:2])
+            half1, half3 = halves[:2]
+            np.add(2.0 * half1, half3, out=halves[2])
+            np.subtract(-half1, 2.0 * half3, out=halves[3])
             # the pair means (l1 + l2) / 2 = -l3 / 2 and (l2 + l3) / 2 = -l1 / 2
             # share the sines and cosines of l1 / 2 and l3 / 2
-            cos, sin = np.cos(half[::2]), np.sin(half[::2])
-            sinc = _sinc(half[:2] - half[1:])  # of (l1 - l2) / 2 and (l2 - l3) / 2
+            cos, sin = np.cos(halves[:2]), np.sin(halves)
+            sinc = np.divide(sin[2:], halves[2:], out=np.ones((2, n)), where=halves[2:] != 0)
             first = np.empty((2, 2, n))  # f[l1, l2] and f[l2, l3], real and imaginary parts
-            np.multiply(sinc, sin[::-1], out=first[:, 0])
+            np.multiply(sinc, sin[1::-1], out=first[:, 0])
             np.multiply(-sinc, cos[::-1], out=first[:, 1])
             second = np.empty((2, n))  # f[l1, l2, l3]
             second[0], second[1] = -0.5, 0.0
-            np.divide(first[0] - first[1], l[0] - l[2], out=second, where=l[0] > l[2])
+            np.divide(first[0] - first[1], 2.0 * (half1 - half3), out=second, where=p > 0)
+            m1 = b.copy()
+            m1[:d] -= 2.0 * half1
+            b[:d] += 2.0 * (half1 + half3)
+            m2 = (m1[left] * b[right]).reshape(d, -1, n)
+            np.multiply(first[0][:, None], m1, out=parts)
+            parts += second[:, None] * (m2[0] + m2[1] + m2[2])
             # f[l1] = exp(-i l1) from the half angle
-            value = np.stack([cos[0] * cos[0] - sin[0] * sin[0], -2.0 * sin[0] * cos[0]])
-            parts = _newton_form(b, d, l[0], l[1], value, first[0], second)
+            parts[0, :d] += cos[0] * cos[0] - sin[0] * sin[0]
+            parts[1, :d] -= 2.0 * sin[0] * cos[0]
         else:
-            zero = np.zeros(n)
-            parts = _newton_form(b, d, 0.0, None, np.stack([np.cos(l[0]), zero]),
-                                 np.stack([zero, -_sinc(l[0])]), None)
+            t = np.sqrt(0.5 * trace)
+            parts[0, :d] = np.cos(t)
+            parts[1] = -np.divide(np.sin(t), t, out=np.ones(n), where=t != 0) * b
         u = (parts.reshape(-1, n).T @ scatter).reshape(n, 2 * d, 2 * d)
     good = np.isfinite(trace)
     if not good.all():
@@ -568,7 +441,7 @@ def _exp_blocks(s, h):
     (:func:`_exp_series`).  Each matrix's bits depend only on that matrix,
     and a matrix that is not finite gets a NaN propagator.
     """
-    if s.dtype == np.float64 and s.shape[-1] in (2, 3):
+    if s.dtype == np.float64 and s.shape[-1] in _SYMMETRIC_LAYOUTS:
         return _exp_closed_form(s, h)
     return _exp_series(s, h)
 
@@ -887,9 +760,9 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
                         form_left, form_right, store_rho, operators=None):
     """Commutator-free 4th-order Magnus step with exact dephasing half-steps.
 
-    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, with
-    ``operators`` an optional :class:`OperatorBasis` of the space the run
-    stays in.  Without ``operators`` the state is rho, and a step maps it to
+    Same arguments and outputs as :func:`_lindblad_rk4_numpy`, plus an
+    optional :class:`OperatorBasis` of the space the run stays in.  Without
+    ``operators`` the state is rho, and a step maps it to
     E o (U (E o rho) U^H) with E = exp(W dt / 2) and U from
     :func:`_cf4_propagators`; every factor is a CPTP map, so the step keeps
     the trace and positivity at any step size.  With ``operators`` the state
@@ -943,7 +816,6 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
 
         def density(states):
             return states
-
     else:
         step_bytes = 8 * operators.dim ** 2
 

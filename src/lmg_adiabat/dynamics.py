@@ -79,9 +79,7 @@ The gap scan diagonalizes H(t) on diagonal blocks and merges their
 spectra (:func:`_gap_blocks`).  A symmetric LMG Hamiltonian, whose terms
 are exactly the register's J_z, J_x^2 and J_y^2, is block-diagonal in the
 total spin j, and each spin-j irrep splits into the halves of even and odd
-j - m, at most N / 2 + 1 dimensions; halves up to 3 x 3 are diagonalized
-in closed form (:func:`lmg_adiabat._kernels.eigvalsh`), larger ones by
-LAPACK.  Other Hamiltonians (with disorder, say) are diagonalized on the
+j - m, at most N / 2 + 1 dimensions.  Other Hamiltonians (with disorder, say) are diagonalized on the
 connected components of the nonzero pattern of their terms, the two parity
 blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground doublet
 has its members in two blocks.  When the process may use two CPUs and the
@@ -382,15 +380,14 @@ def spectral_gap(h: Union[np.ndarray, Sequence[np.ndarray]]) -> Union[float, np.
     each matrix; a single matrix gives a float.  ``h`` may also be a list of
     (..., n, s, s) stacks holding the diagonal blocks of one block-diagonal
     matrix, n blocks of size s in each; their eigenvalues are merged into its
-    spectrum.  Matrices up to 3 x 3 are diagonalized in closed form
-    (:func:`lmg_adiabat._kernels.eigvalsh`).
+    spectrum.
     """
     if isinstance(h, (list, tuple)):
-        vals = np.concatenate([_kernels.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
+        vals = np.concatenate([np.linalg.eigvalsh(x).reshape(*x.shape[:-3], -1) for x in h],
                               axis=-1)
         vals.sort(axis=-1)
     else:
-        vals = _kernels.eigvalsh(h)
+        vals = np.linalg.eigvalsh(h)
     ground = vals[..., 0]
     k = ground_band_size(vals)
     above = np.take_along_axis(vals, np.minimum(k, vals.shape[-1] - 1)[..., None], axis=-1)
@@ -482,7 +479,7 @@ def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
 
     The blocks are those of :func:`_gap_blocks`, stacked by size.  They are
     built from the coefficient table and diagonalized in stacks of at most
-    ``_kernels.GAP_STACK_BYTES``, in closed form up to 3 x 3.
+    ``_kernels.GAP_STACK_BYTES``.
     """
     groups = _gap_blocks(hamiltonian.terms)
     flat = np.concatenate([g.reshape(len(g), -1) for g in groups], axis=1)
@@ -995,11 +992,10 @@ def _min_eigenvalue(states: np.ndarray) -> float:
 
     Outside that basis the embedded states are 0, so their eigenvalues
     there are 0 and would hide the ones inside.  The stack is diagonalized
-    in pieces of at most ``_kernels.STACK_BYTES``, in closed form up to
-    k = 3 (:func:`lmg_adiabat._kernels.eigvalsh`).
+    in pieces of at most ``_kernels.STACK_BYTES``.
     """
     per_call = max(1, _kernels.STACK_BYTES // (16 * states.shape[-1]**2))
-    return float(min(_kernels.eigvalsh(states[i:i + per_call])[:, 0].min()
+    return float(min(np.linalg.eigvalsh(states[i:i + per_call])[:, 0].min()
                      for i in range(0, len(states), per_call)))
 
 
