@@ -495,3 +495,10 @@ def test_csv_texts_match_the_per_value_formatting(record_gap):
     assert cli.reduction_csv_text(report) == _per_value_csv_text(
         "t_nu,jz_full,jz_effective,pop_full,pop_effective",
         [report.times, odd, -odd, odd[::-1], odd * 3.0])
+
+
+def test_the_parser_is_built_once_and_parses_each_call_afresh():
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert parser.parse_args(["simulate", "--set", "case=I"]).set == ["case=I"]
+    assert parser.parse_args(["simulate"]).set == []
