@@ -856,8 +856,8 @@ def _lindblad_cf4_numpy(terms, ctab, w, rho0, dt, sample_idx,
             first += v.shape[0]
     else:
         ends = _segment_ends(n_steps, sample_idx, longest)
-        groups = _groups(_segment_stacks(steps, ctab, ends, per_chunk), _group_sizes(ends, longest))
-        for v in groups:
+        stacks = _segment_stacks(steps, ctab, ends, per_chunk)
+        for v in _groups(stacks, _group_sizes(ends, longest)):
             if first and ends[first - 1] % BLOCK_STEPS == 0:
                 state = start(density(state[:, None])[:, 0])
             states = apply(_prefix_products(v), state)

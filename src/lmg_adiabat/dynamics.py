@@ -79,9 +79,9 @@ The gap scan diagonalizes H(t) on diagonal blocks and merges their
 spectra (:func:`_gap_blocks`).  A symmetric LMG Hamiltonian, whose terms
 are exactly the register's J_z, J_x^2 and J_y^2, is block-diagonal in the
 total spin j, and each spin-j irrep splits into the halves of even and odd
-j - m, at most N / 2 + 1 dimensions.  Other Hamiltonians (with disorder, say) are diagonalized on the
-connected components of the nonzero pattern of their terms, the two parity
-blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground doublet
+j - m, at most N / 2 + 1 dimensions.  Other Hamiltonians (with disorder,
+say) are diagonalized on the connected components of the nonzero pattern
+of their terms, the two parity blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground doublet
 has its members in two blocks.  When the process may use two CPUs and the
 blocks are large, a batch's scans run on one helper thread while the batch
 is integrated (:func:`_beside`); the scan is the same either way, so its
@@ -1001,11 +1001,11 @@ def _min_eigenvalue(states: np.ndarray) -> float:
 
 def _integrate_blocks(hams, w, rho, t0, h, n_steps, sample_idx,
                       form_left, form_right, store_rho):
-    """Kernel loop over blocks of steps whose coefficient table fits ``TABLE_BYTES``.
+    """Kernel loop over spans of whole ``_kernels.BLOCK_STEPS`` blocks within ``TABLE_BYTES``.
 
     Each plan of :func:`_integration_plans` runs its members on its own
-    basis, as one kernel call per block on its (2n+1, B, K) table and
-    (B, k, k) states, carrying the states across blocks; a call samples the
+    basis, as one kernel call per span on its (2n+1, B, K) table and
+    (B, k, k) states, carrying the states across spans; a call samples the
     forms <l|rho|r>, the purity and the trace and Hermiticity defects, and
     the states when ``store_rho`` is set.  The sampled states and the final
     state come back on the basis states the plans share (the columns of
