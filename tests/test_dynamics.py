@@ -1110,12 +1110,15 @@ def test_the_criterion_8_batch_keeps_blocks_of_about_500_steps(lindblad_calls):
 
 @pytest.mark.parametrize("gammas,n,basis", [
     ((0.0,) * 4, 4, "subspace"),
+    ((0.0, 0.0), 2, "basis states"),
     ((1e-3, 2e-3), 2, "basis states"),
     ((1e-3,) * 3, 3, "operator subspace"),
-], ids=["undamped", "dephased", "operator-space"])
+], ids=["undamped-subspace", "undamped-block", "dephased", "operator-space"])
 def test_calls_cut_at_block_starts_do_not_change_the_result(monkeypatch, gammas, n, basis):
     # 246 steps in blocks of 41: one call for the window, against one call a
-    # block, gives the same bits on each path of the kernel
+    # block, gives the same bits on each path of the kernel (closed-form and
+    # series propagators fused per sample interval, one step at a time with
+    # dephasing, and the operator space)
     cfg = preset("I", n, t_final=60.0)
     ham = lmg_sweep_hamiltonian(SpinRegister(n), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
