@@ -18,7 +18,6 @@ from .dynamics import (
     evolve,
     evolve_batch,
     evolve_state,
-    literal_schedule,
     rotating_frame_states,
 )
 from .model import (

@@ -218,14 +218,14 @@ GAP_STACK_BYTES = 1 << 20
 #: A batch's gap scan runs beside its integration only when the blocks it
 #: diagonalizes (:func:`lmg_adiabat.dynamics._gap_blocks`) at the sample times
 #: would take at least this many bytes.  A smaller scan hides too little to
-#: pay for sharing the GIL: the 2-7 ms parity-block scan of a single run at
-#: N = 4 (0.8 MB) made the ``simulate-cases`` jobs of ``perfbench/run.py``
-#: 11% slower on the helper thread (2 of 8 alternating runs faster), while
-#: the 13-member criterion-8 ensemble (10.7 MB of full-space matrices, 5.3 MB
-#: of parity blocks) and the single N = 6 runs of a sweep (13 MB) gained.  A
-#: symmetric run's spin-j halves take 61 kB at N = 4 and 0.47 MB at N = 10
-#: over 401 samples, so a symmetric batch of up to eight N = 10 members scans
-#: inline.
+#: pay for the thread: with every scan beside (this bound at 0), rounds of the
+#: six ``simulate-cases`` jobs of ``perfbench/run.py``, whose symmetric runs
+#: scan 61 kB or less of spin-j halves, took 1.10x and 1.07x as long (slower
+#: in 21 of 30 interleaved pairs each).  The 13-member criterion-8 ensemble
+#: (5.0 MB of 8 x 8 parity blocks) took 0.77x and 0.80x as long with the scan
+#: beside as with the serial scan (faster in 29 and 30 of 30 pairs; 2 vCPUs).
+#: A symmetric run's spin-j halves take 0.47 MB at N = 10 over 401 samples,
+#: so a symmetric batch of up to eight N = 10 members scans inline.
 GAP_OVERLAP_BYTES = 1 << 22
 
 #: Paterson-Stockmeyer layout of the exponential series in Y = X^2: blocks of

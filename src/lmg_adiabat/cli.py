@@ -177,10 +177,9 @@ def _csv_text(header: str, columns) -> str:
 
 def trajectory_csv_text(run: ScenarioRun) -> str:
     traj = run.trajectory
-    gap = traj.gap if traj.gap is not None else np.full(traj.times.size, float("nan"))
     return _csv_text(TRAJECTORY_HEADER, [
         traj.times, run.pop_target, run.pop_target_phase_opt, traj.purity,
-        traj.trace_defect, gap, run.omega1, run.omega2,
+        traj.trace_defect, traj.gap, run.omega1, run.omega2,
     ])
 
 

@@ -75,17 +75,18 @@ results do not depend on its batch; members whose spaces have the same
 dimensions share a plan, and if one has no such space the batch keeps to
 the block.
 
-The gap scan diagonalizes H(t) on diagonal blocks and merges their
-spectra (:func:`_gap_blocks`).  A symmetric LMG Hamiltonian, whose terms
-are exactly the register's J_z, J_x^2 and J_y^2, is block-diagonal in the
-total spin j, and each spin-j irrep splits into the halves of even and odd
-j - m, at most N / 2 + 1 dimensions.  Other Hamiltonians (with disorder,
-say) are diagonalized on the connected components of the nonzero pattern
-of their terms, the two parity blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground doublet
-has its members in two blocks.  When the process may use two CPUs and the
-blocks are large, a batch's scans run on one helper thread while the batch
-is integrated (:func:`_beside`); the scan is the same either way, so its
-bits do not depend on where it ran.
+Every run scans its gap: it diagonalizes H(t) at each sample time on
+diagonal blocks and merges their spectra (:func:`_gap_blocks`).  A
+symmetric LMG Hamiltonian, whose terms are exactly the register's J_z,
+J_x^2 and J_y^2, is block-diagonal in the total spin j, and each spin-j
+irrep splits into the halves of even and odd j - m, at most N / 2 + 1
+dimensions.  Other Hamiltonians (with disorder, say) are diagonalized on
+the connected components of the nonzero pattern of their terms, the two
+parity blocks of an LMG Hamiltonian.  Either way the ferromagnetic ground
+doublet has its members in two blocks.  When the process may use two CPUs
+and the blocks are large, a batch's scans run on one helper thread while
+the batch is integrated (:func:`_beside`); the scan is the same either
+way, so its bits do not depend on where it ran.
 """
 from __future__ import annotations
 
@@ -185,35 +186,19 @@ class DriveSchedule:
         return replace(self, dzeta1=self.dzeta1 + dzeta1, dzeta2=self.dzeta2 + dzeta2)
 
 
-def literal_schedule(zeta: float = 0.3) -> DriveSchedule:
-    """The unshifted reference envelopes (both ramps centered at t = 0).
-
-    Note these give Omega1(0) = Omega2(0) = zeta, so a run started at t = 0
-    does not begin in the single-drive regime; see :func:`calibrated_schedule`.
-    """
-    return DriveSchedule(zeta=zeta)
-
-
-def calibrated_schedule(
-    zeta: float = 0.3,
-    t_final: float = 4000.0,
-    ramp2: float = 500.0,
-    pre_hold: float = 12000.0,
-) -> DriveSchedule:
+def calibrated_schedule(t_final: float = 4000.0) -> DriveSchedule:
     """Schedule realizing the stated initial condition Omega2(0) ≈ 0.
 
-    Omega1 is effectively held at its final value 2*zeta (its ramp center is
-    pushed to t = -pre_hold), while Omega2 sweeps from ~0 to 2*zeta around
-    the window midpoint.  Dispersion offsets still scale both envelopes the
-    same way as in the unshifted form.
+    Omega1 is effectively held at its final value 2*zeta, zeta = 0.3 (its
+    ramp of 2000/nu is centered at t = -12000/nu, six ramps before the
+    window), while Omega2 sweeps from ~0 to 2*zeta over a ramp of 500/nu
+    around the window midpoint.  Dispersion offsets still scale both
+    envelopes the same way as in the unshifted form.  The unshifted
+    envelopes, ``DriveSchedule()``, give Omega1(0) = Omega2(0) = zeta, so a
+    run started at t = 0 does not begin in the single-drive regime.
     """
-    return DriveSchedule(
-        zeta=zeta,
-        ramp1=2000.0,
-        ramp2=ramp2,
-        t0_1=-pre_hold,
-        t0_2=t_final / 2.0,
-    )
+    return DriveSchedule(zeta=0.3, ramp1=2000.0, ramp2=500.0, t0_1=-12000.0,
+                         t0_2=t_final / 2.0)
 
 
 @dataclass(frozen=True)
@@ -279,7 +264,8 @@ class TrajectoryResult:
     purity: np.ndarray
     trace_defect: np.ndarray
     hermiticity_defect: np.ndarray
-    gap: Optional[np.ndarray]
+    #: Spectral gap of H(t) above its ground band at each sample time.
+    gap: np.ndarray
     step: float
     n_steps: int
     #: How far the largest unclipped tracked population went outside [0, 1]
@@ -474,14 +460,15 @@ def _gap_blocks(terms: np.ndarray) -> List[np.ndarray]:
     return groups
 
 
-def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray) -> np.ndarray:
+def _gap_scan(hamiltonian: LinearHamiltonian, times: np.ndarray,
+              groups: Sequence[np.ndarray]) -> np.ndarray:
     """Spectral gap at each time, from the eigenvalues of H(t)'s diagonal blocks.
 
-    The blocks are those of :func:`_gap_blocks`, stacked by size.  They are
-    built from the coefficient table and diagonalized in stacks of at most
+    ``groups`` holds the blocks of the Hamiltonian's terms by size, as
+    :func:`_gap_blocks` returns them.  The blocks of H(t) are built from the
+    coefficient table and diagonalized in stacks of at most
     ``_kernels.GAP_STACK_BYTES``.
     """
-    groups = _gap_blocks(hamiltonian.terms)
     flat = np.concatenate([g.reshape(len(g), -1) for g in groups], axis=1)
     splits = np.cumsum([g[0].size for g in groups])[:-1]
     per_call = max(1, _kernels.GAP_STACK_BYTES // (flat.itemsize * flat.shape[1]))
@@ -555,7 +542,6 @@ def evolve_batch(
     step: float = DEFAULT_STEP,
     populations: Optional[Mapping[str, np.ndarray]] = None,
     bilinears: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
-    record_gap: bool = True,
     store_states: Optional[bool] = None,
 ) -> List[TrajectoryResult]:
     """Integrate several master equations together, one result per member.
@@ -574,10 +560,12 @@ def evolve_batch(
     module docstring), the invariant subspace of all its initial states
     together, so a member can differ from its standalone run by rounding;
     with dephasing each member runs on the operator space of its own
-    terms and state.  With ``record_gap`` the members' gap scans run on one
-    helper thread while the batch is integrated, when the process may use
-    two CPUs and the blocks the scans diagonalize are large enough to pay
-    for it (``_kernels.GAP_OVERLAP_BYTES``, :func:`_beside`).  Raises
+    terms and state.  Every member's gap is scanned at the sample times
+    (``gap``) on the diagonal blocks of :func:`_gap_blocks`, which are found
+    once per member.  The scans run on one helper thread while the batch is
+    integrated when the process may use two CPUs and those blocks take at
+    least ``_kernels.GAP_OVERLAP_BYTES`` over the samples (:func:`_beside`),
+    and after the integration otherwise.  Raises
     :class:`StepFailureError` when a member's sampled trace defect exceeds
     ``TRACE_TOL``, at the end of the kernel call (``TABLE_BYTES``) in which
     that happens.
@@ -623,13 +611,12 @@ def evolve_batch(
         return _integrate_blocks(hams, w, np.stack(rho0s), t0, h, n_steps, sample_idx,
                                  form_left, form_right, bool(store_states))
 
-    if record_gap:
-        # the float64 (or complex) blocks the members' scans diagonalize, at every sample
-        scan_bytes = times.size * sum(g[0].nbytes for ham in hams for g in _gap_blocks(ham.terms))
-        integrated, gaps = _beside(integrate, lambda: [_gap_scan(ham, times) for ham in hams],
-                                   scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
-    else:
-        integrated, gaps = integrate(), [None] * len(hams)
+    blocks = [_gap_blocks(ham.terms) for ham in hams]
+    # the float64 (or complex) blocks the members' scans diagonalize, at every sample
+    scan_bytes = times.size * sum(g[0].nbytes for groups in blocks for g in groups)
+    integrated, gaps = _beside(
+        integrate, lambda: [_gap_scan(ham, times, groups) for ham, groups in zip(hams, blocks)],
+        scan_bytes >= _kernels.GAP_OVERLAP_BYTES)
     forms, pur, tdef, hdef, states, rho_final, plans = integrated
     plan_of = {i: plan for plan in plans for i in np.arange(len(specs))[plan.members]}
 

@@ -370,15 +370,18 @@ def _arrow_label(n: int, up: bool) -> str:
     return "|" + ("↑" if up else "↓") * n + ">"
 
 
-def classify_lmg(c: EffectiveCoefficients, n: int, form_rtol: float = 1e-3) -> LmgRegime:
+def classify_lmg(c: EffectiveCoefficients, n: int) -> LmgRegime:
     """Identify the model form from the drive pattern and predict its ground space.
 
-    The prediction covers the closed-form rows: the isotropic model with
-    |epsilon| > N (unique polarized state) and the one-axis models (degenerate
+    A drive coefficient (omega2, beta1 or beta2) counts as zero when it is at
+    most ``form_rtol`` = 1e-3 of the larger drive amplitude.  The prediction
+    covers the closed-form rows: the isotropic model with |epsilon| > N
+    (unique polarized state) and the one-axis models (degenerate
     |+-...+->_{x,y} pair for FI; |m=0> or the |m=+-1/2> pair for AFI).  Other
     parameter sets come back with ``prediction=None`` and an explanatory note.
     """
     j = n / 2.0
+    form_rtol = 1e-3
     scale = max(abs(c.omega1), abs(c.omega2))
     magnetism = "FI" if c.alpha < 0 else ("AFI" if c.alpha > 0 else "none")
     if scale == 0.0:

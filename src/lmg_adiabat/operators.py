@@ -15,7 +15,7 @@ sigma_+-^j (so J_x and J_y carry the same 1/2 as J_z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -88,19 +88,26 @@ _U1_Y = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=np.complex128) / np.sqrt(2.0
 _U1_X = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
+@lru_cache(maxsize=2)
 def y_basis_transform(reg: SpinRegister) -> np.ndarray:
     """Unitary mapping the computational z basis onto the product y basis.
 
     Column 2k of the single-factor block is |+>_y and column 2k+1 is |->_y, so
     U |e_i> is the y-basis product state whose sign string is the binary
     expansion of i.  Satisfies U† J_y U = J_z (as built from these factors).
+    Built once per register size and read-only; two sizes are kept.
     """
-    return _kron_all([_U1_Y] * reg.n_spins)
+    u = _kron_all([_U1_Y] * reg.n_spins)
+    u.flags.writeable = False
+    return u
 
 
+@lru_cache(maxsize=2)
 def x_basis_transform(reg: SpinRegister) -> np.ndarray:
     """Same as :func:`y_basis_transform` for the product x basis |+->_x."""
-    return _kron_all([_U1_X] * reg.n_spins)
+    u = _kron_all([_U1_X] * reg.n_spins)
+    u.flags.writeable = False
+    return u
 
 
 def boson_operator(f: FockSpace, which: str) -> np.ndarray:

@@ -37,7 +37,6 @@ from .dynamics import (
     evolve,
     evolve_batch,
     evolve_state,
-    literal_schedule,
     rotating_frame_states,
     sample_times,
 )
@@ -316,7 +315,7 @@ def _schedule_from_value(value: Any, t_final: float) -> DriveSchedule:
     if value == "calibrated":
         return calibrated_schedule(t_final=t_final)
     if value == "literal":
-        return literal_schedule()
+        return DriveSchedule()
     if isinstance(value, str):
         raise ValidationError(
             f"schedule must be one of {SCHEDULE_KINDS} or a field mapping, got {value!r}"
@@ -466,14 +465,15 @@ def run_scenario(
     cfg: ScenarioConfig,
     *,
     store_states: Optional[bool] = None,
-    record_gap: bool = True,
 ) -> ScenarioRun:
-    """Integrate one scenario and track its target-state populations.
+    """Integrate one scenario, track its target-state populations and scan its gap.
 
+    The run's gap at the sample times is ``trajectory.gap``, and its
+    smallest value ``min_gap`` (see :func:`lmg_adiabat.dynamics.evolve_batch`).
     Emits a non-fatal :class:`RegimeWarning` when the classified regime at
     t_final does not match the case's intended one-axis form/magnetism.
     """
-    return run_scenarios([cfg], store_states=store_states, record_gap=record_gap)[0]
+    return run_scenarios([cfg], store_states=store_states)[0]
 
 
 #: Fields every scenario of one batch must share (gammas() is checked too).
@@ -484,14 +484,14 @@ def run_scenarios(
     cfgs: Sequence[ScenarioConfig],
     *,
     store_states: Optional[bool] = None,
-    record_gap: bool = True,
 ) -> List[ScenarioRun]:
     """Integrate several scenarios as one batch, one run per config in order.
 
     The configs must share ``n_spins``, ``case``, ``gammas()``, ``t_final``,
     ``step`` and ``n_samples``; they may differ in coupling, detuning,
     schedule and disorder.  A config equal to an earlier one is integrated
-    once and shares that run.  Each run warns as :func:`run_scenario` does.
+    once and shares that run.  Each run scans its gap and warns as
+    :func:`run_scenario` does.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -530,7 +530,6 @@ def run_scenarios(
         step=first.step,
         populations=populations,
         bilinears=bilinears,
-        record_gap=record_gap,
         store_states=store_states,
     )
     if len(unique) == 1:  # single runs stay on evolve, the layer perfbench traces
@@ -553,7 +552,7 @@ def _scenario_run(cfg: ScenarioConfig, result: TrajectoryResult, two_branches: b
     else:
         pop_opt = pop_target.copy()
 
-    min_gap = float(np.min(result.gap)) if result.gap is not None else float("nan")
+    min_gap = float(np.min(result.gap))
     return ScenarioRun(
         config=cfg,
         trajectory=result,
@@ -564,7 +563,7 @@ def _scenario_run(cfg: ScenarioConfig, result: TrajectoryResult, two_branches: b
         regime_initial=cfg.regime_at(0.0),
         regime_final=cfg.regime_at(cfg.t_final),
         min_gap=min_gap,
-        adiabatic_margin=cfg.t_final * min_gap if np.isfinite(min_gap) else float("nan"),
+        adiabatic_margin=cfg.t_final * min_gap,
     )
 
 
@@ -647,7 +646,7 @@ def disorder_ensemble(
 
 def _run_ensemble(jobs: Sequence[Tuple[str, ScenarioConfig]]) -> EnsembleReport:
     labels, cfgs = zip(*jobs)
-    runs = run_scenarios(cfgs, store_states=False, record_gap=True)
+    runs = run_scenarios(cfgs, store_states=False)
     out = [_summarize(label, run) for label, run in zip(labels, runs)]
     return EnsembleReport(baseline=out[0], members=out[1:])
 
@@ -727,7 +726,6 @@ def validate_effective_reduction(
     omega2: float = 0.0,
     t_final: float = 500.0,
     n_samples: int = 251,
-    step: float = 0.02,
 ) -> ReductionReport:
     """Compare constant-drive full spin+resonator dynamics with the effective model.
 
@@ -741,9 +739,10 @@ def validate_effective_reduction(
     With one tone the full model is constant in the drive's rotating frame
     (:func:`full_interaction_frame`) and the effective model is constant
     outright, so both are solved exactly (:func:`rotating_frame_states`).
-    Only two-tone full runs are integrated, with RK4 at ``step``; ``step``
-    otherwise just fixes the sample times.
+    Only two-tone full runs are integrated, with RK4 at ``step`` = 0.02/nu;
+    ``step`` otherwise just fixes the sample times.
     """
+    step = 0.02
     if cfg.n_spins > 2:
         raise ValidationError(
             f"reduction validation supports N <= 2 (joint space), got N = {cfg.n_spins}"

@@ -265,7 +265,6 @@ def test_criterion_10_integrator_physics(case_gamma_runs):
             density_from_state(plus),
             (0.0, 4000.0),
             n_samples=41,
-            record_gap=False,
         )
         coh = res.rho_samples[:, 0, 1].real
         assert np.max(np.abs(coh - 0.5 * np.exp(-2 * gamma * res.times))) <= 1e-8
@@ -273,8 +272,8 @@ def test_criterion_10_integrator_physics(case_gamma_runs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", la.errors.RegimeWarning)
             cfg = la.preset("I", 3)
-            r1 = la.run_scenario(cfg, record_gap=False)
-            r2 = la.run_scenario(dataclasses.replace(cfg, step=0.125), record_gap=False)
+            r1 = la.run_scenario(cfg)
+            r2 = la.run_scenario(dataclasses.replace(cfg, step=0.125))
         assert abs(r1.final_population - r2.final_population) <= 1e-6
         assert abs(r1.final_population_phase_opt - r2.final_population_phase_opt) <= 1e-6
 

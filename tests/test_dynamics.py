@@ -14,7 +14,6 @@ from lmg_adiabat.dynamics import (
     evolve,
     evolve_batch,
     evolve_state,
-    literal_schedule,
     rotating_frame_states,
     spectral_gap,
 )
@@ -51,7 +50,7 @@ def test_schedule_shape_and_limits():
 
 
 def test_literal_schedule_form():
-    s = literal_schedule()
+    s = DriveSchedule()
     t = np.array([0.0, 500.0, 4000.0])
     assert np.allclose(s.omega1(t), 0.3 * (1.0 + np.tanh(t / 2000.0)))
     assert np.allclose(s.omega2(t), 0.3 * (1.0 + np.tanh(t / 1500.0)))
@@ -88,7 +87,6 @@ def test_evolve_constant_state():
         rho0,
         (0.0, 50.0),
         n_samples=6,
-        record_gap=False,
     )
     for rho in res.rho_samples:
         assert np.allclose(rho, rho0, atol=1e-13)
@@ -101,7 +99,6 @@ def test_evolve_single_qubit_dephasing_closed_form():
         density_from_state(PLUS_X),
         (0.0, 3000.0),
         n_samples=31,
-        record_gap=False,
     )
     coh = res.rho_samples[:, 0, 1].real
     assert np.max(np.abs(coh - 0.5 * np.exp(-2.0 * gamma * res.times))) <= 1e-8
@@ -119,7 +116,6 @@ def test_evolve_larmor_precession():
         n_samples=41,
         step=0.02,
         bilinears={"coh": (up, down)},
-        record_gap=False,
     )
     # <sigma_x> = 2 Re <up|rho|down>
     sx = 2.0 * res.bilinears["coh"].real
@@ -134,7 +130,6 @@ def test_evolve_purity_monotone_under_dephasing():
         density_from_state(psi),
         (0.0, 2000.0),
         n_samples=51,
-        record_gap=False,
     )
     assert np.all(np.diff(res.purity) <= 1e-12)
 
@@ -165,7 +160,7 @@ def test_dephased_lmg_run_is_exactly_hermitian():
     ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     res = evolve(LindbladSpec(ham, (1e-3, 2e-3, 1e-3)), density_from_state(cfg.initial_state()),
-                 (0.0, 200.0), n_samples=21, record_gap=False)
+                 (0.0, 200.0), n_samples=21)
     assert np.all(res.hermiticity_defect == 0.0)
     np.testing.assert_array_equal(res.rho_samples, res.rho_samples.conj().transpose(0, 2, 1))
 
@@ -175,7 +170,7 @@ def test_population_excursion_reports_the_unclipped_value():
     spec = LindbladSpec(np.diag([0.3, -0.3]).astype(complex), (0.0,))
     up = np.array([1.0, 0.0], dtype=complex)
     res = evolve(spec, density_from_state(up), (0.0, 10.0), n_samples=5,
-                 populations={"up": up, "double": np.sqrt(2.0) * up}, record_gap=False)
+                 populations={"up": up, "double": np.sqrt(2.0) * up})
     assert np.all(res.populations["double"] == 1.0)
     assert res.population_excursion == pytest.approx(1.0, abs=1e-12)
     # a 1x1 block's eigenvalue is its entry: the smallest one is taken inside
@@ -249,9 +244,9 @@ def test_parity_block_matches_full_space(monkeypatch, n, disordered, gamma):
     if disordered:
         fractions = np.linspace(-0.1, 0.1, n)
         cfg = dataclasses.replace(cfg, disorder=DisorderProfile(tuple(fractions), cfg.eta))
-    reduced = run_scenario(cfg, record_gap=False).trajectory
+    reduced = run_scenario(cfg).trajectory
     _force_full_space(monkeypatch)
-    full = run_scenario(cfg, record_gap=False).trajectory
+    full = run_scenario(cfg).trajectory
     expected = (GAMMA0_BASIS if gamma == 0 else GAMMA1KHZ_BASIS)[n, disordered]
     assert (reduced.integrated_dim, reduced.integrated_basis) == expected
     assert (full.integrated_dim, full.integrated_basis) == (2**n, "basis states")
@@ -272,9 +267,9 @@ def test_criterion_8_batch_runs_on_its_subspace(monkeypatch):
     from lmg_adiabat.protocols import run_scenarios
 
     cfgs = _criterion_8_configs(t_final=400.0, n_samples=21)
-    reduced = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    reduced = [run.trajectory for run in run_scenarios(cfgs)]
     _force_full_space(monkeypatch)
-    full = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    full = [run.trajectory for run in run_scenarios(cfgs)]
     assert len(reduced) == 13
     for got, want in zip(reduced, full):
         assert (got.integrated_dim, got.integrated_basis) == (3, "subspace")
@@ -372,7 +367,7 @@ def test_tiny_term_is_kept_in_the_subspace(monkeypatch):
     spec = _tiny_coupling_spec(1e-11)
     up, _, _, down = np.eye(4, dtype=complex)
     args = (spec, density_from_state(up), (0.0, 100.0))
-    kwargs = dict(n_samples=11, populations={"up": up, "down": down}, record_gap=False)
+    kwargs = dict(n_samples=11, populations={"up": up, "down": down})
     got = evolve(*args, **kwargs)
     assert (got.integrated_dim, got.integrated_basis) == (3, "subspace")
     without = evolve(_tiny_coupling_spec(0.0), *args[1:], **kwargs)
@@ -389,10 +384,15 @@ def test_closure_that_misses_a_direction_falls_back_to_the_block(monkeypatch):
     # a rank tolerance this coarse drops the m = 0 direction: the check that
     # every term maps the basis into itself fails, and the parity block is used
     monkeypatch.setattr(dynamics, "_RANK_TOL", 0.9)
-    got = run_scenario(cfg, record_gap=False).trajectory
+    got = run_scenario(cfg).trajectory
     assert (got.integrated_dim, got.integrated_basis) == (8, "basis states")
     _force_full_space(monkeypatch)
-    _assert_runs_agree(got, run_scenario(cfg, record_gap=False).trajectory)
+    _assert_runs_agree(got, run_scenario(cfg).trajectory)
+
+
+def _scan(ham, times):
+    """The gap scan of ``ham`` at ``times``, on the blocks ``evolve_batch`` would search."""
+    return dynamics._gap_scan(ham, times, dynamics._gap_blocks(ham.terms))
 
 
 def test_gap_row_bits_do_not_depend_on_the_rows_built_with_it():
@@ -401,8 +401,8 @@ def test_gap_row_bits_do_not_depend_on_the_rows_built_with_it():
     ham = lmg_sweep_hamiltonian(SpinRegister(7), cfg.eta, cfg.delta, cfg.schedule.omega1,
                                 cfg.schedule.omega2)
     times = np.linspace(0.0, cfg.t_final, 13)
-    together = dynamics._gap_scan(ham, times)
-    alone = [dynamics._gap_scan(ham, times[i:i + 1])[0] for i in range(times.size)]
+    together = _scan(ham, times)
+    alone = [_scan(ham, times[i:i + 1])[0] for i in range(times.size)]
     assert np.array_equal(alone, together)
 
 
@@ -418,7 +418,7 @@ def test_block_gap_scan_matches_the_full_spectrum(n, disordered):
                                 cfg.schedule.omega2, disorder)
     times = np.linspace(0.0, cfg.t_final, 9)
     full = np.einsum("tk,kij->tij", ham.coefficient_table(times), ham.terms)
-    np.testing.assert_allclose(dynamics._gap_scan(ham, times), spectral_gap(full),
+    np.testing.assert_allclose(_scan(ham, times), spectral_gap(full),
                                rtol=0, atol=1e-12)
     if n >= 2 and not disordered:
         # the band rule sees the doublet: its splitting is below the band and the gap above it
@@ -444,10 +444,10 @@ def test_total_spin_gap_scan_matches_the_parity_scan(monkeypatch, case, n):
         two_j + 1 for two_j in range(n, -1, -2))
     assert max(g.shape[2] for g in blocks) == n // 2 + 1
     times = np.linspace(0.0, cfg.t_final, 41)
-    spin = dynamics._gap_scan(ham, times)
+    spin = _scan(ham, times)
     monkeypatch.setattr(dynamics, "_is_symmetric_lmg", lambda terms: False)
     assert [g.shape[2] for g in dynamics._gap_blocks(ham.terms)] == [2 ** (n - 1)]
-    np.testing.assert_allclose(spin, dynamics._gap_scan(ham, times), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spin, _scan(ham, times), rtol=0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::lmg_adiabat.errors.RegimeWarning")  # a short sweep
@@ -461,9 +461,9 @@ def test_a_run_records_the_total_spin_scan(monkeypatch, gamma):
     run = run_scenario(cfg).trajectory
     ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta, cfg.schedule.omega1,
                                 cfg.schedule.omega2)
-    np.testing.assert_array_equal(run.gap, dynamics._gap_scan(ham, run.times))
+    np.testing.assert_array_equal(run.gap, _scan(ham, run.times))
     monkeypatch.setattr(dynamics, "_is_symmetric_lmg", lambda terms: False)
-    np.testing.assert_allclose(run.gap, dynamics._gap_scan(ham, run.times), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.gap, _scan(ham, run.times), rtol=0, atol=1e-12)
 
 
 def test_only_the_exact_collective_terms_take_the_total_spin_scan():
@@ -483,8 +483,8 @@ def test_only_the_exact_collective_terms_take_the_total_spin_scan():
 def test_a_symmetric_batch_scans_inline_and_a_disordered_one_beside(monkeypatch):
     # the overlap is sized from the blocks each scan diagonalizes: 401
     # samples of the six dispersion members' spin-j halves take 0.4 MB, below
-    # GAP_OVERLAP_BYTES, while the 13 criterion-8 members' two 8 x 8 parity
-    # blocks take 5.3 MB, above it
+    # GAP_OVERLAP_BYTES, while the 12 disordered criterion-8 members' two
+    # 8 x 8 parity blocks take 5.0 MB, above it
     from lmg_adiabat.protocols import (REFERENCE_DISPERSION_PAIRS, disorder_ensemble,
                                        dispersion_ensemble, reference_disorder_profiles)
 
@@ -502,7 +502,7 @@ def test_mixed_parity_state_integrates_the_full_space(lindblad_terms):
     ham = lmg_sweep_hamiltonian(SpinRegister(3), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, (1e-4,) * 3)
-    kwargs = dict(n_samples=5, record_gap=False)
+    kwargs = dict(n_samples=5)
     mixed = evolve(spec, density_from_state(dicke_state(3, 1.5, "x")), (0.0, 20.0), **kwargs)
     polarized = evolve(spec, density_from_state(cfg.initial_state()), (0.0, 20.0), **kwargs)
     # the kernel gets the terms on the block of basis states, and the
@@ -526,7 +526,7 @@ def test_sampled_states_are_embedded_when_first_read(monkeypatch):
     ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     res = evolve(LindbladSpec(ham, cfg.gammas()), density_from_state(cfg.initial_state()),
-                 (0.0, 200.0), n_samples=21, record_gap=False, store_states=True)
+                 (0.0, 200.0), n_samples=21, store_states=True)
     assert res.integrated_basis == "subspace"
     assert calls == []  # the final and sampled states wait for their first read
     samples = res.rho_samples
@@ -545,7 +545,7 @@ def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     args = (LindbladSpec(ham, cfg.gammas()), density_from_state(cfg.initial_state()),
             (0.0, 200.0))
-    res = evolve(*args, n_samples=21, record_gap=False)
+    res = evolve(*args, n_samples=21)
     even = np.flatnonzero([bin(i).count("1") % 2 == 0 for i in range(16)])
     outside = np.ones((16, 16), dtype=bool)
     outside[even[:, None], even] = False  # the run starts in the even block
@@ -555,11 +555,10 @@ def test_block_run_embeds_its_states_and_reports_their_min_eigenvalue():
     inside = res.rho_samples[:, even[:, None], even]
     assert res.min_eigenvalue == np.min(np.linalg.eigvalsh(inside))
     assert abs(res.min_eigenvalue) < 1e-6  # a nearly pure state: its other eigenvalues ~ 0
-    assert evolve(*args, n_samples=21, record_gap=False, store_states=False).min_eigenvalue is None
+    assert evolve(*args, n_samples=21, store_states=False).min_eigenvalue is None
     # a mixed state keeps its smallest weight under a Hamiltonian that commutes with it
     spec = LindbladSpec(np.diag([0.3, -0.3]).astype(complex), (0.0,))
-    mixed = evolve(spec, np.diag([0.7, 0.3]).astype(complex), (0.0, 10.0), n_samples=5,
-                   record_gap=False)
+    mixed = evolve(spec, np.diag([0.7, 0.3]).astype(complex), (0.0, 10.0), n_samples=5)
     assert mixed.min_eigenvalue == pytest.approx(0.3, abs=1e-12)
 
 
@@ -598,7 +597,6 @@ def test_evolve_step_failure_on_unstable_step():
             (0.0, 4000.0),
             step=8.0,
             n_samples=40,
-            record_gap=False,
         )
 
 
@@ -616,8 +614,7 @@ def test_block_size_does_not_change_the_result(monkeypatch):
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, (1e-3, 2e-3))
     rho0 = density_from_state(cfg.initial_state())
-    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
-                  record_gap=False)
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()})
     # 246 steps of a step that is not a binary fraction: one block, then six
     # blocks of 41 steps that end on every other sample
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
@@ -636,8 +633,7 @@ def test_block_size_changes_an_undamped_result_only_by_rounding(monkeypatch):
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, (0.0, 0.0))
     rho0 = density_from_state(cfg.initial_state())
-    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
-                  record_gap=False)
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()})
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     _block_steps(monkeypatch, 41, 1, 3)
     blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
@@ -659,8 +655,7 @@ def test_block_size_changes_an_operator_space_result_only_by_rounding(monkeypatc
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, (1e-3,) * 3)
     rho0 = density_from_state(cfg.initial_state())
-    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
-                  record_gap=False)
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()})
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     _block_steps(monkeypatch, 41, 1, 3)
     blocked = evolve(spec, rho0, (0.0, 61.3), **kwargs)
@@ -736,7 +731,7 @@ def test_dephased_run_without_a_small_operator_space_steps_on_the_block(monkeypa
     cfg, (clean, twisted), rho0 = _clean_and_twisted(3)
     spec = twisted if gammas == "complex" else LindbladSpec(clean.hamiltonian, gammas)
     args = (spec, rho0, (0.0, 100.0))
-    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()})
     got = evolve(*args, **kwargs)
     assert (got.integrated_dim, got.integrated_basis) == (4, "basis states")
     monkeypatch.setattr(dynamics, "_operator_subspace", lambda terms, w, rho0s, limit: None)
@@ -757,10 +752,10 @@ def test_dephased_batch_runs_each_member_on_its_own_operator_space(lindblad_call
     cfg = preset("I", 4, gamma=1e-4, t_final=100.0, n_samples=11)
     cfgs = [cfg, dataclasses.replace(cfg, disorder=DisorderProfile(
         tuple(np.linspace(-0.1, 0.1, 4)), cfg.eta))]
-    batch = [run.trajectory for run in run_scenarios(cfgs, record_gap=False)]
+    batch = [run.trajectory for run in run_scenarios(cfgs)]
     assert [shape[1] for shape in lindblad_calls] == [2]
     for got, c in zip(batch, cfgs):
-        want = run_scenario(c, record_gap=False).trajectory
+        want = run_scenario(c).trajectory
         assert (got.integrated_dim, got.integrated_basis) == (11, "operator subspace")
         for name in ("purity", "trace_defect", "rho_samples", "rho_final"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
@@ -779,7 +774,7 @@ def test_dephased_members_whose_spaces_differ_in_dimension_take_a_call_each(lind
     spec = LindbladSpec(ham, cfg.gammas())
     even = np.array([bin(i).count("1") % 2 == 0 for i in range(16)])
     rho0s = [density_from_state(cfg.initial_state()), np.diag(even / 8.0).astype(complex)]
-    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()})
     batch = evolve_batch([spec, spec], rho0s, (0.0, 100.0), **kwargs)
     assert [shape[1] for shape in lindblad_calls] == [1, 1]
     for got, rho0, dim in zip(batch, rho0s, (11, 1)):
@@ -799,7 +794,7 @@ def test_dephased_batch_with_a_member_without_a_small_space_runs_on_the_block(li
     # call on the block of basis states of its union, and that member keeps
     # the bits of its standalone run there
     cfg, specs, rho0 = _clean_and_twisted(3)
-    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()}, record_gap=False)
+    kwargs = dict(n_samples=11, populations={"start": cfg.initial_state()})
     batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), **kwargs)
     assert [shape[1] for shape in lindblad_calls] == [2]
     assert [(r.integrated_dim, r.integrated_basis) for r in batch] == [(4, "basis states")] * 2
@@ -828,7 +823,7 @@ def test_a_complex_member_spares_the_batch_every_operator_space_closure(monkeypa
 
     monkeypatch.setattr(dynamics, "_operator_subspace", counted)
     _, specs, rho0 = _clean_and_twisted(4)
-    batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), n_samples=11, record_gap=False)
+    batch = evolve_batch(specs, [rho0, rho0], (0.0, 100.0), n_samples=11)
     assert closures == []
     assert [shape[1] for shape in lindblad_calls] == [2]
     assert [(r.integrated_dim, r.integrated_basis) for r in batch] == [(8, "basis states")] * 2
@@ -847,7 +842,6 @@ def test_step_failure_stops_the_run_at_the_failing_block(monkeypatch, lindblad_c
             (0.0, 4000.0),
             step=8.0,
             n_samples=40,
-            record_gap=False,
         )
     assert len(lindblad_calls) == 1  # of the 25 blocks in the 500-step window
 
@@ -869,7 +863,6 @@ def test_step_failure_inside_a_fused_interval_stops_at_the_same_block(
             (0.0, 4000.0),
             step=8.0,
             n_samples=40,
-            record_gap=False,
         )
     assert len(lindblad_calls) == 1
 
@@ -899,11 +892,11 @@ def _slow_scan(fails):
     """A gap scan that is still running when a short integration has ended."""
     scan = dynamics._gap_scan
 
-    def slow(ham, times):
+    def slow(ham, times, groups):
         time.sleep(0.1)
         if fails:
             raise RuntimeError("gap scan failed")
-        return scan(ham, times)
+        return scan(ham, times, groups)
 
     return slow
 
@@ -916,7 +909,7 @@ def test_step_failure_wins_over_the_gap_scan_beside_it(monkeypatch, scan_fails):
     before = threading.active_count()
     with np.errstate(all="ignore"), pytest.raises(StepFailureError, match="at t = 104 "):
         evolve(LindbladSpec(_failing_after(100.0), ()), density_from_state(TWO_SPIN_PLUS_X),
-               (0.0, 4000.0), step=8.0, n_samples=40, record_gap=True)
+               (0.0, 4000.0), step=8.0, n_samples=40)
     assert len(started) == 1
     assert threading.active_count() == before
 
@@ -927,24 +920,47 @@ def test_gap_scan_error_is_raised_after_the_integration(monkeypatch, lindblad_ca
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="gap scan failed"):
         evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
-               (0.0, 400.0), step=8.0, n_samples=40, record_gap=True)
+               (0.0, 400.0), step=8.0, n_samples=40)
     assert len(lindblad_calls) == 1  # the whole window, in one block
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("record_gap,cpus,small", [(False, 2, False), (True, 1, False),
-                                                  (True, 2, True)],
-                         ids=["no-scan", "one-cpu", "small-scan"])
-def test_no_thread_without_a_large_gap_scan_and_a_second_cpu(monkeypatch, record_gap, cpus,
-                                                             small):
+@pytest.mark.parametrize("cpus,small", [(1, False), (2, True)], ids=["one-cpu", "small-scan"])
+def test_no_thread_without_a_large_gap_scan_and_a_second_cpu(monkeypatch, cpus, small):
     _scan_cpus(monkeypatch, cpus)
     if small:  # 40 samples of a 4 x 4 Hamiltonian take 5 kB
         monkeypatch.setattr(_kernels, "GAP_OVERLAP_BYTES", 8 * 40 * 16 + 1)
     started = _threads_started(monkeypatch)
     run = evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
-                 (0.0, 400.0), step=8.0, n_samples=40, record_gap=record_gap)
+                 (0.0, 400.0), step=8.0, n_samples=40)
     assert started == []
-    assert (run.gap is not None) == record_gap
+    assert run.gap.shape == (40,)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_member_s_gap_blocks_are_searched_once(monkeypatch, cpus):
+    # the search that sizes the overlap hands its blocks to the scan
+    from lmg_adiabat.protocols import reference_disorder_profiles
+
+    _scan_cpus(monkeypatch, cpus)
+    searched = []
+    search = dynamics._gap_blocks
+
+    def counting(terms):
+        searched.append(len(terms))
+        return search(terms)
+
+    monkeypatch.setattr(dynamics, "_gap_blocks", counting)
+    cfg = preset("I", 4, detuning_magnitude=0.9, t_final=40.0, n_samples=5)
+    reg = SpinRegister(4)
+    specs = [LindbladSpec(lmg_sweep_hamiltonian(reg, cfg.eta, cfg.delta, cfg.schedule.omega1,
+                                                cfg.schedule.omega2, p))
+             for p in [None, *reference_disorder_profiles(cfg.eta)[:2]]]
+    rho0 = density_from_state(cfg.initial_state())
+    runs = evolve_batch(specs, [rho0] * 3, (0.0, cfg.t_final), n_samples=cfg.n_samples)
+    assert searched == [3, 4, 4]
+    for spec, run in zip(specs, runs):
+        np.testing.assert_array_equal(run.gap, _scan(spec.hamiltonian, run.times))
 
 
 def test_gap_scan_beside_the_integration_sees_the_callers_errstate(monkeypatch):
@@ -952,16 +968,16 @@ def test_gap_scan_beside_the_integration_sees_the_callers_errstate(monkeypatch):
     seen = []
     scan = dynamics._gap_scan
 
-    def spy(ham, times):
+    def spy(ham, times, groups):
         seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-        return scan(ham, times)
+        return scan(ham, times, groups)
 
     monkeypatch.setattr(dynamics, "_gap_scan", spy)
     default = np.geterr()
     with np.errstate(all="ignore"):
         caller = np.geterr()
         evolve(LindbladSpec(0.01 * TWO_SPIN_H, ()), density_from_state(TWO_SPIN_PLUS_X),
-               (0.0, 400.0), step=8.0, n_samples=40, record_gap=True)
+               (0.0, 400.0), step=8.0, n_samples=40)
     assert caller != default
     assert seen == [(False, caller)]
 
@@ -982,7 +998,7 @@ def test_gap_scan_beside_a_disordered_batch_matches_the_serial_scan(monkeypatch)
     serial = evolve_batch(specs, rho0s, (0.0, cfg.t_final), n_samples=cfg.n_samples)
     assert len(started) == 1
     for spec, a, b in zip(specs, beside, serial):
-        want = dynamics._gap_scan(spec.hamiltonian, a.times)
+        want = _scan(spec.hamiltonian, a.times)
         np.testing.assert_array_equal(a.gap, want)
         np.testing.assert_array_equal(b.gap, want)
         np.testing.assert_array_equal(a.rho_final, b.rho_final)
@@ -1047,7 +1063,7 @@ def test_symmetric_sector_equivalence(n):
     )
     psi0 = cfg.initial_state()
     tgt = target_state("I", n)
-    kwargs = dict(n_samples=9, record_gap=False, store_states=False)
+    kwargs = dict(n_samples=9, store_states=False)
     full = evolve(LindbladSpec(ham, ()), density_from_state(psi0), (0.0, cfg.t_final),
                   populations={"t": tgt}, **kwargs)
     sect = evolve(LindbladSpec(ham_sector, ()), density_from_state(v.conj().T @ psi0),
@@ -1059,8 +1075,8 @@ def test_step_halving_convergence_case_one():
     from lmg_adiabat.protocols import run_scenario
 
     cfg = preset("I", 3)
-    r1 = run_scenario(cfg, record_gap=False)
-    r2 = run_scenario(dataclasses.replace(cfg, step=0.125), record_gap=False)
+    r1 = run_scenario(cfg)
+    r2 = run_scenario(dataclasses.replace(cfg, step=0.125))
     assert abs(r1.final_population - r2.final_population) <= 1e-6
     assert abs(r1.final_population_phase_opt - r2.final_population_phase_opt) <= 1e-6
 
@@ -1070,7 +1086,7 @@ def test_fast_sweep_stays_positive():
     from lmg_adiabat.protocols import run_scenario
 
     # RK4 at step 0.25 reached -1.8e-5 here; the CF4 step is CPTP
-    res = run_scenario(preset("I", 4, t_final=400.0), record_gap=False)
+    res = run_scenario(preset("I", 4, t_final=400.0))
     assert res.trajectory.min_eigenvalue >= -1e-12
 
 
@@ -1092,7 +1108,7 @@ def test_one_kernel_call_per_plan_for_a_single_run(lindblad_calls):
     # terms, is far below TABLE_BYTES, so the whole window is one call
     from lmg_adiabat.protocols import run_scenario
 
-    run_scenario(preset("I", 4), record_gap=False)
+    run_scenario(preset("I", 4))
     assert lindblad_calls == [(8001, 1, 3)]
 
 
@@ -1124,8 +1140,7 @@ def test_calls_cut_at_block_starts_do_not_change_the_result(monkeypatch, gammas,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
     spec = LindbladSpec(ham, gammas)
     rho0 = density_from_state(cfg.initial_state())
-    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()},
-                  record_gap=False)
+    kwargs = dict(n_samples=13, step=0.25, populations={"start": cfg.initial_state()})
     monkeypatch.setattr(_kernels, "BLOCK_STEPS", 41)
     whole = evolve(spec, rho0, (0.0, 61.3), **kwargs)
     _block_steps(monkeypatch, 41, 1, 3)
@@ -1172,7 +1187,7 @@ def test_adiabaticity_profile_constant_schedule():
     sched = DriveSchedule(zeta=0.3, ramp1=np.inf, ramp2=np.inf, dzeta2=-0.3)
     times = np.linspace(0.0, 100.0, 5)
     ham = lmg_sweep_hamiltonian(SpinRegister(3), 0.1, -1.1, sched.omega1, sched.omega2)
-    gaps = dynamics._gap_scan(ham, times)
+    gaps = _scan(ham, times)
     assert np.allclose(gaps, gaps[0])
     assert np.allclose(sched.omega2(times), 0.0)
 
@@ -1181,7 +1196,7 @@ def test_adiabaticity_profile_case_one_gap_positive_and_final_value():
     cfg = preset("I", 4)
     ham = lmg_sweep_hamiltonian(SpinRegister(4), cfg.eta, cfg.delta,
                                 cfg.schedule.omega1, cfg.schedule.omega2)
-    gaps = dynamics._gap_scan(ham, np.linspace(0.0, 4000.0, 81))
+    gaps = _scan(ham, np.linspace(0.0, 4000.0, 81))
     assert np.all(gaps > 0.0)
     # final gap from the one-axis m^2 spectrum: |alpha| beta2^2 (2J - 1)
     c = effective_coefficients(cfg.eta, cfg.delta, float(cfg.schedule.omega1(4000.0)),

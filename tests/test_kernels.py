@@ -777,9 +777,9 @@ def _integrate_with_rk4(monkeypatch):
 @pytest.mark.parametrize("case,gamma", [("I", 0.0), ("I", 1e-4), ("III", 0.0)])
 def test_cf4_at_the_default_step_matches_rk4_at_a_small_step(monkeypatch, case, gamma):
     cfg = preset(case, 4, gamma=gamma)
-    cf4 = run_scenario(cfg, record_gap=False)
+    cf4 = run_scenario(cfg)
     _integrate_with_rk4(monkeypatch)
-    rk4 = run_scenario(dataclasses.replace(cfg, step=0.125), record_gap=False)
+    rk4 = run_scenario(dataclasses.replace(cfg, step=0.125))
     assert cf4.trajectory.n_steps == 4000 and rk4.trajectory.n_steps == 32000
     assert abs(cf4.final_population - rk4.final_population) <= 1e-7
     for name, want in rk4.trajectory.populations.items():
@@ -789,7 +789,7 @@ def test_cf4_at_the_default_step_matches_rk4_at_a_small_step(monkeypatch, case, 
 def test_cf4_convergence_order():
     # errors of the sampled populations at steps 2 and 1 against step 0.25
     cfg = preset("I", 4)
-    pops = {h: run_scenario(dataclasses.replace(cfg, step=h), record_gap=False)
+    pops = {h: run_scenario(dataclasses.replace(cfg, step=h))
             .trajectory.populations for h in (2.0, 1.0, 0.25)}
 
     def error(h):

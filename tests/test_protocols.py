@@ -117,14 +117,14 @@ def test_run_scenario_series_and_drive_columns():
 def test_run_scenario_warns_when_sweep_is_cut_short():
     cfg = preset("I", 3, t_final=300.0, n_samples=8)
     with pytest.warns(RegimeWarning):
-        run_scenario(cfg, record_gap=False)
+        run_scenario(cfg)
 
 
 def test_run_scenario_no_warning_on_full_sweep():
     cfg = preset("III", 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RegimeWarning)
-        run = run_scenario(cfg, record_gap=False)
+        run = run_scenario(cfg)
     assert run.final_population_phase_opt > 0.99
 
 
@@ -136,7 +136,7 @@ def test_below_resonance_presets_transfer():
         cfg = preset(case, n, detuning_magnitude=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeWarning)
-            run = run_scenario(cfg, record_gap=False)
+            run = run_scenario(cfg)
         assert run.final_population_phase_opt >= 0.98
 
 
@@ -341,6 +341,6 @@ def test_simulate_presets_keep_trace_and_hermiticity_to_rounding(case, n, gamma)
     cfg = protocols.config_from_settings({"case": case, "n_spins": n, "gamma_dep": gamma})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        diagnostics = run_scenario(cfg, record_gap=False).trajectory.diagnostics
+        diagnostics = run_scenario(cfg).trajectory.diagnostics
     assert diagnostics["max_trace_defect"] <= 1e-13
     assert diagnostics["max_hermiticity_defect"] <= 1e-13

@@ -99,6 +99,34 @@ def test_target_case_two_three_spins():
     assert np.allclose(v, expected, atol=1e-12)
 
 
+def test_basis_transforms_are_built_once_per_register_size(monkeypatch):
+    from lmg_adiabat import operators
+
+    operators.x_basis_transform.cache_clear()
+    operators.y_basis_transform.cache_clear()
+    builds = []
+    kron_all = operators._kron_all
+
+    def counting(factors):
+        factors = list(factors)
+        builds.append(len(factors))
+        return kron_all(factors)
+
+    monkeypatch.setattr(operators, "_kron_all", counting)
+    first = target_state("I", 4)
+    for _ in range(3):
+        np.testing.assert_array_equal(target_state("I", 4), first)
+        target_branches("I", 4)
+        dicke_state(4, 1.0, "x")
+    assert builds == [4, 4]  # one y and one x transform of four factors
+    target_state("III", 6)
+    assert builds == [4, 4, 6]
+    u = operators.y_basis_transform(SpinRegister(4))
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
 def test_target_parity_requirements():
     with pytest.raises(ParityMismatchError):
         target_state("II", 4)
