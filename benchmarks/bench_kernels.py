@@ -3,9 +3,10 @@
 
 Times the RK4 master-equation kernel on the case I transfer at several
 register sizes (and at N=4 without dephasing) and the pure-state kernel on
-the joint spin+resonator model (Fock cutoffs 6, 8 and 12, i.e. dims 24, 32
-and 48).  A second section times the CF4 master-equation kernel, the one
-the integrators call, at its default step 1.0 on the N=4 transfer next to
+the spin+resonator model of N=2, which is built on its Dicke sector (d = 3c:
+Fock cutoffs 6, 8 and 12, i.e. dims 18, 24 and 36).  A second section times
+the CF4 master-equation kernel, the one the integrators call, at its default
+step 1.0 on the N=4 transfer next to
 the RK4 reference at step 0.25.  A third section times the 13 members of the
 criterion-8 disorder ensemble with the CF4 kernel at step 1.0 integrated as
 one batch against 13 single-run calls, per member and step, the same batch
@@ -212,7 +213,7 @@ def main():
         lindblad_workload(4),
         lindblad_workload(4, gamma=0.0),  # no dissipator: the gamma-0 simulate jobs
         lindblad_workload(6),
-        # dim 24 and 48 (cutoffs 6 and 12): the full runs of a two-tone
+        # dim 18 and 36 (cutoffs 6 and 12): the full runs of a two-tone
         # validate-reduction at --cutoff 6; one-tone runs are solved without this kernel
         schrodinger_workload(6),
         schrodinger_workload(8),

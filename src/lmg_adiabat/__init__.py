@@ -15,10 +15,10 @@ from .dynamics import (
     LindbladSpec,
     TrajectoryResult,
     calibrated_schedule,
+    constant_hamiltonian_states,
     evolve,
     evolve_batch,
     evolve_state,
-    rotating_frame_states,
 )
 from .model import (
     DisorderProfile,

@@ -103,6 +103,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionMismatchError, StepFailureError
 from .model import LinearHamiltonian, _collective_products
+from .operators import spin_j_operators
 from .states import check_density_matrix, ground_band_size
 
 #: Default master-equation step (1/nu).  The spread of H(t) is about
@@ -412,19 +413,17 @@ def _is_symmetric_lmg(terms: np.ndarray) -> bool:
 def _spin_blocks(n_spins: int) -> Tuple[np.ndarray, ...]:
     """J_z, J_x^2 and J_y^2 on the parity halves of every spin-j irrep of n spins.
 
-    In the irrep of total spin j, on |j, m> for m = j, j - 1, .., -j, J_z is
-    diag(m) and J_+ |j, m> = sqrt(j (j + 1) - m (m + 1)) |j, m + 1>, so
-    J_x^2 and J_y^2, real in this basis, couple m only to m +- 2: each irrep
-    splits into the halves of even and of odd j - m.  Returns one read-only
+    In the irrep of total spin j, on |j, m> for m = j, j - 1, .., -j
+    (:func:`operators.spin_j_operators`), J_x^2 and J_y^2 are real and couple
+    m only to m +- 2: each irrep splits into the halves of even and of odd
+    j - m.  Returns one read-only
     (3, n, s, s) stack per half size s, in increasing s, holding the n
     halves of that size.  Each j counts once: the spectrum's multiplicities
     do not change the band rule of :func:`spectral_gap`.
     """
     by_size: Dict[int, List[np.ndarray]] = {}
     for two_j in range(n_spins, -1, -2):
-        j = two_j / 2.0
-        m = j - np.arange(two_j + 1)
-        raising = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+        m, raising = spin_j_operators(two_j)
         jx, jy_i = raising + raising.T, raising - raising.T  # 2 J_x and 2 i J_y
         terms = np.stack([np.diag(m), 0.25 * (jx @ jx), -0.25 * (jy_i @ jy_i)])
         for first in (0, 1):
@@ -1077,23 +1076,15 @@ def evolve_state(
     return times, psi_samples, psi_final
 
 
-def rotating_frame_states(h0: np.ndarray, frame: np.ndarray, psi0: np.ndarray,
-                          times: np.ndarray) -> np.ndarray:
-    """Exact pure states under H(t) = e^{iKt} h0 e^{-iKt}, K = diag(frame).
+def constant_hamiltonian_states(g: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact pure states under a constant Hermitian G, from one eigendecomposition.
 
-    In the frame rotating with K the Hamiltonian is the constant G = h0 + K,
-    so psi(t) = e^{iKt} V e^{-i Lambda t} V† psi0 with G = V Lambda V†, from
-    one eigendecomposition and with no time step; a zero frame gives the
-    evolution under a constant h0.  Returns the (T, d) states at ``times``
-    (measured from t = 0).
+    psi(t) = V e^{-i Lambda t} V† psi0 with G = V Lambda V†, with no time
+    step.  Returns the (T, d) states at ``times`` (measured from t = 0).
     """
-    frame = np.asarray(frame, dtype=np.float64)
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    if h0.shape != (frame.size, frame.size) or psi0.shape != (frame.size,):
-        raise DimensionMismatchError(
-            f"hamiltonian {h0.shape}, frame {frame.shape} and state {psi0.shape} do not match"
-        )
-    times = np.asarray(times, dtype=np.float64)
-    lam, v = np.linalg.eigh(h0 + np.diag(frame))
-    coeffs = np.exp(-1.0j * np.multiply.outer(times, lam)) * (v.conj().T @ psi0)
-    return np.exp(1.0j * np.multiply.outer(times, frame)) * (coeffs @ v.T)
+    if g.shape != (psi0.size, psi0.size) or psi0.ndim != 1:
+        raise DimensionMismatchError(f"hamiltonian {g.shape} and state {psi0.shape} do not match")
+    lam, v = np.linalg.eigh(g)
+    coeffs = np.exp(-1.0j * np.multiply.outer(np.asarray(times, dtype=np.float64), lam))
+    return (coeffs * (v.conj().T @ psi0)) @ v.T

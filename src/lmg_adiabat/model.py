@@ -33,6 +33,7 @@ from .operators import (
     boson_operator,
     collective_operator,
     embed_single_spin,
+    spin_j_operators,
 )
 
 RESONANCE_TOL = 1e-9
@@ -254,6 +255,7 @@ class FullModelParams:
     nbar: float = 20.0
 
     def __post_init__(self) -> None:
+        SpinRegister(self.n_spins)  # raises unless 1 <= n_spins <= 10
         if self.eta > 0 and self.fock_cutoff < 3:
             raise ValidationError(
                 f"fock_cutoff must be >= 3 when eta > 0, got {self.fock_cutoff}"
@@ -268,31 +270,27 @@ class FullModelParams:
 
 
 def full_interaction_hamiltonian(p: FullModelParams) -> LinearHamiltonian:
-    """Interaction-picture spin ⊗ resonator Hamiltonian on the joint space.
+    """Interaction-picture spin ⊗ resonator Hamiltonian on the Dicke sector.
 
     H(t) = J_+ [1 + eta (a† e^{i t} - a e^{-i t})] (Omega1 e^{i delta t}
     + Omega2 e^{-i delta t}) + h.c., with the drive phases already reduced to
-    the signed detuning.  Each non-Hermitian product C_k with complex envelope
-    z_k(t) is stored as the Hermitian pair C_k + C_k†, i(C_k - C_k†) with real
-    coefficients Re z_k, Im z_k.
+    the signed detuning.  The spins enter only through J_+-, so H(t) keeps
+    the symmetric (j = N/2) sector: it is built on |j, m> ⊗ |n>, at index
+    (N/2 - m) cutoff + n for m = N/2 .. -N/2 (:func:`operators.spin_j_operators`).
+    Each product C_k with complex envelope z_k(t) is stored as the Hermitian
+    pair C_k + C_k†, i(C_k - C_k†) with real coefficients Re z_k, Im z_k.
 
     With one tone the time dependence is a rotation: H(t) = e^{iKt} H(0)
     e^{-iKt} with K = s delta J_z ⊗ 1 + 1 ⊗ a†a, s = +1 for an omega1-only
     drive and -1 for an omega2-only one (see :func:`full_interaction_frame`).
     """
-    reg = SpinRegister(p.n_spins)
-    fock = FockSpace(p.fock_cutoff)
-    jp = collective_operator(reg, "+")
-    a = boson_operator(fock, "a")
-    adag = a.conj().T
-    eye_f = np.eye(fock.cutoff, dtype=np.complex128)
-
-    products = [np.kron(jp, eye_f), np.kron(jp, adag), np.kron(jp, a)]
-    term_list = []
-    for c in products:
-        term_list.append(c + c.conj().T)
-        term_list.append(1.0j * (c - c.conj().T))
-    terms = np.ascontiguousarray(np.stack(term_list))
+    jp = spin_j_operators(p.n_spins)[1]
+    a = boson_operator(FockSpace(p.fock_cutoff), "a")
+    d = jp.shape[0] * p.fock_cutoff
+    # C_k = J_+ ⊗ 1, J_+ ⊗ a† and J_+ ⊗ a, each entry the product np.kron forms
+    c = np.einsum("ij,kab->kiajb", jp, [np.eye(p.fock_cutoff), a.conj().T, a]).reshape(3, d, d)
+    ch = c.conj().transpose(0, 2, 1)
+    terms = np.stack([c + ch, 1.0j * (c - ch)], axis=1).reshape(6, d, d)
     eta, delta, om1, om2 = p.eta, p.delta, p.omega1, p.omega2
 
     def coefficients(times: np.ndarray) -> np.ndarray:
@@ -312,12 +310,12 @@ def full_interaction_hamiltonian(p: FullModelParams) -> LinearHamiltonian:
 def full_interaction_frame(p: FullModelParams) -> Optional[np.ndarray]:
     """Diagonal of the frame K in which the one-tone full Hamiltonian is constant.
 
-    K = s delta J_z ⊗ 1 + 1 ⊗ a†a with s = +1 when ``omega2 == 0`` and s = -1
-    when ``omega1 == 0``: J_+ picks up e^{i s delta t} and a† picks up
-    e^{i t} under e^{iKt}, so the interaction-picture H(t) equals
+    K = s delta J_z ⊗ 1 + 1 ⊗ a†a on the |j, m> ⊗ |n> of
+    :func:`full_interaction_hamiltonian`, with s = +1 when ``omega2 == 0``
+    and s = -1 when ``omega1 == 0``: J_+ picks up e^{i s delta t} and a†
+    picks up e^{i t} under e^{iKt}, so the interaction-picture H(t) equals
     e^{iKt} H(0) e^{-iKt}, also in the truncated Fock space.  Two tones
-    rotate J_+ at both +delta and -delta, so no such frame exists and the
-    result is None.
+    rotate J_+ at both +delta and -delta, so no such frame exists: None.
     """
     if p.omega2 == 0.0:
         sign = 1.0
@@ -325,8 +323,8 @@ def full_interaction_frame(p: FullModelParams) -> Optional[np.ndarray]:
         sign = -1.0
     else:
         return None
-    jz = collective_operator(SpinRegister(p.n_spins), "z").diagonal().real
-    return np.add.outer(sign * p.delta * jz, np.arange(p.fock_cutoff, dtype=np.float64)).ravel()
+    m = spin_j_operators(p.n_spins)[0]
+    return np.add.outer(sign * p.delta * m, np.arange(p.fock_cutoff, dtype=np.float64)).ravel()
 
 
 def isotropic_spectrum(n: int, alpha_beta_sq: float, epsilon: float):

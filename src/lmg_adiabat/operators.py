@@ -84,6 +84,17 @@ def collective_operator(reg: SpinRegister, which: str) -> np.ndarray:
     return factor * out
 
 
+def spin_j_operators(two_j: int):
+    """J_z = diag(m) and the real J_+ of spin j = two_j / 2 on |j, m>, m = j, j - 1, .., -j.
+
+    J_+ |j, m> = sqrt(j (j + 1) - m (m + 1)) |j, m + 1>.  At j = N/2 the
+    basis is the z-basis Dicke states of N spins, on which J_+ has this form.
+    """
+    j = two_j / 2.0
+    m = j - np.arange(two_j + 1)
+    return m, np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+
+
 _U1_Y = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=np.complex128) / np.sqrt(2.0)
 _U1_X = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 

@@ -34,10 +34,10 @@ from .dynamics import (
     LindbladSpec,
     TrajectoryResult,
     calibrated_schedule,
+    constant_hamiltonian_states,
     evolve,
     evolve_batch,
     evolve_state,
-    rotating_frame_states,
     sample_times,
 )
 from .errors import (
@@ -60,7 +60,7 @@ from .model import (
     full_interaction_hamiltonian,
     lmg_sweep_hamiltonian,
 )
-from .operators import SpinRegister, collective_operator
+from .operators import SpinRegister, spin_j_operators
 from .states import (
     CASES,
     density_from_state,
@@ -706,15 +706,16 @@ class ReductionReport:
     solver: str
 
 
-def _spin_readout(amplitudes: np.ndarray, jz_diag: np.ndarray, target: np.ndarray):
+def _spin_readout(amplitudes: np.ndarray, jz_diag: np.ndarray, target: np.ndarray, phases=1.0):
     """<J_z> and the target population of (T, spin, mode) amplitudes.
 
     The mode axis (the resonator, or a single dummy mode) is traced out; the
     populations are clamped into [0, 1] like :func:`states.population`.
+    The target overlap takes the spin amplitudes times ``phases``, (T, spin) or 1.
     """
     jz = np.sum(np.abs(amplitudes) ** 2, axis=2) @ jz_diag
-    overlaps = np.einsum("i,tik->tk", target.conj(), amplitudes)
-    pop = np.clip(np.sum(np.abs(overlaps) ** 2, axis=1), 0.0, 1.0)
+    overlaps = (target.conj() * phases)[..., None, :] @ amplitudes
+    pop = np.clip(np.sum(np.abs(overlaps) ** 2, axis=(1, 2)), 0.0, 1.0)
     return jz, pop
 
 
@@ -736,16 +737,21 @@ def validate_effective_reduction(
     The (nbar + 1) eta^2 indicator is reported for the configured thermal
     occupation even though the simulation itself is at T = 0.
 
-    With one tone the full model is constant in the drive's rotating frame
-    (:func:`full_interaction_frame`) and the effective model is constant
-    outright, so both are solved exactly (:func:`rotating_frame_states`).
-    Only two-tone full runs are integrated, with RK4 at ``step`` = 0.02/nu;
-    ``step`` otherwise just fixes the sample times.
+    Every run keeps to the symmetric (j = N/2) sector, as the spins couple
+    only through the collective J_+-: the full model is solved on the
+    (N + 1) cutoff amplitudes of |j, m> ⊗ |n> and the effective one on the
+    N + 1 z-basis Dicke states, whose isometry carries the initial state and
+    the target there.  With one tone the full model is the constant G = H(0)
+    + K in the drive's rotating frame (:func:`full_interaction_frame`), whose
+    spin phase e^{i s delta m t} alone enters the readout, and the effective
+    model is constant outright: both are solved exactly
+    (:func:`constant_hamiltonian_states`).  Two-tone full runs are integrated
+    with RK4 at ``step`` = 0.02/nu, which otherwise just fixes the sample times.
     """
     step = 0.02
     if cfg.n_spins > 2:
         raise ValidationError(
-            f"reduction validation supports N <= 2 (joint space), got N = {cfg.n_spins}"
+            f"reduction validation supports N <= 2, got N = {cfg.n_spins}"
         )
     if not (isfinite(t_final) and t_final > 0):
         raise ValidationError(
@@ -760,15 +766,8 @@ def validate_effective_reduction(
         omega1 = cfg.schedule.zeta
 
     reg = SpinRegister(cfg.n_spins)
-    params = FullModelParams(
-        n_spins=cfg.n_spins,
-        fock_cutoff=int(fock_cutoff),
-        eta=cfg.eta,
-        delta=cfg.delta,
-        omega1=float(omega1),
-        omega2=float(omega2),
-        nbar=cfg.nbar,
-    )
+    params = FullModelParams(cfg.n_spins, int(fock_cutoff), cfg.eta, cfg.delta,
+                             float(omega1), float(omega2), cfg.nbar)
     indicator = params.lamb_dicke_indicator
     if indicator >= 0.1:
         warnings.warn(
@@ -778,9 +777,10 @@ def validate_effective_reduction(
             stacklevel=2,
         )
 
-    jz_diag = collective_operator(reg, "z").diagonal().real
-    psi_spin = cfg.initial_state()
-    target = target_state(cfg.case, cfg.n_spins)
+    m = spin_j_operators(cfg.n_spins)[0]  # J_z on the Dicke states
+    dicke = np.stack([dicke_state(cfg.n_spins, k, "z") for k in m], axis=1)  # real: D† = D.T
+    psi_spin = dicke.T @ cfg.initial_state()
+    target = dicke.T @ target_state(cfg.case, cfg.n_spins)
     times = sample_times((0.0, t_final), step, n_samples)
     solver = "rk4" if full_interaction_frame(params) is None else "rotating-frame"
 
@@ -788,15 +788,15 @@ def validate_effective_reduction(
         p = replace(params, fock_cutoff=cutoff)
         ham = full_interaction_hamiltonian(p)
         frame = full_interaction_frame(p)
-        vac = np.zeros(cutoff, dtype=np.complex128)
-        vac[0] = 1.0
-        psi0 = np.kron(psi_spin, vac)
+        psi0 = np.outer(psi_spin, np.eye(cutoff)[0]).ravel()  # the resonator in vacuum
         if frame is None:
             _, psis, _ = evolve_state(ham, psi0, (0.0, t_final),
                                       n_samples=n_samples, step=step)
+            phases = 1.0
         else:
-            psis = rotating_frame_states(ham.matrix(0.0), frame, psi0, times)
-        jz, pop = _spin_readout(psis.reshape(times.size, reg.dim, cutoff), jz_diag, target)
+            psis = constant_hamiltonian_states(ham.matrix(0.0) + np.diag(frame), psi0, times)
+            phases = np.exp(1.0j * np.multiply.outer(times, frame[::cutoff]))  # n = 0: s delta m
+        jz, pop = _spin_readout(psis.reshape(times.size, m.size, cutoff), m, target, phases)
         drift = abs(float(np.linalg.norm(psis[-1])) - 1.0)
         return jz, pop, drift
 
@@ -806,8 +806,8 @@ def validate_effective_reduction(
     h_eff = build_effective_lmg(
         reg, effective_coefficients(cfg.eta, cfg.delta, float(omega1), float(omega2))
     )
-    psis_eff = rotating_frame_states(h_eff, np.zeros(reg.dim), psi_spin, times)
-    jz_eff, pop_eff = _spin_readout(psis_eff[:, :, None], jz_diag, target)
+    psis_eff = constant_hamiltonian_states(dicke.T @ h_eff @ dicke, psi_spin, times)
+    jz_eff, pop_eff = _spin_readout(psis_eff[:, :, None], m, target)
 
     max_jz_dev = float(np.max(np.abs(jz_full - jz_eff)))
     max_pop_dev = float(np.max(np.abs(pop_full - pop_eff)))

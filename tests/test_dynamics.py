@@ -10,11 +10,11 @@ from lmg_adiabat.dynamics import (
     DriveSchedule,
     LindbladSpec,
     calibrated_schedule,
+    constant_hamiltonian_states,
     dephasing_mask,
     evolve,
     evolve_batch,
     evolve_state,
-    rotating_frame_states,
     spectral_gap,
 )
 from lmg_adiabat.errors import (
@@ -33,6 +33,7 @@ from lmg_adiabat.model import (
 from lmg_adiabat.operators import SIGMA_X, SIGMA_Z, SpinRegister
 from lmg_adiabat.protocols import preset
 from lmg_adiabat.states import density_from_state, dicke_state
+from oracles import rotating_frame_states
 
 PLUS_X = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -1034,6 +1035,20 @@ def test_rotating_frame_states_match_rk4(single_tone_params):
     exact = rotating_frame_states(ham.matrix(0.0), full_interaction_frame(single_tone_params),
                                   psi0, times)
     np.testing.assert_allclose(exact, psis, rtol=0, atol=1e-8)
+
+
+def test_constant_hamiltonian_states_in_the_rotating_frame_match_the_oracle(single_tone_params):
+    ham = full_interaction_hamiltonian(single_tone_params)
+    frame = full_interaction_frame(single_tone_params)
+    psi0 = np.zeros(ham.dim, dtype=complex)
+    psi0[[0, single_tone_params.fock_cutoff + 1]] = 1.0 / np.sqrt(2.0)
+    times = np.linspace(0.0, 400.0, 17)
+    phi = constant_hamiltonian_states(ham.matrix(0.0) + np.diag(frame), psi0, times)
+    np.testing.assert_allclose(np.exp(1.0j * np.multiply.outer(times, frame)) * phi,
+                               rotating_frame_states(ham.matrix(0.0), frame, psi0, times),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        constant_hamiltonian_states(ham.matrix(0.0), np.append(psi0, 0.0), times)
 
 
 def test_rotating_frame_states_with_zero_frame_evolve_a_constant_hamiltonian():

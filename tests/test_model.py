@@ -15,7 +15,11 @@ from lmg_adiabat.model import (
     lmg_sweep_hamiltonian,
 )
 from lmg_adiabat.operators import SpinRegister, collective_operator
-from oracles import symmetric_sector_isometry
+from oracles import (
+    register_interaction_frame,
+    register_interaction_hamiltonian,
+    symmetric_sector_isometry,
+)
 
 
 def test_coefficients_case_one_values():
@@ -184,8 +188,7 @@ def test_full_hamiltonian_no_drive_is_zero():
 
 def test_full_hamiltonian_zero_coupling_form():
     p = FullModelParams(n_spins=2, fock_cutoff=3, eta=0.0, delta=-1.1, omega1=0.3, omega2=0.0)
-    reg = SpinRegister(2)
-    jp = collective_operator(reg, "+")
+    jp = np.diag([np.sqrt(2.0), np.sqrt(2.0)], 1)  # J_+ on the Dicke states m = 1, 0, -1
     for t in (0.0, 1.3, 7.9):
         drive = 0.3 * np.exp(1j * -1.1 * t)
         expected = np.kron(drive * jp + np.conj(drive) * jp.conj().T, np.eye(3))
@@ -217,6 +220,13 @@ def test_full_params_cutoff_guard_and_indicator():
         FullModelParams(n_spins=1, fock_cutoff=2, eta=0.1, delta=-1.1, omega1=0.3, omega2=0.0)
     p = FullModelParams(n_spins=1, fock_cutoff=3, eta=0.1, delta=-1.1, omega1=0.3, omega2=0.0)
     assert p.lamb_dicke_indicator == pytest.approx(21.0 * 0.01)
+
+
+@pytest.mark.parametrize("n", [0, 11])
+def test_full_model_rejects_registers_outside_the_device_range(n):
+    with pytest.raises(ValueError):
+        full_interaction_hamiltonian(FullModelParams(n_spins=n, fock_cutoff=3, eta=0.1,
+                                                     delta=-1.1, omega1=0.3, omega2=0.0))
 
 
 def test_sweep_hamiltonian_matches_pointwise_build():
@@ -277,3 +287,25 @@ def test_single_tone_hamiltonian_is_a_rotated_constant(single_tone_params, t):
 def test_two_tones_have_no_rotating_frame():
     p = FullModelParams(n_spins=2, fock_cutoff=4, eta=0.1, delta=-1.1, omega1=0.15, omega2=0.15)
     assert full_interaction_frame(p) is None
+
+
+@pytest.mark.parametrize("tones", [(0.3, 0.0), (0.0, 0.25), (0.15, 0.2)],
+                         ids=["omega1", "omega2", "two-tones"])
+@pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2])
+def test_dicke_sector_model_is_the_block_of_the_register_model(n, cutoff, tones):
+    p = FullModelParams(n_spins=n, fock_cutoff=cutoff, eta=0.2, delta=-1.1,
+                        omega1=tones[0], omega2=tones[1])
+    sector = np.kron(symmetric_sector_isometry(n), np.eye(cutoff))
+    ham, register = full_interaction_hamiltonian(p), register_interaction_hamiltonian(p)
+    assert ham.dim == (n + 1) * cutoff
+    for t in (0.0, 1.3, 7.9, 123.4):
+        np.testing.assert_allclose(ham.matrix(t), sector.T @ register.matrix(t) @ sector,
+                                   rtol=0, atol=1e-13)
+    frame = full_interaction_frame(p)
+    if tones[0] and tones[1]:
+        assert frame is None and register_interaction_frame(p) is None
+    else:
+        np.testing.assert_allclose(np.diag(frame),
+                                   sector.T @ np.diag(register_interaction_frame(p)) @ sector,
+                                   rtol=0, atol=1e-13)

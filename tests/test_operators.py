@@ -10,9 +10,10 @@ from lmg_adiabat.operators import (
     boson_operator,
     collective_operator,
     embed_single_spin,
+    spin_j_operators,
     y_basis_transform,
 )
-from oracles import spin_flip_parity
+from oracles import spin_flip_parity, symmetric_sector_isometry
 
 
 def test_embed_single_spin_examples():
@@ -173,3 +174,13 @@ def test_register_bounds():
         SpinRegister(0)
     with pytest.raises(ValueError):
         SpinRegister(11)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spin_j_operators_are_the_collective_operators_on_the_dicke_states(n):
+    m, raising = spin_j_operators(n)
+    reg = SpinRegister(n)
+    d = symmetric_sector_isometry(n)
+    np.testing.assert_array_equal(m, n / 2.0 - np.arange(n + 1))
+    np.testing.assert_allclose(d.T @ collective_operator(reg, "z") @ d, np.diag(m), atol=1e-13)
+    np.testing.assert_allclose(d.T @ collective_operator(reg, "+") @ d, raising, atol=1e-13)

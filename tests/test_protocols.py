@@ -28,6 +28,7 @@ from lmg_adiabat.protocols import (
 )
 from lmg_adiabat.operators import SpinRegister, collective_operator
 from lmg_adiabat.states import density_from_state, dicke_state, population, target_state
+from oracles import register_reduction, spin_flip_parity
 
 
 def test_config_parity_rules():
@@ -288,8 +289,28 @@ def test_two_tone_reduction_integrates_only_the_full_runs(schrodinger_calls):
     cfg = ScenarioConfig(case="I", n_spins=2, lambda_over_nu=0.1, delta=-1.1)
     rep = validate_effective_reduction(cfg, fock_cutoff=6, omega1=0.15, omega2=0.15,
                                        t_final=100.0, n_samples=51)
-    assert schrodinger_calls == [24, 48]
+    assert schrodinger_calls == [18, 36]
     assert rep.solver == "rk4"
+
+
+@pytest.mark.filterwarnings("ignore:.*expansion regime")
+@pytest.mark.parametrize("case,n,cutoff,omega1,omega2,t_final,n_samples", [
+    ("I", 1, 6, 0.3, 0.0, 500.0, 251),
+    ("I", 2, 6, 0.3, 0.0, 500.0, 251),
+    ("III", 2, 5, 0.3, 0.0, 500.0, 251),
+    ("I", 2, 4, 0.0, 0.3, 300.0, 101),
+    ("I", 2, 6, 0.15, 0.15, 100.0, 51),
+], ids=["I-1", "I-2", "III-2", "omega2", "two-tones"])
+def test_reduction_matches_the_register_oracle(case, n, cutoff, omega1, omega2, t_final,
+                                                n_samples):
+    cfg = preset(case, n)
+    rep = validate_effective_reduction(cfg, fock_cutoff=cutoff, omega1=omega1, omega2=omega2,
+                                       t_final=t_final, n_samples=n_samples)
+    oracle = register_reduction(cfg, cutoff, omega1, omega2, t_final, n_samples)
+    np.testing.assert_array_equal(rep.times, oracle.pop("times"))
+    for name, expected in oracle.items():
+        np.testing.assert_allclose(getattr(rep, name), expected, rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_spin_readout_matches_the_partial_trace():
@@ -344,3 +365,20 @@ def test_simulate_presets_keep_trace_and_hermiticity_to_rounding(case, n, gamma)
         diagnostics = run_scenario(cfg).trajectory.diagnostics
     assert diagnostics["max_trace_defect"] <= 1e-13
     assert diagnostics["max_hermiticity_defect"] <= 1e-13
+
+
+@pytest.mark.parametrize("n,literal", [(2, 0.0), (3, 0.5), (4, 1.0), (5, 0.5), (6, 0.0)])
+def test_case_one_literal_population_is_capped_by_spin_flip_parity(n, literal):
+    # The sweep conserves prod_j sigma_z^j and starts at parity +1, so it
+    # reaches at most (1 + <P>)/2 of the target, whose GHZ phase e^{i pi J}
+    # gives <P> = +1 only when N is a multiple of 4.
+    target = target_state("I", n)
+    parity = spin_flip_parity(SpinRegister(n))
+    cfg = preset("I", n)
+    psi0 = cfg.initial_state()
+    assert np.real(psi0.conj() @ parity @ psi0) == pytest.approx(1.0, abs=1e-12)
+    assert (1.0 + np.real(target.conj() @ parity @ target)) / 2.0 == pytest.approx(
+        literal, abs=1e-12)
+    run = run_scenario(cfg)
+    assert run.final_population == pytest.approx(literal, abs=1e-4)
+    assert run.final_population_phase_opt >= 0.9999
